@@ -19,7 +19,7 @@ from .scalars import FLOAT_RTOL, Ring
 __all__ = [
     "BACKEND", "FIELD", "CONJUGATE", "GeneratorId", "Algebra",
     "GrassmannElement", "Configuration", "wedge", "left_derivative",
-    "evaluate", "kth_derivative", "random_element", "random_configuration",
+    "evaluate", "kth_derivative", "random_element",
 ]
 
 FIELD = 0
@@ -400,12 +400,3 @@ def random_element(alg: Algebra, rng: random.Random, grade: int,
         terms[w] = terms.get(w, alg.ring.zero) + c
     return alg.element(terms)
 
-
-def random_configuration(alg: Algebra, rng: random.Random, max_grade: int,
-                         n_terms: int = 4, slots: Sequence[int] | None = None) -> Configuration:
-    """Seeded random configuration with components of grade <= max_grade."""
-    e = alg.zero()
-    for p in range(max_grade + 1):
-        if rng.random() < 0.75:
-            e = e + random_element(alg, rng, p, max(1, n_terms // 2), slots)
-    return Configuration(alg, e.terms())

@@ -39,21 +39,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="flat key-value config file")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
-        p.add_argument("--arithmetic", choices=["float", "rational"],
-                       default=None, help="override arithmetic mode")
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--order", type=int, default=None,
                        help="override truncation.lambda_order")
         if name == "verify":
+            # every suite fixes its own arithmetic mode
             p.add_argument("--suite", default=None,
                            help="comma-separated subset of: grassmann,green,"
                                 "bracket,moller,gn,quant")
+        else:
+            p.add_argument("--arithmetic", choices=["float", "rational"],
+                           default=None, help="override arithmetic mode")
     return parser
 
 
 def _load(args) -> "RunConfig":
     overrides = {
-        "arithmetic": args.arithmetic,
+        "arithmetic": getattr(args, "arithmetic", None),
         "seed": args.seed,
         "truncation.lambda_order": args.order,
     }

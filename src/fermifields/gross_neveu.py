@@ -92,24 +92,18 @@ def _site_density(fl: FieldLattice, site: int) -> GrassmannElement:
     return fl.algebra.element(terms)
 
 
-def gn_interaction_term(fl: FieldLattice, params: GrossNeveuParams,
-                        include_lambda: bool = False) -> GrassmannElement:
-    """Quartic interaction functional F = Σ_x vol g(x)/(2N) (ρ_x ∧ ρ_x).
-
-    ``include_lambda`` multiplies by the numeric coupling; the default
-    leaves λ formal so the element can serve as the series insertion.
-    """
+def _quartic(fl: FieldLattice, params: GrossNeveuParams,
+             weights) -> GrassmannElement:
+    """Σ_x vol w(x) g(x)/(2N) (ρ_x ∧ ρ_x), with λ left formal."""
     ring = fl.ring
     lat = fl.lattice
-    vol = ring.coerce(Fraction(lat.dt) * Fraction(lat.dx) if ring.exact
-                      else lat.dt * lat.dx)
-    half = ring.number(Fraction(1, 2)) if ring.exact else 0.5
-    invN = (ring.number(Fraction(1, params.ncolors)) if ring.exact
-            else 1.0 / params.ncolors)
+    vol = ring.coerce(lat.volume_weight())
+    half = ring.number(Fraction(1, 2))
+    invN = ring.number(Fraction(1, params.ncolors))
     g = params.cutoff(fl)
     out = fl.algebra.zero()
     for site in range(lat.n_sites):
-        w = ring.coerce(g[site])
+        w = ring.coerce(weights[site]) * ring.coerce(g[site])
         if ring.is_zero(w):
             continue
         rho = _site_density(fl, site)
@@ -117,39 +111,26 @@ def gn_interaction_term(fl: FieldLattice, params: GrossNeveuParams,
         if quartic.is_zero():
             continue
         out = out + quartic.scale(vol * w * half * invN)
-    if include_lambda:
-        lam = ring.coerce(Fraction(params.lam) if ring.exact else params.lam)
-        out = out.scale(lam)
     return out
 
 
+def gn_interaction_term(fl: FieldLattice,
+                        params: GrossNeveuParams) -> GrassmannElement:
+    """Quartic interaction functional F = Σ_x vol g(x)/(2N) (ρ_x ∧ ρ_x).
+
+    λ is left formal so the element can serve as the series insertion.
+    """
+    return _quartic(fl, params, fl.ones_weights())
+
+
 def build_gn_action(fl: FieldLattice, params: GrossNeveuParams) -> ActionFunctional:
-    """Gross-Neveu action: free part plus the quartic cutoff term."""
+    """Gross-Neveu action S(f) = S_0(f) + λ F(f), F the quartic cutoff term."""
     if fl.ncolors != params.ncolors:
         raise ValueError("params.ncolors disagrees with the field lattice")
     free = _free_builder(fl, params.m)
-    ring = fl.ring
-    lam = ring.coerce(Fraction(params.lam) if ring.exact else params.lam)
-    g = params.cutoff(fl)
-    lat = fl.lattice
-    vol = ring.coerce(Fraction(lat.dt) * Fraction(lat.dx) if ring.exact
-                      else lat.dt * lat.dx)
-    half = ring.number(Fraction(1, 2)) if ring.exact else 0.5
-    invN = (ring.number(Fraction(1, params.ncolors)) if ring.exact
-            else 1.0 / params.ncolors)
 
     def build(weights):
-        out = free(weights)
-        for site in range(lat.n_sites):
-            w = ring.coerce(weights[site]) * ring.coerce(g[site])
-            if ring.is_zero(w):
-                continue
-            rho = _site_density(fl, site)
-            quartic = rho.wedge(rho)
-            if quartic.is_zero():
-                continue
-            out = out + quartic.scale(vol * w * half * invN * lam)
-        return out
+        return free(weights) + _quartic(fl, params, weights).scale(params.lam)
 
     S = ActionFunctional(fl, build, name="gross_neveu")
     S.meta = {"m": params.m, "model": "gross_neveu", "params": params}
@@ -179,13 +160,10 @@ class InteractingKernel:
         if self.params is None:
             return self.fl.algebra.zero()
         ring = self.fl.ring
-        lam = ring.coerce(Fraction(self.params.lam) if ring.exact
-                          else self.params.lam)
         g = self.params.cutoff(self.fl)
-        half_invN = (ring.number(Fraction(1, 2 * self.params.ncolors))
-                     if ring.exact else 0.5 / self.params.ncolors)
         return _site_density(self.fl, site).scale(
-            lam * ring.coerce(g[site]) * half_invN)
+            ring.coerce(self.params.lam) * ring.coerce(g[site])
+            * ring.number(Fraction(1, 2 * self.params.ncolors)))
 
     @property
     def order_count(self) -> int:

@@ -58,14 +58,6 @@ class Kernel:
                               if {self.kind, other.kind} == {"retarded", "advanced"}
                               else self.kind)
 
-    def transpose_neg(self, kind: str) -> "Kernel":
-        """Kernel −K(y,x)^T: the argument-swapped, sign-flipped partner."""
-        return Kernel(-self.mat.T.copy(), self.ring, kind,
-                      self.col_times, self.row_times, self.exact_rows)
-
-    def matmul(self, other: "Kernel") -> np.ndarray:
-        return self.mat @ other.mat
-
     # -- checks ------------------------------------------------------------
     def support_violation(self) -> float:
         """Largest |entry| outside the kernel's causal support (0 if clean)."""

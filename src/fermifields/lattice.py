@@ -15,8 +15,6 @@ kernel records that row set (``exact_rows``) and tests pin it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .algebra import CONJUGATE, FIELD, Algebra, GeneratorId
@@ -129,11 +127,6 @@ class FieldLattice:
         return [i for i in range(self.n_slots)
                 if margin_past <= self.slot_times[i] <= nt - 1 - margin_future]
 
-    def interior_sites(self, margin_past: int = 1, margin_future: int = 1) -> list:
-        nt = self.lattice.nt
-        return [s for s in range(self.lattice.n_sites)
-                if margin_past <= self.lattice.site_time(s) <= nt - 1 - margin_future]
-
     def window_weights(self, lo: int, hi: int):
         """Site weight vector: 1 on times lo..hi inclusive, else 0."""
         ring = self.ring
@@ -150,17 +143,11 @@ class FieldLattice:
 
 # -- site-level difference operators -------------------------------------
 
-def _ring_frac(ring: Ring, num, den):
-    if ring.exact:
-        return ring.number(Fraction(num) / Fraction(den))
-    return complex(num) / complex(den)
-
-
 def time_backward(lattice: Lattice, ring: Ring) -> np.ndarray:
     """One-sided backward time difference on sites (zero past padding)."""
     ns = lattice.n_sites
     out = zeros((ns, ns), ring)
-    inv_dt = _ring_frac(ring, 1, lattice.dt)
+    inv_dt = ring.one / ring.coerce(lattice.dt)
     for s in range(ns):
         t, x = lattice.site_time(s), lattice.site_space(s)
         out[s, s] = out[s, s] + inv_dt
@@ -173,8 +160,7 @@ def space_central(lattice: Lattice, ring: Ring) -> np.ndarray:
     """Central spatial difference with periodic boundary."""
     ns = lattice.n_sites
     out = zeros((ns, ns), ring)
-    half = _ring_frac(ring, 1, 2 * Fraction(lattice.dx)
-                      if ring.exact else 2 * lattice.dx)
+    half = ring.one / ring.coerce(2 * lattice.dx)
     for s in range(ns):
         t, x = lattice.site_time(s), lattice.site_space(s)
         right = lattice.site(t, x + 1)
@@ -214,7 +200,7 @@ class DiracOperator:
         ns = lattice.n_sites
         i_ = ring.i
         ident = eye(ns * NCOMP, ring)
-        m_c = ring.coerce(Fraction(m) if ring.exact else m)
+        m_c = ring.coerce(m)
         kin = kron2(T, g0, ring) + kron2(X, g1, ring)
         self.D = kin * i_ - ident * m_c
         self.Dstar = -(kin * i_ + ident * m_c)
@@ -247,13 +233,11 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring | None = None,
     ring = ring or Ring(mode)
     nt, nx, ns = lattice.nt, lattice.nx, lattice.n_sites
     Xs = _space_block(lattice, ring)
-    inv_dt2 = _ring_frac(ring, 1, Fraction(lattice.dt) ** 2 if ring.exact
-                         else lattice.dt ** 2)
-    m_c = ring.coerce(Fraction(m) if ring.exact else m)
+    inv_dt2 = ring.one / ring.coerce(lattice.dt ** 2)
+    m_c = ring.coerce(m)
     A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - Xs @ Xs
     A0_inv = mat_inv(A0, ring)
-    inv_vol = _ring_frac(ring, 1, Fraction(lattice.dt) * Fraction(lattice.dx)
-                         if ring.exact else lattice.dt * lattice.dx)
+    inv_vol = ring.one / ring.coerce(lattice.volume_weight())
     G = zeros((ns, ns), ring)
     # column block for each source time s, stepped forward in t
     blocks: dict[int, np.ndarray] = {}
@@ -282,8 +266,7 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring | None = None,
 def _space_block(lattice: Lattice, ring: Ring) -> np.ndarray:
     nx = lattice.nx
     out = zeros((nx, nx), ring)
-    half = _ring_frac(ring, 1, 2 * Fraction(lattice.dx) if ring.exact
-                      else 2 * lattice.dx)
+    half = ring.one / ring.coerce(2 * lattice.dx)
     for x in range(nx):
         out[x, (x + 1) % nx] = out[x, (x + 1) % nx] + half
         out[x, (x - 1) % nx] = out[x, (x - 1) % nx] - half
@@ -298,10 +281,9 @@ def _dirac_time_blocks(fl: FieldLattice, m):
     g0, g1 = gamma_matrices(ring)
     Xs = _space_block(lat, ring)
     i_ = ring.i
-    vol = ring.coerce(Fraction(lat.dt) * Fraction(lat.dx) if ring.exact
-                      else lat.dt * lat.dx)
-    inv_dt = _ring_frac(ring, 1, lat.dt)
-    m_c = ring.coerce(Fraction(m) if ring.exact else m)
+    vol = ring.coerce(lat.volume_weight())
+    inv_dt = ring.one / ring.coerce(lat.dt)
+    m_c = ring.coerce(m)
     ident = eye(nx * NCOMP, ring)
     diag = (kron2(eye(nx, ring) * inv_dt, g0, ring)
             + kron2(Xs, g1, ring)) * i_ - ident * m_c

@@ -17,6 +17,7 @@ Operator conventions (fixed here and asserted by tests):
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -39,14 +40,11 @@ def _mat(kernel):
 
 
 def _half(ring):
-    return ring.number(Fraction(1, 2)) if ring.exact else 0.5
+    return ring.number(Fraction(1, 2))
 
 
 def _inv_factorial(ring, n: int):
-    f = 1
-    for k in range(2, n + 1):
-        f *= k
-    return ring.number(Fraction(1, f)) if ring.exact else 1.0 / f
+    return ring.number(Fraction(1, math.factorial(n)))
 
 
 class SymmetricKernel(Kernel):

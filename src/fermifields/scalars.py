@@ -150,12 +150,5 @@ class Ring:
             return c == 0
         return abs(c) <= tol
 
-    def to_complex(self, c) -> complex:
-        return complex(c)
-
     def __repr__(self):
         return f"Ring({self.mode})"
-
-
-def as_complex(c) -> complex:
-    return complex(c)

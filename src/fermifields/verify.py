@@ -10,6 +10,7 @@ generators make every run reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ import numpy as np
 from .algebra import (CONJUGATE, FIELD, Algebra, GeneratorId, GrassmannElement,
                       left_derivative, evaluate, random_element)
 from .config import RunConfig
-from .dynamics import (bracket_kernel_derivative, canonical_residual,
-                       higher_retarded, moller_substitution, moller_inverse,
+from .dynamics import (ActionFunctional, bracket_kernel_derivative,
+                       canonical_residual, higher_retarded,
+                       moller_substitution, moller_inverse,
                        peierls_bracket, poisson_ideal_residual,
                        retarded_product, advanced_product)
 from .gross_neveu import (GrossNeveuParams, bilinear_element, build_free_action,
@@ -31,12 +33,13 @@ from .lattice import (DiracOperator, FieldLattice, Lattice, causal_propagator,
                       dirac_green, dirac_matrix, free_second_derivative,
                       green_from_bilinear, kg_green)
 from .linalg import max_abs, zeros
-from .quantization import (alpha_transform, random_symmetric_kernel,
-                           star_commutator, star_h_direct, star_h_sandwich,
-                           star_product, time_ordered_product, time_ordering)
+from .quantization import (_star_series, alpha_transform,
+                           random_symmetric_kernel, star_commutator,
+                           star_h_direct, star_h_sandwich, star_product,
+                           time_ordered_product, time_ordering)
 from .reports import check_record
 from .scalars import Ring
-from .series import TruncatedSeries
+from .series import HbarSeries, TruncatedSeries
 
 __all__ = ["SUITES", "run_suites", "wedge_permutation_oracle",
            "multilinear_evaluation_oracle"]
@@ -75,12 +78,7 @@ def wedge_permutation_oracle(a: GrassmannElement, p: int,
     alg = a.algebra
     ring = alg.ring
     n = alg.n
-    norm = Fraction(1, 1)
-    for k in range(2, p + 1):
-        norm /= k
-    for k in range(2, q + 1):
-        norm /= k
-    norm_c = ring.number(norm) if ring.exact else float(norm)
+    norm_c = ring.number(Fraction(1, math.factorial(p) * math.factorial(q)))
     terms = {}
     for word in itertools.combinations(range(n), p + q):
         acc = ring.zero
@@ -104,10 +102,7 @@ def multilinear_evaluation_oracle(t: GrassmannElement, u: GrassmannElement):
     ring = alg.ring
     acc = ring.zero
     for p in sorted(t.grades() | u.grades()):
-        norm = Fraction(1, 1)
-        for k in range(2, p + 1):
-            norm /= k
-        norm_c = ring.number(norm) if ring.exact else float(norm)
+        norm_c = ring.number(Fraction(1, math.factorial(p)))
         for idx in itertools.product(range(alg.n), repeat=p):
             val = _tensor_value(t, idx) * _tensor_value(u, idx)
             acc = acc + val * norm_c
@@ -393,16 +388,15 @@ def suite_bracket(cfg: RunConfig) -> list:
     return records
 
 
-def _local_mass_bilinear(fl: FieldLattice, scale=1):
+def _local_mass_bilinear(fl: FieldLattice):
     """Mass-type bilinear matrix supported on interior times."""
     ring = fl.ring
     lat = fl.lattice
     w = fl.window_weights(1, lat.nt - 2)
     Hm = zeros((fl.block, fl.block), ring)
-    vol = ring.coerce(Fraction(lat.dt) * Fraction(lat.dx) if ring.exact
-                      else lat.dt * lat.dx)
+    vol = ring.coerce(lat.volume_weight())
     for s in range(lat.n_sites):
-        c = vol * ring.coerce(w[s]) * ring.coerce(scale)
+        c = vol * ring.coerce(w[s])
         for comp in range(2):
             row = s * 2 + comp
             Hm[row, row] = Hm[row, row] + c
@@ -410,18 +404,12 @@ def _local_mass_bilinear(fl: FieldLattice, scale=1):
 
 
 def _second_matrix(fl: FieldLattice, H: GrassmannElement):
-    """Scalar second-derivative matrix K[j, i] = d_j d_i H."""
-    n = fl.n_slots
-    K = zeros((n, n), fl.ring)
-    for i, di in H.derivatives().items():
-        for j, dji in di.derivatives().items():
-            K[j, i] = K[j, i] + dji.coefficient(())
-    return K
+    """Scalar second-derivative matrix K[j, i] = d_j d_i H of a quadratic H."""
+    K0, _ = ActionFunctional(fl, lambda _w: H, name="quadratic").second_kernel()
+    return K0.mat
 
 
 def _canonical_quadratic_checks(cfg: RunConfig, fl, S, dR, dA):
-    from .gross_neveu import bilinear_element
-    from .lattice import dirac_matrix, green_from_bilinear
     rng = _rng(cfg, "canonical")
     Hm = _local_mass_bilinear(fl)
     H = bilinear_element(fl, Hm)
@@ -567,24 +555,11 @@ def suite_moller(cfg: RunConfig) -> list:
 def _quadratic_moller_defect(cfg, fl, S, dR, order) -> float:
     """Grade-1 images under a quadratic perturbation vs matrix series."""
     ring = fl.ring
-    lat = fl.lattice
     n = fl.n_slots
-    # local mass-type bilinear supported on interior times
-    w = fl.window_weights(1, lat.nt - 2)
-    Hm = zeros((fl.block, fl.block), ring)
-    vol = ring.coerce(Fraction(lat.dt) * Fraction(lat.dx))
-    for s in range(lat.n_sites):
-        for comp in range(2):
-            row = s * 2 + comp
-            Hm[row, row] = vol * ring.coerce(w[s])
-    H = bilinear_element(fl, Hm)
+    H = bilinear_element(fl, _local_mass_bilinear(fl))
     sub = moller_substitution(S, H, dR, order, cfg.max_grade)
     # K_H[j, i] = d_j d_i H; image recursion W = (Id - lam * dR K_H^T)^{-1} e
-    KH = zeros((n, n), ring)
-    for i, di in H.derivatives().items():
-        for j, dji in di.derivatives().items():
-            KH[j, i] = KH[j, i] + dji.coefficient(())
-    step = dR.mat @ KH.T.copy()
+    step = dR.mat @ _second_matrix(fl, H).T.copy()
     worst = 0.0
     for i in range(0, n, max(1, n // 6)):
         row = zeros((1, n), ring)
@@ -804,9 +779,10 @@ def suite_quant(cfg: RunConfig) -> list:
         F = random_element(fl.algebra, rng, rng.randint(1, 3), 2, slots)
         G = random_element(fl.algebra, rng, rng.randint(1, 3), 2, slots)
         H = random_element(fl.algebra, rng, rng.randint(1, 3), 2, slots)
-        left = _star_series_assoc(delta, star_product(delta, F, G), H)
-        right = _star_series_assoc(delta, None, None, F,
-                                   star_product(delta, G, H))
+        left = _star_series(delta, star_product(delta, F, G),
+                            HbarSeries(fl.algebra, {0: H}))
+        right = _star_series(delta, HbarSeries(fl.algebra, {0: F}),
+                             star_product(delta, G, H))
         worst = max(worst, (left - right).max_abs())
     records.append(check_record(
         "star_associativity_exact", {"cases": 200, "seed": cfg.seed},
@@ -900,22 +876,6 @@ def suite_quant(cfg: RunConfig) -> list:
     records.append(check_record(
         "star_h_equivalence", {"seed": cfg.seed}, worst, worst == 0.0))
     return records
-
-
-def _star_series_assoc(delta, left_series, H, F=None, right_series=None):
-    """Helper: ((F*G)*H) or (F*(G*H)) as an hbar series."""
-    from .series import HbarSeries
-    if left_series is not None:
-        alg = left_series.algebra
-        out = HbarSeries(alg, {})
-        for k, e in left_series.coeffs.items():
-            out = out + star_product(delta, e, H).shift(k)
-        return out
-    alg = right_series.algebra
-    out = HbarSeries(alg, {})
-    for k, e in right_series.coeffs.items():
-        out = out + star_product(delta, F, e).shift(k)
-    return out
 
 
 # -- orchestration ---------------------------------------------------------------

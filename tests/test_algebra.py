@@ -195,16 +195,3 @@ def test_wedge_associativity_hypothesis(p, q, s, seed):
     a, b, c = (random_element(alg, r, g, 2) for g in (p, q, s))
     assert (a.wedge(b).wedge(c) - a.wedge(b.wedge(c))).is_zero()
 
-
-def test_backend_consistency(alg6f, rng):
-    """Compiled and pure-Python cores must agree exactly."""
-    from fermifields import _core_py
-    from fermifields import _core
-    for _ in range(100):
-        a = random_element(alg6f, rng, rng.randint(0, 3), 3)
-        b = random_element(alg6f, rng, rng.randint(0, 3), 3)
-        fast = _core.wedge_terms(a.terms(), b.terms())
-        slow = _core_py.wedge_terms(a.terms(), b.terms())
-        assert fast == slow
-        g = rng.randrange(6)
-        assert _core.contract(a.terms(), g) == _core_py.contract(a.terms(), g)

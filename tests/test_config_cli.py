@@ -138,6 +138,13 @@ def test_cli_unknown_suite_exits_2(tmp_path):
     assert main(["verify", "--suite", "nope", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_verify_rejects_arithmetic_flag():
+    """Every suite fixes its own mode, so verify has no --arithmetic."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--arithmetic", "rational"])
+    assert exc.value.code == 2
+
+
 def test_cli_gn_series(tmp_path):
     p = write(tmp_path, "lattice.nt = 4\nlattice.nx = 1\narithmetic = rational\n")
     out = tmp_path / "gn"

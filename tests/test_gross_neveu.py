@@ -8,7 +8,8 @@ import pytest
 from fermifields.algebra import CONJUGATE, FIELD, evaluate, random_element
 from fermifields.dynamics import peierls_bracket
 from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
-                                     build_gn_action, interacting_bracket,
+                                     build_gn_action, gn_interaction_term,
+                                     interacting_bracket,
                                      interacting_propagator, permute_colors,
                                      propagator_defect)
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
@@ -284,3 +285,25 @@ def test_insertion_density(gn32):
         assert (ins - want).is_zero()
         if complex(ring.coerce(g[site])) == 0:
             assert ins.is_zero()
+
+
+def test_gn_action_is_free_plus_lambda_quartic_at_nonunit_volume():
+    """At dt = 1/2 (vol = 1/2) with two colors, S_GN = S_0 + λ F exactly and
+    F is the hand formula Σ_x vol g(x)/(2N) ρ_x ∧ ρ_x, so a dropped or
+    doubled volume factor shows."""
+    lat = Lattice(4, 2, Fraction(1, 2), 1)
+    fl = FieldLattice(lat, 2, "rational")
+    p = GrossNeveuParams(ncolors=2, lam=Fraction(1, 3), m=Fraction(2, 5))
+    F = gn_interaction_term(fl, p)
+    assert build_gn_action(fl, p).functional() == \
+        build_free_action(fl, p.m).functional() + F.scale(p.lam)
+    ring = fl.ring
+    vol = ring.number(Fraction(1, 2))
+    g = p.cutoff(fl)
+    want = fl.algebra.zero()
+    for site in range(lat.n_sites):
+        rho = site_density(fl, site)
+        want = want + rho.wedge(rho).scale(
+            vol * ring.coerce(g[site]) * ring.number(Fraction(1, 4)))
+    assert not F.is_zero()
+    assert F == want

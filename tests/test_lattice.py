@@ -50,6 +50,16 @@ def test_factorization_identity_exact():
     assert dop.factorization_defect() == 0.0
 
 
+def test_rational_kernels_reject_float_mass():
+    """Rational mode takes exact masses only; a float is not converted."""
+    lat = Lattice(3, 2, Fraction(1, 2), 1)
+    fl = FieldLattice(lat, 1, "rational")
+    with pytest.raises(TypeError, match="rational mode"):
+        dirac_green(fl, 0.5, "retarded")
+    with pytest.raises(TypeError, match="rational mode"):
+        kg_green(lat, 0.5, "retarded", Ring("rational"))
+
+
 def test_kg_green_single_point_recursion():
     """Forward recursion oracle; linear growth (t - s + 1) at unit weights."""
     lat = Lattice(6, 1, 1.0, 1.0)
