@@ -157,7 +157,8 @@ class RunConfig:
         return out
 
 
-def parse_config_file(path) -> RunConfig:
+def parse_config_file(path, rejected: dict | None = None) -> RunConfig:
+    """Parse a config file; ``rejected`` maps keys the caller refuses to why."""
     cfg = RunConfig()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -167,12 +168,17 @@ def parse_config_file(path) -> RunConfig:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = text.partition("=")
-            cfg.set_key(key.strip(), raw.strip())
+            key = key.strip()
+            if rejected and key in rejected:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is not accepted "
+                                  f"here: {rejected[key]}")
+            cfg.set_key(key, raw.strip())
     return cfg
 
 
-def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    cfg = parse_config_file(path) if path else RunConfig()
+def load_config(path=None, overrides: dict | None = None,
+                rejected: dict | None = None) -> RunConfig:
+    cfg = parse_config_file(path, rejected) if path else RunConfig()
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg.set_key(key, str(value))

@@ -1,7 +1,8 @@
 """Small dense linear algebra over either scalar ring.
 
 Float mode uses ``complex128`` ndarrays; rational mode uses object
-ndarrays of :class:`~fermifields.scalars.QC`.  Matrices here are tiny
+ndarrays of :class:`~fermifields.scalars.QC`, exact complex rationals
+stored as one-denominator integer triples.  Matrices here are tiny
 (a few dozen rows), so generic Gauss-Jordan elimination is plenty.
 """
 

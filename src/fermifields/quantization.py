@@ -69,12 +69,15 @@ class SymmetricKernel(Kernel):
 
 # -- pair contraction (star products) ---------------------------------------
 
-def _gamma_pair_apply(state: dict, mat, ring, half) -> dict:
-    """One contraction on {(word_F, word_G): coeff} tensor states."""
+def _gamma_pair_apply(state: dict, mat, ring, factor) -> dict:
+    """One contraction on {(word_F, word_G): coeff} tensor states.
+
+    ``factor`` is the 1/2 of the contraction, times any kernel scale.
+    """
     out: dict = {}
     for (wa, wb), c in state.items():
         la = len(wa)
-        base = -half if la % 2 == 0 else half  # -(1/2) · (−1)^{len wa}
+        base = -factor if la % 2 == 0 else factor  # -factor · (−1)^{len wa}
         for pi, i in enumerate(wa):
             row = mat[i]
             sa = -base if pi % 2 == 1 else base
@@ -102,19 +105,18 @@ def _merge_state(alg: Algebra, state: dict) -> GrassmannElement:
     return alg.element(terms)
 
 
-def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
-    """Deformed product with per-contraction kernel κ (one hbar per order).
+def _star_with(mat, unit, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
+    """Deformed product whose per-contraction kernel is ``unit · mat``.
 
-    Coefficient of hbar^n is (1/n!) · m(Γ_κ^n (F ⊗ G)); the plain star
-    product is recovered with κ = i·Δ.
+    The scalar ``unit`` rides on the factor 1/2 of each contraction, so
+    the kernel matrix itself is never rescaled.
     """
     alg = F.algebra
     alg.check_compatible(G.algebra)
     ring = alg.ring
-    mat = _mat(kappa)
     if mat.shape != (alg.n, alg.n):
         raise ValueError("kernel does not match the generator set")
-    half = _half(ring)
+    factor = _half(ring) * unit
     state = {}
     for wa, ca in F.items():
         for wb, cb in G.items():
@@ -126,9 +128,18 @@ def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalS
         e = _merge_state(alg, state).scale(_inv_factorial(ring, n))
         if not e.is_zero():
             coeffs[n] = e
-        state = _gamma_pair_apply(state, mat, ring, half)
+        state = _gamma_pair_apply(state, mat, ring, factor)
         n += 1
     return HbarSeries(alg, coeffs)
+
+
+def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
+    """Deformed product with per-contraction kernel κ (one hbar per order).
+
+    Coefficient of hbar^n is (1/n!) · m(Γ_κ^n (F ⊗ G)); the plain star
+    product is recovered with κ = i·Δ.
+    """
+    return _star_with(_mat(kappa), F.algebra.ring.one, F, G)
 
 
 def gamma_delta(delta, F: GrassmannElement, G: GrassmannElement) -> GrassmannElement:
@@ -153,8 +164,7 @@ def star_product(delta, F: GrassmannElement, G: GrassmannElement,
 
     With ``hbar`` numeric the series is collapsed at that value.
     """
-    ring = F.algebra.ring
-    series = star_with_kernel(_mat(delta) * ring.i, F, G)
+    series = _star_with(_mat(delta), F.algebra.ring.i, F, G)
     if hbar is None:
         return series
     return series.at(hbar)

@@ -6,12 +6,17 @@ Two arithmetic modes are supported throughout the package:
   comparisons at relative tolerance ``FLOAT_RTOL``;
 * ``"rational"`` -- exact complex rationals (:class:`QC`), used by the
   validation suites so that algebraic identities can be checked to be
-  *exactly* zero.
+  *exactly* zero.  A :class:`QC` keeps one shared denominator for both
+  parts, ``(a + b·i)/d`` as three Python ints, so ring operations are a
+  few integer products and one ``gcd`` rather than two ``Fraction``
+  operations; add and subtract skip the cross products when the
+  denominators agree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 FLOAT_RTOL = 1e-10
@@ -20,100 +25,161 @@ _RatLike = Union[int, Fraction]
 
 
 class QC:
-    """Complex number with exact ``Fraction`` real and imaginary parts."""
+    """Exact complex rational ``(a + b·i)/d`` stored as three ints.
 
-    __slots__ = ("re", "im")
+    The triple is normalised: ``d > 0`` and ``gcd(a, b, d) == 1``, so
+    equal numbers have equal triples.  ``.re`` and ``.im`` give the
+    parts as ``Fraction``; instances are immutable.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, re: _RatLike = 0, im: _RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        d = q * s // gcd(q, s)  # lcm of reduced denominators: already normal
+        _set_abd(self, (p * (d // q), r * (d // s), d))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("QC is immutable")
 
-    # -- ring operations ------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, QC):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QC(other)
-        return NotImplemented
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
 
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
+    # -- ring operations ------------------------------------------------
+    # An int or Fraction operand enters as (numerator, 0, denominator).
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(self.re + o.re, self.im + o.im)
+        a, b, d = self._abd
+        if type(other) is QC:
+            c, e, f = other._abd
+            if d == f:
+                return _qc(a + c, b + e, d)
+            return _qc(a * f + c * d, b * f + e * d, d * f)
+        if isinstance(other, (int, Fraction)):
+            c, f = other.numerator, other.denominator
+            return _qc(a * f + c * d, b * f, d * f)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(self.re - o.re, self.im - o.im)
+        a, b, d = self._abd
+        if type(other) is QC:
+            c, e, f = other._abd
+            if d == f:
+                return _qc(a - c, b - e, d)
+            return _qc(a * f - c * d, b * f - e * d, d * f)
+        if isinstance(other, (int, Fraction)):
+            c, f = other.numerator, other.denominator
+            return _qc(a * f - c * d, b * f, d * f)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return -(self - other)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QC(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        a, b, d = self._abd
+        if type(other) is QC:
+            c, e, f = other._abd
+            return _qc(a * c - b * e, a * e + b * c, d * f)
+        if isinstance(other, (int, Fraction)):
+            c, f = other.numerator, other.denominator
+            return _qc(a * c, b * c, d * f)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        a, b, d = self._abd
+        if type(other) is QC:
+            c, e, f = other._abd
+        elif isinstance(other, (int, Fraction)):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero QC")
-        return QC((self.re * o.re + self.im * o.im) / n,
-                  (self.im * o.re - self.re * o.im) / n)
+        # ((a + bi)/d) / ((c + ei)/f) = (a + bi)(c − ei)·f / (d·(c² + e²))
+        return _qc((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            return QC(other) / self
+        return NotImplemented
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        a, b, d = self._abd
+        return _qc_normal(-a, -b, d)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
+        if type(other) is QC:
+            return self._abd == other._abd
         if isinstance(other, (int, Fraction)):
-            other = QC(other)
-        if not isinstance(other, QC):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return self._abd == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, d = self._abd
+        if b == 0:  # agree with the equal int or Fraction
+            return hash(Fraction(a, d))
+        return hash(self._abd)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        a, b, _ = self._abd
+        return a != 0 or b != 0
 
     def __abs__(self):
-        return abs(complex(float(self.re), float(self.im)))
+        return abs(complex(self))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        a, b, d = self._abd
+        return _qc_normal(a, -b, d)
 
     def __repr__(self):
         return f"QC({self.re}, {self.im})"
+
+
+_new_qc = object.__new__
+_set_abd = QC._abd.__set__  # slot setter; bypasses the immutability guard
+
+
+def _qc_normal(a: int, b: int, d: int) -> QC:
+    """Wrap a triple that is already normalised."""
+    q = _new_qc(QC)
+    _set_abd(q, (a, b, d))
+    return q
+
+
+def _qc(a: int, b: int, d: int) -> QC:
+    """Normalise a triple with ``d > 0`` and wrap it."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    q = _new_qc(QC)
+    _set_abd(q, (a, b, d))
+    return q
 
 
 class Ring:
@@ -136,8 +202,6 @@ class Ring:
             if isinstance(x, (int, Fraction)):
                 return QC(x)
             raise TypeError(f"cannot coerce {type(x).__name__} into rational mode")
-        if isinstance(x, QC):
-            return complex(x)
         return complex(x)
 
     def number(self, re, im=0):

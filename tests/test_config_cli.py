@@ -145,6 +145,18 @@ def test_cli_verify_rejects_arithmetic_flag():
     assert exc.value.code == 2
 
 
+def test_cli_verify_rejects_arithmetic_key(tmp_path, capsys):
+    """The key is refused in a verify config file but kept by the others."""
+    p = write(tmp_path, "lattice.nt = 3\narithmetic = rational\n")
+    out = tmp_path / "v"
+    assert main(["verify", "--suite", "green", "--config", str(p),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'arithmetic'" in err
+    assert not (out / "verify_report.json").exists()
+    assert main(["car-table", "--config", str(p), "--out", str(out)]) == 0
+
+
 def test_cli_gn_series(tmp_path):
     p = write(tmp_path, "lattice.nt = 4\nlattice.nx = 1\narithmetic = rational\n")
     out = tmp_path / "gn"

@@ -283,3 +283,20 @@ def test_star_with_kernel_matches_star(quant, rng):
     G = random_element(fl.algebra, rng, 2, 2, rng.sample(range(fl.n_slots), 6))
     lhs = star_with_kernel(delta.mat * fl.ring.i, F, G)
     assert (lhs - star_product(delta, F, G)).is_zero()
+
+
+def test_star_with_kernel_matches_star_float_exactly(rng):
+    """Float mode: folding i into the contraction factor changes no bit."""
+    fl = FieldLattice(Lattice(4, 3, 0.5, 1.0), 1, "float")
+    dR = dirac_green(fl, 0.75, "retarded")
+    dA = dirac_green(fl, 0.75, "advanced")
+    delta = causal_propagator(dR, dA)
+    for _ in range(3):
+        F = random_element(fl.algebra, rng, 2, 3, rng.sample(range(fl.n_slots), 6))
+        G = random_element(fl.algebra, rng, 2, 3, rng.sample(range(fl.n_slots), 6))
+        lhs = star_with_kernel(delta.mat * 1j, F, G)
+        rhs = star_product(delta, F, G)
+        assert sorted(lhs.coeffs) == sorted(rhs.coeffs)
+        assert 1 in lhs.coeffs
+        for n, e in lhs.coeffs.items():
+            assert e.terms() == rhs.coeffs[n].terms()

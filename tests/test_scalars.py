@@ -1,0 +1,101 @@
+"""Exact complex rationals: ``QC`` against a pair-of-``Fraction`` model."""
+
+import math
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fermifields.scalars import QC
+
+# -- reference model: (re, im) as a pair of Fractions ----------------------
+
+
+def m_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def m_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def m_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def m_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+ZERO = (Fraction(0), Fraction(0))
+
+reals = st.one_of(st.integers(-10**6, 10**6),
+                  st.fractions(max_denominator=10**4),
+                  st.sampled_from([0, 1, -1, Fraction(1, 2)]))
+# (value, model) pairs: a QC, or a plain int / Fraction operand
+qcs = st.tuples(reals, reals).map(
+    lambda p: (QC(*p), (Fraction(p[0]), Fraction(p[1]))))
+operands = st.one_of(qcs, reals.map(lambda r: (r, (Fraction(r), Fraction(0)))))
+
+
+def assert_matches(q, m):
+    assert isinstance(q, QC)
+    assert (q.re, q.im) == m
+    a, b, d = q._abd
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert q == QC(*m) and hash(q) == hash(QC(*m))
+    assert bool(q) == (m != ZERO)
+    if m[1] == 0:
+        assert q == m[0] and m[0] == q and hash(q) == hash(m[0])
+    else:
+        assert q != m[0]
+    assert complex(q) == complex(float(m[0]), float(m[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(qcs, operands)
+def test_qc_arithmetic_matches_model(x, y):
+    (qx, mx), (vy, my) = x, y
+    assert_matches(qx, mx)
+    for op, mop in ((operator.add, m_add), (operator.sub, m_sub),
+                    (operator.mul, m_mul)):
+        assert_matches(op(qx, vy), mop(mx, my))
+        assert_matches(op(vy, qx), mop(my, mx))
+    for num, mnum, den, mden in ((qx, mx, vy, my), (vy, my, qx, mx)):
+        if mden == ZERO:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+        else:
+            assert_matches(num / den, m_div(mnum, mden))
+    assert (qx == vy) == (mx == my)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(qcs)
+def test_qc_unary_ops_match_model(x):
+    q, m = x
+    assert_matches(-q, (-m[0], -m[1]))
+    assert_matches(+q, m)
+    assert_matches(q.conjugate(), (m[0], -m[1]))
+    assert abs(q) == abs(complex(float(m[0]), float(m[1])))
+    assert repr(q) == f"QC({m[0]}, {m[1]})"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(qcs)
+def test_qc_is_immutable(x):
+    q, m = x
+    for name in ("re", "im", "_abd", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 1)
+    assert (q.re, q.im) == m
+
+
+def test_qc_hash_agrees_with_equal_reals():
+    for x in (0, 2, -7, True, Fraction(1, 3), Fraction(-5, 2), Fraction(4, 2)):
+        assert QC(x) == x
+        assert hash(QC(x)) == hash(x)
+    assert {QC(2): "two"}[2] == "two"
+    assert Fraction(3, 4) in {QC(Fraction(3, 4))}
