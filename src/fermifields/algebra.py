@@ -110,6 +110,22 @@ class Algebra:
         return f"Algebra(n={self.n}, mode={self.mode!r})"
 
 
+def _add_terms(out: dict, terms: dict, ring: Ring, sub: bool = False) -> None:
+    """Add (``sub``: subtract) the term dict ``terms`` into ``out`` in place.
+
+    Each coefficient becomes ``out.get(w, zero) ± c``, in the order of
+    ``terms``; a word whose sum is exactly zero is popped.
+    """
+    zero = ring.zero
+    is_zero = ring.is_zero
+    for w, c in terms.items():
+        c2 = (out.get(w, zero) - c) if sub else (out.get(w, zero) + c)
+        if is_zero(c2):
+            out.pop(w, None)
+        else:
+            out[w] = c2
+
+
 class GrassmannElement:
     """Sparse graded polynomial in anticommuting generators.
 
@@ -204,14 +220,8 @@ class GrassmannElement:
     # -- linear structure -----------------------------------------------
     def _zip(self, other, sub=False):
         self.algebra.check_compatible(other.algebra)
-        ring = self.algebra.ring
         out = dict(self._terms)
-        for w, c in other._terms.items():
-            c2 = (out.get(w, ring.zero) - c) if sub else (out.get(w, ring.zero) + c)
-            if ring.is_zero(c2):
-                out.pop(w, None)
-            else:
-                out[w] = c2
+        _add_terms(out, other._terms, self.algebra.ring, sub)
         return GrassmannElement(self.algebra, out)
 
     def __add__(self, other):

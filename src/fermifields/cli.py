@@ -102,13 +102,14 @@ def cmd_propagators(cfg, out: Path) -> int:
         for j in range(fl.n_slots):
             target = 1 if i == j else 0
             worst = max(worst, abs(complex(prod[i, j]) - target))
+    factorization = dop.factorization_defect()
     defects = [
-        ["factorization", repr(dop.factorization_defect())],
+        ["factorization", repr(factorization)],
         ["green_identity_interior_rows", repr(worst)],
         ["interacting_defect", repr(propagator_defect(S, ik))],
     ]
     write_csv(out / "defects.csv", ["check", "max_defect"], defects)
-    ok = dop.factorization_defect() < 1e-12 and worst < 1e-10
+    ok = factorization < 1e-12 and worst < 1e-10
     return 0 if ok else 1
 
 
@@ -172,10 +173,9 @@ def cmd_gn_series(cfg, out: Path) -> int:
 
     S_gn = build_gn_action(fl, params)
     max_grade = min(cfg.max_grade // 2 * 2, 6)
-    ik = interacting_propagator(S_gn, "retarded", max_grade)
-    ik_more = interacting_propagator(S_gn, "retarded", max_grade + 2)
+    ik = interacting_propagator(S_gn, "retarded", max_grade + 2)
     norm_rows = []
-    for k, g, v in ik_more.per_order_norms():
+    for k, g, v in ik.per_order_norms():
         within = g <= max_grade
         norm_rows.append([k, g, repr(v), within])
     write_csv(out / "gn_propagator_orders.csv",

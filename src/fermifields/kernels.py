@@ -13,11 +13,25 @@ import json
 
 import numpy as np
 
-from .algebra import Algebra, GrassmannElement
+from ._core import wedge_terms
+from .algebra import Algebra, GrassmannElement, _add_terms
 from .linalg import max_abs
 from .scalars import Ring
 
 __all__ = ["Kernel", "ElementKernel"]
+
+
+def _accumulate(acc: dict, key, terms: dict, ring: Ring) -> None:
+    """Add the term dict ``terms`` into entry ``key`` of ``acc`` in place.
+
+    The first terms for a key are stored as they are (``acc`` takes the
+    dict over); later ones are added as ``GrassmannElement.__add__`` adds.
+    """
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = terms
+    else:
+        _add_terms(cur, terms, ring)
 
 
 class Kernel:
@@ -147,9 +161,18 @@ class ElementKernel:
                              {(j, i): e for (i, j), e in self.entries.items()})
 
     # -- compositions -------------------------------------------------------
+    # Each composition builds every output entry as one term dict that its
+    # products are added into in place, with the sums ``+`` would form, in
+    # the same order; entries become elements once, at the end.
+
+    def _from_terms(self, acc: dict) -> "ElementKernel":
+        alg = self.algebra
+        return ElementKernel(alg, self.n,
+                             {key: GrassmannElement(alg, t) for key, t in acc.items()})
+
     def compose_scalar_left(self, mat: np.ndarray) -> "ElementKernel":
-        """mat @ self, entrywise scalar-times-element."""
-        out: dict[tuple[int, int], GrassmannElement] = {}
+        """mat @ self, entrywise scalar-times-element, accumulated in place."""
+        acc: dict[tuple[int, int], dict] = {}
         ring = self.algebra.ring
         for (k, j), e in self.entries.items():
             col = mat[:, k]
@@ -157,14 +180,13 @@ class ElementKernel:
                 c = col[i]
                 if ring.is_zero(c):
                     continue
-                term = e.scale(c)
-                key = (i, j)
-                out[key] = out[key] + term if key in out else term
-        return ElementKernel(self.algebra, self.n, out)
+                c = ring.coerce(c)
+                _accumulate(acc, (i, j), {w: v * c for w, v in e.items()}, ring)
+        return self._from_terms(acc)
 
     def compose_scalar_right(self, mat: np.ndarray) -> "ElementKernel":
-        """self @ mat."""
-        out: dict[tuple[int, int], GrassmannElement] = {}
+        """self @ mat, entrywise element-times-scalar, accumulated in place."""
+        acc: dict[tuple[int, int], dict] = {}
         ring = self.algebra.ring
         for (i, k), e in self.entries.items():
             row = mat[k, :]
@@ -172,25 +194,34 @@ class ElementKernel:
                 c = row[j]
                 if ring.is_zero(c):
                     continue
-                term = e.scale(c)
-                key = (i, j)
-                out[key] = out[key] + term if key in out else term
-        return ElementKernel(self.algebra, self.n, out)
+                c = ring.coerce(c)
+                _accumulate(acc, (i, j), {w: v * c for w, v in e.items()}, ring)
+        return self._from_terms(acc)
 
     def compose(self, other: "ElementKernel") -> "ElementKernel":
-        """self @ other with wedge-multiplied entries (even entries commute)."""
-        out: dict[tuple[int, int], GrassmannElement] = {}
+        """self @ other with wedge-multiplied entries (even entries commute).
+
+        Entry products are accumulated in place.  Word merges are memoised
+        in one dict shared by every entry product of this call, and freed
+        when it returns.
+        """
+        self.algebra.check_compatible(other.algebra)
+        ring = self.algebra.ring
+        is_zero = ring.is_zero
         by_row: dict[int, list] = {}
-        for (k, j), e in other.entries.items():
-            by_row.setdefault(k, []).append((j, e))
+        for (k, j), f in other.entries.items():
+            by_row.setdefault(k, []).append((j, f._terms))
+        acc: dict[tuple[int, int], dict] = {}
+        merges: dict = {}
         for (i, k), e in self.entries.items():
-            for j, f in by_row.get(k, ()):
-                prod = e.wedge(f)
-                if prod.is_zero():
-                    continue
-                key = (i, j)
-                out[key] = out[key] + prod if key in out else prod
-        return ElementKernel(self.algebra, self.n, out)
+            ta = e._terms
+            for j, tb in by_row.get(k, ()):
+                # exact zeros dropped, as GrassmannElement.wedge drops them
+                prod = {w: c for w, c in wedge_terms(ta, tb, merges).items()
+                        if not is_zero(c)}
+                if prod:
+                    _accumulate(acc, (i, j), prod, ring)
+        return self._from_terms(acc)
 
     def max_abs(self) -> float:
         return max((e.max_abs() for e in self.entries.values()), default=0.0)

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import Algebra, GrassmannElement
 from .kernels import Kernel
 from .series import FormalSeries, HbarSeries
@@ -31,7 +29,6 @@ __all__ = [
     "star_commutator", "contraction_operator", "time_ordering",
     "time_ordered_product", "formal_smatrix", "alpha_transform",
     "star_h_sandwich", "star_h_direct", "random_symmetric_kernel",
-    "positive_frequency_kernel",
 ]
 
 
@@ -334,27 +331,3 @@ def random_symmetric_kernel(n: int, rng, ring) -> SymmetricKernel:
             mat[i, j] = c
             mat[j, i] = -c
     return SymmetricKernel(mat, ring)
-
-
-def positive_frequency_kernel(fl, delta: Kernel) -> SymmetricKernel:
-    """Experimental positive-frequency split of the causal kernel.
-
-    Splits spatial Fourier modes on the periodic lattice and keeps the
-    odd (sign-of-mode) component, antisymmetrized into the
-    graded-symmetric class.  Float mode only.
-    """
-    ring = fl.ring
-    if ring.exact:
-        raise ValueError("positive-frequency split is float-mode only")
-    nx = fl.lattice.nx
-    n = fl.n_slots
-    mat = np.asarray(delta.mat, dtype=complex).copy()
-    # reshape slots as (..., site, comp) and fft over the spatial axis
-    lead = n // (fl.lattice.n_sites * 2)
-    grid = mat.reshape(lead, fl.lattice.nt, nx, 2, n)
-    modes = np.fft.fft(grid, axis=2)
-    ks = np.fft.fftfreq(nx)
-    sign = np.sign(ks).reshape(1, 1, nx, 1, 1)
-    filtered = np.fft.ifft(modes * sign * (-0.5j), axis=2).reshape(n, n)
-    anti = 0.5 * (filtered - filtered.T)
-    return SymmetricKernel(anti, ring)

@@ -186,9 +186,10 @@ def suite_green(cfg: RunConfig) -> list:
     lat = Lattice(cfg.nt, cfg.nx, float(cfg.dt), float(cfg.dx))
     m = float(cfg.mass)
     dop = DiracOperator(lat, m, ring)
+    factorization = dop.factorization_defect()
     records.append(check_record(
         "dirac_factorization", {"nt": lat.nt, "nx": lat.nx, "m": m},
-        dop.factorization_defect(), dop.factorization_defect() < TOL_FACTOR))
+        factorization, factorization < TOL_FACTOR))
 
     gR = kg_green(lat, m, "retarded", ring)
     gA = kg_green(lat, m, "advanced", ring)

@@ -1,0 +1,200 @@
+"""ElementKernel compositions against an entrywise element reference."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fermifields._core import merge_words, wedge_terms
+from fermifields.algebra import Algebra, GeneratorId
+from fermifields.gross_neveu import (GrossNeveuParams, build_gn_action,
+                                     interacting_propagator)
+from fermifields.kernels import ElementKernel
+from fermifields.linalg import zeros
+
+N = 4
+MODES = ("rational", "float")
+
+
+def _algebra(mode):
+    return Algebra([GeneratorId(0, 1, i, 0) for i in range(7)], mode=mode)
+
+
+def _coeff(ring, rng):
+    # Mostly real values of either sign: in float mode their products
+    # carry signed zeros, which show any change in summation order.
+    re = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
+    im = rng.choice([Fraction(0), Fraction(0), Fraction(rng.randint(-2, 2), 3)])
+    return ring.number(re, im)
+
+
+def _element(alg, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        w = tuple(sorted(rng.sample(range(alg.n), rng.choice((0, 2, 2, 4)))))
+        terms[w] = _coeff(alg.ring, rng)
+    return alg.element(terms)
+
+
+def _kernel(alg, rng, density=0.5):
+    return ElementKernel(alg, N, {(i, j): _element(alg, rng)
+                                  for i in range(N) for j in range(N)
+                                  if rng.random() < density})
+
+
+def _matrix(ring, rng):
+    mat = zeros((N, N), ring)
+    for i in range(N):
+        for j in range(N):
+            if rng.random() < 0.6:
+                mat[i, j] = _coeff(ring, rng)
+    return mat
+
+
+# -- reference: entry products as elements, added with ``+`` -----------------
+
+def _add(out, key, term):
+    out[key] = out[key] + term if key in out else term
+
+
+def _ref_compose(a, b):
+    out = {}
+    for (i, k), e in a.entries.items():
+        for (k2, j), f in b.entries.items():
+            if k2 == k:
+                prod = e.wedge(f)
+                if not prod.is_zero():
+                    _add(out, (i, j), prod)
+    return ElementKernel(a.algebra, a.n, out)
+
+
+def _ref_scalar_left(mat, kern):
+    out = {}
+    for (k, j), e in kern.entries.items():
+        for i in range(kern.n):
+            if not kern.algebra.ring.is_zero(mat[i, k]):
+                _add(out, (i, j), e.scale(mat[i, k]))
+    return ElementKernel(kern.algebra, kern.n, out)
+
+
+def _ref_scalar_right(kern, mat):
+    out = {}
+    for (i, k), e in kern.entries.items():
+        for j in range(kern.n):
+            if not kern.algebra.ring.is_zero(mat[k, j]):
+                _add(out, (i, j), e.scale(mat[k, j]))
+    return ElementKernel(kern.algebra, kern.n, out)
+
+
+def _assert_same(got, ref):
+    """Rational: equal entries.  Float: the same floats, words in the same order."""
+    if got.algebra.ring.exact:
+        assert got.entries.keys() == ref.entries.keys()
+        assert all(got.entries[k] == e for k, e in ref.entries.items())
+    else:
+        def snapshot(kern):
+            return [(key, [(w, repr(c)) for w, c in e.items()])
+                    for key, e in kern.entries.items()]
+        assert snapshot(got) == snapshot(ref)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", range(4))
+def test_compositions_match_element_reference(mode, seed):
+    rng = random.Random(seed)
+    alg = _algebra(mode)
+    a, b = _kernel(alg, rng), _kernel(alg, rng)
+    mat = _matrix(alg.ring, rng)
+    _assert_same(a.compose(b), _ref_compose(a, b))
+    _assert_same(a.compose_scalar_left(mat), _ref_scalar_left(mat, a))
+    _assert_same(a.compose_scalar_right(mat), _ref_scalar_right(a, mat))
+    # a composition's output feeds the next one, as in the GN series
+    ab = a.compose(b)
+    _assert_same(ab.compose(a), _ref_compose(_ref_compose(a, b), a))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_compositions_drop_cancelled_words_and_entries(mode):
+    alg = _algebra(mode)
+    ring = alg.ring
+    x, y, z = (alg.monomial(w) for w in ((0, 1), (2, 3), (4, 5)))
+    a = ElementKernel(alg, 2, {(0, 0): x, (0, 1): x})
+    b = ElementKernel(alg, 2, {(0, 0): y, (1, 0): -y, (0, 1): y, (1, 1): z - y})
+    got = a.compose(b)
+    # (0, 0): x∧y − x∧y = 0;  (0, 1): x∧y + x∧(z − y) = x∧z
+    assert (0, 0) not in got.entries
+    assert list(got.entries[(0, 1)].items()) == [((0, 1, 4, 5), ring.one)]
+    _assert_same(got, _ref_compose(a, b))
+
+    mat = zeros((2, 2), ring)
+    mat[0, 0], mat[0, 1], mat[1, 1] = ring.one, -ring.one, ring.one
+    k = ElementKernel(alg, 2, {(0, 0): x, (1, 0): x, (1, 1): y})
+    left = k.compose_scalar_left(mat)      # (0, 0): x − x = 0
+    assert (0, 0) not in left.entries
+    _assert_same(left, _ref_scalar_left(mat, k))
+    right = k.transpose().compose_scalar_right(mat.T)
+    assert (0, 0) not in right.entries
+    _assert_same(right, _ref_scalar_right(k.transpose(), mat.T))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_compose_skips_exact_zero_terms_of_a_product(mode):
+    """(x01 + x23)∧(x23 − x01 + x45) holds x0123 with coefficient exactly 0.
+    That word is neither stored nor added: in float mode adding 0j would
+    turn the −0.0 imaginary part of the −2 already there into +0.0."""
+    alg = _algebra(mode)
+    ring = alg.ring
+    x01, x23, x45 = (alg.monomial(w) for w in ((0, 1), (2, 3), (4, 5)))
+    a = ElementKernel(alg, 2, {(0, 0): -x01, (0, 1): x01 + x23, (1, 1): x01 + x23})
+    b = ElementKernel(alg, 2, {(0, 0): x23.scale(2), (1, 0): x23 - x01 + x45})
+    got = a.compose(b)
+    minus_two = ring.number(-2) if ring.exact else complex(-2.0, -0.0)
+
+    def items(key):
+        return [(w, repr(c)) for w, c in got.entries[key].items()]
+
+    one = repr(ring.one)
+    assert items((1, 0)) == [((0, 1, 4, 5), one), ((2, 3, 4, 5), one)]
+    assert items((0, 0)) == [((0, 1, 2, 3), repr(minus_two)),
+                             ((0, 1, 4, 5), one), ((2, 3, 4, 5), one)]
+    _assert_same(got, _ref_compose(a, b))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_compositions_with_empty_kernel(mode):
+    rng = random.Random(7)
+    alg = _algebra(mode)
+    empty = ElementKernel(alg, N)
+    k = _kernel(alg, rng)
+    mat = _matrix(alg.ring, rng)
+    for out in (empty.compose(k), k.compose(empty), empty.compose(empty),
+                empty.compose_scalar_left(mat), empty.compose_scalar_right(mat)):
+        assert out.is_zero() and out.n == N
+
+
+_words = st.frozensets(st.integers(0, 5), max_size=4).map(lambda s: tuple(sorted(s)))
+_term_dicts = st.dictionaries(_words, st.integers(-3, 3).filter(bool), max_size=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_term_dicts, _term_dicts), min_size=1, max_size=6))
+def test_wedge_terms_shared_merges_matches_plain(pairs):
+    merges = {}
+    for ta, tb in pairs:
+        assert list(wedge_terms(ta, tb, merges).items()) == list(wedge_terms(ta, tb).items())
+    for wa, row in merges.items():
+        for wb, m in row.items():
+            assert m == (merge_words(wa, wb) or 0)
+
+
+def test_interacting_propagator_orders_do_not_depend_on_max_grade(fl_rat, mass):
+    """A larger ``max_grade`` only appends orders, so one series serves
+    every smaller cap (``gn-series`` reads both from one series)."""
+    S = build_gn_action(fl_rat, GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=mass))
+    ik8 = interacting_propagator(S, "retarded", 8)
+    ik6 = interacting_propagator(S, "retarded", 6)
+    assert len(ik8.corrections) == 4 and len(ik6.corrections) == 3
+    for c8, c6 in zip(ik8.corrections, ik6.corrections):
+        assert c8.entries.keys() == c6.entries.keys()
+        assert all(c8.entries[k] == e for k, e in c6.entries.items())

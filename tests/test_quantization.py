@@ -11,10 +11,10 @@ from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green)
 from fermifields.quantization import (SymmetricKernel, alpha_transform,
                                       contraction_operator, formal_smatrix,
-                                      gamma_delta, positive_frequency_kernel,
-                                      random_symmetric_kernel, star_commutator,
-                                      star_h_direct, star_h_sandwich,
-                                      star_product, star_with_kernel,
+                                      gamma_delta, random_symmetric_kernel,
+                                      star_commutator, star_h_direct,
+                                      star_h_sandwich, star_product,
+                                      star_with_kernel,
                                       time_ordered_product, time_ordering)
 from fermifields.series import HbarSeries
 
@@ -262,19 +262,6 @@ def test_symmetric_kernel_validation(quant):
     fl, S, dR, dA, delta, dD = quant
     with pytest.raises(ValueError):
         SymmetricKernel(delta.mat, fl.ring)  # symmetric matrix is rejected
-
-
-def test_positive_frequency_kernel_experimental():
-    lat = Lattice(4, 4, 0.5, 1.0)
-    fl = FieldLattice(lat, 1, "float")
-    dR = dirac_green(fl, 1.0, "retarded")
-    dA = dirac_green(fl, 1.0, "advanced")
-    delta = causal_propagator(dR, dA)
-    d1 = positive_frequency_kernel(fl, delta)
-    assert d1.mat.shape == (fl.n_slots, fl.n_slots)
-    flr = FieldLattice(lat, 1, "rational")
-    with pytest.raises(ValueError):
-        positive_frequency_kernel(flr, delta)
 
 
 def test_star_with_kernel_matches_star(quant, rng):
