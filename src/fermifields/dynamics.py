@@ -404,7 +404,7 @@ def bracket_kernel_derivative(dR, dA, KH):
     mR = dR.mat if isinstance(dR, Kernel) else dR
     mA = dA.mat if isinstance(dA, Kernel) else dA
     if isinstance(KH, ElementKernel):
-        return [KH.compose_scalar_left(mR).compose_scalar_right(mR).scale(-1),
+        return [KH.compose_scalar_left(-mR).compose_scalar_right(mR),
                 KH.compose_scalar_left(mA).compose_scalar_right(mA)]
     return [-(mR @ KH @ mR) + (mA @ KH @ mA)]
 

@@ -193,7 +193,10 @@ def interacting_propagator(S: ActionFunctional, kind: str,
 
     Built as the terminating expansion Δ_k = (−1)^k (Δ_0 W)^k Δ_0 where W
     is the even element part of S^(2); entry grades are exactly 2k, so
-    the series terminates at k = max_grade // 2.
+    the series terminates at k = max_grade // 2.  Each order is formed
+    through the sparse, site-local W as Δ_1 = (−Δ_0)·(W·Δ_0) and
+    Δ_k = (−Δ_0)·(W∘Δ_{k−1}): the sign is carried by the scalar matrix
+    −Δ_0, and each wedge product has a single monomial on its left.
     """
     if max_grade % 2 != 0:
         raise ValueError("max_grade must be even (entries are Grassmann-even)")
@@ -203,14 +206,12 @@ def interacting_propagator(S: ActionFunctional, kind: str,
     _, W = S.second_kernel()
     corrections = []
     if not W.is_zero():
-        kmax = max_grade // 2
-        left = W.compose_scalar_left(free.mat)   # Δ0 @ W
-        current = None
-        for k in range(1, kmax + 1):
-            if k == 1:
-                current = left.compose_scalar_right(free.mat).scale(-1)
-            else:
-                current = left.compose(current).scale(-1)
+        neg_free = -free.mat
+        current = W.compose_scalar_right(free.mat)   # W @ Δ0
+        for k in range(1, max_grade // 2 + 1):
+            if k > 1:
+                current = W.compose(current)
+            current = current.compose_scalar_left(neg_free)
             if current.is_zero():
                 break
             corrections.append(current)

@@ -166,36 +166,55 @@ class ElementKernel:
     # the same order; entries become elements once, at the end.
 
     def _from_terms(self, acc: dict) -> "ElementKernel":
+        """Wrap nonempty term dicts as entries.  Products and sums of even
+        entries are even, so the constructor's evenness scan is skipped."""
         alg = self.algebra
-        return ElementKernel(alg, self.n,
-                             {key: GrassmannElement(alg, t) for key, t in acc.items()})
+        out = ElementKernel(alg, self.n)
+        out.entries = {key: GrassmannElement(alg, t) for key, t in acc.items() if t}
+        return out
 
     def compose_scalar_left(self, mat: np.ndarray) -> "ElementKernel":
         """mat @ self, entrywise scalar-times-element, accumulated in place."""
-        acc: dict[tuple[int, int], dict] = {}
-        ring = self.algebra.ring
-        for (k, j), e in self.entries.items():
-            col = mat[:, k]
-            for i in range(self.n):
-                c = col[i]
-                if ring.is_zero(c):
-                    continue
-                c = ring.coerce(c)
-                _accumulate(acc, (i, j), {w: v * c for w, v in e.items()}, ring)
-        return self._from_terms(acc)
+        return self._compose_scalar(mat, left=True)
 
     def compose_scalar_right(self, mat: np.ndarray) -> "ElementKernel":
         """self @ mat, entrywise element-times-scalar, accumulated in place."""
-        acc: dict[tuple[int, int], dict] = {}
+        return self._compose_scalar(mat, left=False)
+
+    def _compose_scalar(self, mat: np.ndarray, left: bool) -> "ElementKernel":
+        """Sum of ``mat[i, k]·self[k, j]`` (``left``) or ``self[i, k]·mat[k, j]``.
+
+        The nonzero coerced scalars of each column (row) of ``mat`` are
+        listed once per call.  The first product for an output entry is
+        stored as its scaled dict; later ones are added word by word as
+        ``out.get(w, zero) + v*c``, and exact zeros are popped (a sum is
+        falsy exactly when ``Ring.is_zero`` holds for it, in both modes).
+        """
         ring = self.algebra.ring
-        for (i, k), e in self.entries.items():
-            row = mat[k, :]
-            for j in range(self.n):
-                c = row[j]
-                if ring.is_zero(c):
+        zero, is_zero, coerce = ring.zero, ring.is_zero, ring.coerce
+        n = self.n
+        lines: dict[int, list] = {}
+        acc: dict[tuple[int, int], dict] = {}
+        for (a, b), e in self.entries.items():
+            k = a if left else b
+            line = lines.get(k)
+            if line is None:
+                vec = mat[:, k] if left else mat[k, :]
+                line = lines[k] = [(x, coerce(vec[x])) for x in range(n)
+                                   if not is_zero(vec[x])]
+            terms = e._terms
+            for x, c in line:
+                key = (x, b) if left else (a, x)
+                out = acc.get(key)
+                if out is None:
+                    acc[key] = {w: v * c for w, v in terms.items()}
                     continue
-                c = ring.coerce(c)
-                _accumulate(acc, (i, j), {w: v * c for w, v in e.items()}, ring)
+                for w, v in terms.items():
+                    s = out.get(w, zero) + v * c
+                    if s:
+                        out[w] = s
+                    else:
+                        out.pop(w, None)
         return self._from_terms(acc)
 
     def compose(self, other: "ElementKernel") -> "ElementKernel":

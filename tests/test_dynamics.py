@@ -406,6 +406,25 @@ def test_canonical_identity_quadratic_exact(fl_rat, mass, rng):
     assert res.is_zero()
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_bracket_kernel_derivative_element_parts(mode):
+    """The retarded part −Δ^R K_H Δ^R, formed with −Δ^R on the left, equals
+    the negated product term for term, words in the same order: negation
+    is exact, so only the sign of a zero float part may differ."""
+    m = Fraction(3, 4) if mode == "rational" else 0.75
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
+    _, KH = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=1, m=m)).second_kernel()
+    dR, dA = dirac_green(fl, m, "retarded"), dirac_green(fl, m, "advanced")
+    got = bracket_kernel_derivative(dR, dA, KH)
+    want = [KH.compose_scalar_left(dR.mat).compose_scalar_right(dR.mat).scale(-1),
+            KH.compose_scalar_left(dA.mat).compose_scalar_right(dA.mat)]
+    for g, w in zip(got, want):
+        assert not w.is_zero()
+        assert list(g.entries) == list(w.entries)
+        for key, e in w.entries.items():
+            assert list(g.entries[key].items()) == list(e.items())
+
+
 def test_check_reports(fl_rat, mass, rng):
     from fermifields.dynamics import canonical_check, poisson_ideal_check
     S, dR, dA, delta = free_setup(fl_rat, mass)

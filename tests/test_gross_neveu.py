@@ -12,6 +12,7 @@ from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
                                      interacting_bracket,
                                      interacting_propagator, permute_colors,
                                      propagator_defect)
+from fermifields.kernels import ElementKernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green)
 
@@ -307,3 +308,70 @@ def test_gn_action_is_free_plus_lambda_quartic_at_nonunit_volume():
             vol * ring.coerce(g[site]) * ring.number(Fraction(1, 4)))
     assert not F.is_zero()
     assert F == want
+
+
+# -- the series against the left-associated product chain ----------------------
+
+def _product_chain(S, kind, max_grade):
+    """Δ_k = (−1)^k (Δ0∘W)^k Δ0 as left·Δ_{k−1} with left = Δ0∘W, each
+    order negated with ``scale(-1)``."""
+    free = dirac_green(S.fl, S.meta["m"], kind).mat
+    _, W = S.second_kernel()
+    left = W.compose_scalar_left(free)
+    chain = [left.compose_scalar_right(free).scale(-1)]
+    while len(chain) < max_grade // 2:
+        nxt = left.compose(chain[-1]).scale(-1)
+        if nxt.is_zero():
+            break
+        chain.append(nxt)
+    return chain
+
+
+@pytest.mark.parametrize("ncolors, max_grade", [(1, 6), (2, 4)])
+def test_interacting_propagator_equals_product_chain_exactly(ncolors, max_grade):
+    """At nx = 3 the spatial Dirac term is nonzero; in rational mode the
+    sparse-vertex association gives the chain's entries exactly."""
+    fl = FieldLattice(Lattice(3, 3, 1, 1), ncolors, "rational")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=Fraction(1, 3),
+                                             m=Fraction(3, 4)))
+    ik = interacting_propagator(S, "retarded", max_grade)
+    chain = _product_chain(S, "retarded", max_grade)
+    assert len(ik.corrections) == len(chain) == max_grade // 2
+    for got, want in zip(ik.corrections, chain):
+        assert got.entries.keys() == want.entries.keys()
+        assert all(got.entries[k] == e for k, e in want.entries.items())
+
+
+def test_interacting_propagator_agrees_with_product_chain_in_float():
+    """4x3 float: every coefficient within 1e-12 of the entry's max-abs.  A
+    word that one association cancels to exactly 0 may sit on one side
+    only, and then only below that bound."""
+    fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75))
+    ik = interacting_propagator(S, "retarded", 6)
+    chain = _product_chain(S, "retarded", 6)
+    assert len(ik.corrections) == len(chain) == 3
+    for got, want in zip(ik.corrections, chain):
+        for key in got.entries.keys() | want.entries.keys():
+            a, b = got.get(*key), want.get(*key)
+            bound = 1e-12 * max(a.max_abs(), b.max_abs())
+            for w in {w for w, _ in a.items()} | {w for w, _ in b.items()}:
+                assert abs(a.coefficient(w) - b.coefficient(w)) <= bound
+
+
+def test_propagator_defect_sees_a_perturbed_correction():
+    """Negative control: 1 added to one coefficient of Δ_1 on an exact row
+    gives a nonzero defect, while the series itself has defect exactly 0."""
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
+                                             m=Fraction(3, 4)))
+    ik = interacting_propagator(S, "retarded", 4)
+    assert propagator_defect(S, ik) == 0.0
+    corr = ik.corrections[0]
+    (i, j), e = next((key, e) for key, e in corr.entries.items()
+                     if ik.free.exact_rows[key[0]])
+    w, c = next(iter(e.items()))
+    entries = dict(corr.entries)
+    entries[(i, j)] = e + fl.algebra.element({w: fl.ring.one})
+    ik.corrections[0] = ElementKernel(fl.algebra, corr.n, entries)
+    assert propagator_defect(S, ik) > 0.0
