@@ -92,17 +92,8 @@ def cmd_propagators(cfg, out: Path) -> int:
               ["k", "grade", "frobenius_norm"],
               [[k, g, repr(v)] for k, g, v in ik.per_order_norms()])
 
-    dop = DiracOperator(lat, m, ring)
-    K = free_second_derivative(fl, m)
-    worst = 0.0
-    prod = K.mat @ dR.mat
-    for i in range(fl.n_slots):
-        if not dR.exact_rows[i]:
-            continue
-        for j in range(fl.n_slots):
-            target = 1 if i == j else 0
-            worst = max(worst, abs(complex(prod[i, j]) - target))
-    factorization = dop.factorization_defect()
+    worst = dR.identity_defect(free_second_derivative(fl, m).mat)
+    factorization = DiracOperator(lat, m, ring).factorization_defect()
     defects = [
         ["factorization", repr(factorization)],
         ["green_identity_interior_rows", repr(worst)],

@@ -248,14 +248,6 @@ class SubstitutionMap:
             out = out + self.apply(e).shift(k)
         return out
 
-    def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
-        """self ∘ inner: first apply ``inner``, then ``self``."""
-        out = SubstitutionMap(self.algebra, min(self.order, inner.order),
-                              self.max_grade)
-        for i in range(self.algebra.n):
-            out.set_image(i, self.apply_series(inner.image(i)))
-        return out
-
     def inverse(self, order: int | None = None) -> "SubstitutionMap":
         """Order-by-order inverse; needs identity leading coefficients."""
         order = self.order if order is None else order

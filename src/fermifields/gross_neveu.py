@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
-from .kernels import Kernel
+from .kernels import Kernel, _accumulate
 from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
 
 __all__ = [
@@ -226,31 +226,27 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
     The defect element at each (row, col) is truncated at ``max_grade``,
     matching evaluation against configurations of that grade.
     """
-    fl = ik.fl
     max_grade = ik.max_grade if max_grade is None else max_grade
     K0, W = S.second_kernel()
-    n = fl.n_slots
+    alg = ik.fl.algebra
     rows = ik.free.exact_rows
-    worst = 0.0
     # grade-0 block: K0 @ Δ0 − Id
-    scalar = K0.mat @ ik.free.mat
-    for i in range(n):
-        if rows is not None and not rows[i]:
-            continue
-        for j in range(n):
-            target = 1 if i == j else 0
-            worst = max(worst, abs(complex(scalar[i, j]) - target))
-    # grade-2k blocks: K0 @ E_k + W-composed with E_{k-1}
+    worst = ik.free.identity_defect(K0.mat)
+    # grade-2k blocks: K0 @ E_k + W-composed with E_{k-1}, the second
+    # added in place into the first's fresh term dicts
     prev = None
     for k, corr in enumerate(ik.corrections, start=1):
         if 2 * k > max_grade:
             break
-        blk = corr.compose_scalar_left(K0.mat)
+        upper = corr.compose_scalar_left(K0.mat)
+        blk = {key: e._terms for key, e in upper.entries.items()}
         lower = W.compose_scalar_right(ik.free.mat) if k == 1 else W.compose(prev)
-        blk = blk + lower
-        for (i, j), e in blk.entries.items():
+        for key, e in lower.entries.items():
+            _accumulate(blk, key, e._terms, alg.ring)
+        for (i, j), terms in blk.items():
             if rows is not None and not rows[i]:
                 continue
+            e = GrassmannElement(alg, terms)
             worst = max(worst, e.truncate(max_grade).max_abs())
         prev = corr
     return worst

@@ -92,6 +92,21 @@ class Kernel:
     def max_abs(self) -> float:
         return max_abs(self.mat)
 
+    def identity_defect(self, op: np.ndarray) -> float:
+        """max |(op @ kernel)[i, j] - δ_ij| over ``exact_rows`` (all rows
+        when None), e.g. ``op`` = S2; ``abs(complex(x) - δ_ij)`` keeps the
+        float bits of each product entry."""
+        prod = op @ self.mat
+        rows = self.exact_rows
+        worst = 0.0
+        for i in range(prod.shape[0]):
+            if rows is not None and not rows[i]:
+                continue
+            row = prod[i]
+            for j in range(prod.shape[1]):
+                worst = max(worst, abs(complex(row[j]) - (1 if i == j else 0)))
+        return worst
+
     # -- export ------------------------------------------------------------
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -187,29 +187,35 @@ class DiracOperator:
     ``D = i g0 T + i g1 X - m`` on (site x component) slots, with the
     conjugate-side operator ``Dstar = -(i g0 T + i g1 X + m)`` so that
     ``D @ Dstar = Dstar @ D = Box + m^2`` holds exactly, where
-    ``Box = T @ T - X @ X``.
+    ``Box = T @ T - X @ X``.  ``D`` and ``Dstar`` share the time blocks of
+    ``dirac_matrix``; ``Box``, built when read, is the dense reference.
     """
 
     def __init__(self, lattice: Lattice, m, ring: Ring):
         self.lattice = lattice
         self.ring = ring
         self.m = m
-        T = time_backward(lattice, ring)
-        X = space_central(lattice, ring)
-        g0, g1 = gamma_matrices(ring)
-        ns = lattice.n_sites
-        i_ = ring.i
-        ident = eye(ns * NCOMP, ring)
         m_c = ring.coerce(m)
-        kin = kron2(T, g0, ring) + kron2(X, g1, ring)
-        self.D = kin * i_ - ident * m_c
-        self.Dstar = -(kin * i_ + ident * m_c)
-        self.box_site = T @ T - X @ X
-        self.box = kron2(self.box_site, eye(NCOMP, ring), ring)
+        diag, sub = _dirac_blocks(lattice, m, ring)
+        nt = lattice.nt
+        self.D = _bidiagonal(diag, sub, nt, ring)
+        ident = eye(diag.shape[0], ring)
+        self.Dstar = _bidiagonal(-(diag + ident * (2 * m_c)), -sub, nt, ring)
         self.mass_sq = m_c * m_c
 
+    @property
+    def box_site(self) -> np.ndarray:
+        T = time_backward(self.lattice, self.ring)
+        X = space_central(self.lattice, self.ring)
+        return T @ T - X @ X
+
+    @property
+    def box(self) -> np.ndarray:
+        return kron2(self.box_site, eye(NCOMP, self.ring), self.ring)
+
     def box_plus_m2(self) -> np.ndarray:
-        return self.box + eye(self.box.shape[0], self.ring) * self.mass_sq
+        box = self.box
+        return box + eye(box.shape[0], self.ring) * self.mass_sq
 
     def factorization_defect(self) -> float:
         """max |DD* - (Box+m^2)| and |D*D - (Box+m^2)| entries."""
@@ -273,22 +279,33 @@ def _space_block(lattice: Lattice, ring: Ring) -> np.ndarray:
     return out
 
 
-def _dirac_time_blocks(fl: FieldLattice, m):
-    """Per-time diagonal/subdiagonal blocks of M = vol * D (one color)."""
-    ring = fl.ring
-    lat = fl.lattice
-    nx = lat.nx
+def _dirac_blocks(lattice: Lattice, m, ring: Ring):
+    """Diagonal and subdiagonal time blocks of D = i g0 T + i g1 X - m.
+
+    The one place the Dirac stencil is written: block (t, t) is
+    ``i g0/dt + i g1 X - m`` and block (t, t-1) is ``-i g0/dt``, over
+    (space x component) slots of one time slice.
+    """
+    nx = lattice.nx
     g0, g1 = gamma_matrices(ring)
-    Xs = _space_block(lat, ring)
     i_ = ring.i
-    vol = ring.coerce(lat.volume_weight())
-    inv_dt = ring.one / ring.coerce(lat.dt)
-    m_c = ring.coerce(m)
-    ident = eye(nx * NCOMP, ring)
-    diag = (kron2(eye(nx, ring) * inv_dt, g0, ring)
-            + kron2(Xs, g1, ring)) * i_ - ident * m_c
+    inv_dt = ring.one / ring.coerce(lattice.dt)
+    kin = (kron2(eye(nx, ring) * inv_dt, g0, ring)
+           + kron2(_space_block(lattice, ring), g1, ring))
+    diag = kin * i_ - eye(nx * NCOMP, ring) * ring.coerce(m)
     sub = kron2(eye(nx, ring) * (-inv_dt), g0, ring) * i_
-    return diag * vol, sub * vol
+    return diag, sub
+
+
+def _bidiagonal(diag: np.ndarray, sub: np.ndarray, nt: int, ring: Ring) -> np.ndarray:
+    """Block matrix with ``diag`` at every (t, t) and ``sub`` at (t, t-1)."""
+    nb = diag.shape[0]
+    out = zeros((nt * nb, nt * nb), ring)
+    for t in range(nt):
+        out[t * nb:(t + 1) * nb, t * nb:(t + 1) * nb] = diag
+        if t >= 1:
+            out[t * nb:(t + 1) * nb, (t - 1) * nb:t * nb] = sub
+    return out
 
 
 def dirac_matrix(fl: FieldLattice, m, weights=None) -> np.ndarray:
@@ -299,20 +316,12 @@ def dirac_matrix(fl: FieldLattice, m, weights=None) -> np.ndarray:
     """
     ring = fl.ring
     lat = fl.lattice
-    Dd, Ms = _dirac_time_blocks(fl, m)
-    nb = lat.nx * NCOMP
-    M = zeros((fl.block, fl.block), ring)
-    for t in range(lat.nt):
-        M[t * nb:(t + 1) * nb, t * nb:(t + 1) * nb] = Dd
-        if t >= 1:
-            M[t * nb:(t + 1) * nb, (t - 1) * nb:t * nb] = Ms
+    diag, sub = _dirac_blocks(lat, m, ring)
+    vol = ring.coerce(lat.volume_weight())
+    M = _bidiagonal(diag * vol, sub * vol, lat.nt, ring)
     if weights is not None:
-        for s in range(lat.n_sites):
-            w = ring.coerce(weights[s])
-            for comp in range(NCOMP):
-                row = s * NCOMP + comp
-                for j in range(fl.block):
-                    M[row, j] = M[row, j] * w
+        w = np.array([ring.coerce(x) for x in weights], dtype=M.dtype)
+        M = M * np.repeat(w, NCOMP)[:, None]
     return M
 
 
@@ -352,6 +361,19 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     return P, Q
 
 
+def _species_blocks(fl: FieldLattice, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Slot matrix holding ``upper`` in each color's (field, conjugate)
+    block and ``lower`` in its (conjugate, field) block, zero elsewhere."""
+    n, b = fl.n_slots, fl.block
+    out = zeros((n, n), fl.ring)
+    for color in range(1, fl.ncolors + 1):
+        psi = fl.slot(FIELD, color, 0, 0)
+        psb = fl.slot(CONJUGATE, color, 0, 0)
+        out[psi:psi + b, psb:psb + b] = upper
+        out[psb:psb + b, psi:psi + b] = lower
+    return out
+
+
 def green_from_bilinear(fl: FieldLattice, M: np.ndarray, kind: str) -> Kernel:
     """Retarded/advanced block propagator of an arbitrary quadratic
     action with block-bidiagonal-in-time bilinear matrix M (one color
@@ -360,15 +382,7 @@ def green_from_bilinear(fl: FieldLattice, M: np.ndarray, kind: str) -> Kernel:
     if kind not in ("retarded", "advanced"):
         raise ValueError(f"unknown kind {kind!r}")
     ring = fl.ring
-    P, Q = _retarded_inverse_blocks(fl, M)
-    n = fl.n_slots
-    mat = zeros((n, n), ring)
-    for color in range(1, fl.ncolors + 1):
-        psi = fl.slot(FIELD, color, 0, 0)
-        psb = fl.slot(CONJUGATE, color, 0, 0)
-        b = fl.block
-        mat[psi:psi + b, psb:psb + b] = P
-        mat[psb:psb + b, psi:psi + b] = Q
+    mat = _species_blocks(fl, *_retarded_inverse_blocks(fl, M))
     times = fl.slot_times
     nt = fl.lattice.nt
     if kind == "retarded":
@@ -401,15 +415,6 @@ def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:
 
 def free_second_derivative(fl: FieldLattice, m, weights=None) -> Kernel:
     """Second-derivative kernel K[j, i] = d_j d_i S of the free action."""
-    ring = fl.ring
     M = dirac_matrix(fl, m, weights)
-    n = fl.n_slots
-    K = zeros((n, n), ring)
-    Mt = M.T.copy()
-    for color in range(1, fl.ncolors + 1):
-        psi = fl.slot(FIELD, color, 0, 0)
-        psb = fl.slot(CONJUGATE, color, 0, 0)
-        b = fl.block
-        K[psi:psi + b, psb:psb + b] = Mt
-        K[psb:psb + b, psi:psi + b] = -M
-    return Kernel(K, ring, "operator", fl.slot_times, fl.slot_times)
+    return Kernel(_species_blocks(fl, M.T, -M), fl.ring, "operator",
+                  fl.slot_times, fl.slot_times)

@@ -210,16 +210,7 @@ def suite_green(cfg: RunConfig) -> list:
     dR = dirac_green(fl, m, "retarded")
     dA = dirac_green(fl, m, "advanced")
     K = free_second_derivative(fl, m)
-    worst = 0.0
-    for kern in (dR, dA):
-        prod = K.mat @ kern.mat
-        for i in range(fl.n_slots):
-            if not kern.exact_rows[i]:
-                continue
-            row = prod[i]
-            for j in range(fl.n_slots):
-                target = 1.0 if i == j else 0.0
-                worst = max(worst, abs(row[j] - target))
+    worst = max(dR.identity_defect(K.mat), dA.identity_defect(K.mat))
     records.append(check_record(
         "dirac_green_identity_interior_rows",
         {"nt": lat.nt, "nx": lat.nx, "m": m, "colors": cfg.colors},

@@ -9,7 +9,7 @@ from fermifields.lattice import (CausalityError, DiracOperator, FieldLattice,
                                  Lattice, causal_propagator, dirac_green,
                                  dirac_matrix, free_second_derivative,
                                  green_from_bilinear, kg_green)
-from fermifields.linalg import max_abs
+from fermifields.linalg import eye, kron2, max_abs
 from fermifields.scalars import Ring
 
 
@@ -123,6 +123,14 @@ def test_dirac_green_identity_on_interior_rows(fl_float):
     # boundary rows genuinely fail: the finite lattice cannot do better
     prod = np.asarray(K.mat @ dR.mat, dtype=complex)
     assert np.abs((prod - ident)[~dR.exact_rows, :]).max() > 1e-3
+    # the library defect reads the same rows
+    for kern in (dR, dA):
+        assert kern.identity_defect(K.mat) < 1e-10
+    all_rows = dR.copy_with(dR.mat)
+    all_rows.exact_rows = np.ones(n, dtype=bool)
+    assert all_rows.identity_defect(K.mat) > 1e-3
+    all_rows.exact_rows = None
+    assert all_rows.identity_defect(K.mat) > 1e-3
 
 
 def test_dirac_green_supports_and_transposes(fl_float):
@@ -141,19 +149,57 @@ def test_dirac_green_supports_and_transposes(fl_float):
     assert zero.max_abs() == 0.0
 
 
-def test_dirac_green_block_formula(fl_float):
-    """Field/conjugate block equals -(Dstar @ (G_R ⊗ 1_spinor)) exactly."""
-    ring = fl_float.ring
-    lat = fl_float.lattice
-    m = 1.0
-    dop = DiracOperator(lat, m, ring)
-    gR = kg_green(lat, m, "retarded", ring)
-    dR = dirac_green(fl_float, m, "retarded")
-    b = fl_float.block
-    P = np.asarray(dR.mat[:b, b:], dtype=complex)
-    want = -np.asarray(dop.Dstar, dtype=complex) @ np.kron(
-        np.asarray(gR.mat, dtype=complex), np.eye(2))
-    assert np.abs(P - want).max() < 1e-10
+BLOCK_FORMULA_CASES = [
+    pytest.param("float", 4, 2, 0.5, 1.0, id="float-4x2"),
+    pytest.param("rational", 4, 3, Fraction(1, 2), Fraction(3, 4), id="rational-4x3"),
+    pytest.param("rational", 5, 4, Fraction(2, 3), Fraction(1, 3), id="rational-5x4"),
+]
+
+
+def _block_formula_residual(fl, dop, m_kg):
+    """max |P + Dstar @ (G_KG ⊗ 1_spinor)| for the retarded block P."""
+    ring = fl.ring
+    gR = kg_green(fl.lattice, m_kg, "retarded", ring)
+    b = fl.block
+    P = dirac_green(fl, dop.m, "retarded").mat[:b, b:]
+    return max_abs(P + dop.Dstar @ kron2(gR.mat, eye(2, ring), ring))
+
+
+@pytest.mark.parametrize("mode,nt,nx,dt,m", BLOCK_FORMULA_CASES)
+def test_dirac_green_block_formula(mode, nt, nx, dt, m):
+    """Field/conjugate block equals -(Dstar @ (G_R ⊗ 1_spinor)): the
+    lattice form of S = (iγ·∂ + m) G, exactly in rational mode.  At
+    nx >= 3 the spatial Dirac term enters; a Klein-Gordon kernel at a
+    shifted mass is the negative control."""
+    one = 1 if mode == "rational" else 1.0
+    lat = Lattice(nt, nx, dt, one)
+    fl = FieldLattice(lat, 1, mode)
+    dop = DiracOperator(lat, m, fl.ring)
+    residual = _block_formula_residual(fl, dop, m)
+    if mode == "rational":
+        assert residual == 0.0
+    else:
+        assert residual < 1e-10
+    shift = Fraction(1, 7) if mode == "rational" else 1 / 7
+    assert _block_formula_residual(fl, dop, m + shift) > 1e-3
+
+
+def test_dirac_matrix_is_weighted_dirac_operator():
+    """dirac_matrix and DiracOperator.D share one construction:
+    dirac_matrix(fl, m, w) == vol * D with equation rows scaled by w."""
+    lat = Lattice(4, 3, Fraction(1, 2), 1)
+    fl = FieldLattice(lat, 1, "rational")
+    m = Fraction(3, 4)
+    w = fl.window_weights(1, 2)
+    M = dirac_matrix(fl, m, w)
+    D = DiracOperator(lat, m, fl.ring).D
+    vol = lat.volume_weight()
+    n = fl.block
+    assert M.shape == D.shape == (n, n)
+    for i in range(n):
+        for j in range(n):
+            assert M[i, j] == vol * D[i, j] * w[i // 2]
+    assert any(M[i, j] != 0 for i in range(n) for j in range(n))
 
 
 def test_dirac_green_single_point_columns():
