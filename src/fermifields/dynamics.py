@@ -229,10 +229,17 @@ class SubstitutionMap:
             return e.truncate(self.max_grade)
         return e
 
-    def apply(self, elem: GrassmannElement) -> FormalSeries:
-        """Substitute generator images into an element."""
-        out = TruncatedSeries(self.algebra, {}, self.order)
-        one = TruncatedSeries(self.algebra, {0: self.algebra.one()}, self.order)
+    def apply(self, elem: GrassmannElement,
+              order: int | None = None) -> FormalSeries:
+        """Substitute generator images into an element, through λ^order.
+
+        ``order`` defaults to the map's order.  Every series product is
+        truncated at it, so coefficients above ``order`` are never formed;
+        the result is capped at ``order``.
+        """
+        order = self.order if order is None else min(order, self.order)
+        out = TruncatedSeries(self.algebra, {}, order)
+        one = TruncatedSeries(self.algebra, {0: self.algebra.one()}, order)
         for w, c in elem.items():
             prod = one
             for g in w:
@@ -243,13 +250,29 @@ class SubstitutionMap:
         return out
 
     def apply_series(self, series: FormalSeries) -> FormalSeries:
-        out = TruncatedSeries(self.algebra, {}, self.order)
+        """Σ_k λ^k · apply(c_k), through the map's order.
+
+        Coefficient k is substituted only through order ``self.order − k``
+        and its image placed at orders k … ``self.order``; coefficients
+        above the map's order are dropped and flag the result truncated.
+        """
+        coeffs: dict[int, GrassmannElement] = {}
+        truncated = False
         for k, e in series.coeffs.items():
-            out = out + self.apply(e).shift(k)
-        return out
+            if k > self.order:
+                truncated = True
+                continue
+            img = self.apply(e, self.order - k)
+            truncated = truncated or img.truncated
+            for j, c in img.coeffs.items():
+                coeffs[j + k] = coeffs[j + k] + c if j + k in coeffs else c
+        return TruncatedSeries(self.algebra, coeffs, self.order, truncated)
 
     def inverse(self, order: int | None = None) -> "SubstitutionMap":
-        """Order-by-order inverse; needs identity leading coefficients."""
+        """Order-by-order inverse; needs identity leading coefficients.
+
+        Generic in the images; :meth:`MollerMap.inverse` has a closed form.
+        """
         order = self.order if order is None else order
         alg = self.algebra
         inv = SubstitutionMap(alg, order, self.max_grade)
@@ -284,63 +307,64 @@ class MollerMap(SubstitutionMap):
         super().__init__(S.algebra, order, max_grade)
         self.S = S
         self.F = F
-        mat = dR.mat if isinstance(dR, Kernel) else dR
+        self._mat = dR.mat if isinstance(dR, Kernel) else dR
         alg = self.algebra
-        ring = alg.ring
-        dF = F.derivatives()
-        supp = sorted(dF)
-        int_slots = sorted(F.support())
-        # coefficient ladders: images restricted to interaction slots
-        ladder: dict[int, list] = {i: [alg.generator(i)] for i in int_slots}
-        src: dict[int, list] = {j: [] for j in supp}
-
-        def partial_image(i, upto):
-            if i in ladder:
-                return TruncatedSeries(alg, dict(enumerate(ladder[i][:upto + 1])), self.order)
-            return TruncatedSeries(alg, {0: alg.generator(i)}, self.order)
-
+        self._dF = F.derivatives()
+        self._supp = sorted(self._dF)
+        # _src[k][j] is the λ^k coefficient of ∂_jF[W]
+        self._src: list[dict[int, GrassmannElement]] = []
+        # ∂F involves interaction slots only: their images through order
+        # k - 1 give the order k - 1 source, and that gives order k
+        ladder = {i: {0: alg.generator(i)} for i in sorted(F.support())}
+        for i, coeffs in ladder.items():
+            self.set_image(i, TruncatedSeries(alg, coeffs, order))
         for k in range(1, order + 1):
-            # substitute each ∂F component with images known through k-1
-            for j in supp:
-                acc = TruncatedSeries(alg, {}, k - 1)
-                for w, c in dF[j].items():
-                    prod_w = TruncatedSeries(alg, {0: alg.one()}, k - 1)
-                    for g in w:
-                        img = partial_image(g, k - 1).truncate_order(k - 1)
-                        prod_w = prod_w.wedge(img).map_coefficients(self._clip)
-                    acc = acc + prod_w.scale(c)
-                src[j].append(acc.coefficient(k - 1))
-            for i in int_slots:
-                v = alg.zero()
-                for j in supp:
-                    c = mat[i, j]
-                    if not ring.is_zero(c):
-                        v = v + src[j][k - 1].scale(c)
-                ladder[i].append(self._clip(v))
-        for i in int_slots:
-            self.set_image(i, TruncatedSeries(alg, dict(enumerate(ladder[i])), order))
-        # stash the source coefficients so that other slots come cheap
-        self._src = src
-        self._supp = supp
-        self._mat = mat
+            self._src.append({j: self.apply(self._dF[j], k - 1).coefficient(k - 1)
+                              for j in self._supp})
+            for i, coeffs in ladder.items():
+                coeffs[k] = self._clip(self._response(i, self._src[k - 1]))
+                self.set_image(i, TruncatedSeries(alg, coeffs, order))
+
+    def _response(self, i: int, src: dict) -> GrassmannElement:
+        """Σ_j Δ^R[i, j] · src[j] over the interaction's derivative slots."""
+        ring = self.algebra.ring
+        v = self.algebra.zero()
+        for j in self._supp:
+            c = self._mat[i, j]
+            if not ring.is_zero(c):
+                v = v + src[j].scale(c)
+        return v
 
     def image(self, i: int) -> FormalSeries:
         if i in self._images:
             return self._images[i]
-        alg = self.algebra
-        ring = alg.ring
-        coeffs = {0: alg.generator(i)}
+        coeffs = {0: self.algebra.generator(i)}
         for k in range(1, self.order + 1):
-            v = alg.zero()
-            for j in self._supp:
-                c = self._mat[i, j]
-                if not ring.is_zero(c):
-                    v = v + self._src[j][k - 1].scale(c)
+            v = self._response(i, self._src[k - 1])
             if not v.is_zero():
                 coeffs[k] = self._clip(v)
-        s = TruncatedSeries(alg, coeffs, self.order)
+        s = TruncatedSeries(self.algebra, coeffs, self.order)
         self._images[i] = s
         return s
+
+    def inverse(self, order: int | None = None) -> SubstitutionMap:
+        """Closed-form inverse e_i ↦ e_i − λ Σ_j Δ^R[i, j] ∂_jF.
+
+        The images W solve W = e + λ Δ^R · ∂F[W], so e = W − λ Δ^R · ∂F[W]
+        exactly: the inverse is first order in λ, and substituting it
+        after this map gives the identity through every order.
+        :meth:`SubstitutionMap.inverse` computes the same map order by
+        order and serves as its oracle.
+        """
+        order = self.order if order is None else order
+        alg = self.algebra
+        inv = SubstitutionMap(alg, order, self.max_grade)
+        for i in range(alg.n):
+            v = self._response(i, self._dF)
+            if not v.is_zero():
+                inv.set_image(i, TruncatedSeries(
+                    alg, {0: alg.generator(i), 1: -inv._clip(v)}, order))
+        return inv
 
 
 def moller_substitution(S: ActionFunctional, F: GrassmannElement, dR,
@@ -381,7 +405,11 @@ def higher_retarded(S: ActionFunctional, F: GrassmannElement, G: GrassmannElemen
 
 
 def moller_inverse(m: SubstitutionMap, order: int | None = None) -> SubstitutionMap:
-    """Formal inverse of a substitution-series map (identity at order 0)."""
+    """Formal inverse of a substitution-series map (identity at order 0).
+
+    A :class:`MollerMap` returns its closed form, first order in λ; any
+    other map is inverted order by order.
+    """
     return m.inverse(order)
 
 

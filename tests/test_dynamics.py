@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from fermifields import verify
 from fermifields.algebra import (CONJUGATE, FIELD, evaluate, left_derivative,
                                  random_element)
+from fermifields.config import RunConfig
 from fermifields.dynamics import (ActionFunctional, ParityError,
                                   SubstitutionMap, advanced_product,
                                   bracket_kernel_derivative, canonical_residual,
@@ -16,6 +18,7 @@ from fermifields.dynamics import (ActionFunctional, ParityError,
 from fermifields.gross_neveu import (GrossNeveuParams, bilinear_element,
                                      build_free_action, build_gn_action,
                                      gn_interaction_term)
+from fermifields.kernels import Kernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green, dirac_matrix)
 from fermifields.series import TruncatedSeries
@@ -240,10 +243,11 @@ def test_poisson_ideal_identity(fl_rat, mass, rng):
 
 # -- intertwining maps ----------------------------------------------------------
 
-def moller_setup(order=3):
-    lat = Lattice(5, 2, 1, 1)
+def moller_setup(nt=5, nx=2, dt=1, m=Fraction(1)):
+    """Rational GN interaction on an nt x nx lattice; nx >= 3 turns the
+    spatial Dirac term on."""
+    lat = Lattice(nt, nx, dt, 1)
     fl = FieldLattice(lat, 1, "rational")
-    m = Fraction(1)
     S = build_free_action(fl, m)
     params = GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=m)
     F = gn_interaction_term(fl, params)
@@ -376,6 +380,119 @@ def test_moller_inverse_geometric_series(alg6):
     bad.set_image(0, TruncatedSeries(alg6, {0: alg6.generator(1)}, 1))
     with pytest.raises(ValueError):
         bad.inverse()
+
+
+MOLLER_LATTICES = {
+    "5x2-order3": (dict(), 3),
+    "4x3-order2": (dict(nt=4, nx=3, dt=Fraction(1, 2), m=Fraction(3, 4)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOLLER_LATTICES))
+def test_moller_inverse_closed_form_matches_oracle(case):
+    """e_i - λ Σ_j Δᴿ[i, j] ∂_jF equals the order-by-order inverse."""
+    kwargs, order = MOLLER_LATTICES[case]
+    fl, S, F, dR = moller_setup(**kwargs)
+    sub = moller_substitution(S, F, dR, order)
+    closed = moller_inverse(sub)
+    oracle = SubstitutionMap.inverse(sub)
+    corrected = 0
+    for i in range(fl.n_slots):
+        got, want = closed.image(i), oracle.image(i)
+        assert max(got.orders()) <= 1
+        for k in range(order + 1):
+            assert got.coefficient(k) == want.coefficient(k)
+        corrected += 1 in got.orders()
+    assert corrected > 0
+
+
+def test_moller_inverse_negative_control(rng):
+    """Doubling one slot's first-order inverse image breaks the round trip."""
+    fl, S, F, dR = moller_setup()
+    sub = moller_substitution(S, F, dR, 3)
+    inv = moller_inverse(sub)
+    i = next(i for i in fl.interior_slots() if 1 in inv.image(i).orders())
+    others = [j for j in range(fl.n_slots) if j != i]
+    G = fl.algebra.generator(i) + random_element(
+        fl.algebra, rng, 2, 2, rng.sample(others, 4))
+    assert (inv.apply_series(sub.apply(G)) - TruncatedSeries(
+        fl.algebra, {0: G}, 3)).is_zero()
+    img = inv.image(i)
+    inv.set_image(i, TruncatedSeries(
+        fl.algebra, {0: img.coefficient(0), 1: img.coefficient(1).scale(2)}, 3))
+    diff = inv.apply_series(sub.apply(G)) - TruncatedSeries(fl.algebra, {0: G}, 3)
+    assert diff.max_abs() > 0
+
+
+def test_moller_apply_order_cap(rng):
+    """apply(e, order=j) is apply(e) truncated at j; apply_series matches
+    Σ_k λ^k apply(e_k) formed at full order and shifted."""
+    fl, S, F, dR = moller_setup()
+    order = 3
+    sub = moller_substitution(S, F, dR, order)
+    elems = [random_element(fl.algebra, rng, rng.randint(1, 3), 3,
+                            rng.sample(range(fl.n_slots), 6)) for _ in range(5)]
+    for e in elems:
+        full = sub.apply(e)
+        for j in range(order + 1):
+            capped = sub.apply(e, order=j)
+            want = full.truncate_order(j)
+            assert capped.max_order == j
+            assert capped.orders() == want.orders()
+            for k in want.orders():
+                assert capped.coefficient(k) == want.coefficient(k)
+    # order 4 lies above the map's order and must be dropped
+    series = TruncatedSeries(fl.algebra, dict(zip((0, 1, 2, 4), elems)))
+    reference = TruncatedSeries(fl.algebra, {}, order)
+    for k, e in series.coeffs.items():
+        reference = reference + sub.apply(e).shift(k)
+    caps = []
+    apply = sub.apply
+
+    def spy(e, order=None):
+        caps.append(order)
+        return apply(e, order)
+
+    sub.apply = spy
+    got = sub.apply_series(series)
+    assert caps == [3, 2, 1]  # coefficient k is formed through order 3 - k only
+    assert got.max_order == order and got.truncated
+    assert got.orders() == reference.orders() == [0, 1, 2, 3]
+    for k in range(order + 1):
+        assert got.coefficient(k) == reference.coefficient(k)
+
+
+def test_moller_inverse_round_trip_exact_at_nx3(rng):
+    """At nx = 3 the spatial Dirac term enters Δᴿ; the closed-form inverse
+    still undoes the map exactly through order 3."""
+    fl, S, F, dR = moller_setup(nt=4, nx=3, dt=Fraction(1, 2), m=Fraction(3, 4))
+    sub = moller_substitution(S, F, dR, 3)
+    inv = moller_inverse(sub)
+    slots = fl.interior_slots()
+    G = random_element(fl.algebra, rng, 2, 2, rng.sample(slots, 5))
+    image = sub.apply(G)
+    assert any(not image.coefficient(k).is_zero() for k in (1, 2, 3))
+    round_trip = inv.apply_series(image)
+    assert round_trip.orders() == [0]
+    assert round_trip.coefficient(0) == G
+
+
+def test_quadratic_moller_defect_negative_control(monkeypatch):
+    """The sparse matrix reference is 0 against the map and sees one
+    perturbed entry of Δᴿ when only the reference gets it."""
+    fl, S, _, dR = moller_setup()
+    cfg = RunConfig()
+    assert verify._quadratic_moller_defect(cfg, fl, S, dR, 3) == 0.0
+    bad = dR.mat.copy()
+    # the last of the rows the check samples, at the last time slice
+    row = range(0, fl.n_slots, max(1, fl.n_slots // 6))[-1]
+    col = fl.interior_slots()[0]
+    bad[row, col] = bad[row, col] + fl.ring.one
+    substitution = verify.moller_substitution
+    monkeypatch.setattr(verify, "moller_substitution",
+                        lambda S_, H, _dR, order, mg: substitution(S_, H, dR, order, mg))
+    assert verify._quadratic_moller_defect(
+        cfg, fl, S, Kernel(bad, fl.ring, "retarded"), 3) > 0
 
 
 def test_moller_map_series_api(rng):
