@@ -20,6 +20,8 @@ import numpy as np
 from .algebra import Algebra, GrassmannElement
 from .kernels import ElementKernel, Kernel
 from .lattice import FieldLattice
+from .linalg import matmul, zeros
+from .scalars import Ring
 from .series import FormalSeries, TruncatedSeries
 
 __all__ = [
@@ -86,7 +88,6 @@ class ActionFunctional:
         if "d2" not in self._cache:
             n = self.fl.n_slots
             ring = self.algebra.ring
-            from .linalg import zeros
             K0 = zeros((n, n), ring)
             entries: dict[tuple[int, int], GrassmannElement] = {}
             for i, di in self.first_derivatives().items():
@@ -426,7 +427,10 @@ def bracket_kernel_derivative(dR, dA, KH):
     if isinstance(KH, ElementKernel):
         return [KH.compose_scalar_left(-mR).compose_scalar_right(mR),
                 KH.compose_scalar_left(mA).compose_scalar_right(mA)]
-    return [-(mR @ KH @ mR) + (mA @ KH @ mA)]
+    ring = (dR.ring if isinstance(dR, Kernel)
+            else Ring("rational" if mR.dtype == object else "float"))
+    return [-matmul(matmul(mR, KH, ring), mR, ring)
+            + matmul(matmul(mA, KH, ring), mA, ring)]
 
 
 def canonical_residual(S: ActionFunctional, dR, dA, H, F, G, dDelta) -> GrassmannElement:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._core import wedge_terms
 from .algebra import Algebra, GrassmannElement, _add_terms
-from .linalg import max_abs
+from .linalg import matmul, max_abs
 from .scalars import Ring
 
 __all__ = ["Kernel", "ElementKernel"]
@@ -96,7 +96,7 @@ class Kernel:
         """max |(op @ kernel)[i, j] - δ_ij| over ``exact_rows`` (all rows
         when None), e.g. ``op`` = S2; ``abs(complex(x) - δ_ij)`` keeps the
         float bits of each product entry."""
-        prod = op @ self.mat
+        prod = matmul(op, self.mat, self.ring)
         rows = self.exact_rows
         worst = 0.0
         for i in range(prod.shape[0]):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import CONJUGATE, FIELD, Algebra, GeneratorId
 from .kernels import Kernel
-from .linalg import eye, kron2, mat_inv, max_abs, zeros
+from .linalg import eye, kron2, mat_inv, matmul, max_abs, zeros
 from .scalars import Ring
 
 __all__ = [
@@ -205,9 +205,10 @@ class DiracOperator:
 
     @property
     def box_site(self) -> np.ndarray:
-        T = time_backward(self.lattice, self.ring)
-        X = space_central(self.lattice, self.ring)
-        return T @ T - X @ X
+        ring = self.ring
+        T = time_backward(self.lattice, ring)
+        X = space_central(self.lattice, ring)
+        return matmul(T, T, ring) - matmul(X, X, ring)
 
     @property
     def box(self) -> np.ndarray:
@@ -220,8 +221,9 @@ class DiracOperator:
     def factorization_defect(self) -> float:
         """max |DD* - (Box+m^2)| and |D*D - (Box+m^2)| entries."""
         target = self.box_plus_m2()
-        return max(max_abs(self.D @ self.Dstar - target),
-                   max_abs(self.Dstar @ self.D - target))
+        D, Dstar, ring = self.D, self.Dstar, self.ring
+        return max(max_abs(matmul(D, Dstar, ring) - target),
+                   max_abs(matmul(Dstar, D, ring) - target))
 
 
 # -- Green's functions ----------------------------------------------------
@@ -241,7 +243,7 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring | None = None,
     Xs = _space_block(lattice, ring)
     inv_dt2 = ring.one / ring.coerce(lattice.dt ** 2)
     m_c = ring.coerce(m)
-    A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - Xs @ Xs
+    A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - matmul(Xs, Xs, ring)
     A0_inv = mat_inv(A0, ring)
     inv_vol = ring.one / ring.coerce(lattice.volume_weight())
     G = zeros((ns, ns), ring)
@@ -257,7 +259,7 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring | None = None,
                 rhs = prev1 * (-2 * inv_dt2)
                 if t - s >= 2:
                     rhs = rhs + prev2 * inv_dt2
-                blk = -(A0_inv @ rhs)
+                blk = -matmul(A0_inv, rhs, ring)
             blocks[(t, s)] = blk
             prev2, prev1 = prev1, blk
     for (t, s), blk in blocks.items():
@@ -349,14 +351,15 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
         cur = Dd_inv[s]
         P[s * nb:(s + 1) * nb, s * nb:(s + 1) * nb] = -cur
         for t in range(s + 1, nt):
-            cur = -(Dd_inv[t] @ (blk(t, t - 1) @ cur))
+            cur = -matmul(Dd_inv[t], matmul(blk(t, t - 1), cur, ring), ring)
             P[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb] = -cur
         # Q column block: strictly retarded one-sided inverse of M^T
         if s + 1 < nt:
             qblk = Ms_t_inv[s + 1]
             Q[(s + 1) * nb:(s + 2) * nb, s * nb:(s + 1) * nb] = qblk
             for t in range(s + 1, nt - 1):
-                qblk = -(Ms_t_inv[t + 1] @ (blk(t, t).T @ qblk))
+                qblk = -matmul(Ms_t_inv[t + 1], matmul(blk(t, t).T, qblk, ring),
+                               ring)
                 Q[(t + 1) * nb:(t + 2) * nb, s * nb:(s + 1) * nb] = qblk
     return P, Q
 

@@ -1,9 +1,16 @@
 """Small dense linear algebra over either scalar ring.
 
-Float mode uses ``complex128`` ndarrays; rational mode uses object
-ndarrays of :class:`~fermifields.scalars.QC`, exact complex rationals
-stored as one-denominator integer triples.  Matrices here are tiny
-(a few dozen rows), so generic Gauss-Jordan elimination is plenty.
+Float mode uses ``complex128`` ndarrays and hands products and inverses
+to numpy.  Rational mode uses object ndarrays of
+:class:`~fermifields.scalars.QC`, exact complex rationals stored as
+one-denominator integer triples, and runs its own loops that skip exact
+zeros: :func:`matmul` sums only products of nonzero entries, and
+:func:`mat_inv` eliminates only over the pivot row's nonzero columns.
+The Dirac and Klein-Gordon blocks are mostly zero, so this is where the
+exact time goes.  Exact sums of the same nonzero products normalise to
+the same triples, so skipping zeros changes no result.  Matrices here
+are tiny (a few dozen rows), so generic Gauss-Jordan elimination is
+plenty.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import numpy as np
 
 from .scalars import Ring
 
-__all__ = ["zeros", "eye", "kron2", "mat_inv", "max_abs", "transpose"]
+__all__ = ["zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs", "transpose"]
 
 
 def zeros(shape, ring: Ring) -> np.ndarray:
@@ -46,6 +53,28 @@ def kron2(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
     return out
 
 
+def matmul(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
+    """Matrix product ``a @ b``; exact mode sums only nonzero products."""
+    if not ring.exact:
+        return a @ b
+    (n, k), (k2, m) = a.shape, b.shape
+    if k != k2:
+        raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+    zero = ring.zero
+    out = zeros((n, m), ring)
+    for i, a_row in enumerate(a.tolist()):
+        acc = {}
+        for x, b_row in zip(a_row, b_rows):
+            if not x:
+                continue
+            for j, y in b_row:
+                acc[j] = acc.get(j, zero) + x * y
+        for j, v in acc.items():
+            out[i, j] = v
+    return out
+
+
 def transpose(a: np.ndarray) -> np.ndarray:
     return a.T.copy()
 
@@ -58,7 +87,11 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
-    """Gauss-Jordan inverse with partial pivoting (exact in rational mode)."""
+    """Gauss-Jordan inverse with partial pivoting (exact in rational mode).
+
+    In rational mode a row update touches only the pivot row's nonzero
+    columns, counted separately for the eliminated matrix and the
+    inverse being built."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -74,18 +107,24 @@ def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
             work[col], work[piv] = work[piv], work[col]
             inv[col], inv[piv] = inv[piv], inv[col]
         p = work[col][col]
-        for j in range(n):
-            work[col][j] = work[col][j] / p
-            inv[col][j] = inv[col][j] / p
+        w_row, i_row = work[col], inv[col]
+        w_nz = [j for j in range(n) if w_row[j]]
+        i_nz = [j for j in range(n) if i_row[j]]
+        for j in w_nz:
+            w_row[j] = w_row[j] / p
+        for j in i_nz:
+            i_row[j] = i_row[j] / p
         for r in range(n):
             if r == col:
                 continue
             f = work[r][col]
             if not f:
                 continue
-            for j in range(n):
-                work[r][j] = work[r][j] - f * work[col][j]
-                inv[r][j] = inv[r][j] - f * inv[col][j]
+            w_r, i_r = work[r], inv[r]
+            for j in w_nz:
+                w_r[j] = w_r[j] - f * w_row[j]
+            for j in i_nz:
+                i_r[j] = i_r[j] - f * i_row[j]
     out = zeros((n, n), ring)
     for i in range(n):
         for j in range(n):

@@ -10,7 +10,10 @@ Two arithmetic modes are supported throughout the package:
   parts, ``(a + b·i)/d`` as three Python ints, so ring operations are a
   few integer products and one ``gcd`` rather than two ``Fraction``
   operations; add and subtract skip the cross products when the
-  denominators agree.
+  denominators agree.  An exact-zero operand of ``+``, ``-`` or ``*``
+  (a zero ``QC``, ``0`` or ``Fraction(0)``), and unary ``-`` of zero,
+  return at once with no ``gcd``: sparse exact matrices make most
+  operands zero.
 """
 
 from __future__ import annotations
@@ -58,16 +61,26 @@ class QC:
         return Fraction(b, d)
 
     # -- ring operations ------------------------------------------------
-    # An int or Fraction operand enters as (numerator, 0, denominator).
+    # An int or Fraction operand enters as (numerator, 0, denominator),
+    # already normalised.  An exact-zero operand returns at once; the
+    # zero QC is (0, 0, 1).
     def __add__(self, other):
         a, b, d = self._abd
         if type(other) is QC:
             c, e, f = other._abd
+            if not (c or e):
+                return self
+            if not (a or b):
+                return other
             if d == f:
                 return _qc(a + c, b + e, d)
             return _qc(a * f + c * d, b * f + e * d, d * f)
         if isinstance(other, (int, Fraction)):
             c, f = other.numerator, other.denominator
+            if not c:
+                return self
+            if not (a or b):
+                return _qc_normal(c, 0, f)
             return _qc(a * f + c * d, b * f, d * f)
         return NotImplemented
 
@@ -77,11 +90,19 @@ class QC:
         a, b, d = self._abd
         if type(other) is QC:
             c, e, f = other._abd
+            if not (c or e):
+                return self
+            if not (a or b):
+                return _qc_normal(-c, -e, f)
             if d == f:
                 return _qc(a - c, b - e, d)
             return _qc(a * f - c * d, b * f - e * d, d * f)
         if isinstance(other, (int, Fraction)):
             c, f = other.numerator, other.denominator
+            if not c:
+                return self
+            if not (a or b):
+                return _qc_normal(-c, 0, f)
             return _qc(a * f - c * d, b * f, d * f)
         return NotImplemented
 
@@ -92,11 +113,19 @@ class QC:
 
     def __mul__(self, other):
         a, b, d = self._abd
+        if not (a or b):
+            if type(other) is QC or isinstance(other, (int, Fraction)):
+                return self
+            return NotImplemented
         if type(other) is QC:
             c, e, f = other._abd
+            if not (c or e):
+                return other
             return _qc(a * c - b * e, a * e + b * c, d * f)
         if isinstance(other, (int, Fraction)):
             c, f = other.numerator, other.denominator
+            if not c:
+                return _ZERO
             return _qc(a * c, b * c, d * f)
         return NotImplemented
 
@@ -123,6 +152,8 @@ class QC:
 
     def __neg__(self):
         a, b, d = self._abd
+        if not (a or b):
+            return self
         return _qc_normal(-a, -b, d)
 
     def __pos__(self):
@@ -180,6 +211,9 @@ def _qc(a: int, b: int, d: int) -> QC:
     q = _new_qc(QC)
     _set_abd(q, (a, b, d))
     return q
+
+
+_ZERO = _qc_normal(0, 0, 1)
 
 
 class Ring:

@@ -1,0 +1,142 @@
+"""Exact linear algebra that skips zeros: ``matmul`` against numpy's
+object ``@`` and ``mat_inv`` against a dense Gauss-Jordan reference."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fermifields.linalg import eye, mat_inv, matmul, zeros
+from fermifields.scalars import QC, Ring
+
+RAT = Ring("rational")
+FLOAT = Ring("float")
+
+
+def rand_qc(rng):
+    return QC(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+              Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.5 else 0)
+
+
+def sparse_qc(rng, shape, density):
+    a = zeros(shape, RAT)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            if rng.random() < density:
+                a[i, j] = rand_qc(rng)
+    return a
+
+
+def triples(a):
+    return [[x._abd for x in row] for row in a.tolist()]
+
+
+# -- matmul ------------------------------------------------------------------
+
+SHAPES = [(1, 1, 1), (3, 5, 2), (1, 4, 6), (6, 1, 3), (7, 7, 7), (4, 9, 5)]
+
+
+@pytest.mark.parametrize("n,k,m", SHAPES)
+def test_matmul_rational_equals_object_matmul(n, k, m):
+    rng = random.Random(f"matmul:{n}x{k}x{m}")
+    for density in (0.0, 0.2, 0.5, 1.0):
+        for _ in range(4):
+            a = sparse_qc(rng, (n, k), density)
+            b = sparse_qc(rng, (k, m), density)
+            # an all-zero row of a and an all-zero column of b
+            a[rng.randrange(n), :] = RAT.zero
+            b[:, rng.randrange(m)] = RAT.zero
+            got = matmul(a, b, RAT)
+            assert got.shape == (n, m) and got.dtype == object
+            assert all(type(x) is QC for x in got.ravel())
+            assert triples(got) == triples(a @ b)
+
+
+def test_matmul_rational_cancelling_sums():
+    """Nonzero products that cancel give the normalised zero (0, 0, 1)."""
+    x, y = QC(Fraction(2, 3), 1), QC(Fraction(-5, 7), Fraction(1, 2))
+    a = zeros((2, 3), RAT)
+    a[0, 0], a[0, 1] = x, x
+    a[1, 0], a[1, 2] = x, y
+    b = zeros((3, 2), RAT)
+    b[0, 0], b[1, 0] = y, -y                       # x·y − x·y
+    b[0, 1], b[2, 1] = y, -x                       # row 1: x·y − y·x
+    got = matmul(a, b, RAT)
+    assert got[0, 0]._abd == (0, 0, 1) and got[1, 1]._abd == (0, 0, 1)
+    assert got[0, 1] == x * y and got[1, 0] == x * y
+    assert triples(got) == triples(a @ b)
+
+
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        matmul(zeros((2, 3), RAT), zeros((2, 3), RAT), RAT)
+
+
+@pytest.mark.parametrize("n,k,m", SHAPES)
+def test_matmul_float_is_numpy_bits(n, k, m):
+    rng = np.random.default_rng(n * 100 + k * 10 + m)
+    a = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    b = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    a[rng.random(size=a.shape) < 0.5] = 0
+    b[rng.random(size=b.shape) < 0.5] = -0.0
+    got = matmul(a, b, FLOAT)
+    want = a @ b
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# -- mat_inv -----------------------------------------------------------------
+
+def dense_inverse(a):
+    """Textbook Gauss-Jordan on [a | I], every entry of every row updated."""
+    n = a.shape[0]
+    work = [list(row) + [RAT.one if i == j else RAT.zero for j in range(n)]
+            for i, row in enumerate(a.tolist())]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise np.linalg.LinAlgError("singular")
+        work[col], work[piv] = work[piv], work[col]
+        p = work[col][col]
+        work[col] = [x / p for x in work[col]]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def invertible_needing_swaps(rng, n, density):
+    """A random sparse invertible matrix whose (0, 0) entry is zero, so
+    elimination must swap rows at the first column."""
+    while True:
+        a = sparse_qc(rng, (n, n), density)
+        a[0, 0] = RAT.zero
+        try:
+            ref = dense_inverse(a)
+        except np.linalg.LinAlgError:
+            continue
+        return a, ref
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_mat_inv_sparse_exact(n):
+    rng = random.Random(f"mat_inv:{n}")
+    for density in (0.3, 0.6):
+        for _ in range(3):
+            a, ref = invertible_needing_swaps(rng, n, density)
+            inv = mat_inv(a, RAT)
+            assert [[x._abd for x in row] for row in ref] == triples(inv)
+            assert triples(matmul(a, inv, RAT)) == triples(eye(n, RAT))
+            assert triples(matmul(inv, a, RAT)) == triples(eye(n, RAT))
+
+
+def test_mat_inv_singular_raises():
+    x, y = QC(Fraction(1, 2), 1), QC(3, Fraction(-1, 4))
+    zero_col = zeros((3, 3), RAT)
+    zero_col[0, 0], zero_col[1, 0], zero_col[2, 2] = x, y, x
+    dependent = sparse_qc(random.Random(5), (4, 4), 0.7)
+    dependent[3, :] = dependent[0, :] * x + dependent[1, :] * y
+    for a in (zero_col, dependent, zeros((2, 2), RAT)):
+        with pytest.raises(np.linalg.LinAlgError):
+            mat_inv(a, RAT)

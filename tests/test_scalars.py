@@ -99,3 +99,41 @@ def test_qc_hash_agrees_with_equal_reals():
         assert hash(QC(x)) == hash(x)
     assert {QC(2): "two"}[2] == "two"
     assert Fraction(3, 4) in {QC(Fraction(3, 4))}
+
+
+# -- exact-zero operands return at once, still normalised -------------------
+
+ZERO_OPERANDS = [QC(0), QC(0, 0), QC(Fraction(0, 5)), 0, Fraction(0), False]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(qcs, st.just((QC(0), ZERO))))
+def test_qc_zero_operands_match_model(x):
+    q, m = x
+    for z in ZERO_OPERANDS:
+        for op, mop in ((operator.add, m_add), (operator.sub, m_sub),
+                        (operator.mul, m_mul)):
+            assert_matches(op(q, z), mop(m, ZERO))
+            assert_matches(op(z, q), mop(ZERO, m))
+        # the reflected methods, called directly
+        assert_matches(q.__radd__(z), m)
+        assert_matches(q.__rmul__(z), ZERO)
+        if type(z) is not QC:  # QC − QC never reaches __rsub__
+            assert_matches(q.__rsub__(z), m_sub(ZERO, m))
+        with pytest.raises(ZeroDivisionError):
+            q / z
+        if m != ZERO:
+            assert_matches(z / q, ZERO)
+    zero = QC(0)
+    assert_matches(-zero, ZERO)
+    assert (-zero)._abd == (0, 0, 1) and (zero * q)._abd == (0, 0, 1)
+    assert_matches(-q, (-m[0], -m[1]))
+
+
+def test_qc_zero_plus_real_is_exact_real():
+    """A zero QC plus a plain real keeps the real's reduced form."""
+    for r in (3, -7, Fraction(-3, 4), Fraction(10, 4), True):
+        assert_matches(QC(0) + r, (Fraction(r), Fraction(0)))
+        assert_matches(r + QC(0), (Fraction(r), Fraction(0)))
+        assert_matches(QC(0) - r, (-Fraction(r), Fraction(0)))
+        assert_matches(r - QC(0), (Fraction(r), Fraction(0)))
