@@ -72,7 +72,7 @@ class Algebra:
                 if w and (w[0] < 0 or w[-1] >= self.n):
                     raise ValueError(f"word {w} outside generator range")
                 c = self.ring.coerce(c)
-                if not self.ring.is_zero(c):
+                if c:
                     data[w] = data[w] + c if w in data else c
         return GrassmannElement(self, data)
 
@@ -81,7 +81,7 @@ class Algebra:
 
     def scalar(self, c) -> "GrassmannElement":
         c = self.ring.coerce(c)
-        return GrassmannElement(self, {} if self.ring.is_zero(c) else {(): c})
+        return GrassmannElement(self, {(): c} if c else {})
 
     def one(self) -> "GrassmannElement":
         return self.scalar(1)
@@ -114,16 +114,17 @@ def _add_terms(out: dict, terms: dict, ring: Ring, sub: bool = False) -> None:
     """Add (``sub``: subtract) the term dict ``terms`` into ``out`` in place.
 
     Each coefficient becomes ``out.get(w, zero) ± c``, in the order of
-    ``terms``; a word whose sum is exactly zero is popped.
+    ``terms``; a word whose sum is exactly zero is popped.  Here and in
+    the other hot loops of this module a coefficient is zero when it is
+    falsy, which is ``Ring.is_zero`` at zero tolerance in both modes.
     """
     zero = ring.zero
-    is_zero = ring.is_zero
     for w, c in terms.items():
         c2 = (out.get(w, zero) - c) if sub else (out.get(w, zero) + c)
-        if is_zero(c2):
-            out.pop(w, None)
-        else:
+        if c2:
             out[w] = c2
+        else:
+            out.pop(w, None)
 
 
 class GrassmannElement:
@@ -240,7 +241,7 @@ class GrassmannElement:
     def scale(self, c) -> "GrassmannElement":
         ring = self.algebra.ring
         c = ring.coerce(c)
-        if ring.is_zero(c):
+        if not c:
             return self.algebra.zero()
         return GrassmannElement(self.algebra, {w: v * c for w, v in self._terms.items()})
 
@@ -254,10 +255,8 @@ class GrassmannElement:
     # -- graded structure -----------------------------------------------
     def wedge(self, other: "GrassmannElement") -> "GrassmannElement":
         self.algebra.check_compatible(other.algebra)
-        ring = self.algebra.ring
         raw = wedge_terms(self._terms, other._terms)
-        return GrassmannElement(
-            self.algebra, {w: c for w, c in raw.items() if not ring.is_zero(c)})
+        return GrassmannElement(self.algebra, {w: c for w, c in raw.items() if c})
 
     def __xor__(self, other):
         return self.wedge(other)
@@ -275,10 +274,9 @@ class GrassmannElement:
                 cc = -c if k % 2 == 1 else c
                 b = buckets.setdefault(g, {})
                 b[nw] = b[nw] + cc if nw in b else cc
-        ring = self.algebra.ring
         out = {}
         for g, terms in buckets.items():
-            terms = {w: c for w, c in terms.items() if not ring.is_zero(c)}
+            terms = {w: c for w, c in terms.items() if c}
             if terms:
                 out[g] = GrassmannElement(self.algebra, terms)
         return out

@@ -228,7 +228,7 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
     """
     max_grade = ik.max_grade if max_grade is None else max_grade
     K0, W = S.second_kernel()
-    alg = ik.fl.algebra
+    ring = ik.fl.ring
     rows = ik.free.exact_rows
     # grade-0 block: K0 @ Δ0 − Id
     worst = ik.free.identity_defect(K0.mat)
@@ -242,12 +242,12 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
         blk = {key: e._terms for key, e in upper.entries.items()}
         lower = W.compose_scalar_right(ik.free.mat) if k == 1 else W.compose(prev)
         for key, e in lower.entries.items():
-            _accumulate(blk, key, e._terms, alg.ring)
-        for (i, j), terms in blk.items():
+            _accumulate(blk, key, e._terms, ring)
+        for (i, _), terms in blk.items():
             if rows is not None and not rows[i]:
                 continue
-            e = GrassmannElement(alg, terms)
-            worst = max(worst, e.truncate(max_grade).max_abs())
+            worst = max(worst, max((abs(complex(c)) for w, c in terms.items()
+                                    if len(w) <= max_grade), default=0.0))
         prev = corr
     return worst
 

@@ -11,6 +11,11 @@ kernels are argument-swapped sign-flipped transposes.
 On a finite time range the defining identity ``S2 @ kernel = Id`` can
 only hold on equation rows whose stencil stays inside the lattice; each
 kernel records that row set (``exact_rows``) and tests pin it.
+
+The free Dirac solve is memoised per :class:`FieldLattice` and mass:
+``dirac_green`` runs the forward substitution once for each (lattice,
+mass) pair, the advanced kernel is the signed transpose of that one
+retarded matrix, and the retarded matrix it hands out is read-only.
 """
 
 from __future__ import annotations
@@ -101,6 +106,8 @@ class FieldLattice:
         self.slot_times = np.array(
             [lattice.site_time(g.site) for g in self.algebra.generators])
         self.slot_species = np.array([g.species for g in self.algebra.generators])
+        # coerced mass -> read-only species-block retarded Dirac matrix
+        self._dirac_solves: dict = {}
 
     @property
     def ring(self) -> Ring:
@@ -236,8 +243,7 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring | None = None,
     that (Box + m^2) @ G = Id / (dt*dx); support is structurally
     t_row >= t_col.  Advanced: transpose of the retarded kernel.
     """
-    if kind not in ("retarded", "advanced"):
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_kind(kind)
     ring = ring or Ring(mode)
     nt, nx, ns = lattice.nt, lattice.nx, lattice.n_sites
     Xs = _space_block(lattice, ring)
@@ -377,22 +383,31 @@ def _species_blocks(fl: FieldLattice, upper: np.ndarray, lower: np.ndarray) -> n
     return out
 
 
-def green_from_bilinear(fl: FieldLattice, M: np.ndarray, kind: str) -> Kernel:
-    """Retarded/advanced block propagator of an arbitrary quadratic
-    action with block-bidiagonal-in-time bilinear matrix M (one color
-    block, replicated over colors).
-    """
+def _check_kind(kind: str) -> None:
     if kind not in ("retarded", "advanced"):
         raise ValueError(f"unknown kind {kind!r}")
-    ring = fl.ring
-    mat = _species_blocks(fl, *_retarded_inverse_blocks(fl, M))
+
+
+def _green_kernel(fl: FieldLattice, mat: np.ndarray, kind: str) -> Kernel:
+    """Kernel of ``kind`` from the species-block retarded matrix ``mat``;
+    the advanced kernel is the argument-swapped negative transpose."""
     times = fl.slot_times
     nt = fl.lattice.nt
     if kind == "retarded":
         exact = (fl.slot_species == CONJUGATE) | (times <= nt - 2)
-        return Kernel(mat, ring, "retarded", times, times, exact)
+        return Kernel(mat, fl.ring, "retarded", times, times, exact)
     exact = (fl.slot_species == FIELD) | (times >= 1)
-    return Kernel(-mat.T.copy(), ring, "advanced", times, times, exact)
+    return Kernel(-mat.T.copy(), fl.ring, "advanced", times, times, exact)
+
+
+def green_from_bilinear(fl: FieldLattice, M: np.ndarray, kind: str) -> Kernel:
+    """Retarded/advanced block propagator of an arbitrary quadratic
+    action with block-bidiagonal-in-time bilinear matrix M (one color
+    block, replicated over colors).  Not memoised: every call solves.
+    """
+    _check_kind(kind)
+    return _green_kernel(fl, _species_blocks(fl, *_retarded_inverse_blocks(fl, M)),
+                         kind)
 
 
 def dirac_green(fl: FieldLattice, m, kind: str) -> Kernel:
@@ -402,8 +417,21 @@ def dirac_green(fl: FieldLattice, m, kind: str) -> Kernel:
     zero diagonal blocks; advanced is the argument-swapped negative
     transpose.  ``exact_rows`` marks equation rows of the free second
     derivative on which S2 @ kernel = Id holds exactly.
+
+    The retarded solve is memoised on ``fl`` by the coerced mass
+    (``1``, ``Fraction(1)`` and ``QC(1)`` share it): both kinds and every
+    repeat call reuse one solve, the advanced kernel being its signed
+    transpose.  The retarded kernel's matrix is that shared solve, so it
+    is read-only; copy it before writing into it.
     """
-    return green_from_bilinear(fl, dirac_matrix(fl, m), kind)
+    _check_kind(kind)
+    key = fl.ring.coerce(m)
+    mat = fl._dirac_solves.get(key)
+    if mat is None:
+        mat = _species_blocks(fl, *_retarded_inverse_blocks(fl, dirac_matrix(fl, m)))
+        mat.flags.writeable = False
+        fl._dirac_solves[key] = mat
+    return _green_kernel(fl, mat, kind)
 
 
 def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:

@@ -51,13 +51,19 @@ def test_factorization_identity_exact():
 
 
 def test_rational_kernels_reject_float_mass():
-    """Rational mode takes exact masses only; a float is not converted."""
+    """Rational mode takes exact masses only; a float is not converted,
+    also once an exact-mass solve is cached on the lattice."""
     lat = Lattice(3, 2, Fraction(1, 2), 1)
     fl = FieldLattice(lat, 1, "rational")
     with pytest.raises(TypeError, match="rational mode"):
         dirac_green(fl, 0.5, "retarded")
     with pytest.raises(TypeError, match="rational mode"):
         kg_green(lat, 0.5, "retarded", Ring("rational"))
+    dirac_green(fl, 1, "retarded")
+    with pytest.raises(TypeError, match="rational mode"):
+        dirac_green(fl, 0.5, "retarded")
+    with pytest.raises(TypeError, match="rational mode"):
+        dirac_green(fl, 1.0, "advanced")
 
 
 def test_kg_green_single_point_recursion():
@@ -269,3 +275,72 @@ def test_kernel_csv_json_roundtrip(tmp_path, fl_float):
     assert payload["shape"] == [fl_float.n_slots, fl_float.n_slots]
     i, j, re, im = payload["entries"][0]
     assert complex(dR.mat[i, j]) == complex(re, im)
+
+
+def _rational_fl_4x3():
+    return FieldLattice(Lattice(4, 3, Fraction(1, 2), 1), 1, "rational")
+
+
+def test_dirac_green_solves_once_per_lattice_and_mass(monkeypatch):
+    """Both kinds and every equal mass share one retarded solve per
+    FieldLattice; green_from_bilinear stays uncached."""
+    import fermifields.lattice as lattice_mod
+    from fermifields.scalars import QC
+    solve = lattice_mod._retarded_inverse_blocks
+    calls = []
+
+    def counted(fl, M):
+        calls.append(fl)
+        return solve(fl, M)
+
+    monkeypatch.setattr(lattice_mod, "_retarded_inverse_blocks", counted)
+    fl = _rational_fl_4x3()
+    dirac_green(fl, 1, "retarded")
+    dirac_green(fl, Fraction(1), "advanced")
+    dirac_green(fl, QC(1), "retarded")
+    assert len(calls) == 1
+    dirac_green(fl, Fraction(1, 2), "advanced")
+    dirac_green(fl, Fraction(1, 2), "retarded")
+    assert len(calls) == 2
+    dirac_green(FieldLattice(fl.lattice, 1, "rational"), 1, "retarded")
+    assert len(calls) == 3
+    M = dirac_matrix(fl, 1)
+    green_from_bilinear(fl, M, "retarded")
+    green_from_bilinear(fl, M, "retarded")
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_memoised_dirac_green_equals_fresh_solve(mode):
+    """Cached kernels equal an uncached solve exactly, and the advanced
+    kernel is exactly the signed transpose of the retarded one."""
+    if mode == "rational":
+        fl, m = _rational_fl_4x3(), Fraction(3, 4)
+    else:
+        fl, m = FieldLattice(Lattice(4, 3, 0.5, 1.0), 1, "float"), 0.75
+    M = dirac_matrix(fl, m)
+    kinds = ("retarded", "advanced", "retarded", "advanced")
+    cached = {kind: dirac_green(fl, m, kind) for kind in kinds}
+    for kind, got in cached.items():
+        fresh = green_from_bilinear(fl, M, kind)
+        assert got.kind == fresh.kind == kind
+        assert np.all(got.mat == fresh.mat)
+        assert np.array_equal(got.exact_rows, fresh.exact_rows)
+        assert np.array_equal(got.row_times, fresh.row_times)
+    dR, dA = cached["retarded"], cached["advanced"]
+    assert np.all(dA.mat == -dR.mat.T)
+    assert any(dR.mat[i, j] != 0 for i in range(fl.n_slots)
+               for j in range(fl.n_slots))
+
+
+def test_memoised_retarded_matrix_is_read_only():
+    fl = _rational_fl_4x3()
+    dR = dirac_green(fl, 1, "retarded")
+    with pytest.raises(ValueError, match="read-only"):
+        dR.mat[0, 0] = fl.ring.one
+    with pytest.raises(ValueError, match="read-only"):
+        dR.mat[:2, :2] += fl.ring.one
+    # the advanced kernel is a fresh array; writing it leaves the cache alone
+    dA = dirac_green(fl, 1, "advanced")
+    dA.mat[0, 1] = fl.ring.one
+    assert dirac_green(fl, 1, "advanced").mat[0, 1] == -dR.mat[1, 0]
