@@ -154,6 +154,8 @@ class GrassmannElement:
         return len(self._terms)
 
     def is_zero(self, tol: float = 0.0) -> bool:
+        if tol <= 0.0:
+            return not any(self._terms.values())
         ring = self.algebra.ring
         return all(ring.is_zero(c, tol) for c in self._terms.values())
 

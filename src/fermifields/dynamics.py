@@ -135,7 +135,6 @@ def pair_contract(F: GrassmannElement, kernel, G: GrassmannElement,
     :class:`Kernel` or a list of such parts (summed).
     """
     alg = F.algebra
-    ring = alg.ring
     out = alg.zero()
     dF = F.derivatives()
     dG = G.derivatives()
@@ -157,7 +156,7 @@ def pair_contract(F: GrassmannElement, kernel, G: GrassmannElement,
                 row = part[i]
                 for j, gj in dG.items():
                     c = row[j]
-                    if ring.is_zero(c):
+                    if not c:
                         continue
                     term = fi.wedge(gj).scale(c)
                     if max_grade is not None:
@@ -328,11 +327,10 @@ class MollerMap(SubstitutionMap):
 
     def _response(self, i: int, src: dict) -> GrassmannElement:
         """Σ_j Δ^R[i, j] · src[j] over the interaction's derivative slots."""
-        ring = self.algebra.ring
         v = self.algebra.zero()
         for j in self._supp:
             c = self._mat[i, j]
-            if not ring.is_zero(c):
+            if c:
                 v = v + src[j].scale(c)
         return v
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
-from .kernels import Kernel, _accumulate
+from .kernels import ElementKernel, Kernel, _accumulate
 from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
 
 __all__ = [
@@ -140,20 +140,40 @@ def build_gn_action(fl: FieldLattice, params: GrossNeveuParams) -> ActionFunctio
 class InteractingKernel:
     """Terminating propagator series with Grassmann-even entries.
 
-    ``terms[0]`` is the free scalar kernel; ``terms[k]`` carries grade-2k
-    element entries, so evaluation against a grade-n configuration uses
-    only k <= n//2 contributions.
+    ``free`` is the scalar order Δ0.  ``vertices[k-1]`` is the vertex
+    product V_k = W∘Δ_{k−1} (V_1 = W·Δ0, W the even element part of S^(2)),
+    and order k >= 1 is Δ_k = (−Δ0)·V_k, whose entries have grade exactly
+    2k; evaluation against a grade-n configuration uses only k <= n//2
+    orders.  The series builds each Δ_k that a further vertex product
+    needs; the last order is built the first time ``corrections`` is read,
+    with the same call, so every order is the same whenever it is built.
+
+    :meth:`per_order_norms` reads the vertex products only.  With
+    X_b the dense (rows × words) coefficient block of column b of V_k and
+    the Gram matrix G = Δ0ᴴΔ0, ‖Δ_k‖_F² = Σ_{a,a'} G[a,a'] K_k[a,a'] where
+    K_k = Σ_b conj(X_b)·X_bᵀ.
     """
 
     def __init__(self, fl: FieldLattice, kind: str, max_grade: int,
-                 free: Kernel, corrections: list,
+                 free: Kernel, vertices: list, corrections: list,
                  params: GrossNeveuParams | None = None):
         self.fl = fl
         self.kind = kind
         self.max_grade = max_grade
         self.free = free
-        self.corrections = corrections  # list of ElementKernel, k = 1..
+        self.vertices = vertices          # ElementKernel V_k, k = 1..
+        self._corrections = corrections   # the Δ_k built so far, k = 1..
         self.params = params
+
+    @property
+    def corrections(self) -> list:
+        """Δ_1, Δ_2, … as ElementKernels; builds the ones not built yet."""
+        built = self._corrections
+        if len(built) < len(self.vertices):
+            neg_free = -self.free.mat
+            for v in self.vertices[len(built):]:
+                built.append(v.compose_scalar_left(neg_free))
+        return built
 
     def insertion(self, site: int) -> GrassmannElement:
         """Per-site insertion density (lam g(x) / 2N) Σ_b conj^b ∧ field^b."""
@@ -167,7 +187,7 @@ class InteractingKernel:
 
     @property
     def order_count(self) -> int:
-        return 1 + len(self.corrections)
+        return 1 + len(self.vertices)
 
     def parts(self) -> list:
         return [self.free.mat, *self.corrections]
@@ -176,15 +196,39 @@ class InteractingKernel:
         return self.free if k == 0 else self.corrections[k - 1]
 
     def per_order_norms(self) -> list:
+        """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity."""
         rows = [(0, 0, float(np.sqrt(sum(abs(complex(c)) ** 2
                                          for c in self.free.mat.ravel()))))]
-        for k, corr in enumerate(self.corrections, start=1):
-            rows.append((k, 2 * k, corr.frobenius()))
+        d0 = np.array(self.free.mat.tolist(), dtype=complex)
+        gram = d0.conj().T @ d0
+        for k, v in enumerate(self.vertices, start=1):
+            sq = float(np.sum(gram * _column_gram(v)).real)
+            rows.append((k, 2 * k, max(sq, 0.0) ** 0.5))
         return rows
 
     def __repr__(self):
         return (f"InteractingKernel({self.kind}, orders={self.order_count}, "
                 f"max_grade={self.max_grade})")
+
+
+def _column_gram(v: ElementKernel) -> np.ndarray:
+    """K = Σ_b conj(X_b)·X_bᵀ, X_b the (rows × words) block of column b."""
+    n = v.n
+    cols: dict[int, list] = {}
+    for (a, b), e in v.entries.items():
+        cols.setdefault(b, []).append((a, e._terms))
+    out = np.zeros((n, n), dtype=complex)
+    for col in cols.values():
+        words: dict = {}
+        rows, idx, vals = [], [], []
+        for a, terms in col:
+            rows.extend([a] * len(terms))
+            idx.extend([words.setdefault(w, len(words)) for w in terms])
+            vals.extend(terms.values())
+        x = np.zeros((n, len(words)), dtype=complex)
+        x[rows, idx] = np.array(vals, dtype=complex)
+        out += x.conj() @ x.T
+    return out
 
 
 def interacting_propagator(S: ActionFunctional, kind: str,
@@ -194,9 +238,14 @@ def interacting_propagator(S: ActionFunctional, kind: str,
     Built as the terminating expansion Δ_k = (−1)^k (Δ_0 W)^k Δ_0 where W
     is the even element part of S^(2); entry grades are exactly 2k, so
     the series terminates at k = max_grade // 2.  Each order is formed
-    through the sparse, site-local W as Δ_1 = (−Δ_0)·(W·Δ_0) and
-    Δ_k = (−Δ_0)·(W∘Δ_{k−1}): the sign is carried by the scalar matrix
-    −Δ_0, and each wedge product has a single monomial on its left.
+    through the sparse, site-local W as the vertex product V_1 = W·Δ_0,
+    V_k = W∘Δ_{k−1}, and Δ_k = (−Δ_0)·V_k: the sign is carried by the
+    scalar matrix −Δ_0, and each wedge product has a single monomial on
+    its left.  The last order is left to :class:`InteractingKernel`.
+
+    Rows of W that meet a zero column of Δ_0 are dropped first: they add
+    nothing to any Δ_k.  Δ_0 has full column rank on its other columns,
+    so Δ_k = 0 exactly when V_k = 0, and a zero V_k ends the series.
     """
     if max_grade % 2 != 0:
         raise ValueError("max_grade must be even (entries are Grassmann-even)")
@@ -204,27 +253,31 @@ def interacting_propagator(S: ActionFunctional, kind: str,
     m = getattr(S, "meta", {}).get("m", 0)
     free = dirac_green(fl, m, kind)
     _, W = S.second_kernel()
-    corrections = []
-    if not W.is_zero():
-        neg_free = -free.mat
-        current = W.compose_scalar_right(free.mat)   # W @ Δ0
-        for k in range(1, max_grade // 2 + 1):
-            if k > 1:
-                current = W.compose(current)
-            current = current.compose_scalar_left(neg_free)
-            if current.is_zero():
-                break
-            corrections.append(current)
+    W = W.restrict_rows([any(col) for col in free.mat.T])
+    last = max_grade // 2
+    vertices, corrections = [], []
+    neg_free = -free.mat
+    for k in range(1, last + 1):
+        vertex = (W.compose_scalar_right(free.mat) if k == 1
+                  else W.compose(corrections[-1]))
+        if vertex.is_zero():
+            break
+        vertices.append(vertex)
+        if k < last:
+            corrections.append(vertex.compose_scalar_left(neg_free))
     params = getattr(S, "meta", {}).get("params")
-    return InteractingKernel(fl, kind, max_grade, free, corrections, params)
+    return InteractingKernel(fl, kind, max_grade, free, vertices, corrections,
+                             params)
 
 
 def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
                       max_grade: int | None = None) -> float:
     """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise.
 
-    The defect element at each (row, col) is truncated at ``max_grade``,
-    matching evaluation against configurations of that grade.
+    Orders above ``max_grade`` are left out, matching evaluation against
+    configurations of that grade.  Only the exact rows of each product
+    are formed, and W∘Δ_{k−1} is recomputed from the stored order k − 1,
+    so each order is checked against the one before it.
     """
     max_grade = ik.max_grade if max_grade is None else max_grade
     K0, W = S.second_kernel()
@@ -232,22 +285,25 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
     rows = ik.free.exact_rows
     # grade-0 block: K0 @ Δ0 − Id
     worst = ik.free.identity_defect(K0.mat)
-    # grade-2k blocks: K0 @ E_k + W-composed with E_{k-1}, the second
-    # added in place into the first's fresh term dicts
+    k0 = K0.mat
+    if rows is not None:
+        k0 = k0.copy()
+        k0[~rows] = ring.zero
+        W = W.restrict_rows(rows)
+    # grade-2k blocks: K0 @ Δ_k + W∘Δ_{k−1}, the second added in place into
+    # the first's fresh term dicts
     prev = None
     for k, corr in enumerate(ik.corrections, start=1):
         if 2 * k > max_grade:
             break
-        upper = corr.compose_scalar_left(K0.mat)
+        upper = corr.compose_scalar_left(k0)
         blk = {key: e._terms for key, e in upper.entries.items()}
         lower = W.compose_scalar_right(ik.free.mat) if k == 1 else W.compose(prev)
         for key, e in lower.entries.items():
             _accumulate(blk, key, e._terms, ring)
-        for (i, _), terms in blk.items():
-            if rows is not None and not rows[i]:
-                continue
-            worst = max(worst, max((abs(complex(c)) for w, c in terms.items()
-                                    if len(w) <= max_grade), default=0.0))
+        for terms in blk.values():
+            worst = max(worst, max((abs(complex(c)) for c in terms.values()),
+                                   default=0.0))
         prev = corr
     return worst
 

@@ -171,6 +171,12 @@ class ElementKernel:
     def __neg__(self) -> "ElementKernel":
         return self.scale(-1)
 
+    def restrict_rows(self, keep) -> "ElementKernel":
+        """The entries in rows ``i`` with ``keep[i]`` true, in their order."""
+        out = ElementKernel(self.algebra, self.n)
+        out.entries = {key: e for key, e in self.entries.items() if keep[key[0]]}
+        return out
+
     def transpose(self) -> "ElementKernel":
         return ElementKernel(self.algebra, self.n,
                              {(j, i): e for (i, j), e in self.entries.items()})
@@ -202,11 +208,12 @@ class ElementKernel:
         The nonzero coerced scalars of each column (row) of ``mat`` are
         listed once per call.  The first product for an output entry is
         stored as its scaled dict; later ones are added word by word as
-        ``out.get(w, zero) + v*c``, and exact zeros are popped (a sum is
-        falsy exactly when ``Ring.is_zero`` holds for it, in both modes).
+        ``out.get(w, zero) + v*c``, and exact zeros are popped.  Here and
+        in :meth:`compose` a scalar is zero when it is falsy, which is
+        ``Ring.is_zero`` at zero tolerance in both modes.
         """
         ring = self.algebra.ring
-        zero, is_zero, coerce = ring.zero, ring.is_zero, ring.coerce
+        zero, coerce = ring.zero, ring.coerce
         n = self.n
         lines: dict[int, list] = {}
         acc: dict[tuple[int, int], dict] = {}
@@ -216,7 +223,7 @@ class ElementKernel:
             if line is None:
                 vec = mat[:, k] if left else mat[k, :]
                 line = lines[k] = [(x, coerce(vec[x])) for x in range(n)
-                                   if not is_zero(vec[x])]
+                                   if vec[x]]
             terms = e._terms
             for x, c in line:
                 key = (x, b) if left else (a, x)
@@ -241,7 +248,6 @@ class ElementKernel:
         """
         self.algebra.check_compatible(other.algebra)
         ring = self.algebra.ring
-        is_zero = ring.is_zero
         by_row: dict[int, list] = {}
         for (k, j), f in other.entries.items():
             by_row.setdefault(k, []).append((j, f._terms))
@@ -252,21 +258,13 @@ class ElementKernel:
             for j, tb in by_row.get(k, ()):
                 # exact zeros dropped, as GrassmannElement.wedge drops them
                 prod = {w: c for w, c in wedge_terms(ta, tb, merges).items()
-                        if not is_zero(c)}
+                        if c}
                 if prod:
                     _accumulate(acc, (i, j), prod, ring)
         return self._from_terms(acc)
 
     def max_abs(self) -> float:
         return max((e.max_abs() for e in self.entries.values()), default=0.0)
-
-    def frobenius(self) -> float:
-        """Frobenius norm over all entry coefficients."""
-        acc = 0.0
-        for e in self.entries.values():
-            for _, c in e.items():
-                acc += abs(complex(c)) ** 2
-        return acc ** 0.5
 
     def grades(self) -> set:
         gs: set = set()

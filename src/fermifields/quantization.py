@@ -66,10 +66,11 @@ class SymmetricKernel(Kernel):
 
 # -- pair contraction (star products) ---------------------------------------
 
-def _gamma_pair_apply(state: dict, mat, ring, factor) -> dict:
+def _gamma_pair_apply(state: dict, mat, factor) -> dict:
     """One contraction on {(word_F, word_G): coeff} tensor states.
 
-    ``factor`` is the 1/2 of the contraction, times any kernel scale.
+    ``factor`` is the 1/2 of the contraction, times any kernel scale.  A
+    falsy scalar is zero, which is ``Ring.is_zero`` at zero tolerance.
     """
     out: dict = {}
     for (wa, wb), c in state.items():
@@ -80,12 +81,12 @@ def _gamma_pair_apply(state: dict, mat, ring, factor) -> dict:
             sa = -base if pi % 2 == 1 else base
             for pj, j in enumerate(wb):
                 k = row[j]
-                if ring.is_zero(k):
+                if not k:
                     continue
                 cc = c * k * (-sa if pj % 2 == 1 else sa)
                 key = (wa[:pi] + wa[pi + 1:], wb[:pj] + wb[pj + 1:])
                 out[key] = out[key] + cc if key in out else cc
-    return {k: v for k, v in out.items() if not ring.is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 def _merge_state(alg: Algebra, state: dict) -> GrassmannElement:
@@ -125,7 +126,7 @@ def _star_with(mat, unit, F: GrassmannElement, G: GrassmannElement) -> FormalSer
         e = _merge_state(alg, state).scale(_inv_factorial(ring, n))
         if not e.is_zero():
             coeffs[n] = e
-        state = _gamma_pair_apply(state, mat, ring, factor)
+        state = _gamma_pair_apply(state, mat, factor)
         n += 1
     return HbarSeries(alg, coeffs)
 
@@ -152,7 +153,7 @@ def gamma_delta(delta, F: GrassmannElement, G: GrassmannElement) -> GrassmannEle
         for wb, cb in G.items():
             key = (wa, wb)
             state[key] = state.get(key, ring.zero) + ca * cb
-    return _merge_state(alg, _gamma_pair_apply(state, mat, ring, _half(ring)))
+    return _merge_state(alg, _gamma_pair_apply(state, mat, _half(ring)))
 
 
 def star_product(delta, F: GrassmannElement, G: GrassmannElement,

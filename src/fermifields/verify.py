@@ -633,7 +633,7 @@ def suite_gn(cfg: RunConfig) -> list:
             for (a, b), e in W.entries.items():
                 c = ik.free.mat[i, a]
                 d = ik.free.mat[b, j]
-                if ring.is_zero(c) or ring.is_zero(d):
+                if not c or not d:
                     continue
                 acc = acc + e.scale(c * d)
             if not acc.is_zero():

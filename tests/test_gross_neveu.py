@@ -375,3 +375,108 @@ def test_propagator_defect_sees_a_perturbed_correction():
     entries[(i, j)] = e + fl.algebra.element({w: fl.ring.one})
     ik.corrections[0] = ElementKernel(fl.algebra, corr.n, entries)
     assert propagator_defect(S, ik) > 0.0
+
+
+# -- per-order norms from the vertex products ------------------------------------
+
+def _eager_orders(S, kind, max_grade):
+    """Δ_k = (−Δ0)·(W∘Δ_{k−1}), Δ_1 = (−Δ0)·(W·Δ0), every order built at
+    once and a zero order ending the series."""
+    free = dirac_green(S.fl, S.meta["m"], kind).mat
+    _, W = S.second_kernel()
+    orders = []
+    current = W.compose_scalar_right(free)
+    for k in range(1, max_grade // 2 + 1):
+        if k > 1:
+            current = W.compose(current)
+        current = current.compose_scalar_left(-free)
+        if current.is_zero():
+            break
+        orders.append(current)
+    return orders
+
+
+def _reference_norms(ik):
+    return [float(np.sqrt(sum(abs(complex(c)) ** 2 for e in corr.entries.values()
+                              for _, c in e.items())))
+            for corr in ik.corrections]
+
+
+def _assert_same_bits(got, want):
+    """Same entry keys and word order, and the same coefficients: the same
+    bits for floats (as repr would show them), the same values for QC."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert list(g.entries) == list(w.entries)
+        for key, e in w.entries.items():
+            f = g.entries[key]
+            assert [word for word, _ in f.items()] == [word for word, _ in e.items()]
+            a = [c for _, c in f.items()]
+            b = [c for _, c in e.items()]
+            if isinstance(b[0], complex):
+                assert np.array(a).tobytes() == np.array(b).tobytes()
+            else:
+                assert a == b
+
+
+@pytest.fixture(scope="module")
+def float43_order8():
+    """4x3 float series to order 4, its norms read before anything else."""
+    fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75))
+    ik = interacting_propagator(S, "retarded", 8)
+    norms = ik.per_order_norms()
+    return S, ik, norms, len(ik._corrections)
+
+
+def test_per_order_norms_match_the_built_orders_in_float(float43_order8):
+    _, ik, norms, _ = float43_order8
+    assert [(k, g) for k, g, _ in norms] == [(k, 2 * k) for k in range(5)]
+    want = _reference_norms(ik)
+    assert len(want) == 4
+    for (_, _, got), ref in zip(norms[1:], want):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_per_order_norms_leave_the_last_order_unbuilt(float43_order8):
+    """The norms read only the vertex products; the last order is built on
+    the first read of ``corrections``, with the eager chain's bits."""
+    S, ik, _, built = float43_order8
+    assert len(ik.vertices) == 4 and built == 3
+    _assert_same_bits(ik.corrections, _eager_orders(S, "retarded", 8))
+
+
+def test_per_order_norms_match_the_built_orders_in_rational():
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
+                                             m=Fraction(3, 4)))
+    ik = interacting_propagator(S, "retarded", 6)
+    norms = ik.per_order_norms()
+    assert len(ik._corrections) == 2
+    want = _reference_norms(ik)
+    assert len(want) == 3
+    for (_, _, got), ref in zip(norms[1:], want):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
+    """With g = 1 on every site, W has rows on the zero columns of Δ0 (a
+    boundary time slice).  Those rows add nothing, so the stored vertex
+    products leave them out, and the series still stops where the eager
+    chain stops and matches it exactly."""
+    fl = FieldLattice(Lattice(3, 2, 1, 1), 1, "rational")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
+                                             m=Fraction(3, 4), g=[1] * 6))
+    ik = interacting_propagator(S, kind, 10)
+    free = ik.free.mat
+    dead = {j for j in range(fl.n_slots) if not any(free[:, j])}
+    _, W = S.second_kernel()
+    assert dead and any(i in dead for i, _ in W.entries)
+    assert not any(i in dead for v in ik.vertices for i, _ in v.entries)
+    eager = _eager_orders(S, kind, 10)
+    assert ik.order_count == 1 + len(eager)
+    norms = ik.per_order_norms()
+    _assert_same_bits(ik.corrections, eager)
+    for (_, _, got), ref in zip(norms[1:], _reference_norms(ik)):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
