@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._core import BACKEND, contract, wedge_terms
-from .scalars import FLOAT_RTOL, Ring
+from .scalars import Ring
 
 __all__ = [
     "BACKEND", "FIELD", "CONJUGATE", "GeneratorId", "Algebra",
@@ -116,7 +116,7 @@ def _add_terms(out: dict, terms: dict, ring: Ring, sub: bool = False) -> None:
     Each coefficient becomes ``out.get(w, zero) ± c``, in the order of
     ``terms``; a word whose sum is exactly zero is popped.  Here and in
     the other hot loops of this module a coefficient is zero when it is
-    falsy, which is ``Ring.is_zero`` at zero tolerance in both modes.
+    falsy, as in ``Ring.is_zero``.
     """
     zero = ring.zero
     for w, c in terms.items():
@@ -153,11 +153,8 @@ class GrassmannElement:
     def __len__(self):
         return len(self._terms)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol <= 0.0:
-            return not any(self._terms.values())
-        ring = self.algebra.ring
-        return all(ring.is_zero(c, tol) for c in self._terms.values())
+    def is_zero(self) -> bool:
+        return not any(self._terms.values())
 
     def grades(self) -> set:
         return {len(w) for w in self._terms}
@@ -179,14 +176,6 @@ class GrassmannElement:
 
     def is_even(self) -> bool:
         return all(len(w) % 2 == 0 for w in self._terms)
-
-    def is_odd(self) -> bool:
-        return all(len(w) % 2 == 1 for w in self._terms)
-
-    def part(self, p: int) -> "GrassmannElement":
-        """Projection onto the grade-p homogeneous component."""
-        return GrassmannElement(
-            self.algebra, {w: c for w, c in self._terms.items() if len(w) == p})
 
     def parity_parts(self):
         """(even, odd) decomposition."""
@@ -284,13 +273,6 @@ class GrassmannElement:
         return out
 
     # -- comparisons / export --------------------------------------------
-    def almost_equal(self, other: "GrassmannElement", rtol: float = FLOAT_RTOL) -> bool:
-        diff = self - other
-        if self.algebra.ring.exact:
-            return diff.is_zero()
-        scale = max(self.max_abs(), other.max_abs(), 1.0)
-        return diff.max_abs() <= rtol * scale
-
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
             return NotImplemented

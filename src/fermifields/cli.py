@@ -59,7 +59,8 @@ def _load(args) -> "RunConfig":
         "seed": args.seed,
         "truncation.lambda_order": args.order,
     }
-    rejected = ({"arithmetic": "every verify suite fixes its own arithmetic mode"}
+    rejected = ({"arithmetic": "every verify suite fixes its own arithmetic mode",
+                 "cutoff": "every verify suite fixes its own interaction cutoff"}
                 if args.command == "verify" else None)
     return load_config(args.config, overrides, rejected)
 

@@ -16,7 +16,6 @@ same file drives both arithmetic modes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, fields as dc_fields
 from fractions import Fraction
 
@@ -145,9 +144,6 @@ class RunConfig:
                                 lam=self.number(self.lam),
                                 m=self.number(self.mass),
                                 g=self.cutoff_weights(fl))
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
 
     def to_dict(self) -> dict:
         out = {}

@@ -4,8 +4,10 @@ intertwining maps as truncated coupling series.
 Sign conventions (fixed throughout):
 
 * pairings contract in the order  (d_i F) ∧ kernel[i, j] ∧ (d_j G);
-* retarded/advanced products carry the prefactor (−1)^{|F|+1} on the
-  homogeneous parts of the left argument;
+* the retarded product R_S, the advanced product A_S and the Peierls
+  bracket are one signed pairing (−1)^{|F|+1}⟨F^(1), K G^(1)⟩, linear
+  in the kernel K: :func:`peierls_bracket` with K = Δ^R, Δ^A or
+  Δ = Δ^R − Δ^A, the sign taken on the homogeneous parts of F;
 * the intertwining map is built by substituting the retarded field
   solution of the perturbed equations of motion into functionals
   (fixed point W = e + λ Δ^R ∂F[W]).  This makes the homomorphism
@@ -21,12 +23,11 @@ from .algebra import Algebra, GrassmannElement
 from .kernels import ElementKernel, Kernel
 from .lattice import FieldLattice
 from .linalg import matmul, zeros
-from .scalars import Ring
 from .series import FormalSeries, TruncatedSeries
 
 __all__ = [
     "ParityError", "ActionFunctional", "eom_generators", "pair_contract",
-    "retarded_product", "advanced_product", "peierls_bracket",
+    "peierls_bracket",
     "SubstitutionMap", "moller_substitution", "moller_map", "higher_retarded",
     "moller_inverse", "bracket_kernel_derivative", "canonical_residual",
     "canonical_check", "poisson_ideal_residual", "poisson_ideal_check",
@@ -74,7 +75,6 @@ class ActionFunctional:
 
     def eom_element(self, h) -> GrassmannElement:
         """⟨S(1)^(1), h⟩ for a slot->coefficient test configuration h."""
-        ring = self.algebra.ring
         derivs = self.first_derivatives()
         out = self.algebra.zero()
         for i, c in dict(h).items():
@@ -165,9 +165,16 @@ def pair_contract(F: GrassmannElement, kernel, G: GrassmannElement,
     return out
 
 
-def _signed_pair(F: GrassmannElement, kernel, G: GrassmannElement,
-                 max_grade: int | None = None) -> GrassmannElement:
-    """(−1)^{|F|+1} ⟨F^(1), kernel *_a G^(1)⟩, extended off homogeneous F."""
+def peierls_bracket(S: ActionFunctional, kernel, F: GrassmannElement,
+                    G: GrassmannElement, max_grade: int | None = None) -> GrassmannElement:
+    """(−1)^{|F|+1} ⟨F^(1), kernel G^(1)⟩, extended off homogeneous F.
+
+    With the causal kernel Δ = Δ^R − Δ^A this is the bracket {F, G}_S;
+    kernel Δ^R gives the retarded product R_S(F, G) and Δ^A the advanced
+    product A_S(F, G).  ``kernel`` is anything :func:`pair_contract`
+    takes; ``S`` is the action the kernel belongs to, and the pairing
+    reads only the kernel.
+    """
     even, odd = F.parity_parts()
     out = F.algebra.zero()
     if not even.is_zero():
@@ -177,21 +184,6 @@ def _signed_pair(F: GrassmannElement, kernel, G: GrassmannElement,
     return out
 
 
-def retarded_product(S: ActionFunctional, dR, F, G, max_grade=None) -> GrassmannElement:
-    """First-order retarded response product R_S(F, G)."""
-    return _signed_pair(F, dR, G, max_grade)
-
-
-def advanced_product(S: ActionFunctional, dA, F, G, max_grade=None) -> GrassmannElement:
-    """First-order advanced response product A_S(F, G)."""
-    return _signed_pair(F, dA, G, max_grade)
-
-
-def peierls_bracket(S: ActionFunctional, delta, F, G, max_grade=None) -> GrassmannElement:
-    """{F, G}_S = R_S(F, G) − A_S(F, G) with the causal kernel."""
-    return _signed_pair(F, delta, G, max_grade)
-
-
 # -- intertwining maps as substitution series -------------------------------
 
 class SubstitutionMap:
@@ -199,7 +191,9 @@ class SubstitutionMap:
 
     ``images[i]`` is the series of the i-th generator's image; order 0 is
     the generator itself.  Applying the map to an element substitutes the
-    images into every word (homomorphism by construction).
+    images into every word (homomorphism by construction).  A series the
+    map builds is flagged ``truncated`` when a grade above ``max_grade``
+    was cut from it, or from an image or product it was built from.
     """
 
     def __init__(self, algebra: Algebra, order: int,
@@ -207,7 +201,6 @@ class SubstitutionMap:
         self.algebra = algebra
         self.order = order
         self.max_grade = max_grade
-        self.truncated = False
         self._images: dict[int, FormalSeries] = {}
 
     # image providers may be overridden (lazily computed in MollerMap)
@@ -223,11 +216,11 @@ class SubstitutionMap:
             self._images[i] = s
             return s
 
-    def _clip(self, e: GrassmannElement) -> GrassmannElement:
+    def _clip(self, e: GrassmannElement) -> tuple[GrassmannElement, bool]:
+        """``e`` cut at ``max_grade``, and whether that dropped a term."""
         if self.max_grade is not None and e.max_grade() > self.max_grade:
-            self.truncated = True
-            return e.truncate(self.max_grade)
-        return e
+            return e.truncate(self.max_grade), True
+        return e, False
 
     def apply(self, elem: GrassmannElement,
               order: int | None = None) -> FormalSeries:
@@ -235,19 +228,35 @@ class SubstitutionMap:
 
         ``order`` defaults to the map's order.  Every series product is
         truncated at it, so coefficients above ``order`` are never formed;
-        the result is capped at ``order``.
+        the result is capped at ``order``, and flagged truncated when an
+        order above it or a grade above ``max_grade`` was dropped.
         """
         order = self.order if order is None else min(order, self.order)
-        out = TruncatedSeries(self.algebra, {}, order)
-        one = TruncatedSeries(self.algebra, {0: self.algebra.one()}, order)
+        out, cut = self._substitute(elem, order)
+        out.truncated = out.truncated or cut
+        return out
+
+    def _substitute(self, elem: GrassmannElement, order: int) -> tuple:
+        """(:meth:`apply` through ``order``, whether a grade was cut).
+
+        The bool counts grade cuts only, in a product here or in an image
+        used; the series' own flag also counts the orders above ``order``.
+        """
+        alg = self.algebra
+        out = TruncatedSeries(alg, {}, order)
+        one = TruncatedSeries(alg, {0: alg.one()}, order)
+        cut = False
         for w, c in elem.items():
             prod = one
             for g in w:
-                prod = prod.wedge(self.image(g))
-                prod = prod.map_coefficients(self._clip)
+                img = self.image(g)
+                prod = prod.wedge(img)
+                clipped = {k: self._clip(e) for k, e in prod.coeffs.items()}
+                cut = cut or img.truncated or any(d for _, d in clipped.values())
+                prod = TruncatedSeries(alg, {k: e for k, (e, _) in clipped.items()},
+                                       order, prod.truncated)
             out = out + prod.scale(c)
-        out.truncated = out.truncated or self.truncated
-        return out
+        return out, cut
 
     def apply_series(self, series: FormalSeries) -> FormalSeries:
         """Σ_k λ^k · apply(c_k), through the map's order.
@@ -300,49 +309,63 @@ class MollerMap(SubstitutionMap):
     per order for interior test configurations h.
     """
 
-    def __init__(self, S: ActionFunctional, F: GrassmannElement, dR,
+    def __init__(self, S: ActionFunctional, F: GrassmannElement, dR: Kernel,
                  order: int, max_grade: int | None = DEFAULT_MAX_GRADE):
         if not F.is_even():
             raise ParityError("interaction term must be even")
         super().__init__(S.algebra, order, max_grade)
         self.S = S
         self.F = F
-        self._mat = dR.mat if isinstance(dR, Kernel) else dR
+        self._mat = dR.mat
         alg = self.algebra
         self._dF = F.derivatives()
         self._supp = sorted(self._dF)
-        # _src[k][j] is the λ^k coefficient of ∂_jF[W]
+        # _src[k][j] is the λ^k coefficient of ∂_jF[W]; _cut[k] holds the j
+        # whose coefficient lost a grade to max_grade
         self._src: list[dict[int, GrassmannElement]] = []
+        self._cut: list[set] = []
         # ∂F involves interaction slots only: their images through order
         # k - 1 give the order k - 1 source, and that gives order k
         ladder = {i: {0: alg.generator(i)} for i in sorted(F.support())}
         for i, coeffs in ladder.items():
             self.set_image(i, TruncatedSeries(alg, coeffs, order))
         for k in range(1, order + 1):
-            self._src.append({j: self.apply(self._dF[j], k - 1).coefficient(k - 1)
-                              for j in self._supp})
+            src, cut = {}, set()
+            for j in self._supp:
+                series, dropped = self._substitute(self._dF[j], k - 1)
+                src[j] = series.coefficient(k - 1)
+                if dropped:
+                    cut.add(j)
+            self._src.append(src)
+            self._cut.append(cut)
             for i, coeffs in ladder.items():
-                coeffs[k] = self._clip(self._response(i, self._src[k - 1]))
-                self.set_image(i, TruncatedSeries(alg, coeffs, order))
+                coeffs[k], dropped = self._response(i, src, cut)
+                self.set_image(i, TruncatedSeries(
+                    alg, coeffs, order, dropped or self._images[i].truncated))
 
-    def _response(self, i: int, src: dict) -> GrassmannElement:
-        """Σ_j Δ^R[i, j] · src[j] over the interaction's derivative slots."""
+    def _response(self, i: int, src: dict, cut=()) -> tuple:
+        """(Σ_j Δ^R[i, j] · src[j] over the interaction's derivative slots,
+        cut at ``max_grade``; whether that or a src[j] with j in ``cut``
+        that enters the sum lost a grade)."""
         v = self.algebra.zero()
+        lost = False
         for j in self._supp:
             c = self._mat[i, j]
             if c:
                 v = v + src[j].scale(c)
-        return v
+                lost = lost or j in cut
+        v, dropped = self._clip(v)
+        return v, lost or dropped
 
     def image(self, i: int) -> FormalSeries:
         if i in self._images:
             return self._images[i]
         coeffs = {0: self.algebra.generator(i)}
+        lost = False
         for k in range(1, self.order + 1):
-            v = self._response(i, self._src[k - 1])
-            if not v.is_zero():
-                coeffs[k] = self._clip(v)
-        s = TruncatedSeries(self.algebra, coeffs, self.order)
+            coeffs[k], dropped = self._response(i, self._src[k - 1], self._cut[k - 1])
+            lost = lost or dropped
+        s = TruncatedSeries(self.algebra, coeffs, self.order, lost)
         self._images[i] = s
         return s
 
@@ -359,14 +382,14 @@ class MollerMap(SubstitutionMap):
         alg = self.algebra
         inv = SubstitutionMap(alg, order, self.max_grade)
         for i in range(alg.n):
-            v = self._response(i, self._dF)
-            if not v.is_zero():
+            v, dropped = self._response(i, self._dF)
+            if dropped or not v.is_zero():
                 inv.set_image(i, TruncatedSeries(
-                    alg, {0: alg.generator(i), 1: -inv._clip(v)}, order))
+                    alg, {0: alg.generator(i), 1: -v}, order, dropped))
         return inv
 
 
-def moller_substitution(S: ActionFunctional, F: GrassmannElement, dR,
+def moller_substitution(S: ActionFunctional, F: GrassmannElement, dR: Kernel,
                         order: int, max_grade: int | None = DEFAULT_MAX_GRADE) -> MollerMap:
     return MollerMap(S, F, dR, order, max_grade)
 
@@ -414,37 +437,35 @@ def moller_inverse(m: SubstitutionMap, order: int | None = None) -> Substitution
 
 # -- canonical transformation and Poisson ideal checks -----------------------
 
-def bracket_kernel_derivative(dR, dA, KH):
+def bracket_kernel_derivative(dR: Kernel, dA: Kernel, KH):
     """d/dλ of the causal kernel of S + λH at λ=0.
 
     Returns the parts of −Δ^R K_H Δ^R + Δ^A K_H Δ^A; ``KH`` may be a
     scalar matrix or an :class:`ElementKernel`.
     """
-    mR = dR.mat if isinstance(dR, Kernel) else dR
-    mA = dA.mat if isinstance(dA, Kernel) else dA
+    mR, mA, ring = dR.mat, dA.mat, dR.ring
     if isinstance(KH, ElementKernel):
         return [KH.compose_scalar_left(-mR).compose_scalar_right(mR),
                 KH.compose_scalar_left(mA).compose_scalar_right(mA)]
-    ring = (dR.ring if isinstance(dR, Kernel)
-            else Ring("rational" if mR.dtype == object else "float"))
     return [-matmul(matmul(mR, KH, ring), mR, ring)
             + matmul(matmul(mA, KH, ring), mA, ring)]
 
 
-def canonical_residual(S: ActionFunctional, dR, dA, H, F, G, dDelta) -> GrassmannElement:
+def canonical_residual(S: ActionFunctional, dR: Kernel, dA: Kernel, H, F, G,
+                       dDelta) -> GrassmannElement:
     """Defect of the infinitesimal canonical-transformation identity.
 
     {R_S(H,F), G} + {F, R_S(H,G)} − R_S(H, {F,G}) − (−1)^{|F|+1}⟨F^(1), dΔ G^(1)⟩
     with dΔ the λ-derivative of the causal kernel (symbolic or finite
     difference), supplied as ``dDelta``.
     """
-    dmat = _kernel_parts(dR)[0] - _kernel_parts(dA)[0]
+    delta = dR.mat - dA.mat
 
     def br(X, Y):
-        return _signed_pair(X, dmat, Y)
+        return peierls_bracket(S, delta, X, Y)
 
-    lhs = br(retarded_product(S, dR, H, F), G) + br(F, retarded_product(S, dR, H, G))
-    rhs = retarded_product(S, dR, H, br(F, G)) + _signed_pair(F, dDelta, G)
+    lhs = br(peierls_bracket(S, dR, H, F), G) + br(F, peierls_bracket(S, dR, H, G))
+    rhs = peierls_bracket(S, dR, H, br(F, G)) + peierls_bracket(S, dDelta, F, G)
     return lhs - rhs
 
 
@@ -460,8 +481,8 @@ def poisson_ideal_residual(S: ActionFunctional, F: GrassmannElement, h,
     FE = F.wedge(E)
     out = F.algebra.zero()
     for p, Gp in G.homogeneous_parts().items():
-        lhs = _signed_pair(FE, delta, Gp)
-        rhs = _signed_pair(F, delta, Gp).wedge(E)
+        lhs = peierls_bracket(S, delta, FE, Gp)
+        rhs = peierls_bracket(S, delta, F, Gp).wedge(E)
         if p % 2 == 1:
             rhs = -rhs
         out = out + (lhs - rhs)

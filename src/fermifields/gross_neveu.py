@@ -18,8 +18,8 @@ from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
 __all__ = [
     "GrossNeveuParams", "InteractingKernel", "bilinear_element",
     "build_free_action", "build_gn_action", "gn_interaction_term",
-    "interacting_propagator", "propagator_defect", "interacting_bracket",
-    "permute_colors",
+    "interacting_propagator", "propagator_defect", "interacting_causal",
+    "interacting_bracket", "permute_colors",
 ]
 
 
@@ -189,12 +189,6 @@ class InteractingKernel:
     def order_count(self) -> int:
         return 1 + len(self.vertices)
 
-    def parts(self) -> list:
-        return [self.free.mat, *self.corrections]
-
-    def term(self, k: int):
-        return self.free if k == 0 else self.corrections[k - 1]
-
     def per_order_norms(self) -> list:
         """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity."""
         rows = [(0, 0, float(np.sqrt(sum(abs(complex(c)) ** 2
@@ -308,15 +302,21 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
     return worst
 
 
+def interacting_causal(S: ActionFunctional, max_grade: int) -> list:
+    """Parts [Δ^R_0 − Δ^A_0, Δ^R_1, …, −Δ^A_1, …] of the interacting causal
+    kernel Δ^R − Δ^A through entry grade ``max_grade``, summed by
+    :func:`~fermifields.dynamics.pair_contract`."""
+    dR = interacting_propagator(S, "retarded", max_grade)
+    dA = interacting_propagator(S, "advanced", max_grade)
+    return [dR.free.mat - dA.free.mat, *dR.corrections,
+            *(c.scale(-1) for c in dA.corrections)]
+
+
 def interacting_bracket(S: ActionFunctional, F: GrassmannElement,
                         G: GrassmannElement, max_grade: int = 6) -> GrassmannElement:
     """Peierls bracket with the interacting causal kernel, grade-truncated."""
-    dR = interacting_propagator(S, "retarded", max_grade)
-    dA = interacting_propagator(S, "advanced", max_grade)
-    parts = [dR.free.mat - dA.free.mat]
-    parts.extend(dR.corrections)
-    parts.extend(c.scale(-1) for c in dA.corrections)
-    return peierls_bracket(S, parts, F, G, max_grade=max_grade)
+    return peierls_bracket(S, interacting_causal(S, max_grade), F, G,
+                           max_grade=max_grade)
 
 
 def permute_colors(fl: FieldLattice, elem: GrassmannElement, perm: dict) -> GrassmannElement:

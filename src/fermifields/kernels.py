@@ -209,8 +209,8 @@ class ElementKernel:
         listed once per call.  The first product for an output entry is
         stored as its scaled dict; later ones are added word by word as
         ``out.get(w, zero) + v*c``, and exact zeros are popped.  Here and
-        in :meth:`compose` a scalar is zero when it is falsy, which is
-        ``Ring.is_zero`` at zero tolerance in both modes.
+        in :meth:`compose` a scalar is zero when it is falsy, as in
+        ``Ring.is_zero``.
         """
         ring = self.algebra.ring
         zero, coerce = ring.zero, ring.coerce
@@ -271,18 +271,6 @@ class ElementKernel:
         for e in self.entries.values():
             gs |= e.grades()
         return gs
-
-    @classmethod
-    def from_scalar(cls, algebra: Algebra, mat: np.ndarray) -> "ElementKernel":
-        n = mat.shape[0]
-        ring = algebra.ring
-        entries = {}
-        for i in range(n):
-            for j in range(mat.shape[1]):
-                c = mat[i, j]
-                if not ring.is_zero(c):
-                    entries[(i, j)] = algebra.scalar(c)
-        return cls(algebra, n, entries)
 
     def __repr__(self):
         return f"ElementKernel(n={self.n}, nnz={len(self.entries)}, grades={sorted(self.grades())})"

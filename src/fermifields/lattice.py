@@ -124,7 +124,7 @@ class FieldLattice:
         return [i for c in range(1, self.ncolors + 1)
                 for i in self.species_slots(species, c)]
 
-    def interior_slots(self, margin_past: int = 1, margin_future: int = 1) -> list:
+    def interior_slots(self) -> list:
         """Slots whose time keeps clear of both temporal boundaries.
 
         Test configurations supported here play the role of compactly
@@ -132,7 +132,7 @@ class FieldLattice:
         """
         nt = self.lattice.nt
         return [i for i in range(self.n_slots)
-                if margin_past <= self.slot_times[i] <= nt - 1 - margin_future]
+                if 1 <= self.slot_times[i] <= nt - 2]
 
     def window_weights(self, lo: int, hi: int):
         """Site weight vector: 1 on times lo..hi inclusive, else 0."""
@@ -235,8 +235,7 @@ class DiracOperator:
 
 # -- Green's functions ----------------------------------------------------
 
-def kg_green(lattice: Lattice, m, kind: str, ring: Ring | None = None,
-             mode: str = "float") -> Kernel:
+def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
     """Green's function of the discrete Box + m^2 on sites.
 
     Retarded: forward time-stepping with vanishing past, normalized so
@@ -244,7 +243,6 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring | None = None,
     t_row >= t_col.  Advanced: transpose of the retarded kernel.
     """
     _check_kind(kind)
-    ring = ring or Ring(mode)
     nt, nx, ns = lattice.nt, lattice.nx, lattice.n_sites
     Xs = _space_block(lattice, ring)
     inv_dt2 = ring.one / ring.coerce(lattice.dt ** 2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .scalars import Ring
 
-__all__ = ["zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs", "transpose"]
+__all__ = ["zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs"]
 
 
 def zeros(shape, ring: Ring) -> np.ndarray:
@@ -73,10 +73,6 @@ def matmul(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
         for j, v in acc.items():
             out[i, j] = v
     return out
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return a.T.copy()
 
 
 def max_abs(a: np.ndarray) -> float:

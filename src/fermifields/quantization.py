@@ -70,7 +70,7 @@ def _gamma_pair_apply(state: dict, mat, factor) -> dict:
     """One contraction on {(word_F, word_G): coeff} tensor states.
 
     ``factor`` is the 1/2 of the contraction, times any kernel scale.  A
-    falsy scalar is zero, which is ``Ring.is_zero`` at zero tolerance.
+    falsy scalar is zero, as in ``Ring.is_zero``.
     """
     out: dict = {}
     for (wa, wb), c in state.items():
@@ -103,23 +103,32 @@ def _merge_state(alg: Algebra, state: dict) -> GrassmannElement:
     return alg.element(terms)
 
 
+def _tensor_state(mat, F: GrassmannElement, G: GrassmannElement) -> dict:
+    """F ⊗ G as {(word_F, word_G): coeff}; ``mat`` must be n × n over the
+    generators of F's algebra."""
+    alg = F.algebra
+    alg.check_compatible(G.algebra)
+    if mat.shape != (alg.n, alg.n):
+        raise ValueError("kernel does not match the generator set")
+    zero = alg.ring.zero
+    state = {}
+    for wa, ca in F.items():
+        for wb, cb in G.items():
+            key = (wa, wb)
+            state[key] = state.get(key, zero) + ca * cb
+    return state
+
+
 def _star_with(mat, unit, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
     """Deformed product whose per-contraction kernel is ``unit · mat``.
 
     The scalar ``unit`` rides on the factor 1/2 of each contraction, so
     the kernel matrix itself is never rescaled.
     """
+    state = _tensor_state(mat, F, G)
     alg = F.algebra
-    alg.check_compatible(G.algebra)
     ring = alg.ring
-    if mat.shape != (alg.n, alg.n):
-        raise ValueError("kernel does not match the generator set")
     factor = _half(ring) * unit
-    state = {}
-    for wa, ca in F.items():
-        for wb, cb in G.items():
-            key = (wa, wb)
-            state[key] = state.get(key, ring.zero) + ca * cb
     coeffs = {}
     n = 0
     while state:
@@ -142,30 +151,17 @@ def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalS
 
 def gamma_delta(delta, F: GrassmannElement, G: GrassmannElement) -> GrassmannElement:
     """Single pair contraction (−1)^{|F|+1} (1/2) Σ Δ[i,j] F^(1)_i ∧ G^(1)_j."""
-    alg = F.algebra
-    alg.check_compatible(G.algebra)
-    ring = alg.ring
     mat = _mat(delta)
-    if mat.shape != (alg.n, alg.n):
-        raise ValueError("kernel does not match the generator set")
-    state = {}
-    for wa, ca in F.items():
-        for wb, cb in G.items():
-            key = (wa, wb)
-            state[key] = state.get(key, ring.zero) + ca * cb
-    return _merge_state(alg, _gamma_pair_apply(state, mat, _half(ring)))
+    state = _tensor_state(mat, F, G)
+    return _merge_state(F.algebra, _gamma_pair_apply(state, mat, _half(F.algebra.ring)))
 
 
-def star_product(delta, F: GrassmannElement, G: GrassmannElement,
-                 hbar=None) -> FormalSeries | GrassmannElement:
+def star_product(delta, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
     """Star product exp-of-contractions series; κ = i·Δ per hbar order.
 
-    With ``hbar`` numeric the series is collapsed at that value.
+    ``.at(h)`` collapses it at a numeric hbar.
     """
-    series = _star_with(_mat(delta), F.algebra.ring.i, F, G)
-    if hbar is None:
-        return series
-    return series.at(hbar)
+    return _star_with(_mat(delta), F.algebra.ring.i, F, G)
 
 
 def _star_series(delta, sF: FormalSeries, sG: FormalSeries) -> FormalSeries:
@@ -176,8 +172,7 @@ def _star_series(delta, sF: FormalSeries, sG: FormalSeries) -> FormalSeries:
     return out
 
 
-def star_commutator(delta, F: GrassmannElement, G: GrassmannElement,
-                    hbar=None) -> FormalSeries | GrassmannElement:
+def star_commutator(delta, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
     """Graded commutator [F,G]_* = F*G − (−1)^{|F||G|} G*F."""
     alg = F.algebra
     out = HbarSeries(alg, {})
@@ -187,9 +182,7 @@ def star_commutator(delta, F: GrassmannElement, G: GrassmannElement,
             if (p * q) % 2 == 1:
                 rev = rev.scale(-1)
             out = out + star_product(delta, Fp, Gq) - rev
-    if hbar is None:
-        return out
-    return out.at(hbar)
+    return out
 
 
 # -- single-argument contraction (time ordering, product equivalence) -------
@@ -239,9 +232,17 @@ def _exp_contraction(kernel, F: GrassmannElement, unit) -> FormalSeries:
     return HbarSeries(alg, coeffs)
 
 
-def _exp_contraction_series(kernel, series: FormalSeries, unit) -> FormalSeries:
-    out = HbarSeries(series.algebra, {})
-    for k, e in series.coeffs.items():
+def _exp_map(kernel, F, direction: str, unit) -> FormalSeries:
+    """exp(± unit · hbar Γ_K) on an element or series, the sign + for
+    ``direction="forward"`` and − for ``"inverse"``."""
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"unknown direction {direction!r}")
+    if direction == "inverse":
+        unit = -unit
+    if not isinstance(F, FormalSeries):
+        return _exp_contraction(kernel, F, unit)
+    out = HbarSeries(F.algebra, {})
+    for k, e in F.coeffs.items():
         out = out + _exp_contraction(kernel, e, unit).shift(k)
     return out
 
@@ -252,13 +253,7 @@ def time_ordering(dirac_kernel, F, direction: str = "forward") -> FormalSeries:
     ``direction="forward"`` is the ordering map, ``"inverse"`` its exact
     inverse (finite series by nilpotency).
     """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    ring = (F.algebra if isinstance(F, GrassmannElement) else F.algebra).ring
-    unit = ring.i if direction == "forward" else -ring.i
-    if isinstance(F, FormalSeries):
-        return _exp_contraction_series(dirac_kernel, F, unit)
-    return _exp_contraction(dirac_kernel, F, unit)
+    return _exp_map(dirac_kernel, F, direction, F.algebra.ring.i)
 
 
 def time_ordered_product(dirac_kernel, F, G) -> FormalSeries:
@@ -290,13 +285,7 @@ def formal_smatrix(dirac_kernel, F: GrassmannElement, max_n: int) -> FormalSerie
 
 def alpha_transform(sym_kernel, F, direction: str = "forward") -> FormalSeries:
     """Product-equivalence map exp(± hbar Γ_{Δ1}) on elements or series."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    alg = F.algebra
-    unit = alg.ring.one if direction == "forward" else -alg.ring.one
-    if isinstance(F, FormalSeries):
-        return _exp_contraction_series(sym_kernel, F, unit)
-    return _exp_contraction(sym_kernel, F, unit)
+    return _exp_map(sym_kernel, F, direction, F.algebra.ring.one)
 
 
 def star_h_sandwich(delta, sym_kernel, F: GrassmannElement,

@@ -2,8 +2,7 @@
 
 Two arithmetic modes are supported throughout the package:
 
-* ``"float"`` -- complex double precision (python ``complex``), with
-  comparisons at relative tolerance ``FLOAT_RTOL``;
+* ``"float"`` -- complex double precision (python ``complex``);
 * ``"rational"`` -- exact complex rationals (:class:`QC`), used by the
   validation suites so that algebraic identities can be checked to be
   *exactly* zero.  A :class:`QC` keeps one shared denominator for both
@@ -21,8 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Union
-
-FLOAT_RTOL = 1e-10
 
 _RatLike = Union[int, Fraction]
 
@@ -220,7 +217,6 @@ class Ring:
     """Arithmetic-mode facade: coercion, constants and zero tests."""
 
     def __init__(self, mode: str):
-        mode = {"complex": "float"}.get(mode, mode)
         if mode not in ("float", "rational"):
             raise ValueError(f"unknown arithmetic mode {mode!r}")
         self.mode = mode
@@ -241,12 +237,9 @@ class Ring:
     def number(self, re, im=0):
         return QC(re, im) if self.exact else complex(re, im)
 
-    def is_zero(self, c, tol: float = 0.0) -> bool:
-        if self.exact:
-            return not c
-        if tol <= 0.0:
-            return c == 0
-        return abs(c) <= tol
+    def is_zero(self, c) -> bool:
+        """Exact zero test; a scalar of either mode is zero when falsy."""
+        return not c
 
     def __repr__(self):
         return f"Ring({self.mode})"

@@ -8,7 +8,7 @@ series that terminate by nilpotency).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .algebra import Algebra, GrassmannElement
 
@@ -65,8 +65,8 @@ class FormalSeries:
                 if c is not None]
         return min(caps) if caps else None
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(e.is_zero(tol) for e in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for e in self.coeffs.values())
 
     def max_abs(self) -> float:
         return max((e.max_abs() for e in self.coeffs.values()), default=0.0)
@@ -121,20 +121,11 @@ class FormalSeries:
                 out[k] = out[k] + prod if k in out else prod
         return FormalSeries(self.algebra, self.symbol, out, cap, truncated)
 
-    def __xor__(self, other):
-        return self.wedge(other)
-
-    def map_coefficients(self, fn: Callable[[GrassmannElement], GrassmannElement]) -> "FormalSeries":
-        return self._like({k: fn(e) for k, e in self.coeffs.items()})
-
     def truncate_order(self, order: int) -> "FormalSeries":
         tr = any(k > order for k in self.coeffs)
         return FormalSeries(self.algebra, self.symbol,
                             {k: e for k, e in self.coeffs.items() if k <= order},
                             order, self.truncated or tr)
-
-    def truncate_grade(self, max_grade: int) -> "FormalSeries":
-        return self._like({k: e.truncate(max_grade) for k, e in self.coeffs.items()})
 
     def at(self, value) -> GrassmannElement:
         """Collapse the series at a numeric symbol value."""
@@ -147,12 +138,6 @@ class FormalSeries:
                 acc = acc + e.scale(power)
             power = power * ring.coerce(value)
         return acc
-
-    def almost_equal(self, other: "FormalSeries", rtol: float = 1e-10) -> bool:
-        self._check(other)
-        ks = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(k).almost_equal(other.coefficient(k), rtol)
-                   for k in ks)
 
     def to_json(self) -> dict:
         return {

@@ -22,17 +22,17 @@ from .config import RunConfig
 from .dynamics import (ActionFunctional, bracket_kernel_derivative,
                        canonical_residual, higher_retarded,
                        moller_substitution, moller_inverse,
-                       peierls_bracket, poisson_ideal_residual,
-                       retarded_product, advanced_product)
+                       peierls_bracket, poisson_ideal_residual)
 from .gross_neveu import (GrossNeveuParams, bilinear_element, build_free_action,
                           build_gn_action, gn_interaction_term,
-                          interacting_bracket, interacting_propagator,
-                          permute_colors, propagator_defect)
+                          interacting_bracket, interacting_causal,
+                          interacting_propagator, permute_colors,
+                          propagator_defect)
 from .kernels import ElementKernel
 from .lattice import (DiracOperator, FieldLattice, Lattice, causal_propagator,
                       dirac_green, dirac_matrix, free_second_derivative,
                       green_from_bilinear, kg_green)
-from .linalg import max_abs, zeros
+from .linalg import matmul, max_abs, zeros
 from .quantization import (_star_series, alpha_transform,
                            random_symmetric_kernel, star_commutator,
                            star_h_direct, star_h_sandwich, star_product,
@@ -55,6 +55,15 @@ def _rng(cfg: RunConfig, salt: str) -> random.Random:
 
 def _plain_algebra(n: int, mode: str) -> Algebra:
     return Algebra([GeneratorId(0, 1, i, 0) for i in range(n)], mode=mode)
+
+
+def _free_theory(lat: Lattice, mode: str, m):
+    """One-color free Dirac theory on ``lat``: (fl, S, Δᴿ, Δᴬ, Δ)."""
+    fl = FieldLattice(lat, 1, mode)
+    S = build_free_action(fl, m)
+    dR = dirac_green(fl, m, "retarded")
+    dA = dirac_green(fl, m, "advanced")
+    return fl, S, dR, dA, causal_propagator(dR, dA)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -239,23 +248,11 @@ def suite_green(cfg: RunConfig) -> list:
 
 # -- suite: Peierls bracket ---------------------------------------------------
 
-def _bracket_setup(cfg: RunConfig, mode: str):
-    lat = Lattice(cfg.nt, cfg.nx,
-                  cfg.dt if mode == "rational" else float(cfg.dt),
-                  cfg.dx if mode == "rational" else float(cfg.dx))
-    fl = FieldLattice(lat, 1, mode)
-    m = cfg.mass if mode == "rational" else float(cfg.mass)
-    S = build_free_action(fl, m)
-    dR = dirac_green(fl, m, "retarded")
-    dA = dirac_green(fl, m, "advanced")
-    delta = causal_propagator(dR, dA)
-    return fl, S, dR, dA, delta
-
-
 def suite_bracket(cfg: RunConfig) -> list:
     records = []
     rng = _rng(cfg, "bracket")
-    fl, S, dR, dA, delta = _bracket_setup(cfg, "rational")
+    fl, S, dR, dA, delta = _free_theory(Lattice(cfg.nt, cfg.nx, cfg.dt, cfg.dx),
+                                        "rational", cfg.mass)
     dmat = delta.mat
     if cfg.debug_corrupt_kernel:
         # test hook: break the kernel's symmetry above the diagonal so the
@@ -293,7 +290,9 @@ def suite_bracket(cfg: RunConfig) -> list:
         worst_leib, worst_leib == 0.0))
 
     # graded Jacobi, float mode, 200 random homogeneous triples
-    flf, Sf, dRf, dAf, deltaf = _bracket_setup(cfg, "float")
+    flf, Sf, dRf, dAf, deltaf = _free_theory(
+        Lattice(cfg.nt, cfg.nx, float(cfg.dt), float(cfg.dx)), "float",
+        float(cfg.mass))
     rngf = _rng(cfg, "jacobi")
     worst = 0.0
     for _ in range(200):
@@ -337,8 +336,8 @@ def suite_bracket(cfg: RunConfig) -> list:
         h = {i: fl.ring.number(rng.randint(-2, 2))
              for i in rng.sample(interior, 3)}
         eom = S.eom_element(h)
-        lhs_r = retarded_product(S, dR, F, eom)
-        lhs_a = advanced_product(S, dA, F, eom)
+        lhs_r = peierls_bracket(S, dR, F, eom)
+        lhs_a = peierls_bracket(S, dA, F, eom)
         target = -left_derivative(h, F)
         worst = max(worst, (lhs_r - target).max_abs(),
                     (lhs_a - target).max_abs())
@@ -353,8 +352,8 @@ def suite_bracket(cfg: RunConfig) -> list:
         p, q = rng.randint(1, 3), rng.randint(1, 3)
         F = random_element(fl.algebra, rng, p, 2, sub)
         G = random_element(fl.algebra, rng, q, 2, sub)
-        adv = advanced_product(S, dA, F, G)
-        ret = retarded_product(S, dR, G, F)
+        adv = peierls_bracket(S, dA, F, G)
+        ret = peierls_bracket(S, dR, G, F)
         if (p * q) % 2 == 1:
             ret = -ret
         worst = max(worst, (adv - ret).max_abs())
@@ -366,8 +365,8 @@ def suite_bracket(cfg: RunConfig) -> list:
     psi = fl.species_slots(FIELD, 1)
     F = fl.algebra.monomial((psi[0], psi[1]))
     G = fl.algebra.monomial((psi[2],))
-    rz = retarded_product(S, dR, F, G)
-    az = advanced_product(S, dA, F, G)
+    rz = peierls_bracket(S, dR, F, G)
+    az = peierls_bracket(S, dA, F, G)
     worst = max(rz.max_abs(), az.max_abs())
     records.append(check_record(
         "structural_kernel_zeros", {}, worst, worst == 0.0))
@@ -440,22 +439,14 @@ def _canonical_quadratic_checks(cfg: RunConfig, fl, S, dR, dA):
 
 # -- suite: intertwining maps -------------------------------------------------
 
-def _moller_setup(cfg: RunConfig):
-    # nt = 5 leaves three interior time slices, so coupling corrections
-    # survive through third order and the k <= 3 checks are non-vacuous
-    lat = Lattice(5, 2, cfg.dt, cfg.dx)
-    fl = FieldLattice(lat, 1, "rational")
-    params = GrossNeveuParams(ncolors=1, lam=cfg.lam, m=cfg.mass, g=None)
-    S = build_free_action(fl, cfg.mass)
-    F = gn_interaction_term(fl, params)
-    dR = dirac_green(fl, cfg.mass, "retarded")
-    return fl, S, F, dR, params
-
-
 def suite_moller(cfg: RunConfig) -> list:
     records = []
     rng = _rng(cfg, "moller")
-    fl, S, F, dR, params = _moller_setup(cfg)
+    # nt = 5 leaves three interior time slices, so coupling corrections
+    # survive through third order and the k <= 3 checks are non-vacuous
+    fl, S, dR, _, _ = _free_theory(Lattice(5, 2, cfg.dt, cfg.dx), "rational",
+                                   cfg.mass)
+    F = gn_interaction_term(fl, GrossNeveuParams(ncolors=1, lam=cfg.lam, m=cfg.mass))
     order = min(cfg.lambda_order, 3)
     interior = fl.interior_slots()
     sub = moller_substitution(S, F, dR, order, cfg.max_grade)
@@ -545,37 +536,25 @@ def suite_moller(cfg: RunConfig) -> list:
 
 
 def _quadratic_moller_defect(cfg, fl, S, dR, order) -> float:
-    """Grade-1 images under a quadratic perturbation vs matrix series.
-
-    The matrix side is kept sparse: rows are ``{column: value}`` dicts of
-    the nonzero entries, so no product by an exact zero is formed.
-    """
+    """Grade-1 images under a quadratic perturbation vs matrix series."""
     ring = fl.ring
     n = fl.n_slots
     H = bilinear_element(fl, _local_mass_bilinear(fl))
     sub = moller_substitution(S, H, dR, order, cfg.max_grade)
-
-    def rows(mat):
-        return [{j: mat[i, j] for j in range(n) if not ring.is_zero(mat[i, j])}
-                for i in range(n)]
-
-    def row_times(row, mat_rows):
-        out = {}
-        for a, r in row.items():
-            for b, v in mat_rows[a].items():
-                out[b] = out[b] + r * v if b in out else r * v
-        return {b: v for b, v in out.items() if not ring.is_zero(v)}
-
-    # K_H[j, i] = d_j d_i H; image recursion W = (Id - lam * dR K_H^T)^{-1} e
-    KT = rows(_second_matrix(fl, H).T)
-    step = [row_times(r, KT) for r in rows(dR.mat)]
+    # K_H[j, i] = d_j d_i H; image recursion W = (Id - lam * dR K_H^T)^{-1} e,
+    # so the order-k image of e_i is row i of (dR K_H^T)^k
+    step = matmul(dR.mat, _second_matrix(fl, H).T, ring)
+    sampled = list(range(0, n, max(1, n // 6)))
+    rows = zeros((len(sampled), n), ring)
+    for r, i in enumerate(sampled):
+        rows[r, i] = ring.one
     worst = 0.0
-    for i in range(0, n, max(1, n // 6)):
-        row = {i: ring.one}
-        for k in range(0, order + 1):
+    for k in range(0, order + 1):
+        for r, i in enumerate(sampled):
             coeff = sub.image(i).coefficient(k)
-            worst = max(worst, (coeff - fl.algebra.linear(row)).max_abs())
-            row = row_times(row, step)
+            want = fl.algebra.linear(dict(enumerate(rows[r])))
+            worst = max(worst, (coeff - want).max_abs())
+        rows = matmul(rows, step, ring)
     return worst
 
 
@@ -585,7 +564,7 @@ def suite_gn(cfg: RunConfig) -> list:
     records = []
     rng = _rng(cfg, "gn")
     lat = Lattice(3, 2, cfg.dt, cfg.dx)
-    fl = FieldLattice(lat, 1, "rational")
+    fl, Sfree, dR, dA, delta = _free_theory(lat, "rational", cfg.mass)
     params = GrossNeveuParams(ncolors=1, lam=cfg.lam, m=cfg.mass)
     S = build_gn_action(fl, params)
 
@@ -615,9 +594,8 @@ def suite_gn(cfg: RunConfig) -> list:
     params0 = GrossNeveuParams(ncolors=1, lam=0, m=cfg.mass)
     S0 = build_gn_action(fl, params0)
     ik0 = interacting_propagator(S0, "retarded", max_grade=4)
-    free = dirac_green(fl, cfg.mass, "retarded")
     same = (not ik0.corrections) and all(
-        ik0.free.mat[i, j] == free.mat[i, j]
+        ik0.free.mat[i, j] == dR.mat[i, j]
         for i in range(fl.n_slots) for j in range(fl.n_slots))
     records.append(check_record(
         "gn_lambda_zero_reduction", {}, 0.0 if same else 1.0, same))
@@ -654,10 +632,8 @@ def suite_gn(cfg: RunConfig) -> list:
     br_fg = interacting_bracket(S, F, G, max_grade=6)
     br_gf = interacting_bracket(S, G, F, max_grade=6)
     anti = br_fg + br_gf.scale((-1) ** (1 * 2))
-    free_delta = causal_propagator(dirac_green(fl, cfg.mass, "retarded"),
-                                   dirac_green(fl, cfg.mass, "advanced"))
     br0 = interacting_bracket(S0, F, G, max_grade=6)
-    br_free = peierls_bracket(S0, free_delta.mat, F, G, max_grade=6)
+    br_free = peierls_bracket(S0, delta.mat, F, G, max_grade=6)
     worst = max(anti.max_abs(), (br0 - br_free).max_abs())
     records.append(check_record(
         "gn_bracket_antisymmetry_and_free_limit", {"seed": cfg.seed},
@@ -666,14 +642,9 @@ def suite_gn(cfg: RunConfig) -> list:
     # Poisson ideal with interacting generators at first series order
     interior = fl.interior_slots()
     h = {i: ring.number(rng.randint(-2, 2)) for i in rng.sample(interior, 3)}
-    dRi = interacting_propagator(S, "retarded", max_grade=6)
-    dAi = interacting_propagator(S, "advanced", max_grade=6)
-    parts = [dRi.free.mat - dAi.free.mat]
-    parts.extend(dRi.corrections)
-    parts.extend(c.scale(-1) for c in dAi.corrections)
     Fi = random_element(fl.algebra, rng, 2, 2, slots)
     Gi = random_element(fl.algebra, rng, 1, 2, slots)
-    res = poisson_ideal_residual(S, Fi, h, Gi, parts)
+    res = poisson_ideal_residual(S, Fi, h, Gi, interacting_causal(S, 6))
     worst = res.truncate(6).max_abs()
     records.append(check_record(
         "gn_poisson_ideal_interacting", {"seed": cfg.seed},
@@ -683,23 +654,20 @@ def suite_gn(cfg: RunConfig) -> list:
     Hq = gn_interaction_term(fl, params)
     _, WH = build_gn_action(
         fl, GrossNeveuParams(ncolors=1, lam=1, m=cfg.mass)).second_kernel()
-    dRf_k = dirac_green(fl, cfg.mass, "retarded")
-    dAf_k = dirac_green(fl, cfg.mass, "advanced")
-    sym = bracket_kernel_derivative(dRf_k, dAf_k, WH)
-    Sfree = build_free_action(fl, cfg.mass)
+    sym = bracket_kernel_derivative(dR, dA, WH)
     worst = 0.0
     for _ in range(4):
         slots = rng.sample(range(fl.n_slots), 6)
         Fq = random_element(fl.algebra, rng, rng.randint(1, 2), 2, slots)
         Gq = random_element(fl.algebra, rng, rng.randint(1, 2), 2, slots)
-        res = canonical_residual(Sfree, dRf_k, dAf_k, Hq, Fq, Gq, sym)
+        res = canonical_residual(Sfree, dR, dA, Hq, Fq, Gq, sym)
         worst = max(worst, res.max_abs())
     records.append(check_record(
         "gn_canonical_identity_quartic", {"seed": cfg.seed},
         worst, worst < 1e-9))
 
     # finite-difference oracle for the quartic kernel derivative
-    fl_f = FieldLattice(lat, 1, "float")
+    fl_f, _, dRff, _, _ = _free_theory(lat, "float", float(cfg.mass))
     eps = 1e-5
     diff_parts = None
     for sgn in (+1, -1):
@@ -712,7 +680,6 @@ def suite_gn(cfg: RunConfig) -> list:
     fd_corr = diff_parts.scale(1.0 / (2 * eps))
     _, WHf = build_gn_action(
         fl_f, GrossNeveuParams(ncolors=1, lam=1, m=float(cfg.mass))).second_kernel()
-    dRff = dirac_green(fl_f, float(cfg.mass), "retarded")
     sym_f = bracket_kernel_derivative(dRff, dRff, WHf)[0]
     gap = 0.0
     for key in set(fd_corr.entries) | set(sym_f.entries):
@@ -744,16 +711,11 @@ def suite_gn(cfg: RunConfig) -> list:
 def suite_quant(cfg: RunConfig) -> list:
     records = []
     rng = _rng(cfg, "quant")
-    lat = Lattice(4, 2, cfg.dt, cfg.dx)
-    fl = FieldLattice(lat, 1, "rational")
+    fl, S, dR, dA, delta = _free_theory(Lattice(4, 2, cfg.dt, cfg.dx), "rational",
+                                        cfg.mass)
     ring = fl.ring
-    m = cfg.mass
-    dR = dirac_green(fl, m, "retarded")
-    dA = dirac_green(fl, m, "advanced")
-    delta = causal_propagator(dR, dA)
     dirac_prop = delta.copy_with((dR.mat + dA.mat) * ring.number(Fraction(1, 2)),
                                  kind="dirac")
-    S = build_free_action(fl, m)
 
     # CAR for all basis pairs
     psi = list(fl.species_slots(FIELD, 1))

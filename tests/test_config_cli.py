@@ -145,14 +145,17 @@ def test_cli_verify_rejects_arithmetic_flag():
     assert exc.value.code == 2
 
 
-def test_cli_verify_rejects_arithmetic_key(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("arithmetic", "rational"),
+                                        ("cutoff", "ones")],
+                         ids=["arithmetic", "cutoff"])
+def test_cli_verify_rejects_key(tmp_path, capsys, key, value):
     """The key is refused in a verify config file but kept by the others."""
-    p = write(tmp_path, "lattice.nt = 3\narithmetic = rational\n")
+    p = write(tmp_path, f"lattice.nt = 3\n{key} = {value}\n")
     out = tmp_path / "v"
     assert main(["verify", "--suite", "green", "--config", str(p),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and "'arithmetic'" in err
+    assert "configuration error" in err and f"'{key}'" in err
     assert not (out / "verify_report.json").exists()
     assert main(["car-table", "--config", str(p), "--out", str(out)]) == 0
 

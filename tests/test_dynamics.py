@@ -9,12 +9,11 @@ from fermifields.algebra import (CONJUGATE, FIELD, evaluate, left_derivative,
                                  random_element)
 from fermifields.config import RunConfig
 from fermifields.dynamics import (ActionFunctional, ParityError,
-                                  SubstitutionMap, advanced_product,
-                                  bracket_kernel_derivative, canonical_residual,
-                                  eom_generators, higher_retarded, moller_inverse,
-                                  moller_map, moller_substitution,
-                                  peierls_bracket, poisson_ideal_residual,
-                                  retarded_product)
+                                  SubstitutionMap, bracket_kernel_derivative,
+                                  canonical_residual, eom_generators,
+                                  higher_retarded, moller_inverse, moller_map,
+                                  moller_substitution, peierls_bracket,
+                                  poisson_ideal_residual)
 from fermifields.gross_neveu import (GrossNeveuParams, bilinear_element,
                                      build_free_action, build_gn_action,
                                      gn_interaction_term)
@@ -131,7 +130,7 @@ def test_retarded_product_on_eom(fl_rat, mass, rng):
         h = {i: fl_rat.ring.number(rng.randint(-2, 2))
              for i in rng.sample(interior, 3)}
         eom = S.eom_element(h)
-        got = retarded_product(S, dR, F, eom)
+        got = peierls_bracket(S, dR, F, eom)
         want = -left_derivative(h, F)
         assert (got - want).is_zero()
 
@@ -140,7 +139,7 @@ def test_retarded_product_constant_left_argument(fl_rat, mass):
     S, dR, _, _ = free_setup(fl_rat, mass)
     F = fl_rat.algebra.scalar(Fraction(5, 2))
     G = fl_rat.algebra.generator(0)
-    assert retarded_product(S, dR, F, G).is_zero()
+    assert peierls_bracket(S, dR, F, G).is_zero()
 
 
 def test_retarded_product_left_leibniz(fl_rat, mass, rng):
@@ -150,9 +149,9 @@ def test_retarded_product_left_leibniz(fl_rat, mass, rng):
         F1 = random_element(fl_rat.algebra, rng, 2, 2, slots)
         F2 = random_element(fl_rat.algebra, rng, 2, 2, slots)
         G = random_element(fl_rat.algebra, rng, 1, 2, slots)
-        lhs = retarded_product(S, dR, F1.wedge(F2), G)
-        rhs = F1.wedge(retarded_product(S, dR, F2, G)) \
-            + retarded_product(S, dR, F1, G).wedge(F2)
+        lhs = peierls_bracket(S, dR, F1.wedge(F2), G)
+        rhs = F1.wedge(peierls_bracket(S, dR, F2, G)) \
+            + peierls_bracket(S, dR, F1, G).wedge(F2)
         assert (lhs - rhs).is_zero()
 
 
@@ -165,8 +164,8 @@ def test_advanced_reversal_relation(fl_rat, mass, rng):
         p, q = rng.randint(1, 3), rng.randint(1, 3)
         F = random_element(fl_rat.algebra, rng, p, 2, slots)
         G = random_element(fl_rat.algebra, rng, q, 2, slots)
-        adv = advanced_product(S, dA, F, G)
-        ret = retarded_product(S, dR, G, F)
+        adv = peierls_bracket(S, dA, F, G)
+        ret = peierls_bracket(S, dR, G, F)
         if (p * q) % 2 == 1:
             ret = -ret
         assert (adv - ret).is_zero()
@@ -177,8 +176,8 @@ def test_species_block_zeros_kill_both_products(fl_rat, mass):
     psi = list(fl_rat.species_slots(FIELD, 1))
     F = fl_rat.algebra.monomial((psi[0], psi[1]))
     G = fl_rat.algebra.monomial((psi[4],))
-    assert retarded_product(S, dR, F, G).is_zero()
-    assert advanced_product(S, dA, F, G).is_zero()
+    assert peierls_bracket(S, dR, F, G).is_zero()
+    assert peierls_bracket(S, dA, F, G).is_zero()
 
 
 # -- Peierls bracket -----------------------------------------------------------
@@ -460,6 +459,30 @@ def test_moller_apply_order_cap(rng):
     assert got.orders() == reference.orders() == [0, 1, 2, 3]
     for k in range(order + 1):
         assert got.coefficient(k) == reference.coefficient(k)
+
+
+def test_truncated_flag_is_carried_per_result():
+    """At max_grade 4 an image is flagged truncated exactly when the uncut
+    map's image has a grade above 4, also where the cut grades were lost
+    in the constructor's sources; e_0, before the interaction, maps to
+    itself unflagged although the constructor cut grades."""
+    fl, S, F, dR = moller_setup()
+    cut = moller_substitution(S, F, dR, 3, max_grade=4)
+    full = moller_substitution(S, F, dR, 3, max_grade=None)
+    e0 = fl.algebra.generator(0)
+    img = cut.apply(e0)
+    assert img.orders() == [0] and img.coefficient(0) == e0
+    assert not img.truncated
+    flagged = []
+    for i in range(fl.n_slots):
+        lost = any(e.max_grade() > 4 for e in full.image(i).coeffs.values())
+        assert cut.image(i).truncated == lost
+        if lost:
+            flagged.append(i)
+    assert flagged
+    for i in flagged:
+        gen = fl.algebra.generator(i)
+        assert cut.apply(gen).truncated and not full.apply(gen).truncated
 
 
 def test_moller_inverse_round_trip_exact_at_nx3(rng):

@@ -9,7 +9,7 @@ from fermifields.algebra import CONJUGATE, FIELD, evaluate, random_element
 from fermifields.dynamics import peierls_bracket
 from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
                                      build_gn_action, gn_interaction_term,
-                                     interacting_bracket,
+                                     interacting_bracket, interacting_causal,
                                      interacting_propagator, permute_colors,
                                      propagator_defect)
 from fermifields.kernels import ElementKernel
@@ -243,6 +243,30 @@ def test_interacting_bracket_free_limit_and_antisymmetry(gn32, rng):
     br_gf = interacting_bracket(S, G, F, 6)
     assert (br_fg + br_gf.scale((-1) ** (1 * 2))).is_zero()
     assert not br_fg.is_zero()
+
+
+def test_one_pairing_is_linear_in_the_kernel_at_nx3(rng):
+    """R_S − A_S is the pairing with Δ = Δᴿ − Δᴬ, and at λ = 0 the
+    interacting causal kernel is Δ alone; nx = 3 turns the spatial Dirac
+    term on."""
+    m = Fraction(3, 4)
+    fl = FieldLattice(Lattice(3, 3, Fraction(1, 2), 1), 1, "rational")
+    S0 = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0, m=m))
+    dR, dA = dirac_green(fl, m, "retarded"), dirac_green(fl, m, "advanced")
+    delta = causal_propagator(dR, dA)
+    nonzero = 0
+    for _ in range(20):
+        slots = rng.sample(range(fl.n_slots), 8)
+        # mixed parity, so the sign is taken per homogeneous part of F
+        F = (random_element(fl.algebra, rng, rng.randint(1, 2), 2, slots)
+             + random_element(fl.algebra, rng, 3, 2, slots))
+        G = random_element(fl.algebra, rng, rng.randint(1, 3), 2, slots)
+        want = peierls_bracket(S0, delta, F, G)
+        assert peierls_bracket(S0, dR, F, G) - peierls_bracket(S0, dA, F, G) == want
+        nonzero += not want.is_zero()
+    assert nonzero > 0
+    parts = interacting_causal(S0, 6)
+    assert len(parts) == 1 and (parts[0] == delta.mat).all()
 
 
 def test_color_symmetry_two_colors(rng):

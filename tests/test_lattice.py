@@ -105,7 +105,7 @@ def test_kg_green_identity_and_support():
 
 def test_kg_green_rejects_bad_kind():
     with pytest.raises(ValueError):
-        kg_green(Lattice(4, 2), 1, "sideways")
+        kg_green(Lattice(4, 2), 1, "sideways", Ring("float"))
 
 
 def test_dirac_green_identity_on_interior_rows(fl_float):

@@ -35,14 +35,11 @@ def test_symbol_mismatch_rejected(alg6):
         lam.wedge(hb)
 
 
-def test_truncate_order_and_grade(alg6):
+def test_truncate_order(alg6):
     s = TruncatedSeries(alg6, {0: alg6.monomial((0, 1, 2)),
                                1: alg6.generator(3)})
     cut = s.truncate_order(0)
     assert cut.orders() == [0] and cut.truncated
-    graded = s.truncate_grade(1)
-    assert graded.coefficient(0).is_zero()
-    assert not graded.coefficient(1).is_zero()
 
 
 def test_zero_coefficients_dropped(alg6):
