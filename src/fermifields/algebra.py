@@ -116,7 +116,7 @@ def _add_terms(out: dict, terms: dict, ring: Ring, sub: bool = False) -> None:
     Each coefficient becomes ``out.get(w, zero) ± c``, in the order of
     ``terms``; a word whose sum is exactly zero is popped.  Here and in
     the other hot loops of this module a coefficient is zero when it is
-    falsy, as in ``Ring.is_zero``.
+    falsy.
     """
     zero = ring.zero
     for w, c in terms.items():

@@ -39,10 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="flat key-value config file")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--order", type=int, default=None,
-                       help="override truncation.lambda_order")
+        if name in ("verify", "gn-series"):
+            p.add_argument("--order", type=int, default=None,
+                           help="override truncation.lambda_order")
         if name == "verify":
+            p.add_argument("--seed", type=int, default=None, help="override seed")
             # every suite fixes its own arithmetic mode
             p.add_argument("--suite", default=None,
                            help="comma-separated subset of: grassmann,green,"
@@ -56,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> "RunConfig":
     overrides = {
         "arithmetic": getattr(args, "arithmetic", None),
-        "seed": args.seed,
-        "truncation.lambda_order": args.order,
+        "seed": getattr(args, "seed", None),
+        "truncation.lambda_order": getattr(args, "order", None),
     }
     rejected = ({"arithmetic": "every verify suite fixes its own arithmetic mode",
                  "cutoff": "every verify suite fixes its own interaction cutoff"}
@@ -87,7 +88,7 @@ def cmd_propagators(cfg, out: Path) -> int:
         kern.to_json(out / f"{name}.json")
 
     S = build_gn_action(fl, cfg.gn_params(fl))
-    ik = interacting_propagator(S, "retarded", max_grade=min(cfg.max_grade // 2 * 2, 6))
+    ik = interacting_propagator(S, max_grade=min(cfg.max_grade // 2 * 2, 6))
     ik.free.to_csv(out / "interacting_retarded_order0.csv")
     write_csv(out / "interacting_retarded_orders.csv",
               ["k", "grade", "frobenius_norm"],
@@ -165,7 +166,7 @@ def cmd_gn_series(cfg, out: Path) -> int:
 
     S_gn = build_gn_action(fl, params)
     max_grade = min(cfg.max_grade // 2 * 2, 6)
-    ik = interacting_propagator(S_gn, "retarded", max_grade + 2)
+    ik = interacting_propagator(S_gn, max_grade + 2)
     norm_rows = []
     for k, g, v in ik.per_order_norms():
         within = g <= max_grade

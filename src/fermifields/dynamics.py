@@ -30,7 +30,7 @@ __all__ = [
     "peierls_bracket",
     "SubstitutionMap", "moller_substitution", "moller_map", "higher_retarded",
     "moller_inverse", "bracket_kernel_derivative", "canonical_residual",
-    "canonical_check", "poisson_ideal_residual", "poisson_ideal_check",
+    "poisson_ideal_residual",
 ]
 
 DEFAULT_MAX_GRADE = 10
@@ -93,7 +93,7 @@ class ActionFunctional:
             for i, di in self.first_derivatives().items():
                 for j, dji in di.derivatives().items():
                     c0 = dji.coefficient(())
-                    if not ring.is_zero(c0):
+                    if c0:
                         K0[j, i] = K0[j, i] + c0
                     rest = dji - self.algebra.scalar(c0)
                     if not rest.is_zero():
@@ -488,26 +488,3 @@ def poisson_ideal_residual(S: ActionFunctional, F: GrassmannElement, h,
         out = out + (lhs - rhs)
     return out
 
-
-def canonical_check(S: ActionFunctional, dR, dA, H, F, G, dDelta) -> dict:
-    """Report for the infinitesimal canonical-transformation identity."""
-    from .reports import check_record
-    res = canonical_residual(S, dR, dA, H, F, G, dDelta)
-    worst = res.max_abs()
-    return check_record("canonical_identity",
-                        {"H_grades": sorted(H.grades()),
-                         "F_grades": sorted(F.grades()),
-                         "G_grades": sorted(G.grades())},
-                        worst, worst < 1e-9)
-
-
-def poisson_ideal_check(S: ActionFunctional, F, h, G, delta) -> dict:
-    """Report for the Poisson-ideal membership identity."""
-    from .reports import check_record
-    res = poisson_ideal_residual(S, F, h, G, delta)
-    worst = res.max_abs()
-    tol = 0.0 if F.algebra.ring.exact else 1e-10
-    return check_record("poisson_ideal_identity",
-                        {"F_grades": sorted(F.grades()),
-                         "G_grades": sorted(G.grades())},
-                        worst, worst <= tol)

@@ -58,7 +58,7 @@ def bilinear_element(fl: FieldLattice, M: np.ndarray) -> GrassmannElement:
             row = M[a]
             for bb in range(b):
                 c = row[bb]
-                if ring.is_zero(c):
+                if not c:
                     continue
                 # conj_a ∧ field_b = - field_b ∧ conj_a (canonical word)
                 w = (psi0 + bb, psb0 + a)
@@ -76,7 +76,7 @@ def _free_builder(fl: FieldLattice, m):
 def build_free_action(fl: FieldLattice, m) -> ActionFunctional:
     """Free Dirac action S_0(f) = Σ_x f(x) (conj ∧ (i γ·∂ − m) field)(x)."""
     S = ActionFunctional(fl, _free_builder(fl, m), name="free_dirac")
-    S.meta = {"m": m, "model": "free"}
+    S.meta = {"m": m}
     return S
 
 
@@ -104,7 +104,7 @@ def _quartic(fl: FieldLattice, params: GrossNeveuParams,
     out = fl.algebra.zero()
     for site in range(lat.n_sites):
         w = ring.coerce(weights[site]) * ring.coerce(g[site])
-        if ring.is_zero(w):
+        if not w:
             continue
         rho = _site_density(fl, site)
         quartic = rho.wedge(rho)
@@ -133,12 +133,12 @@ def build_gn_action(fl: FieldLattice, params: GrossNeveuParams) -> ActionFunctio
         return free(weights) + _quartic(fl, params, weights).scale(params.lam)
 
     S = ActionFunctional(fl, build, name="gross_neveu")
-    S.meta = {"m": params.m, "model": "gross_neveu", "params": params}
+    S.meta = {"m": params.m}
     return S
 
 
 class InteractingKernel:
-    """Terminating propagator series with Grassmann-even entries.
+    """Terminating retarded propagator series with Grassmann-even entries.
 
     ``free`` is the scalar order Δ0.  ``vertices[k-1]`` is the vertex
     product V_k = W∘Δ_{k−1} (V_1 = W·Δ0, W the even element part of S^(2)),
@@ -154,16 +154,13 @@ class InteractingKernel:
     K_k = Σ_b conj(X_b)·X_bᵀ.
     """
 
-    def __init__(self, fl: FieldLattice, kind: str, max_grade: int,
-                 free: Kernel, vertices: list, corrections: list,
-                 params: GrossNeveuParams | None = None):
+    def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
+                 vertices: list, corrections: list):
         self.fl = fl
-        self.kind = kind
         self.max_grade = max_grade
         self.free = free
         self.vertices = vertices          # ElementKernel V_k, k = 1..
         self._corrections = corrections   # the Δ_k built so far, k = 1..
-        self.params = params
 
     @property
     def corrections(self) -> list:
@@ -174,16 +171,6 @@ class InteractingKernel:
             for v in self.vertices[len(built):]:
                 built.append(v.compose_scalar_left(neg_free))
         return built
-
-    def insertion(self, site: int) -> GrassmannElement:
-        """Per-site insertion density (lam g(x) / 2N) Σ_b conj^b ∧ field^b."""
-        if self.params is None:
-            return self.fl.algebra.zero()
-        ring = self.fl.ring
-        g = self.params.cutoff(self.fl)
-        return _site_density(self.fl, site).scale(
-            ring.coerce(self.params.lam) * ring.coerce(g[site])
-            * ring.number(Fraction(1, 2 * self.params.ncolors)))
 
     @property
     def order_count(self) -> int:
@@ -201,7 +188,7 @@ class InteractingKernel:
         return rows
 
     def __repr__(self):
-        return (f"InteractingKernel({self.kind}, orders={self.order_count}, "
+        return (f"InteractingKernel(orders={self.order_count}, "
                 f"max_grade={self.max_grade})")
 
 
@@ -225,9 +212,9 @@ def _column_gram(v: ElementKernel) -> np.ndarray:
     return out
 
 
-def interacting_propagator(S: ActionFunctional, kind: str,
+def interacting_propagator(S: ActionFunctional,
                            max_grade: int = 6) -> InteractingKernel:
-    """Series inverse of the interacting second derivative.
+    """Retarded series inverse of the interacting second derivative.
 
     Built as the terminating expansion Δ_k = (−1)^k (Δ_0 W)^k Δ_0 where W
     is the even element part of S^(2); entry grades are exactly 2k, so
@@ -240,12 +227,12 @@ def interacting_propagator(S: ActionFunctional, kind: str,
     Rows of W that meet a zero column of Δ_0 are dropped first: they add
     nothing to any Δ_k.  Δ_0 has full column rank on its other columns,
     so Δ_k = 0 exactly when V_k = 0, and a zero V_k ends the series.
+    The advanced series is not built: see :func:`interacting_causal`.
     """
     if max_grade % 2 != 0:
         raise ValueError("max_grade must be even (entries are Grassmann-even)")
     fl = S.fl
-    m = getattr(S, "meta", {}).get("m", 0)
-    free = dirac_green(fl, m, kind)
+    free = dirac_green(fl, S.meta["m"], "retarded")
     _, W = S.second_kernel()
     W = W.restrict_rows([any(col) for col in free.mat.T])
     last = max_grade // 2
@@ -259,9 +246,7 @@ def interacting_propagator(S: ActionFunctional, kind: str,
         vertices.append(vertex)
         if k < last:
             corrections.append(vertex.compose_scalar_left(neg_free))
-    params = getattr(S, "meta", {}).get("params")
-    return InteractingKernel(fl, kind, max_grade, free, vertices, corrections,
-                             params)
+    return InteractingKernel(fl, max_grade, free, vertices, corrections)
 
 
 def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
@@ -302,21 +287,28 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
     return worst
 
 
-def interacting_causal(S: ActionFunctional, max_grade: int) -> list:
+def interacting_causal(ik: InteractingKernel) -> list:
     """Parts [Δ^R_0 − Δ^A_0, Δ^R_1, …, −Δ^A_1, …] of the interacting causal
-    kernel Δ^R − Δ^A through entry grade ``max_grade``, summed by
-    :func:`~fermifields.dynamics.pair_contract`."""
-    dR = interacting_propagator(S, "retarded", max_grade)
-    dA = interacting_propagator(S, "advanced", max_grade)
-    return [dR.free.mat - dA.free.mat, *dR.corrections,
-            *(c.scale(-1) for c in dA.corrections)]
+    kernel Δ^R − Δ^A of the retarded series ``ik``, summed by
+    :func:`~fermifields.dynamics.pair_contract`.
+
+    S^(2) is antisymmetric in its odd slot arguments, so the advanced
+    inverse is the signed transpose of the retarded one, Δ^A = −(Δ^R)ᵀ,
+    order by order: with Δ^A_0 = −Δ0ᵀ and the antisymmetric W,
+    (−1)^k (Δ^A_0 W)^k Δ^A_0 = −((−1)^k (Δ0 W)^k Δ0)ᵀ, the even entries
+    commuting.  Hence Δ^R_0 − Δ^A_0 = Δ0 + Δ0ᵀ and −Δ^A_k = (Δ^R_k)ᵀ.
+    """
+    free = ik.free.mat
+    corrections = ik.corrections
+    return [free + free.T, *corrections,
+            *(c.transpose() for c in corrections)]
 
 
 def interacting_bracket(S: ActionFunctional, F: GrassmannElement,
                         G: GrassmannElement, max_grade: int = 6) -> GrassmannElement:
     """Peierls bracket with the interacting causal kernel, grade-truncated."""
-    return peierls_bracket(S, interacting_causal(S, max_grade), F, G,
-                           max_grade=max_grade)
+    causal = interacting_causal(interacting_propagator(S, max_grade))
+    return peierls_bracket(S, causal, F, G, max_grade=max_grade)
 
 
 def permute_colors(fl: FieldLattice, elem: GrassmannElement, perm: dict) -> GrassmannElement:

@@ -64,14 +64,6 @@ class Kernel:
         return Kernel(mat, self.ring, kind or self.kind,
                       self.row_times, self.col_times, self.exact_rows)
 
-    # -- algebra ---------------------------------------------------------
-    def __sub__(self, other: "Kernel") -> "Kernel":
-        if self.mat.shape != other.mat.shape:
-            raise ValueError("kernel shape mismatch")
-        return self.copy_with(self.mat - other.mat, kind="causal"
-                              if {self.kind, other.kind} == {"retarded", "advanced"}
-                              else self.kind)
-
     # -- checks ------------------------------------------------------------
     def support_violation(self) -> float:
         """Largest |entry| outside the kernel's causal support (0 if clean)."""
@@ -209,8 +201,7 @@ class ElementKernel:
         listed once per call.  The first product for an output entry is
         stored as its scaled dict; later ones are added word by word as
         ``out.get(w, zero) + v*c``, and exact zeros are popped.  Here and
-        in :meth:`compose` a scalar is zero when it is falsy, as in
-        ``Ring.is_zero``.
+        in :meth:`compose` a scalar is zero when it is falsy.
         """
         ring = self.algebra.ring
         zero, coerce = ring.zero, ring.coerce

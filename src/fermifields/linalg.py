@@ -45,7 +45,7 @@ def kron2(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
     for i in range(ra):
         for j in range(ca):
             aij = a[i, j]
-            if ring.is_zero(aij):
+            if not aij:
                 continue
             for k in range(rb):
                 for l in range(cb):

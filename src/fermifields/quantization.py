@@ -70,7 +70,7 @@ def _gamma_pair_apply(state: dict, mat, factor) -> dict:
     """One contraction on {(word_F, word_G): coeff} tensor states.
 
     ``factor`` is the 1/2 of the contraction, times any kernel scale.  A
-    falsy scalar is zero, as in ``Ring.is_zero``.
+    falsy scalar is zero.
     """
     out: dict = {}
     for (wa, wb), c in state.items():
@@ -208,7 +208,7 @@ def contraction_operator(kernel, F: GrassmannElement) -> GrassmannElement:
             row = mat[i]
             for pj, j in enumerate(wi):
                 k = row[j]
-                if ring.is_zero(k):
+                if not k:
                     continue
                 cc = c * k * (-si if pj % 2 == 1 else si)
                 nw = wi[:pj] + wi[pj + 1:]

@@ -237,9 +237,5 @@ class Ring:
     def number(self, re, im=0):
         return QC(re, im) if self.exact else complex(re, im)
 
-    def is_zero(self, c) -> bool:
-        """Exact zero test; a scalar of either mode is zero when falsy."""
-        return not c
-
     def __repr__(self):
         return f"Ring({self.mode})"

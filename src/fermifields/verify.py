@@ -100,7 +100,7 @@ def wedge_permutation_oracle(a: GrassmannElement, p: int,
             val = _tensor_value(a, left) * _tensor_value(b, right)
             acc = acc + (-val if sgn < 0 else val)
         acc = acc * norm_c
-        if not ring.is_zero(acc):
+        if acc:
             terms[word] = acc
     return alg.element(terms)
 
@@ -568,14 +568,14 @@ def suite_gn(cfg: RunConfig) -> list:
     params = GrossNeveuParams(ncolors=1, lam=cfg.lam, m=cfg.mass)
     S = build_gn_action(fl, params)
 
-    ik = interacting_propagator(S, "retarded", max_grade=4)
+    ik = interacting_propagator(S, max_grade=4)
     defect = propagator_defect(S, ik, max_grade=4)
     records.append(check_record(
         "gn_propagator_defect_grade4", {"lattice": "3x2", "lam": str(cfg.lam)},
         defect, defect == 0.0))
 
     # termination: one more order changes nothing at fixed grade
-    ik6 = interacting_propagator(S, "retarded", max_grade=6)
+    ik6 = interacting_propagator(S, max_grade=6)
     worst = 0.0
     for k, corr in enumerate(ik.corrections, start=1):
         other = ik6.corrections[k - 1]
@@ -593,7 +593,7 @@ def suite_gn(cfg: RunConfig) -> list:
     # lambda = 0 reduces to the free theory bit for bit
     params0 = GrossNeveuParams(ncolors=1, lam=0, m=cfg.mass)
     S0 = build_gn_action(fl, params0)
-    ik0 = interacting_propagator(S0, "retarded", max_grade=4)
+    ik0 = interacting_propagator(S0, max_grade=4)
     same = (not ik0.corrections) and all(
         ik0.free.mat[i, j] == dR.mat[i, j]
         for i in range(fl.n_slots) for j in range(fl.n_slots))
@@ -626,11 +626,12 @@ def suite_gn(cfg: RunConfig) -> list:
         "gn_first_correction_dense_oracle", {}, worst, worst == 0.0))
 
     # interacting bracket: graded antisymmetry and free reduction
+    causal = interacting_causal(ik6)
     slots = rng.sample(range(fl.n_slots), 6)
     F = random_element(fl.algebra, rng, 1, 2, slots)
     G = random_element(fl.algebra, rng, 2, 2, slots)
-    br_fg = interacting_bracket(S, F, G, max_grade=6)
-    br_gf = interacting_bracket(S, G, F, max_grade=6)
+    br_fg = peierls_bracket(S, causal, F, G, max_grade=6)
+    br_gf = peierls_bracket(S, causal, G, F, max_grade=6)
     anti = br_fg + br_gf.scale((-1) ** (1 * 2))
     br0 = interacting_bracket(S0, F, G, max_grade=6)
     br_free = peierls_bracket(S0, delta.mat, F, G, max_grade=6)
@@ -644,7 +645,7 @@ def suite_gn(cfg: RunConfig) -> list:
     h = {i: ring.number(rng.randint(-2, 2)) for i in rng.sample(interior, 3)}
     Fi = random_element(fl.algebra, rng, 2, 2, slots)
     Gi = random_element(fl.algebra, rng, 1, 2, slots)
-    res = poisson_ideal_residual(S, Fi, h, Gi, interacting_causal(S, 6))
+    res = poisson_ideal_residual(S, Fi, h, Gi, causal)
     worst = res.truncate(6).max_abs()
     records.append(check_record(
         "gn_poisson_ideal_interacting", {"seed": cfg.seed},
@@ -673,7 +674,7 @@ def suite_gn(cfg: RunConfig) -> list:
     for sgn in (+1, -1):
         p_eps = GrossNeveuParams(ncolors=1, lam=sgn * eps, m=float(cfg.mass))
         ik_eps = interacting_propagator(build_gn_action(fl_f, p_eps),
-                                        "retarded", max_grade=2)
+                                        max_grade=2)
         corr = (ik_eps.corrections[0] if ik_eps.corrections
                 else ElementKernel(fl_f.algebra, fl_f.n_slots))
         diff_parts = corr if diff_parts is None else diff_parts + corr.scale(-1)
@@ -697,9 +698,11 @@ def suite_gn(cfg: RunConfig) -> list:
     Fc = random_element(flc.algebra, rngc, 2, 2, slots2)
     Gc = random_element(flc.algebra, rngc, 1, 2, slots2)
     perm = {1: 2, 2: 1}
-    lhs = permute_colors(flc, interacting_bracket(S2, Fc, Gc, max_grade=4), perm)
-    rhs = interacting_bracket(S2, permute_colors(flc, Fc, perm),
-                              permute_colors(flc, Gc, perm), max_grade=4)
+    causal2 = interacting_causal(interacting_propagator(S2, max_grade=4))
+    lhs = permute_colors(flc, peierls_bracket(S2, causal2, Fc, Gc, max_grade=4),
+                         perm)
+    rhs = peierls_bracket(S2, causal2, permute_colors(flc, Fc, perm),
+                          permute_colors(flc, Gc, perm), max_grade=4)
     worst = (lhs - rhs).max_abs()
     records.append(check_record(
         "gn_color_symmetry", {"colors": 2}, worst, worst < 1e-12))

@@ -180,6 +180,20 @@ def test_cli_gn_series(tmp_path):
     assert grades == [2 * k for k in ks]
 
 
+@pytest.mark.parametrize("argv", [
+    ["car-table", "--seed", "1"], ["propagators", "--seed", "1"],
+    ["gn-series", "--seed", "1"], ["car-table", "--order", "2"],
+    ["propagators", "--order", "2"]],
+    ids=["car-table-seed", "propagators-seed", "gn-series-seed",
+         "car-table-order", "propagators-order"])
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(argv):
+    """``--seed`` is registered on verify only, ``--order`` on verify and
+    gn-series: elsewhere either is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_cli_car_table(tmp_path):
     p = write(tmp_path, "lattice.nt = 3\nlattice.nx = 1\narithmetic = rational\n")
     out = tmp_path / "car"

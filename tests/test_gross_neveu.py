@@ -1,11 +1,14 @@
 """Gross-Neveu actions, interacting kernels and brackets."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fermifields import gross_neveu, verify
 from fermifields.algebra import CONJUGATE, FIELD, evaluate, random_element
+from fermifields.config import RunConfig
 from fermifields.dynamics import peierls_bracket
 from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
                                      build_gn_action, gn_interaction_term,
@@ -115,7 +118,7 @@ def test_gn_second_derivative_closed_form(gn32):
         jj = fl.slot(FIELD, 1, site, 0)
         ii = fl.slot(FIELD, 1, site, 1)
         same = W.entries.get((jj, ii), fl.algebra.zero())
-        if ring.is_zero(c):
+        if not c:
             assert same.is_zero()
         else:
             assert not same.is_zero()
@@ -165,7 +168,7 @@ def test_gn_second_derivative_against_configuration_insertion(gn32, rng):
 
 def test_interacting_propagator_structure(gn32):
     fl, params, S = gn32
-    ik = interacting_propagator(S, "retarded", max_grade=4)
+    ik = interacting_propagator(S, max_grade=4)
     free = dirac_green(fl, params.m, "retarded")
     assert np.all(np.array([[ik.free.mat[i, j] == free.mat[i, j]
                              for j in range(fl.n_slots)]
@@ -174,14 +177,20 @@ def test_interacting_propagator_structure(gn32):
     for k, corr in enumerate(ik.corrections, start=1):
         assert corr.grades() == {2 * k}
     with pytest.raises(ValueError):
-        interacting_propagator(S, "retarded", max_grade=3)
+        interacting_propagator(S, max_grade=3)
 
 
 def test_interacting_propagator_inverse_identity(gn32):
+    """S^(2)·Δ_I = Id on exact rows for the retarded series, and for the
+    advanced series Δᴬ_k = −(Δ_k)ᵀ over the advanced free kernel."""
     fl, params, S = gn32
-    ik = interacting_propagator(S, "retarded", max_grade=4)
+    ik = interacting_propagator(S, max_grade=4)
     assert propagator_defect(S, ik, max_grade=4) == 0.0
-    ika = interacting_propagator(S, "advanced", max_grade=4)
+    # propagator_defect reads fl, max_grade, free and corrections only
+    ika = SimpleNamespace(fl=fl, max_grade=4,
+                          free=dirac_green(fl, params.m, "advanced"),
+                          corrections=[c.transpose().scale(-1)
+                                       for c in ik.corrections])
     assert propagator_defect(S, ika, max_grade=4) == 0.0
 
 
@@ -189,7 +198,7 @@ def test_interacting_first_order_dense_oracle(gn32):
     """k = 1 term equals -Δ0 W Δ0 composed densely and independently."""
     fl, params, S = gn32
     ring = fl.ring
-    ik = interacting_propagator(S, "retarded", max_grade=2)
+    ik = interacting_propagator(S, max_grade=2)
     _, W = S.second_kernel()
     n = fl.n_slots
     free = ik.free.mat
@@ -199,7 +208,7 @@ def test_interacting_first_order_dense_oracle(gn32):
             acc = fl.algebra.zero()
             for (a, b), e in W.entries.items():
                 c = free[i, a] * free[b, j]
-                if not ring.is_zero(c):
+                if c:
                     acc = acc + e.scale(c)
             assert (k1.get(i, j) + acc).is_zero()
 
@@ -208,8 +217,8 @@ def test_series_termination_and_evaluation_count(gn32, rng):
     """Against a grade-n configuration only k <= n//2 terms contribute,
     and adding a further order changes nothing."""
     fl, params, S = gn32
-    ik4 = interacting_propagator(S, "retarded", max_grade=4)
-    ik6 = interacting_propagator(S, "retarded", max_grade=6)
+    ik4 = interacting_propagator(S, max_grade=4)
+    ik6 = interacting_propagator(S, max_grade=6)
     u = random_element(fl.algebra, rng, 2, 4)  # grade-2 configuration
     for (i, j) in list(ik4.corrections[0].entries)[:10]:
         # k = 1 entries (grade 2) see a grade-2 configuration
@@ -265,7 +274,7 @@ def test_one_pairing_is_linear_in_the_kernel_at_nx3(rng):
         assert peierls_bracket(S0, dR, F, G) - peierls_bracket(S0, dA, F, G) == want
         nonzero += not want.is_zero()
     assert nonzero > 0
-    parts = interacting_causal(S0, 6)
+    parts = interacting_causal(interacting_propagator(S0, 6))
     assert len(parts) == 1 and (parts[0] == delta.mat).all()
 
 
@@ -289,27 +298,11 @@ def test_color_symmetry_two_colors(rng):
 
 def test_per_order_norm_rows(gn32):
     fl, params, S = gn32
-    ik = interacting_propagator(S, "retarded", max_grade=4)
+    ik = interacting_propagator(S, max_grade=4)
     rows = ik.per_order_norms()
     assert rows[0][:2] == (0, 0)
     for k, g, v in rows[1:]:
         assert g == 2 * k and v >= 0.0
-
-
-def test_insertion_density(gn32):
-    """The recorded per-site insertion is (lam g / 2N) Σ conj ∧ field."""
-    fl, params, S = gn32
-    ring = fl.ring
-    ik = interacting_propagator(S, "retarded", max_grade=2)
-    g = params.cutoff(fl)
-    for site in range(fl.lattice.n_sites):
-        ins = ik.insertion(site)
-        want = site_density(fl, site).scale(
-            ring.coerce(params.lam) * ring.coerce(g[site])
-            * ring.number(Fraction(1, 2)))
-        assert (ins - want).is_zero()
-        if complex(ring.coerce(g[site])) == 0:
-            assert ins.is_zero()
 
 
 def test_gn_action_is_free_plus_lambda_quartic_at_nonunit_volume():
@@ -358,29 +351,96 @@ def test_interacting_propagator_equals_product_chain_exactly(ncolors, max_grade)
     fl = FieldLattice(Lattice(3, 3, 1, 1), ncolors, "rational")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
-    ik = interacting_propagator(S, "retarded", max_grade)
+    ik = interacting_propagator(S, max_grade)
     chain = _product_chain(S, "retarded", max_grade)
     assert len(ik.corrections) == len(chain) == max_grade // 2
-    for got, want in zip(ik.corrections, chain):
-        assert got.entries.keys() == want.entries.keys()
-        assert all(got.entries[k] == e for k, e in want.entries.items())
+    _assert_same_entries(ik.corrections, chain)
 
 
-def test_interacting_propagator_agrees_with_product_chain_in_float():
-    """4x3 float: every coefficient within 1e-12 of the entry's max-abs.  A
-    word that one association cancels to exactly 0 may sit on one side
-    only, and then only below that bound."""
+def _assert_same_entries(got, want):
+    """Same orders, and in each the same entry keys and equal entries."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.entries.keys() == w.entries.keys()
+        assert all(g.entries[k] == e for k, e in w.entries.items())
+
+
+def _assert_close(got, want):
+    """Every coefficient within 1e-12 of the entry's max-abs.  A word that
+    one association cancels to exactly 0 may sit on one side only, and
+    then only below that bound."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for key in g.entries.keys() | w.entries.keys():
+            a, b = g.get(*key), w.get(*key)
+            bound = 1e-12 * max(a.max_abs(), b.max_abs())
+            for word in {x for x, _ in a.items()} | {x for x, _ in b.items()}:
+                assert abs(a.coefficient(word) - b.coefficient(word)) <= bound
+
+
+@pytest.fixture(scope="module")
+def float43():
+    """4x3 float action with its grade-6 retarded series."""
     fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75))
-    ik = interacting_propagator(S, "retarded", 6)
+    return S, interacting_propagator(S, 6)
+
+
+def test_interacting_propagator_agrees_with_product_chain_in_float(float43):
+    S, ik = float43
     chain = _product_chain(S, "retarded", 6)
     assert len(ik.corrections) == len(chain) == 3
-    for got, want in zip(ik.corrections, chain):
-        for key in got.entries.keys() | want.entries.keys():
-            a, b = got.get(*key), want.get(*key)
-            bound = 1e-12 * max(a.max_abs(), b.max_abs())
-            for w in {w for w, _ in a.items()} | {w for w, _ in b.items()}:
-                assert abs(a.coefficient(w) - b.coefficient(w)) <= bound
+    _assert_close(ik.corrections, chain)
+
+
+@pytest.mark.parametrize("nx, ncolors, max_grade, g", [
+    (3, 1, 6, None), (2, 2, 4, None), (2, 1, 10, [1] * 6)],
+    ids=["3x3-grade6", "3x2-2colors-grade4", "3x2-cutoff-on-every-site"])
+def test_interacting_causal_is_the_signed_transposed_series_exactly(
+        nx, ncolors, max_grade, g):
+    """The parts built from the retarded series alone equal those built
+    from independent product chains of both kinds, the advanced one
+    included, entry by entry and exactly."""
+    fl = FieldLattice(Lattice(3, nx, 1, 1), ncolors, "rational")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=Fraction(1, 3),
+                                             m=Fraction(3, 4), g=g))
+    got = interacting_causal(interacting_propagator(S, max_grade))
+    # [ΔR0 − ΔA0, *ΔR_k, *(−ΔA_k)] from the product chains of both kinds
+    dR = dirac_green(fl, S.meta["m"], "retarded").mat
+    dA = dirac_green(fl, S.meta["m"], "advanced").mat
+    want = [dR - dA, *_product_chain(S, "retarded", max_grade),
+            *(c.scale(-1) for c in _product_chain(S, "advanced", max_grade))]
+    assert len(got) == len(want) > 1
+    assert (got[0] == want[0]).all()
+    _assert_same_entries(got[1:], want[1:])
+
+
+def test_interacting_causal_agrees_with_the_advanced_chain_in_float(float43):
+    """The retarded half is the series itself, checked against its chain
+    above; the advanced half is checked against the advanced chain."""
+    S, ik = float43
+    got = interacting_causal(ik)
+    dA = dirac_green(S.fl, S.meta["m"], "advanced").mat
+    assert len(got) == 7 and (got[0] == ik.free.mat - dA).all()
+    assert got[1:4] == ik.corrections
+    _assert_close(got[4:], [c.scale(-1) for c in _product_chain(S, "advanced", 6)])
+
+
+def test_suite_gn_builds_one_series_per_action_and_grade(monkeypatch):
+    """Brackets, the Poisson-ideal check and both sides of the colour check
+    share the series they need: 7 builds in one pass."""
+    real = gross_neveu.interacting_propagator
+    calls = []
+
+    def counted(S, max_grade=6):
+        calls.append((S, max_grade))
+        return real(S, max_grade)
+
+    monkeypatch.setattr(gross_neveu, "interacting_propagator", counted)
+    monkeypatch.setattr(verify, "interacting_propagator", counted)
+    records = verify.suite_gn(RunConfig())
+    assert all(r["passed"] for r in records)
+    assert len(calls) == 7
 
 
 def test_propagator_defect_sees_a_perturbed_correction():
@@ -389,7 +449,7 @@ def test_propagator_defect_sees_a_perturbed_correction():
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
-    ik = interacting_propagator(S, "retarded", 4)
+    ik = interacting_propagator(S, 4)
     assert propagator_defect(S, ik) == 0.0
     corr = ik.corrections[0]
     (i, j), e = next((key, e) for key, e in corr.entries.items()
@@ -448,7 +508,7 @@ def float43_order8():
     """4x3 float series to order 4, its norms read before anything else."""
     fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75))
-    ik = interacting_propagator(S, "retarded", 8)
+    ik = interacting_propagator(S, 8)
     norms = ik.per_order_norms()
     return S, ik, norms, len(ik._corrections)
 
@@ -474,7 +534,7 @@ def test_per_order_norms_match_the_built_orders_in_rational():
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
-    ik = interacting_propagator(S, "retarded", 6)
+    ik = interacting_propagator(S, 6)
     norms = ik.per_order_norms()
     assert len(ik._corrections) == 2
     want = _reference_norms(ik)
@@ -488,11 +548,13 @@ def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
     """With g = 1 on every site, W has rows on the zero columns of Δ0 (a
     boundary time slice).  Those rows add nothing, so the stored vertex
     products leave them out, and the series still stops where the eager
-    chain stops and matches it exactly."""
+    chain of either kind stops.  It matches the retarded chain bit for
+    bit, and its signed transpose −(Δ_k)ᵀ matches the advanced chain
+    exactly."""
     fl = FieldLattice(Lattice(3, 2, 1, 1), 1, "rational")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
                                              m=Fraction(3, 4), g=[1] * 6))
-    ik = interacting_propagator(S, kind, 10)
+    ik = interacting_propagator(S, 10)
     free = ik.free.mat
     dead = {j for j in range(fl.n_slots) if not any(free[:, j])}
     _, W = S.second_kernel()
@@ -500,7 +562,11 @@ def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
     assert not any(i in dead for v in ik.vertices for i, _ in v.entries)
     eager = _eager_orders(S, kind, 10)
     assert ik.order_count == 1 + len(eager)
-    norms = ik.per_order_norms()
-    _assert_same_bits(ik.corrections, eager)
-    for (_, _, got), ref in zip(norms[1:], _reference_norms(ik)):
-        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+    if kind == "advanced":
+        _assert_same_entries([c.transpose().scale(-1) for c in ik.corrections],
+                             eager)
+    else:
+        norms = ik.per_order_norms()
+        _assert_same_bits(ik.corrections, eager)
+        for (_, _, got), ref in zip(norms[1:], _reference_norms(ik)):
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)

@@ -73,7 +73,7 @@ def _ref_scalar_left(mat, kern):
     out = {}
     for (k, j), e in kern.entries.items():
         for i in range(kern.n):
-            if not kern.algebra.ring.is_zero(mat[i, k]):
+            if mat[i, k]:
                 _add(out, (i, j), e.scale(mat[i, k]))
     return ElementKernel(kern.algebra, kern.n, out)
 
@@ -82,7 +82,7 @@ def _ref_scalar_right(kern, mat):
     out = {}
     for (i, k), e in kern.entries.items():
         for j in range(kern.n):
-            if not kern.algebra.ring.is_zero(mat[k, j]):
+            if mat[k, j]:
                 _add(out, (i, j), e.scale(mat[k, j]))
     return ElementKernel(kern.algebra, kern.n, out)
 
@@ -192,8 +192,8 @@ def test_interacting_propagator_orders_do_not_depend_on_max_grade(fl_rat, mass):
     """A larger ``max_grade`` only appends orders, so one series serves
     every smaller cap (``gn-series`` reads both from one series)."""
     S = build_gn_action(fl_rat, GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=mass))
-    ik8 = interacting_propagator(S, "retarded", 8)
-    ik6 = interacting_propagator(S, "retarded", 6)
+    ik8 = interacting_propagator(S, 8)
+    ik6 = interacting_propagator(S, 6)
     assert len(ik8.corrections) == 4 and len(ik6.corrections) == 3
     for c8, c6 in zip(ik8.corrections, ik6.corrections):
         assert c8.entries.keys() == c6.entries.keys()
