@@ -96,13 +96,18 @@ def cmd_propagators(cfg, out: Path) -> int:
 
     worst = dR.identity_defect(free_second_derivative(fl, m).mat)
     factorization = DiracOperator(lat, m, ring).factorization_defect()
+    interacting = propagator_defect(S, ik)
     defects = [
         ["factorization", repr(factorization)],
         ["green_identity_interior_rows", repr(worst)],
-        ["interacting_defect", repr(propagator_defect(S, ik))],
+        ["interacting_defect", repr(interacting)],
     ]
     write_csv(out / "defects.csv", ["check", "max_defect"], defects)
-    ok = factorization < 1e-12 and worst < 1e-10
+    # rational defects are exact: anything but 0 is a failure
+    if ring.exact:
+        ok = factorization == worst == interacting == 0.0
+    else:
+        ok = factorization < 1e-12 and worst < 1e-10 and interacting < 1e-10
     return 0 if ok else 1
 
 

@@ -109,10 +109,23 @@ class RunConfig:
             raise ConfigError("truncation.max_grade must be >= 0")
         if self.arithmetic not in ("float", "rational"):
             raise ConfigError("arithmetic must be 'float' or 'rational'")
-        if not (self.cutoff == "ones" or self.cutoff == "window"
-                or self.cutoff.startswith("window:")):
+        if self.cutoff.startswith("window:"):
+            self._window()
+        elif self.cutoff not in ("ones", "window"):
             raise ConfigError(f"bad cutoff spec {self.cutoff!r}")
         return self
+
+    def _window(self) -> tuple[int, int]:
+        """(LO, HI) of a ``window:LO:HI`` cutoff, 0 <= LO <= HI <= nt - 1."""
+        try:
+            _, lo, hi = self.cutoff.split(":")
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ConfigError(f"bad cutoff window {self.cutoff!r}") from None
+        if not 0 <= lo <= hi <= self.nt - 1:
+            raise ConfigError(f"cutoff window {self.cutoff!r} needs integers "
+                              f"0 <= LO <= HI <= nt - 1 = {self.nt - 1}")
+        return lo, hi
 
     # -- derived objects --------------------------------------------------
     def number(self, x: Fraction):
@@ -125,19 +138,11 @@ class RunConfig:
         return FieldLattice(self.lattice(), colors or self.colors, self.arithmetic)
 
     def cutoff_weights(self, fl: FieldLattice) -> list:
-        ring = fl.ring
         if self.cutoff == "ones":
             return fl.ones_weights()
         if self.cutoff == "window":
             return fl.window_weights(1, self.nt - 2)
-        parts = self.cutoff.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad cutoff spec {self.cutoff!r}")
-        try:
-            lo, hi = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(f"bad cutoff window {self.cutoff!r}") from None
-        return fl.window_weights(lo, hi)
+        return fl.window_weights(*self._window())
 
     def gn_params(self, fl: FieldLattice) -> GrossNeveuParams:
         return GrossNeveuParams(ncolors=self.colors,

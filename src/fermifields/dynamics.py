@@ -437,29 +437,33 @@ def moller_inverse(m: SubstitutionMap, order: int | None = None) -> Substitution
 
 # -- canonical transformation and Poisson ideal checks -----------------------
 
-def bracket_kernel_derivative(dR: Kernel, dA: Kernel, KH):
-    """d/dλ of the causal kernel of S + λH at λ=0.
+def bracket_kernel_derivative(dR: Kernel, KH):
+    """d/dλ of the causal kernel of S + λH at λ=0, from Δ^R alone.
 
-    Returns the parts of −Δ^R K_H Δ^R + Δ^A K_H Δ^A; ``KH`` may be a
-    scalar matrix or an :class:`ElementKernel`.
+    The derivative is −Δ^R K_H Δ^R + Δ^A K_H Δ^A.  With X = −Δ^R K_H Δ^R
+    and Δ^A = −(Δ^R)^T, the advanced term is X^T provided K_H is
+    antisymmetric, as K_H = H^(2) is for every even H (its entries are
+    even, so they commute through the transpose).  Returns ``[X, X^T]``
+    for an :class:`ElementKernel` K_H and ``[X + X^T]`` for a scalar one.
     """
-    mR, mA, ring = dR.mat, dA.mat, dR.ring
+    mR, ring = dR.mat, dR.ring
     if isinstance(KH, ElementKernel):
-        return [KH.compose_scalar_left(-mR).compose_scalar_right(mR),
-                KH.compose_scalar_left(mA).compose_scalar_right(mA)]
-    return [-matmul(matmul(mR, KH, ring), mR, ring)
-            + matmul(matmul(mA, KH, ring), mA, ring)]
+        X = KH.compose_scalar_left(-mR).compose_scalar_right(mR)
+        return [X, X.transpose()]
+    X = -matmul(matmul(mR, KH, ring), mR, ring)
+    return [X + X.T]
 
 
-def canonical_residual(S: ActionFunctional, dR: Kernel, dA: Kernel, H, F, G,
+def canonical_residual(S: ActionFunctional, dR: Kernel, H, F, G,
                        dDelta) -> GrassmannElement:
     """Defect of the infinitesimal canonical-transformation identity.
 
     {R_S(H,F), G} + {F, R_S(H,G)} − R_S(H, {F,G}) − (−1)^{|F|+1}⟨F^(1), dΔ G^(1)⟩
     with dΔ the λ-derivative of the causal kernel (symbolic or finite
-    difference), supplied as ``dDelta``.
+    difference), supplied as ``dDelta``.  The causal kernel is
+    Δ = Δ^R − Δ^A = Δ^R + (Δ^R)^T.
     """
-    delta = dR.mat - dA.mat
+    delta = dR.mat + dR.mat.T
 
     def br(X, Y):
         return peierls_bracket(S, delta, X, Y)

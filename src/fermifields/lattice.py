@@ -398,14 +398,14 @@ def _green_kernel(fl: FieldLattice, mat: np.ndarray, kind: str) -> Kernel:
     return Kernel(-mat.T.copy(), fl.ring, "advanced", times, times, exact)
 
 
-def green_from_bilinear(fl: FieldLattice, M: np.ndarray, kind: str) -> Kernel:
-    """Retarded/advanced block propagator of an arbitrary quadratic
-    action with block-bidiagonal-in-time bilinear matrix M (one color
-    block, replicated over colors).  Not memoised: every call solves.
+def green_from_bilinear(fl: FieldLattice, M: np.ndarray) -> Kernel:
+    """Retarded block propagator of an arbitrary quadratic action with
+    block-bidiagonal-in-time bilinear matrix M (one color block,
+    replicated over colors); the advanced one is its signed transpose.
+    Not memoised: every call solves.
     """
-    _check_kind(kind)
     return _green_kernel(fl, _species_blocks(fl, *_retarded_inverse_blocks(fl, M)),
-                         kind)
+                         "retarded")
 
 
 def dirac_green(fl: FieldLattice, m, kind: str) -> Kernel:

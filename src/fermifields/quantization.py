@@ -49,17 +49,16 @@ class SymmetricKernel(Kernel):
 
     For anticommuting generators the graded-symmetric class corresponds
     to an *antisymmetric* coefficient matrix (the causal propagator, by
-    contrast, has a symmetric matrix); validated on construction.
+    contrast, has a symmetric matrix); validated on construction, exactly
+    in rational mode and to ``tol`` in float mode.
     """
 
     def __init__(self, mat, ring, tol: float = 1e-12):
         super().__init__(mat, ring, kind="symmetric")
         n = mat.shape[0]
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                worst = max(worst, abs(complex(mat[i, j]) + complex(mat[j, i])))
-        if worst > tol:
+        sums = [mat[i, j] + mat[j, i] for i in range(n) for j in range(i, n)]
+        worst = max((abs(complex(s)) for s in sums), default=0.0)
+        if any(sums) if ring.exact else worst > tol:
             raise ValueError(
                 f"kernel violates graded symmetry (defect {worst:.3g})")
 

@@ -75,6 +75,20 @@ def test_cutoff_weights():
     cfg2 = RunConfig(cutoff="ones").validate()
     fl2 = cfg2.field_lattice()
     assert all(complex(x) == 1 for x in cfg2.cutoff_weights(fl2))
+    cfg3 = RunConfig(nt=6, nx=2, cutoff="window:1:4").validate()
+    lat3 = cfg3.lattice()
+    assert [complex(x) for x in cfg3.cutoff_weights(cfg3.field_lattice())] == [
+        1 if 1 <= lat3.site_time(s) <= 4 else 0 for s in range(lat3.n_sites)]
+
+
+@pytest.mark.parametrize("spec", ["window:2:1", "window:0:9", "window:-1:2",
+                                  "window:1", "window:a:2"])
+def test_cutoff_window_out_of_range_is_rejected(tmp_path, spec):
+    """An empty or out-of-lattice window would switch the interaction off."""
+    p = write(tmp_path, f"lattice.nt = 6\ncutoff = {spec}\n")
+    with pytest.raises(ConfigError, match="cutoff"):
+        load_config(p)
+    assert main(["propagators", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -97,6 +111,23 @@ def test_cli_propagators_minimal_config(tmp_path):
     rows = (out / "defects.csv").read_text().splitlines()
     for row in rows[1:]:
         assert float(row.split(",")[1]) < 1e-10
+
+
+@pytest.mark.parametrize("arithmetic, defect", [("float", 1e-10),
+                                                ("rational", 1e-300)])
+def test_cli_propagators_fails_on_interacting_defect(tmp_path, monkeypatch,
+                                                    arithmetic, defect):
+    """The interacting defect gates the exit status: at 1e-10 in float
+    mode, and at anything but exactly 0 in rational mode."""
+    import fermifields.gross_neveu as gross_neveu
+    p = write(tmp_path, "lattice.nt = 4\nlattice.nx = 1\nmass = 0\n"
+                        f"arithmetic = {arithmetic}\n")
+    args = ["propagators", "--config", str(p), "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    monkeypatch.setattr(gross_neveu, "propagator_defect", lambda S, ik: defect)
+    assert main(args) == 1
+    rows = (tmp_path / "out" / "defects.csv").read_text().splitlines()
+    assert rows[-1] == f"interacting_defect,{defect!r}"
 
 
 def test_cli_propagators_lambda_zero_matches_free(tmp_path):

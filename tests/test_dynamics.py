@@ -20,6 +20,7 @@ from fermifields.gross_neveu import (GrossNeveuParams, bilinear_element,
 from fermifields.kernels import Kernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green, dirac_matrix)
+from fermifields.linalg import matmul
 from fermifields.series import TruncatedSeries
 from fermifields.verify import _local_mass_bilinear, _second_matrix
 
@@ -529,52 +530,92 @@ def test_moller_map_series_api(rng):
 # -- canonical transformation check ---------------------------------------------
 
 def test_canonical_identity_quadratic_exact(fl_rat, mass, rng):
-    S, dR, dA, delta = free_setup(fl_rat, mass)
+    S, dR, _, delta = free_setup(fl_rat, mass)
     Hm = _local_mass_bilinear(fl_rat)
     H = bilinear_element(fl_rat, Hm)
     KH = _second_matrix(fl_rat, H)
-    dDelta = bracket_kernel_derivative(dR, dA, KH)
+    dDelta = bracket_kernel_derivative(dR, KH)
     for _ in range(10):
         slots = rng.sample(range(fl_rat.n_slots), 6)
         F = random_element(fl_rat.algebra, rng, rng.randint(1, 2), 2, slots)
         G = random_element(fl_rat.algebra, rng, rng.randint(1, 2), 2, slots)
-        res = canonical_residual(S, dR, dA, H, F, G, dDelta)
+        res = canonical_residual(S, dR, H, F, G, dDelta)
         assert res.is_zero()
     # constant arguments trivialize the identity
-    res = canonical_residual(S, dR, dA, H, fl_rat.algebra.scalar(2),
+    res = canonical_residual(S, dR, H, fl_rat.algebra.scalar(2),
                              fl_rat.algebra.generator(0), dDelta)
     assert res.is_zero()
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_bracket_kernel_derivative_element_parts(mode):
-    """The retarded part −Δ^R K_H Δ^R, formed with −Δ^R on the left, equals
-    the negated product term for term, words in the same order: negation
-    is exact, so only the sign of a zero float part may differ."""
+    """At 3×3, where the spatial Dirac term enters: the retarded part
+    −Δ^R K_H Δ^R, formed with −Δ^R on the left, equals the negated product
+    term for term, words in the same order (negation is exact, so only the
+    sign of a zero float part may differ); its transpose, the advanced
+    part, equals Δ^A K_H Δ^A built from the advanced kernel, by value."""
     m = Fraction(3, 4) if mode == "rational" else 0.75
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
     _, KH = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=1, m=m)).second_kernel()
     dR, dA = dirac_green(fl, m, "retarded"), dirac_green(fl, m, "advanced")
-    got = bracket_kernel_derivative(dR, dA, KH)
-    want = [KH.compose_scalar_left(dR.mat).compose_scalar_right(dR.mat).scale(-1),
-            KH.compose_scalar_left(dA.mat).compose_scalar_right(dA.mat)]
-    for g, w in zip(got, want):
-        assert not w.is_zero()
-        assert list(g.entries) == list(w.entries)
-        for key, e in w.entries.items():
-            assert list(g.entries[key].items()) == list(e.items())
+    ret, adv = bracket_kernel_derivative(dR, KH)
+    want = KH.compose_scalar_left(dR.mat).compose_scalar_right(dR.mat).scale(-1)
+    assert not want.is_zero()
+    assert list(ret.entries) == list(want.entries)
+    for key, e in want.entries.items():
+        assert list(ret.entries[key].items()) == list(e.items())
+    want = KH.compose_scalar_left(dA.mat).compose_scalar_right(dA.mat)
+    assert set(adv.entries) == set(want.entries)
+    for key, e in want.entries.items():
+        assert dict(adv.entries[key].items()) == dict(e.items())
+
+
+def test_bracket_kernel_derivative_scalar_part_is_exact():
+    """For a scalar K_H the one part is −Δ^R K_H Δ^R + Δ^A K_H Δ^A, entry
+    for entry in rational arithmetic, at 3×3."""
+    m = Fraction(3, 4)
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
+    ring = fl.ring
+    KH = _second_matrix(fl, bilinear_element(fl, _local_mass_bilinear(fl)))
+    dR = dirac_green(fl, m, "retarded")
+    mR, mA = dR.mat, dirac_green(fl, m, "advanced").mat
+    (got,) = bracket_kernel_derivative(dR, KH)
+    want = (-matmul(matmul(mR, KH, ring), mR, ring)
+            + matmul(matmul(mA, KH, ring), mA, ring))
+    assert any(want.ravel())
+    assert all(g == w for g, w in zip(got.ravel(), want.ravel()))
+
+
+def test_fd_oracle_solves_twice(monkeypatch):
+    """The finite-difference causal kernel of each step is R + Rᵀ from one
+    retarded solve: two solves per canonical check, not four."""
+    import fermifields.lattice as lattice_mod
+    cfg = RunConfig()
+    fl = FieldLattice(Lattice(cfg.nt, cfg.nx, 1.0, 1.0), 1, "float")
+    S, dR, _, _ = free_setup(fl, 1.0)
+    solve = lattice_mod._retarded_inverse_blocks
+    calls = []
+
+    def counted(fl_, M):
+        calls.append(fl_)
+        return solve(fl_, M)
+
+    monkeypatch.setattr(lattice_mod, "_retarded_inverse_blocks", counted)
+    rec_sym, rec_fd = verify._canonical_quadratic_checks(cfg, fl, S, dR)
+    assert len(calls) == 2
+    assert rec_sym["passed"] and rec_fd["passed"]
 
 
 def test_check_reports(fl_rat, mass, rng):
     """The residuals behind the canonical and Poisson-ideal records are
     exactly 0 in rational mode."""
-    S, dR, dA, delta = free_setup(fl_rat, mass)
+    S, dR, _, delta = free_setup(fl_rat, mass)
     Hm = _local_mass_bilinear(fl_rat)
     H = bilinear_element(fl_rat, Hm)
     KH = _second_matrix(fl_rat, H)
-    dDelta = bracket_kernel_derivative(dR, dA, KH)
+    dDelta = bracket_kernel_derivative(dR, KH)
     F = random_element(fl_rat.algebra, rng, 2, 2)
     G = random_element(fl_rat.algebra, rng, 1, 2)
-    assert canonical_residual(S, dR, dA, H, F, G, dDelta).max_abs() == 0.0
+    assert canonical_residual(S, dR, H, F, G, dDelta).max_abs() == 0.0
     h = {i: fl_rat.ring.number(1) for i in fl_rat.interior_slots()[:3]}
     assert poisson_ideal_residual(S, F, h, G, delta.mat).max_abs() == 0.0

@@ -250,7 +250,7 @@ def test_green_from_bilinear_perturbed(fl_float):
         for c in range(2):
             row = s * 2 + c
             pert[row, row] += 0.1
-    dR = green_from_bilinear(fl_float, pert, "retarded")
+    dR = green_from_bilinear(fl_float, pert)
     # direct check: assemble the second-derivative matrix of the
     # perturbed bilinear and test the interior identity
     from fermifields.gross_neveu import bilinear_element
@@ -305,30 +305,29 @@ def test_dirac_green_solves_once_per_lattice_and_mass(monkeypatch):
     dirac_green(FieldLattice(fl.lattice, 1, "rational"), 1, "retarded")
     assert len(calls) == 3
     M = dirac_matrix(fl, 1)
-    green_from_bilinear(fl, M, "retarded")
-    green_from_bilinear(fl, M, "retarded")
+    green_from_bilinear(fl, M)
+    green_from_bilinear(fl, M)
     assert len(calls) == 5
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_memoised_dirac_green_equals_fresh_solve(mode):
-    """Cached kernels equal an uncached solve exactly, and the advanced
-    kernel is exactly the signed transpose of the retarded one."""
+    """Cached kernels equal an uncached retarded solve exactly, and the
+    advanced kernel is exactly its signed transpose."""
     if mode == "rational":
         fl, m = _rational_fl_4x3(), Fraction(3, 4)
     else:
         fl, m = FieldLattice(Lattice(4, 3, 0.5, 1.0), 1, "float"), 0.75
-    M = dirac_matrix(fl, m)
+    fresh = green_from_bilinear(fl, dirac_matrix(fl, m))
+    assert fresh.kind == "retarded"
     kinds = ("retarded", "advanced", "retarded", "advanced")
     cached = {kind: dirac_green(fl, m, kind) for kind in kinds}
     for kind, got in cached.items():
-        fresh = green_from_bilinear(fl, M, kind)
-        assert got.kind == fresh.kind == kind
-        assert np.all(got.mat == fresh.mat)
-        assert np.array_equal(got.exact_rows, fresh.exact_rows)
+        assert got.kind == kind
+        assert np.all(got.mat == (fresh.mat if kind == "retarded" else -fresh.mat.T))
         assert np.array_equal(got.row_times, fresh.row_times)
-    dR, dA = cached["retarded"], cached["advanced"]
-    assert np.all(dA.mat == -dR.mat.T)
+    dR = cached["retarded"]
+    assert np.array_equal(dR.exact_rows, fresh.exact_rows)
     assert any(dR.mat[i, j] != 0 for i in range(fl.n_slots)
                for j in range(fl.n_slots))
 

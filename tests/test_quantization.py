@@ -16,6 +16,7 @@ from fermifields.quantization import (SymmetricKernel, alpha_transform,
                                       star_h_sandwich, star_product,
                                       star_with_kernel,
                                       time_ordered_product, time_ordering)
+from fermifields.scalars import Ring
 from fermifields.series import HbarSeries
 
 
@@ -262,6 +263,20 @@ def test_symmetric_kernel_validation(quant):
     fl, S, dR, dA, delta, dD = quant
     with pytest.raises(ValueError):
         SymmetricKernel(delta.mat, fl.ring)  # symmetric matrix is rejected
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_symmetric_kernel_is_exact_in_rational_mode(mode, rng):
+    """A rational kernel off antisymmetry by 1e-14 is rejected; a float
+    one is accepted within the 1e-12 tolerance."""
+    ring = Ring(mode)
+    mat = random_symmetric_kernel(4, rng, ring).mat.copy()
+    mat[0, 1] = mat[0, 1] + ring.number(Fraction(1, 10 ** 14))
+    if mode == "rational":
+        with pytest.raises(ValueError, match="graded symmetry"):
+            SymmetricKernel(mat, ring)
+    else:
+        assert SymmetricKernel(mat, ring).kind == "symmetric"
 
 
 def test_star_with_kernel_matches_star(quant, rng):
