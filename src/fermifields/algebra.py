@@ -322,11 +322,8 @@ def left_derivative(h, t: GrassmannElement) -> GrassmannElement:
     else:
         coeffs = {i: alg.ring.coerce(c) for i, c in dict(h).items()}
     out = alg.zero()
-    derivs = t.derivatives()
     for i, c in coeffs.items():
-        di = derivs.get(i)
-        if di is not None:
-            out = out + di.scale(c)
+        out = out + t.d(i).scale(c)
     return out
 
 

@@ -134,13 +134,17 @@ class RunConfig:
     def lattice(self) -> Lattice:
         return Lattice(self.nt, self.nx, self.number(self.dt), self.number(self.dx))
 
-    def field_lattice(self, colors: int | None = None) -> FieldLattice:
-        return FieldLattice(self.lattice(), colors or self.colors, self.arithmetic)
+    def field_lattice(self) -> FieldLattice:
+        return FieldLattice(self.lattice(), self.colors, self.arithmetic)
 
     def cutoff_weights(self, fl: FieldLattice) -> list:
         if self.cutoff == "ones":
             return fl.ones_weights()
         if self.cutoff == "window":
+            if self.nt < 3:
+                raise ConfigError("cutoff = window needs lattice.nt >= 3: its "
+                                  "times 1..nt-2 are empty, which would "
+                                  "switch the interaction off")
             return fl.window_weights(1, self.nt - 2)
         return fl.window_weights(*self._window())
 

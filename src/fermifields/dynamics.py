@@ -17,20 +17,20 @@ Sign conventions (fixed throughout):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .algebra import Algebra, GrassmannElement
+from .algebra import Algebra, GrassmannElement, left_derivative
 from .kernels import ElementKernel, Kernel
 from .lattice import FieldLattice
 from .linalg import matmul, zeros
 from .series import FormalSeries, TruncatedSeries
 
 __all__ = [
-    "ParityError", "ActionFunctional", "eom_generators", "pair_contract",
-    "peierls_bracket",
-    "SubstitutionMap", "moller_substitution", "moller_map", "higher_retarded",
-    "moller_inverse", "bracket_kernel_derivative", "canonical_residual",
-    "poisson_ideal_residual",
+    "ParityError", "ActionFunctional", "pair_contract", "peierls_bracket",
+    "SubstitutionMap", "moller_substitution", "higher_retarded",
+    "bracket_kernel_derivative", "canonical_residual", "poisson_ideal_residual",
 ]
 
 DEFAULT_MAX_GRADE = 10
@@ -41,7 +41,7 @@ class ParityError(ValueError):
 
 
 class ActionFunctional:
-    """Cutoff-to-functional map f ↦ S(f) with cached derivatives.
+    """Cutoff-to-functional map f ↦ S(f) with a cached second derivative.
 
     ``builder`` maps a site weight vector to an even element whose
     support is contained in the weighted sites.  The default weight is
@@ -68,20 +68,9 @@ class ActionFunctional:
 
     __call__ = functional
 
-    def first_derivatives(self) -> dict[int, GrassmannElement]:
-        if "d1" not in self._cache:
-            self._cache["d1"] = self.functional().derivatives()
-        return self._cache["d1"]
-
     def eom_element(self, h) -> GrassmannElement:
         """⟨S(1)^(1), h⟩ for a slot->coefficient test configuration h."""
-        derivs = self.first_derivatives()
-        out = self.algebra.zero()
-        for i, c in dict(h).items():
-            di = derivs.get(i)
-            if di is not None:
-                out = out + di.scale(c)
-        return out
+        return left_derivative(h, self.functional())
 
     def second_kernel(self):
         """(scalar part, even element part) of K[j, i] = d_j d_i S."""
@@ -90,7 +79,7 @@ class ActionFunctional:
             ring = self.algebra.ring
             K0 = zeros((n, n), ring)
             entries: dict[tuple[int, int], GrassmannElement] = {}
-            for i, di in self.first_derivatives().items():
+            for i, di in self.functional().derivatives().items():
                 for j, dji in di.derivatives().items():
                     c0 = dji.coefficient(())
                     if c0:
@@ -107,13 +96,6 @@ class ActionFunctional:
 
     def __repr__(self):
         return f"ActionFunctional({self.name})"
-
-
-def eom_generators(S: ActionFunctional, basis) -> list:
-    """Ideal generators ⟨S(1)^(1), h⟩ for each test configuration h."""
-    if not S.functional().is_even():
-        raise ParityError("action must be even")
-    return [(dict(h), S.eom_element(h)) for h in basis]
 
 
 # -- kernel pairings -------------------------------------------------------
@@ -277,12 +259,12 @@ class SubstitutionMap:
                 coeffs[j + k] = coeffs[j + k] + c if j + k in coeffs else c
         return TruncatedSeries(self.algebra, coeffs, self.order, truncated)
 
-    def inverse(self, order: int | None = None) -> "SubstitutionMap":
+    def inverse(self) -> "SubstitutionMap":
         """Order-by-order inverse; needs identity leading coefficients.
 
         Generic in the images; :meth:`MollerMap.inverse` has a closed form.
         """
-        order = self.order if order is None else order
+        order = self.order
         alg = self.algebra
         inv = SubstitutionMap(alg, order, self.max_grade)
         for i in range(alg.n):
@@ -314,8 +296,6 @@ class MollerMap(SubstitutionMap):
         if not F.is_even():
             raise ParityError("interaction term must be even")
         super().__init__(S.algebra, order, max_grade)
-        self.S = S
-        self.F = F
         self._mat = dR.mat
         alg = self.algebra
         self._dF = F.derivatives()
@@ -369,7 +349,7 @@ class MollerMap(SubstitutionMap):
         self._images[i] = s
         return s
 
-    def inverse(self, order: int | None = None) -> SubstitutionMap:
+    def inverse(self) -> SubstitutionMap:
         """Closed-form inverse e_i ↦ e_i − λ Σ_j Δ^R[i, j] ∂_jF.
 
         The images W solve W = e + λ Δ^R · ∂F[W], so e = W − λ Δ^R · ∂F[W]
@@ -378,14 +358,13 @@ class MollerMap(SubstitutionMap):
         :meth:`SubstitutionMap.inverse` computes the same map order by
         order and serves as its oracle.
         """
-        order = self.order if order is None else order
         alg = self.algebra
-        inv = SubstitutionMap(alg, order, self.max_grade)
+        inv = SubstitutionMap(alg, self.order, self.max_grade)
         for i in range(alg.n):
             v, dropped = self._response(i, self._dF)
             if dropped or not v.is_zero():
                 inv.set_image(i, TruncatedSeries(
-                    alg, {0: alg.generator(i), 1: -v}, order, dropped))
+                    alg, {0: alg.generator(i), 1: -v}, self.order, dropped))
         return inv
 
 
@@ -394,45 +373,19 @@ def moller_substitution(S: ActionFunctional, F: GrassmannElement, dR: Kernel,
     return MollerMap(S, F, dR, order, max_grade)
 
 
-def moller_map(S: ActionFunctional, F: GrassmannElement, G, dR,
-               order: int, max_grade: int | None = DEFAULT_MAX_GRADE) -> FormalSeries:
-    """Series of r_{S+λF,S}(G) through the given λ order.
+def higher_retarded(m: MollerMap, G: GrassmannElement, n: int) -> GrassmannElement:
+    """n-th order retarded product R_{S,n}(F^{⊗n}, G) = n! · [λ^n] m(G).
 
-    ``G`` may be an element or a λ-series (for instance the perturbed
-    ideal generator ⟨S^(1) + λF^(1), h⟩).
+    ``m`` is the Møller map r_{S+λF,S} of :func:`moller_substitution`,
+    and ``n`` runs from 0 to its order.  Satisfies
+    R_{S,k}(F^{⊗k}, ⟨S^(1),h⟩) = −k R_{S,k−1}(F^{⊗(k−1)}, ⟨F^(1),h⟩) and
+    the grade law |R_{S,n}| = |G| + n(|F|−2) for homogeneous inputs.
     """
-    m = moller_substitution(S, F, dR, order, max_grade)
-    if isinstance(G, FormalSeries):
-        return m.apply_series(G)
-    return m.apply(G)
-
-
-def higher_retarded(S: ActionFunctional, F: GrassmannElement, G: GrassmannElement,
-                    n: int, dR, max_grade: int | None = DEFAULT_MAX_GRADE) -> GrassmannElement:
-    """n-th order retarded product R_{S,n}(F^{⊗n}, G) = n! · [λ^n] r(G).
-
-    Satisfies R_{S,k}(F^{⊗k}, ⟨S^(1),h⟩) = −k R_{S,k−1}(F^{⊗(k−1)}, ⟨F^(1),h⟩)
-    and the grade law |R_{S,n}| = |G| + n(|F|−2) for homogeneous inputs.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= m.order:
+        raise ValueError(f"n must be in 0..{m.order}, the map's order")
     if n == 0:
         return G
-    series = moller_map(S, F, G, dR, n, max_grade)
-    coeff = series.coefficient(n)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return coeff.scale(fact)
-
-
-def moller_inverse(m: SubstitutionMap, order: int | None = None) -> SubstitutionMap:
-    """Formal inverse of a substitution-series map (identity at order 0).
-
-    A :class:`MollerMap` returns its closed form, first order in λ; any
-    other map is inverted order by order.
-    """
-    return m.inverse(order)
+    return m.apply(G, n).coefficient(n).scale(math.factorial(n))
 
 
 # -- canonical transformation and Poisson ideal checks -----------------------

@@ -50,15 +50,15 @@ class SymmetricKernel(Kernel):
     For anticommuting generators the graded-symmetric class corresponds
     to an *antisymmetric* coefficient matrix (the causal propagator, by
     contrast, has a symmetric matrix); validated on construction, exactly
-    in rational mode and to ``tol`` in float mode.
+    in rational mode and to 1e-12 in float mode.
     """
 
-    def __init__(self, mat, ring, tol: float = 1e-12):
+    def __init__(self, mat, ring):
         super().__init__(mat, ring, kind="symmetric")
         n = mat.shape[0]
         sums = [mat[i, j] + mat[j, i] for i in range(n) for j in range(i, n)]
         worst = max((abs(complex(s)) for s in sums), default=0.0)
-        if any(sums) if ring.exact else worst > tol:
+        if any(sums) if ring.exact else worst > 1e-12:
             raise ValueError(
                 f"kernel violates graded symmetry (defect {worst:.3g})")
 

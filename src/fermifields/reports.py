@@ -19,17 +19,14 @@ def _digest(payload) -> str:
 
 
 def check_record(check: str, inputs: dict, max_residual: float, passed: bool,
-                 order: int | None = None, truncated: bool | None = None) -> dict:
-    rec = {
+                 order: int | None = None) -> dict:
+    return {
         "check": check,
         "inputs_digest": _digest({"check": check, **inputs}),
         "max_residual": float(max_residual),
         "order": order,
         "passed": bool(passed),
     }
-    if truncated is not None:
-        rec["truncated"] = bool(truncated)
-    return rec
 
 
 def write_report(path, records: list, config: dict, suites: list) -> bool:

@@ -91,6 +91,18 @@ def test_cutoff_window_out_of_range_is_rejected(tmp_path, spec):
     assert main(["propagators", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
+def test_default_window_cutoff_needs_three_times(tmp_path, capsys):
+    """At nt = 2 the default window 1..nt-2 is empty: propagators exits 2
+    instead of running the free theory as the interacting one."""
+    cfg = RunConfig(nt=2, nx=2).validate()
+    with pytest.raises(ConfigError, match="cutoff"):
+        cfg.cutoff_weights(cfg.field_lattice())
+    p = write(tmp_path, "lattice.nt = 2\nlattice.nx = 2\n")
+    assert main(["propagators", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "cutoff = window" in capsys.readouterr().err
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     p = write(tmp_path, "lattice.dt = 2\nlattice.dx = 1\n")
     code = main(["propagators", "--config", str(p), "--out", str(tmp_path)])
@@ -209,6 +221,49 @@ def test_cli_gn_series(tmp_path):
     ks = [int(l.split(",")[0]) for l in prop[1:]]
     grades = [int(l.split(",")[1]) for l in prop[1:]]
     assert grades == [2 * k for k in ks]
+
+
+@pytest.mark.parametrize("arithmetic", ["rational", "float"])
+def test_cli_gn_series_fails_on_homomorphism_residual(tmp_path, monkeypatch,
+                                                      arithmetic):
+    """Adding λ·1 to every image keeps the map linear but not
+    multiplicative: r(G ∧ G) and r(G) ∧ r(G) differ at order 1, and the
+    run exits 1."""
+    import fermifields.dynamics as dynamics
+    from fermifields.series import TruncatedSeries
+    p = write(tmp_path, f"lattice.nt = 4\nlattice.nx = 1\narithmetic = {arithmetic}\n")
+    out = tmp_path / "gn"
+    args = ["gn-series", "--config", str(p), "--order", "2", "--out", str(out)]
+    assert main(args) == 0
+    build = dynamics.moller_substitution
+
+    def skewed(*a):
+        m = build(*a)
+        apply, alg = m.apply, m.algebra
+        shift = TruncatedSeries(alg, {1: alg.one()}, m.order)
+        m.apply = lambda e, order=None: apply(e, order) + shift
+        return m
+
+    monkeypatch.setattr(dynamics, "moller_substitution", skewed)
+    assert main(args) == 1
+    rows = [l.split(",") for l in
+            (out / "gn_moller_series.csv").read_text().splitlines()[1:]]
+    assert max(float(r[3]) for r in rows) >= 1.0
+
+
+def test_cli_gn_series_grade_cap_is_no_residual(tmp_path):
+    """At max_grade 4 the images lose grades, and r(G) ∧ r(G) has grades
+    above 4 that r(G ∧ G) cannot have; compared through grade 4 the
+    residual is exactly 0 and the run exits 0."""
+    p = write(tmp_path, "lattice.nt = 4\nlattice.nx = 3\narithmetic = rational\n"
+                        "truncation.max_grade = 4\n")
+    out = tmp_path / "gn"
+    assert main(["gn-series", "--config", str(p), "--order", "2",
+                 "--out", str(out)]) == 0
+    rows = [l.split(",") for l in
+            (out / "gn_moller_series.csv").read_text().splitlines()[1:]]
+    assert all(r[4] == "True" for r in rows)
+    assert all(r[3] == "0.0" for r in rows)
 
 
 @pytest.mark.parametrize("argv", [

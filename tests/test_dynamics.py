@@ -1,5 +1,6 @@
 """Actions, response products, brackets, intertwining maps."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,9 @@ from fermifields import verify
 from fermifields.algebra import (CONJUGATE, FIELD, evaluate, left_derivative,
                                  random_element)
 from fermifields.config import RunConfig
-from fermifields.dynamics import (ActionFunctional, ParityError,
+from fermifields.dynamics import (ActionFunctional, MollerMap, ParityError,
                                   SubstitutionMap, bracket_kernel_derivative,
-                                  canonical_residual, eom_generators,
-                                  higher_retarded, moller_inverse, moller_map,
+                                  canonical_residual, higher_retarded,
                                   moller_substitution, peierls_bracket,
                                   poisson_ideal_residual)
 from fermifields.gross_neveu import (GrossNeveuParams, bilinear_element,
@@ -84,9 +84,6 @@ def test_eom_generators_free_dirac_rows(fl_rat, mass):
         for bb in range(fl_rat.block):
             got = gen.coefficient((fl_rat.slot(FIELD, 1, 0, 0) + bb,))
             assert got == M[a, bb]
-    # quadratic action: generators are grade-1
-    pairs = eom_generators(S, [h])
-    assert pairs[0][1].grades() <= {1}
 
 
 def test_eom_generators_gross_neveu_cubic(fl_rat, mass):
@@ -309,30 +306,32 @@ def test_higher_retarded_base_and_recursion(rng):
     interior = fl.interior_slots()
     slots = rng.sample(range(fl.n_slots), 6)
     G = random_element(fl.algebra, rng, 1, 2, slots)
+    sub = moller_substitution(S, F, dR, 3)
     # base case n = 0
-    assert (higher_retarded(S, F, G, 0, dR) - G).is_zero()
+    assert (higher_retarded(sub, G, 0) - G).is_zero()
     # n = 1 equals the first-order response of the substitution flavor
-    r1 = higher_retarded(S, F, G, 1, dR)
-    sub = moller_substitution(S, F, dR, 1)
-    assert (r1 - sub.apply(G).coefficient(1)).is_zero()
+    r1 = higher_retarded(sub, G, 1)
+    first = moller_substitution(S, F, dR, 1)
+    assert (r1 - first.apply(G).coefficient(1)).is_zero()
     # recursion against the perturbed generators, k = 1..3
     h = {i: ring.number(rng.randint(-2, 2)) for i in rng.sample(interior, 4)}
     eom0 = S.eom_element(h)
     eomF = left_derivative(h, F)
     for k in (1, 2, 3):
-        lhs = higher_retarded(S, F, eom0, k, dR)
-        rhs = higher_retarded(S, F, eomF, k - 1, dR).scale(-k)
+        lhs = higher_retarded(sub, eom0, k)
+        rhs = higher_retarded(sub, eomF, k - 1).scale(-k)
         assert (lhs - rhs).is_zero()
-    assert not higher_retarded(S, F, eomF, 2, dR).is_zero()
+    assert not higher_retarded(sub, eomF, 2).is_zero()
 
 
 def test_higher_retarded_grade_bookkeeping():
     fl, S, F, dR = moller_setup()
+    uncut = moller_substitution(S, F, dR, 2, max_grade=None)
     seen = {1: 0, 2: 0}
     for i in range(fl.n_slots):
         G = fl.algebra.generator(i)
         for n in (1, 2):
-            rn = higher_retarded(S, F, G, n, dR, max_grade=None)
+            rn = higher_retarded(uncut, G, n)
             if not rn.is_zero():
                 seen[n] += 1
                 assert rn.grades() == {1 + n * (4 - 2)}
@@ -340,10 +339,66 @@ def test_higher_retarded_grade_bookkeeping():
     assert seen[1] > 0 and seen[2] > 0
 
 
+@pytest.mark.parametrize("max_grade", [None, 4], ids=["uncut", "grade4"])
+def test_higher_retarded_reads_the_map_it_is_given(rng, max_grade):
+    """R_{S,n} read from one order-3 map equals n!·[λⁿ] of a fresh order-n
+    map, term for term, at 3×3, where the spatial Dirac term enters."""
+    fl, S, F, dR = moller_setup(nt=3, nx=3)
+    m = moller_substitution(S, F, dR, 3, max_grade)
+    interior = fl.interior_slots()
+    for G in (fl.algebra.generator(interior[0]),
+              random_element(fl.algebra, rng, 2, 2, rng.sample(interior, 5))):
+        for n in range(4):
+            fresh = moller_substitution(S, F, dR, n, max_grade)
+            want = fresh.apply(G).coefficient(n).scale(math.factorial(n))
+            got = higher_retarded(m, G, n)
+            assert list(got.items()) == list(want.items())
+        assert not higher_retarded(m, G, 1).is_zero()
+    with pytest.raises(ValueError):
+        higher_retarded(m, G, 4)
+    with pytest.raises(ValueError):
+        higher_retarded(m, G, -1)
+
+
+def test_suite_moller_builds_three_maps(monkeypatch):
+    """One pass builds the substitution map, one uncut map for the grade
+    law and the quadratic interaction's map, and every check passes."""
+    grade_caps = []
+    init = MollerMap.__init__
+
+    def counted(self, S, F, dR, order, max_grade):
+        grade_caps.append(max_grade)
+        init(self, S, F, dR, order, max_grade)
+
+    monkeypatch.setattr(MollerMap, "__init__", counted)
+    cfg = RunConfig()
+    records = verify.suite_moller(cfg)
+    assert grade_caps == [cfg.max_grade, None, cfg.max_grade]
+    assert all(r["passed"] for r in records)
+
+
+def test_eom_element_is_the_derivative_along_h(rng):
+    """⟨S(1)^(1), h⟩ is Σ_i h_i ∂_i S(1), words in the same order, for the
+    Gross–Neveu action at rational 3×3."""
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
+                                             m=Fraction(3, 4)))
+    derivs = S.functional().derivatives()
+    for _ in range(5):
+        h = {i: fl.ring.number(rng.randint(1, 3))
+             for i in rng.sample(fl.interior_slots(), 4)}
+        want = fl.algebra.zero()
+        for i, c in h.items():
+            want = want + derivs[i].scale(c)
+        got = S.eom_element(h)
+        assert list(got.items()) == list(want.items())
+        assert 3 in got.grades()  # the quartic term enters
+
+
 def test_moller_inverse(rng):
     fl, S, F, dR = moller_setup()
     sub = moller_substitution(S, F, dR, 3)
-    inv = moller_inverse(sub)
+    inv = sub.inverse()
     # order 0 of the inverse is the identity map
     for i in range(0, fl.n_slots, 7):
         assert (inv.image(i).coefficient(0) - fl.algebra.generator(i)).is_zero()
@@ -394,7 +449,7 @@ def test_moller_inverse_closed_form_matches_oracle(case):
     kwargs, order = MOLLER_LATTICES[case]
     fl, S, F, dR = moller_setup(**kwargs)
     sub = moller_substitution(S, F, dR, order)
-    closed = moller_inverse(sub)
+    closed = sub.inverse()
     oracle = SubstitutionMap.inverse(sub)
     corrected = 0
     for i in range(fl.n_slots):
@@ -410,7 +465,7 @@ def test_moller_inverse_negative_control(rng):
     """Doubling one slot's first-order inverse image breaks the round trip."""
     fl, S, F, dR = moller_setup()
     sub = moller_substitution(S, F, dR, 3)
-    inv = moller_inverse(sub)
+    inv = sub.inverse()
     i = next(i for i in fl.interior_slots() if 1 in inv.image(i).orders())
     others = [j for j in range(fl.n_slots) if j != i]
     G = fl.algebra.generator(i) + random_element(
@@ -491,7 +546,7 @@ def test_moller_inverse_round_trip_exact_at_nx3(rng):
     still undoes the map exactly through order 3."""
     fl, S, F, dR = moller_setup(nt=4, nx=3, dt=Fraction(1, 2), m=Fraction(3, 4))
     sub = moller_substitution(S, F, dR, 3)
-    inv = moller_inverse(sub)
+    inv = sub.inverse()
     slots = fl.interior_slots()
     G = random_element(fl.algebra, rng, 2, 2, rng.sample(slots, 5))
     image = sub.apply(G)
@@ -520,11 +575,16 @@ def test_quadratic_moller_defect_negative_control(monkeypatch):
 
 
 def test_moller_map_series_api(rng):
+    """The map sends an element, and a λ-series, to a λ-series through its
+    order; a constant series goes where the element goes."""
     fl, S, F, dR = moller_setup()
     G = random_element(fl.algebra, rng, 2, 2, rng.sample(range(fl.n_slots), 6))
-    series = moller_map(S, F, G, dR, order=2)
-    assert series.symbol == "lambda"
+    sub = moller_substitution(S, F, dR, 2)
+    series = sub.apply(G)
+    assert series.symbol == "lambda" and series.max_order == 2
     assert (series.coefficient(0) - G).is_zero()
+    const = sub.apply_series(TruncatedSeries(fl.algebra, {0: G}, 2))
+    assert all(const.coefficient(k) == series.coefficient(k) for k in range(3))
 
 
 # -- canonical transformation check ---------------------------------------------
