@@ -249,16 +249,13 @@ def interacting_propagator(S: ActionFunctional,
     return InteractingKernel(fl, max_grade, free, vertices, corrections)
 
 
-def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
-                      max_grade: int | None = None) -> float:
+def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise.
 
-    Orders above ``max_grade`` are left out, matching evaluation against
-    configurations of that grade.  Only the exact rows of each product
-    are formed, and W∘Δ_{k−1} is recomputed from the stored order k − 1,
-    so each order is checked against the one before it.
+    Only the exact rows of each product are formed, and W∘Δ_{k−1} is
+    recomputed from the stored order k − 1, so each order is checked
+    against the one before it.
     """
-    max_grade = ik.max_grade if max_grade is None else max_grade
     K0, W = S.second_kernel()
     ring = ik.fl.ring
     rows = ik.free.exact_rows
@@ -272,12 +269,11 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel,
     # grade-2k blocks: K0 @ Δ_k + W∘Δ_{k−1}, the second added in place into
     # the first's fresh term dicts
     prev = None
-    for k, corr in enumerate(ik.corrections, start=1):
-        if 2 * k > max_grade:
-            break
+    for corr in ik.corrections:
         upper = corr.compose_scalar_left(k0)
         blk = {key: e._terms for key, e in upper.entries.items()}
-        lower = W.compose_scalar_right(ik.free.mat) if k == 1 else W.compose(prev)
+        lower = (W.compose_scalar_right(ik.free.mat) if prev is None
+                 else W.compose(prev))
         for key, e in lower.entries.items():
             _accumulate(blk, key, e._terms, ring)
         for terms in blk.values():

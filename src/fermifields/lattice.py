@@ -152,29 +152,17 @@ class FieldLattice:
 
 def time_backward(lattice: Lattice, ring: Ring) -> np.ndarray:
     """One-sided backward time difference on sites (zero past padding)."""
-    ns = lattice.n_sites
-    out = zeros((ns, ns), ring)
-    inv_dt = ring.one / ring.coerce(lattice.dt)
-    for s in range(ns):
-        t, x = lattice.site_time(s), lattice.site_space(s)
-        out[s, s] = out[s, s] + inv_dt
-        if t >= 1:
-            out[s, lattice.site(t - 1, x)] = out[s, lattice.site(t - 1, x)] - inv_dt
-    return out
+    nx = lattice.nx
+    step = eye(nx, ring) * (ring.one / ring.coerce(lattice.dt))
+    # 0 − step, not −step: off the diagonal a float zero stays +0
+    return _bidiagonal(step, zeros((nx, nx), ring) - step, lattice.nt, ring)
 
 
 def space_central(lattice: Lattice, ring: Ring) -> np.ndarray:
     """Central spatial difference with periodic boundary."""
-    ns = lattice.n_sites
-    out = zeros((ns, ns), ring)
-    half = ring.one / ring.coerce(2 * lattice.dx)
-    for s in range(ns):
-        t, x = lattice.site_time(s), lattice.site_space(s)
-        right = lattice.site(t, x + 1)
-        left = lattice.site(t, x - 1)
-        out[s, right] = out[s, right] + half
-        out[s, left] = out[s, left] - half
-    return out
+    nx = lattice.nx
+    return _bidiagonal(_space_block(lattice, ring), zeros((nx, nx), ring),
+                       lattice.nt, ring)
 
 
 def gamma_matrices(ring: Ring):

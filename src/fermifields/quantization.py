@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, GrassmannElement
 from .kernels import Kernel
+from .reports import TOL_FACTOR, check_record
 from .series import FormalSeries, HbarSeries
 
 __all__ = [
@@ -49,18 +50,21 @@ class SymmetricKernel(Kernel):
 
     For anticommuting generators the graded-symmetric class corresponds
     to an *antisymmetric* coefficient matrix (the causal propagator, by
-    contrast, has a symmetric matrix); validated on construction, exactly
-    in rational mode and to 1e-12 in float mode.
+    contrast, has a symmetric matrix); validated on construction by the
+    pass rule of :func:`~fermifields.reports.check_record`, exactly in
+    rational mode and below ``TOL_FACTOR`` in float mode.
     """
 
     def __init__(self, mat, ring):
         super().__init__(mat, ring, kind="symmetric")
         n = mat.shape[0]
-        sums = [mat[i, j] + mat[j, i] for i in range(n) for j in range(i, n)]
-        worst = max((abs(complex(s)) for s in sums), default=0.0)
-        if any(sums) if ring.exact else worst > 1e-12:
-            raise ValueError(
-                f"kernel violates graded symmetry (defect {worst:.3g})")
+        rec = check_record(
+            "graded_symmetry", {},
+            (mat[i, j] + mat[j, i] for i in range(n) for j in range(i, n)),
+            None if ring.exact else TOL_FACTOR)
+        if not rec["passed"]:
+            raise ValueError(f"kernel violates graded symmetry "
+                             f"(defect {rec['max_residual']:.3g})")
 
 
 # -- pair contraction (star products) ---------------------------------------

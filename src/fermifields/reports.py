@@ -1,7 +1,8 @@
 """Machine-readable check reports: stable-order JSON records and CSV.
 
 Reports depend only on the configuration and seed, never on wall-clock
-state, so identical runs are byte-identical.
+state, so identical runs are byte-identical.  :func:`check_record`
+decides whether a check passes, for ``verify`` and the CLI alike.
 """
 
 from __future__ import annotations
@@ -9,8 +10,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 
 __all__ = ["check_record", "write_report", "write_csv"]
+
+# float tolerances, each named once; an exact check has none
+TOL_FACTOR = 1e-12   # one float matrix product, or a relabelling of slots
+TOL_GREEN = 1e-10    # a Green's-kernel identity after one solve
+TOL_NUM = 1e-10      # a float identity through brackets or series
+TOL_SCALED = 1e-9    # the same, divided by the scale of its inputs
+TOL_FD = 1e-6        # a central finite difference at step 1e-5
 
 
 def _digest(payload) -> str:
@@ -18,14 +27,26 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def check_record(check: str, inputs: dict, max_residual: float, passed: bool,
+def check_record(check: str, inputs: dict, residuals, tol: float | None = None,
                  order: int | None = None) -> dict:
+    """The one pass rule: ``residuals`` (elements, series, kernels or
+    scalars) fold to their worst max-abs, which must be identically 0 for
+    an exact check (``tol=None``) and below ``tol`` for a float check.  No
+    residuals read 0; a NaN residual fails."""
+    worst = 0.0
+    for r in residuals:
+        norm = hasattr(r, "max_abs")
+        v = r.max_abs() if norm else abs(complex(r))
+        if v == 0.0 and tol is None and not (r.is_zero() if norm else not r):
+            v = math.ulp(0.0)   # nonzero, but below the float range
+        if v > worst or v != v:
+            worst = v
     return {
         "check": check,
         "inputs_digest": _digest({"check": check, **inputs}),
-        "max_residual": float(max_residual),
+        "max_residual": float(worst),
         "order": order,
-        "passed": bool(passed),
+        "passed": worst == 0.0 if tol is None else worst < tol,
     }
 
 

@@ -227,7 +227,7 @@ def test_cli_gn_series(tmp_path):
 def test_cli_gn_series_fails_on_homomorphism_residual(tmp_path, monkeypatch,
                                                       arithmetic):
     """Adding λ·1 to every image keeps the map linear but not
-    multiplicative: r(G ∧ G) and r(G) ∧ r(G) differ at order 1, and the
+    multiplicative: r(G ∧ P) and r(G) ∧ r(P) differ at order 1, and the
     run exits 1."""
     import fermifields.dynamics as dynamics
     from fermifields.series import TruncatedSeries
@@ -249,6 +249,34 @@ def test_cli_gn_series_fails_on_homomorphism_residual(tmp_path, monkeypatch,
     rows = [l.split(",") for l in
             (out / "gn_moller_series.csv").read_text().splitlines()[1:]]
     assert max(float(r[3]) for r in rows) >= 1.0
+
+
+def test_cli_gn_series_sees_a_skew_on_grade_3_inputs(tmp_path, monkeypatch):
+    """A map that adds λ·1 only to images of grade-3 elements: the field
+    observable times P has grade 2 and stays clean, while the bilinear
+    times P has grade 3, so its rows carry the skew and the run exits 1.
+    Squares G ∧ G would be 0 for both observables and miss it."""
+    import fermifields.dynamics as dynamics
+    from fermifields.series import TruncatedSeries
+    p = write(tmp_path, "lattice.nt = 4\nlattice.nx = 1\narithmetic = rational\n")
+    out = tmp_path / "gn"
+    build = dynamics.moller_substitution
+
+    def skewed(*a):
+        m = build(*a)
+        apply, alg = m.apply, m.algebra
+        shift = TruncatedSeries(alg, {1: alg.one()}, m.order)
+        m.apply = lambda e, order=None: (apply(e, order) + shift
+                                         if 3 in e.grades() else apply(e, order))
+        return m
+
+    monkeypatch.setattr(dynamics, "moller_substitution", skewed)
+    assert main(["gn-series", "--config", str(p), "--order", "2",
+                 "--out", str(out)]) == 1
+    rows = [l.split(",") for l in
+            (out / "gn_moller_series.csv").read_text().splitlines()[1:]]
+    assert all(r[3] == "0.0" for r in rows if r[0] == "field")
+    assert max(float(r[3]) for r in rows if r[0] == "bilinear") >= 1.0
 
 
 def test_cli_gn_series_grade_cap_is_no_residual(tmp_path):

@@ -185,13 +185,12 @@ def test_interacting_propagator_inverse_identity(gn32):
     advanced series Δᴬ_k = −(Δ_k)ᵀ over the advanced free kernel."""
     fl, params, S = gn32
     ik = interacting_propagator(S, max_grade=4)
-    assert propagator_defect(S, ik, max_grade=4) == 0.0
-    # propagator_defect reads fl, max_grade, free and corrections only
-    ika = SimpleNamespace(fl=fl, max_grade=4,
-                          free=dirac_green(fl, params.m, "advanced"),
+    assert propagator_defect(S, ik) == 0.0
+    # propagator_defect reads fl, free and corrections only
+    ika = SimpleNamespace(fl=fl, free=dirac_green(fl, params.m, "advanced"),
                           corrections=[c.transpose().scale(-1)
                                        for c in ik.corrections])
-    assert propagator_defect(S, ika, max_grade=4) == 0.0
+    assert propagator_defect(S, ika) == 0.0
 
 
 def test_interacting_first_order_dense_oracle(gn32):
@@ -441,6 +440,23 @@ def test_suite_gn_builds_one_series_per_action_and_grade(monkeypatch):
     records = verify.suite_gn(RunConfig())
     assert all(r["passed"] for r in records)
     assert len(calls) == 7
+
+
+def test_suite_gn_quartic_canonical_identity_is_exact(monkeypatch):
+    """Negative control: the quartic canonical identity runs in rational
+    arithmetic, so a residual of 10⁻¹² fails it like any nonzero one."""
+    real = verify.canonical_residual
+
+    def off(*args):
+        res = real(*args)
+        return res + res.algebra.scalar(Fraction(1, 10**12))
+
+    monkeypatch.setattr(verify, "canonical_residual", off)
+    by = {r["check"]: r for r in verify.suite_gn(RunConfig())}
+    rec = by["gn_canonical_identity_quartic"]
+    assert not rec["passed"] and rec["max_residual"] == 1e-12
+    assert all(r["passed"] for name, r in by.items()
+               if name != "gn_canonical_identity_quartic")
 
 
 def test_propagator_defect_sees_a_perturbed_correction():
