@@ -159,9 +159,6 @@ class GrassmannElement:
     def grades(self) -> set:
         return {len(w) for w in self._terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.grades()) <= 1
-
     def grade(self) -> int:
         """Grade of a homogeneous element (zero element counts as grade 0)."""
         gs = self.grades()

@@ -8,6 +8,13 @@ matrix identities.  Retarded kernels come from forward time-stepping and
 are block-lower-triangular in time (structural support); advanced
 kernels are argument-swapped sign-flipped transposes.
 
+The free operators are the same at every time step, so their kernels
+are block-Toeplitz in time: block (t, s) depends on t - s alone.  The
+solves step only the source-0 column forward and fill every other
+column as a shift of it.  A bilinear matrix whose time blocks differ
+(a time-varying cutoff) still runs the full substitution, one source
+time at a time.
+
 On a finite time range the defining identity ``S2 @ kernel = Id`` can
 only hold on equation rows whose stencil stays inside the lattice; each
 kernel records that row set (``exact_rows``) and tests pin it.
@@ -65,9 +72,6 @@ class Lattice:
 
     def site_time(self, s: int) -> int:
         return s // self.nx
-
-    def site_space(self, s: int) -> int:
-        return s % self.nx
 
     def site_times(self) -> np.ndarray:
         return np.repeat(np.arange(self.nt), self.nx)
@@ -229,6 +233,10 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
     Retarded: forward time-stepping with vanishing past, normalized so
     that (Box + m^2) @ G = Id / (dt*dx); support is structurally
     t_row >= t_col.  Advanced: transpose of the retarded kernel.
+
+    Box + m^2 is the same at every time step, so the kernel is
+    block-Toeplitz in time: only the source-0 column is stepped forward,
+    and block (t, s) is its block t - s.
     """
     _check_kind(kind)
     nt, nx, ns = lattice.nt, lattice.nx, lattice.n_sites
@@ -238,24 +246,17 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
     A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - matmul(Xs, Xs, ring)
     A0_inv = mat_inv(A0, ring)
     inv_vol = ring.one / ring.coerce(lattice.volume_weight())
+    # chain[d]: block (s + d, s) for every source time s
+    chain = [A0_inv * inv_vol]
+    for d in range(1, nt):
+        rhs = chain[d - 1] * (-2 * inv_dt2)
+        if d >= 2:
+            rhs = rhs + chain[d - 2] * inv_dt2
+        chain.append(-matmul(A0_inv, rhs, ring))
     G = zeros((ns, ns), ring)
-    # column block for each source time s, stepped forward in t
-    blocks: dict[int, np.ndarray] = {}
-    for s in range(nt):
-        prev2 = zeros((nx, nx), ring)
-        prev1 = zeros((nx, nx), ring)
-        for t in range(s, nt):
-            if t == s:
-                blk = A0_inv * inv_vol
-            else:
-                rhs = prev1 * (-2 * inv_dt2)
-                if t - s >= 2:
-                    rhs = rhs + prev2 * inv_dt2
-                blk = -matmul(A0_inv, rhs, ring)
-            blocks[(t, s)] = blk
-            prev2, prev1 = prev1, blk
-    for (t, s), blk in blocks.items():
-        G[t * nx:(t + 1) * nx, s * nx:(s + 1) * nx] = blk
+    for t in range(nt):
+        for s in range(t + 1):
+            G[t * nx:(t + 1) * nx, s * nx:(s + 1) * nx] = chain[t - s]
     times = lattice.site_times()
     if kind == "advanced":
         return Kernel(G.T.copy(), ring, "advanced", times, times, exact_rows=None)
@@ -323,8 +324,15 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     """Blocks of the fully retarded inverse pair (P, Q) of a
     block-bidiagonal-in-time bilinear matrix M.
 
-    P = -M^{-1} (support t >= s); Q solves M^T Q = Id on interior rows
-    with strictly retarded support (t >= s+1).
+    P = -M^{-1} (support t >= s); Q has strictly retarded support
+    (t >= s+1) and solves M^T Q = Id on every row of time t <= nt-2.
+
+    If every diagonal time block of M equals the first and every
+    sub-diagonal block equals the first (any unweighted ``dirac_matrix``),
+    both are block-Toeplitz in time: one diagonal and one transposed
+    sub-diagonal block are inverted, only source column 0 is stepped
+    forward, and block (t, s) is block (t - s, 0).  Any other M, such as
+    a time-varying cutoff, runs the substitution for every source time.
     """
     ring = fl.ring
     nt = fl.lattice.nt
@@ -333,12 +341,19 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     def blk(t, s):
         return M[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb]
 
-    Dd_inv = [mat_inv(blk(t, t), ring) for t in range(nt)]
-    Ms_t_inv = [None] + [mat_inv(blk(t, t - 1).T.copy(), ring)
-                         for t in range(1, nt)]
+    toeplitz = all(np.array_equal(blk(t, t), blk(0, 0))
+                   and np.array_equal(blk(t, t - 1), blk(1, 0))
+                   for t in range(1, nt))
+    if toeplitz:
+        Dd_inv = [mat_inv(blk(0, 0), ring)] * nt
+        Ms_t_inv = [None] + [mat_inv(blk(1, 0).T.copy(), ring)] * (nt - 1)
+    else:
+        Dd_inv = [mat_inv(blk(t, t), ring) for t in range(nt)]
+        Ms_t_inv = [None] + [mat_inv(blk(t, t - 1).T.copy(), ring)
+                             for t in range(1, nt)]
     P = zeros((fl.block, fl.block), ring)
     Q = zeros((fl.block, fl.block), ring)
-    for s in range(nt):
+    for s in range(1 if toeplitz else nt):
         # P column block: M^{-1} by forward substitution, then negated
         cur = Dd_inv[s]
         P[s * nb:(s + 1) * nb, s * nb:(s + 1) * nb] = -cur
@@ -353,6 +368,10 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
                 qblk = -matmul(Ms_t_inv[t + 1], matmul(blk(t, t).T, qblk, ring),
                                ring)
                 Q[(t + 1) * nb:(t + 2) * nb, s * nb:(s + 1) * nb] = qblk
+    if toeplitz:
+        for s in range(1, nt):
+            P[s * nb:, s * nb:(s + 1) * nb] = P[:(nt - s) * nb, :nb]
+            Q[s * nb:, s * nb:(s + 1) * nb] = Q[:(nt - s) * nb, :nb]
     return P, Q
 
 

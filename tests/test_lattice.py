@@ -8,8 +8,9 @@ import pytest
 from fermifields.lattice import (CausalityError, DiracOperator, FieldLattice,
                                  Lattice, causal_propagator, dirac_green,
                                  dirac_matrix, free_second_derivative,
-                                 green_from_bilinear, kg_green)
-from fermifields.linalg import eye, kron2, max_abs
+                                 green_from_bilinear, kg_green,
+                                 _retarded_inverse_blocks)
+from fermifields.linalg import eye, kron2, mat_inv, matmul, max_abs
 from fermifields.scalars import Ring
 
 
@@ -343,3 +344,85 @@ def test_memoised_retarded_matrix_is_read_only():
     dA = dirac_green(fl, 1, "advanced")
     dA.mat[0, 1] = fl.ring.one
     assert dirac_green(fl, 1, "advanced").mat[0, 1] == -dR.mat[1, 0]
+
+
+def _time_varying_weights(fl):
+    """Nonzero site weights that differ on every time slice."""
+    lat = fl.lattice
+    return [Fraction(lat.site_time(s) + 2, 2) for s in range(lat.n_sites)]
+
+
+def _time_block(A, nb, t, s):
+    return A[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb]
+
+
+def _is_block_toeplitz(A, nb, nt):
+    return all(np.all(_time_block(A, nb, t, s) == _time_block(A, nb, t - s, 0))
+               for t in range(nt) for s in range(t + 1))
+
+
+@pytest.mark.parametrize("nt,nx,ncolors", [
+    pytest.param(2, 3, 1, id="2x3"),
+    pytest.param(5, 3, 1, id="5x3"),
+    pytest.param(4, 3, 2, id="4x3-2colors"),
+])
+@pytest.mark.parametrize("varying", [False, True], ids=["invariant", "weighted"])
+def test_retarded_inverse_blocks_exact(nt, nx, ncolors, varying):
+    """P = -M^{-1} and M^T Q = Id on the rows of time <= nt-2, exactly,
+    with Q strictly retarded.  A time-invariant M gives block-Toeplitz
+    P and Q; per-slice weights break the shift."""
+    fl = FieldLattice(Lattice(nt, nx, Fraction(1, 2), 1), ncolors, "rational")
+    ring = fl.ring
+    weights = _time_varying_weights(fl) if varying else None
+    M = dirac_matrix(fl, Fraction(3, 4), weights)
+    P, Q = _retarded_inverse_blocks(fl, M)
+    assert np.all(P == -mat_inv(M, ring))
+    nb = nx * 2
+    times = np.repeat(np.arange(nt), nb)
+    assert all(q == 0 for q in Q[times[:, None] <= times[None, :]])
+    defect = matmul(M.T, Q, ring) - eye(fl.block, ring)
+    assert all(x == 0 for x in defect[times <= nt - 2].ravel())
+    assert any(x != 0 for x in defect[times == nt - 1].ravel())
+    assert _is_block_toeplitz(P, nb, nt) != varying
+    # at nt = 2 Q has a single nonzero block, (1, 0)
+    assert _is_block_toeplitz(Q, nb, nt) != (varying and nt > 2)
+
+
+@pytest.mark.parametrize("nt,nx", [(2, 3), (5, 3)])
+def test_kg_green_block_toeplitz_exact(nt, nx):
+    """Rational kg_green: block (t, s) is block (t - s, 0), and
+    vol * (Box + m^2) @ G = Id exactly."""
+    ring = Ring("rational")
+    lat = Lattice(nt, nx, Fraction(1, 2), 1)
+    m = Fraction(3, 4)
+    G = kg_green(lat, m, "retarded", ring).mat
+    assert _is_block_toeplitz(G, nx, nt)
+    dop = DiracOperator(lat, m, ring)
+    ns = lat.n_sites
+    box = dop.box_site + eye(ns, ring) * dop.mass_sq
+    vol = ring.coerce(lat.volume_weight())
+    assert np.all(matmul(box, G, ring) * vol == eye(ns, ring))
+
+
+def test_retarded_inverse_blocks_mat_inv_count(monkeypatch):
+    """A time-invariant M costs 2 block inverses, one diagonal and one
+    transposed sub-diagonal; a time-varying M costs 2*nt - 1."""
+    import fermifields.lattice as lattice_mod
+    inv = lattice_mod.mat_inv
+    calls = []
+
+    def counted(a, ring):
+        calls.append(a.shape)
+        return inv(a, ring)
+
+    monkeypatch.setattr(lattice_mod, "mat_inv", counted)
+    fl = _rational_fl_4x3()
+    nt = fl.lattice.nt
+    dirac_green(fl, 1, "retarded")
+    assert len(calls) == 2
+    calls.clear()
+    green_from_bilinear(fl, dirac_matrix(fl, 1))
+    assert len(calls) == 2
+    calls.clear()
+    green_from_bilinear(fl, dirac_matrix(fl, 1, _time_varying_weights(fl)))
+    assert len(calls) == 2 * nt - 1
