@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -192,22 +193,37 @@ class InteractingKernel:
                 f"max_grade={self.max_grade})")
 
 
+def _column_blocks(*kernels):
+    """Yield ``[X_b, …]`` per column b, in order of first appearance: the
+    dense (rows × words) complex coefficient block of each kernel in column
+    b, over one shared word index numbered in order of first appearance
+    (kernel by kernel, entry by entry)."""
+    n = kernels[0].n
+    cols: dict[int, list] = {}
+    for which, v in enumerate(kernels):
+        for (a, b), e in v.entries.items():
+            cols.setdefault(b, [[] for _ in kernels])[which].append((a, e._terms))
+    for parts in cols.values():
+        words = {w: i for i, w in enumerate(dict.fromkeys(chain.from_iterable(
+            terms for part in parts for _, terms in part)))}
+        blocks = []
+        for part in parts:
+            x = np.zeros((n, len(words)), dtype=complex)
+            rows = np.repeat(np.array([a for a, _ in part], dtype=int),
+                             [len(terms) for _, terms in part])
+            idx = list(map(words.__getitem__,
+                           chain.from_iterable(terms for _, terms in part)))
+            x[rows, idx] = np.array(
+                list(chain.from_iterable(terms.values() for _, terms in part)),
+                dtype=complex)
+            blocks.append(x)
+        yield blocks
+
+
 def _column_gram(v: ElementKernel) -> np.ndarray:
     """K = Σ_b conj(X_b)·X_bᵀ, X_b the (rows × words) block of column b."""
-    n = v.n
-    cols: dict[int, list] = {}
-    for (a, b), e in v.entries.items():
-        cols.setdefault(b, []).append((a, e._terms))
-    out = np.zeros((n, n), dtype=complex)
-    for col in cols.values():
-        words: dict = {}
-        rows, idx, vals = [], [], []
-        for a, terms in col:
-            rows.extend([a] * len(terms))
-            idx.extend([words.setdefault(w, len(words)) for w in terms])
-            vals.extend(terms.values())
-        x = np.zeros((n, len(words)), dtype=complex)
-        x[rows, idx] = np.array(vals, dtype=complex)
+    out = np.zeros((v.n, v.n), dtype=complex)
+    for (x,) in _column_blocks(v):
         out += x.conj() @ x.T
     return out
 
@@ -254,7 +270,15 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
 
     Only the exact rows of each product are formed, and W∘Δ_{k−1} is
     recomputed from the stored order k − 1, so each order is checked
-    against the one before it.
+    against the one before it.  Every order in ``ik.corrections`` is
+    read, the lazily built last one included.
+
+    In float mode the grade-2k residual K0·Δ_k + W∘Δ_{k−1} is formed one
+    column b at a time: column b of Δ_k and of W∘Δ_{k−1} are packed into
+    dense (rows × words) blocks X_b, Y_b over one word index, and the
+    residual is the numpy product ``k0 @ X_b + Y_b``.  In rational mode
+    the residual is accumulated sparsely and exactly, entry by entry, as
+    a dense object block would scan every rows × words ``QC``.
     """
     K0, W = S.second_kernel()
     ring = ik.fl.ring
@@ -266,19 +290,24 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
         k0 = k0.copy()
         k0[~rows] = ring.zero
         W = W.restrict_rows(rows)
-    # grade-2k blocks: K0 @ Δ_k + W∘Δ_{k−1}, the second added in place into
-    # the first's fresh term dicts
+    # grade-2k blocks: K0 @ Δ_k + W∘Δ_{k−1}
     prev = None
     for corr in ik.corrections:
-        upper = corr.compose_scalar_left(k0)
-        blk = {key: e._terms for key, e in upper.entries.items()}
         lower = (W.compose_scalar_right(ik.free.mat) if prev is None
                  else W.compose(prev))
-        for key, e in lower.entries.items():
-            _accumulate(blk, key, e._terms, ring)
-        for terms in blk.values():
-            worst = max(worst, max((abs(complex(c)) for c in terms.values()),
-                                   default=0.0))
+        if ring.exact:
+            # the second product is added in place into the first's fresh
+            # term dicts
+            upper = corr.compose_scalar_left(k0)
+            blk = {key: e._terms for key, e in upper.entries.items()}
+            for key, e in lower.entries.items():
+                _accumulate(blk, key, e._terms, ring)
+            for terms in blk.values():
+                worst = max(worst, max((abs(complex(c)) for c in terms.values()),
+                                       default=0.0))
+        else:
+            for x, y in _column_blocks(corr, lower):
+                worst = max(worst, float(np.abs(k0 @ x + y).max()))
         prev = corr
     return worst
 

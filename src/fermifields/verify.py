@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (CONJUGATE, FIELD, Algebra, GeneratorId, GrassmannElement,
                       left_derivative, evaluate, random_element)
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .dynamics import (ActionFunctional, bracket_kernel_derivative,
                        canonical_residual, higher_retarded,
                        moller_substitution, peierls_bracket, poisson_ideal_residual)
@@ -742,7 +742,10 @@ def run_suites(cfg: RunConfig, names=None) -> tuple[list, bool]:
     names = list(SUITES) if not names else list(names)
     for name in names:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
+            raise ConfigError(f"unknown suite {name!r}")
+    # bracket samples its directions from the interior times 1..nt-2
+    if "bracket" in names and cfg.nt < 3:
+        raise ConfigError(f"suite 'bracket' needs lattice.nt >= 3, got {cfg.nt}")
     records = []
     for name in names:
         for rec in SUITES[name](cfg):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fermifields import verify
 from fermifields.cli import main
 from fermifields.config import ConfigError, RunConfig, load_config
 
@@ -177,8 +178,38 @@ def test_cli_verify_report_and_negative_control(tmp_path):
     assert "bracket_graded_antisymmetry_exact" in failed
 
 
-def test_cli_unknown_suite_exits_2(tmp_path):
+def test_cli_unknown_suite_exits_2(tmp_path, capsys):
     assert main(["verify", "--suite", "nope", "--out", str(tmp_path)]) == 2
+    assert "unknown suite 'nope'" in capsys.readouterr().err
+
+
+def test_cli_verify_bracket_needs_three_times(tmp_path, capsys, monkeypatch):
+    """bracket samples its directions from the interior times 1..nt-2, so
+    at nt = 2 verify exits 2, naming the suite and the bound, before any
+    suite runs; a selection without bracket still runs."""
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda cfg, name=name: pytest.fail(f"{name} ran"))
+    p = write(tmp_path, "lattice.nt = 2\n")
+    assert main(["verify", "--config", str(p),
+                 "--out", str(tmp_path / "all")]) == 2
+    assert "suite 'bracket' needs lattice.nt >= 3, got 2" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "all" / "verify_report.json").exists()
+    monkeypatch.undo()
+    assert main(["verify", "--suite", "green", "--config", str(p),
+                 "--out", str(tmp_path / "green")]) == 0
+
+
+def test_cli_verify_lets_an_internal_error_through(tmp_path, monkeypatch):
+    """Only configuration errors exit 2: a ValueError raised inside a suite
+    is a fault of the program and propagates."""
+    def broken(cfg):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(verify.SUITES, "green", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "--suite", "green", "--out", str(tmp_path)])
 
 
 def test_cli_verify_rejects_arithmetic_flag():

@@ -15,9 +15,10 @@ from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
                                      interacting_bracket, interacting_causal,
                                      interacting_propagator, permute_colors,
                                      propagator_defect)
-from fermifields.kernels import ElementKernel
+from fermifields.kernels import ElementKernel, Kernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green)
+from fermifields.reports import TOL_NUM
 
 
 @pytest.fixture
@@ -459,22 +460,117 @@ def test_suite_gn_quartic_canonical_identity_is_exact(monkeypatch):
                if name != "gn_canonical_identity_quartic")
 
 
-def test_propagator_defect_sees_a_perturbed_correction():
-    """Negative control: 1 added to one coefficient of Δ_1 on an exact row
-    gives a nonzero defect, while the series itself has defect exactly 0."""
-    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
-                                             m=Fraction(3, 4)))
-    ik = interacting_propagator(S, 4)
-    assert propagator_defect(S, ik) == 0.0
-    corr = ik.corrections[0]
-    (i, j), e = next((key, e) for key, e in corr.entries.items()
+def _perturbed(ik, k, eps):
+    """``ik`` with ``eps`` added to one coefficient of order k, in its last
+    entry on an exact row; reading ``ik.corrections`` builds the last order
+    first."""
+    fl = ik.fl
+    corr = ik.corrections[k]
+    (i, j), e = next((key, e) for key, e in reversed(corr.entries.items())
                      if ik.free.exact_rows[key[0]])
-    w, c = next(iter(e.items()))
+    w, _ = next(iter(e.items()))
     entries = dict(corr.entries)
-    entries[(i, j)] = e + fl.algebra.element({w: fl.ring.one})
-    ik.corrections[0] = ElementKernel(fl.algebra, corr.n, entries)
-    assert propagator_defect(S, ik) > 0.0
+    entries[(i, j)] = e + fl.algebra.element({w: eps})
+    ik.corrections[k] = ElementKernel(fl.algebra, corr.n, entries)
+    return ik
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_propagator_defect_sees_a_perturbed_correction(mode):
+    """Negative control: a coefficient of Δ_1, or of the last, lazily built
+    order Δ_2, moved on an exact row (by 1 in rational mode, by 1e-6 in
+    float mode) fails the defect, while the series itself passes it:
+    exactly 0 in rational mode, below ``TOL_NUM`` in float mode."""
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
+    ring = fl.ring
+    S = build_gn_action(fl, GrossNeveuParams(
+        ncolors=1, lam=ring.number(Fraction(1, 3)), m=ring.number(Fraction(3, 4))))
+    eps, bound = (ring.one, 0.0) if ring.exact else (1e-6, TOL_NUM)
+    ik = interacting_propagator(S, 4)
+    assert len(ik._corrections) == 1 and len(ik.vertices) == 2
+    clean = propagator_defect(S, ik)
+    assert clean == 0.0 if ring.exact else clean < TOL_NUM
+    for k in (0, 1):
+        ik = _perturbed(interacting_propagator(S, 4), k, eps)
+        assert propagator_defect(S, ik) > bound
+
+
+def _sparse_defect(S, ik):
+    """Oracle for the grade-2k part of ``propagator_defect``: the sparse
+    residual K0·Δ_k + W∘Δ_{k−1} on exact rows, K0·Δ_k formed by
+    ``compose_scalar_left`` and the two added entry by entry, and its
+    largest |coefficient|."""
+    K0, W = S.second_kernel()
+    rows = ik.free.exact_rows
+    k0 = K0.mat.copy()
+    k0[~rows] = 0
+    W = W.restrict_rows(rows)
+    worst, prev = 0.0, None
+    for corr in ik.corrections:
+        lower = (W.compose_scalar_right(ik.free.mat) if prev is None
+                 else W.compose(prev))
+        residual = corr.compose_scalar_left(k0) + lower
+        worst = max([worst, *(e.max_abs() for e in residual.entries.values())])
+        prev = corr
+    return worst
+
+
+@pytest.fixture(scope="module")
+def float32_two_colors():
+    """3x2 float action with two colours and its grade-4 retarded series."""
+    fl = FieldLattice(Lattice(3, 2, 1, 1), 2, "float")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=2, lam=0.125, m=0.75))
+    return S, interacting_propagator(S, 4)
+
+
+@pytest.mark.parametrize("series, orders", [("float43", 3),
+                                            ("float32_two_colors", 2)],
+                         ids=["4x3-grade6", "3x2-2colors-grade4"])
+@pytest.mark.parametrize("scaled", [False, True], ids=["series", "scaled"])
+def test_float_propagator_defect_matches_the_sparse_oracle(
+        request, monkeypatch, series, orders, scaled):
+    """The dense per-column float residual agrees with the sparse one to
+    1e-15, both on the series and on one whose order k is scaled by
+    1 + k/1000, where every grade-2k residual is far from 0.  The grade-0
+    block is set aside, so the defect is the grade-2k part alone."""
+    S, ik = request.getfixturevalue(series)
+    if scaled:
+        ik = SimpleNamespace(fl=ik.fl, free=ik.free, corrections=[
+            c.scale(1 + k / 1000) for k, c in enumerate(ik.corrections, 1)])
+    assert len(ik.corrections) == orders
+    want = _sparse_defect(S, ik)
+    assert (want > 1e-6) if scaled else (want < TOL_NUM)
+    monkeypatch.setattr(Kernel, "identity_defect", lambda self, op: 0.0)
+    assert abs(propagator_defect(S, ik) - want) <= 1e-15
+
+
+def test_column_blocks_pack_every_term_in_first_appearance_order(
+        float32_two_colors):
+    """Per column b, each kernel's block holds every (row, word,
+    coefficient) of that column and nothing else, over one word index in
+    order of first appearance, kernel by kernel; columns come in order of
+    first appearance."""
+    _, ik = float32_two_colors
+    kernels = (ik.corrections[1], ik.vertices[0], ik.corrections[0])
+    cols = list(dict.fromkeys(b for v in kernels for _, b in v.entries))
+    got = list(gross_neveu._column_blocks(*kernels))
+    assert len(got) == len(cols)
+    for b, blocks in zip(cols, got):
+        words: list = []
+        for v in kernels:
+            for (_, c), e in v.entries.items():
+                for w, _ in e.items():
+                    if c == b and w not in words:
+                        words.append(w)
+        assert len(blocks) == len(kernels)
+        for v, x in zip(kernels, blocks):
+            want = np.zeros((v.n, len(words)), dtype=complex)
+            for (a, c), e in v.entries.items():
+                if c == b:
+                    for w, coef in e.items():
+                        want[a, words.index(w)] = coef
+            assert x.shape == want.shape
+            assert np.array_equal(x, want)
 
 
 # -- per-order norms from the vertex products ------------------------------------
