@@ -8,6 +8,8 @@ Subcommands::
     fermifields car-table   --out results/
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
+A command creates its ``--out`` directory only once its inputs have
+validated, so an exit 2 leaves none behind.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def cmd_propagators(cfg, out: Path) -> int:
                           free_second_derivative, kg_green)
     from .scalars import Ring
 
-    out.mkdir(parents=True, exist_ok=True)
     fl = cfg.field_lattice()
+    S = build_gn_action(fl, cfg.gn_params(fl))
     lat = fl.lattice
     m = cfg.number(cfg.mass)
     ring = Ring(cfg.arithmetic)
@@ -83,12 +85,12 @@ def cmd_propagators(cfg, out: Path) -> int:
     dR = dirac_green(fl, m, "retarded")
     dA = dirac_green(fl, m, "advanced")
     delta = causal_propagator(dR, dA)
+    out.mkdir(parents=True, exist_ok=True)
     for name, kern in (("kg_retarded", gR), ("free_retarded", dR),
                        ("free_advanced", dA), ("free_causal", delta)):
         kern.to_csv(out / f"{name}.csv")
         kern.to_json(out / f"{name}.json")
 
-    S = build_gn_action(fl, cfg.gn_params(fl))
     ik = interacting_propagator(S, max_grade=min(cfg.max_grade // 2 * 2, 6))
     ik.free.to_csv(out / "interacting_retarded_order0.csv")
     write_csv(out / "interacting_retarded_orders.csv",
@@ -113,10 +115,10 @@ def cmd_propagators(cfg, out: Path) -> int:
 def cmd_verify(cfg, out: Path, suites_arg: str | None) -> int:
     from .verify import SUITES, run_suites
 
-    out.mkdir(parents=True, exist_ok=True)
     names = list(SUITES) if not suites_arg else [
         s.strip() for s in suites_arg.split(",") if s.strip()]
     records, ok = run_suites(cfg, names)
+    out.mkdir(parents=True, exist_ok=True)
     write_report(out / "verify_report.json", records, cfg.to_dict(), names)
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"
@@ -132,9 +134,12 @@ def cmd_gn_series(cfg, out: Path) -> int:
                               gn_interaction_term, interacting_propagator)
     from .lattice import dirac_green
 
-    out.mkdir(parents=True, exist_ok=True)
     fl = cfg.field_lattice()
     params = cfg.gn_params(fl)
+    # default observables: one field slot and one bilinear at interior times
+    interior = fl.interior_slots()
+    if len(interior) < 2:
+        raise ConfigError("lattice too small for series observables (need nt >= 3)")
     m = cfg.number(cfg.mass)
     S = build_free_action(fl, m)
     F = gn_interaction_term(fl, params)
@@ -142,10 +147,6 @@ def cmd_gn_series(cfg, out: Path) -> int:
     order = cfg.lambda_order
     sub = moller_substitution(S, F, dR, order, cfg.max_grade)
 
-    # default observables: one field slot and one bilinear at interior times
-    interior = fl.interior_slots()
-    if len(interior) < 2:
-        raise ConfigError("lattice too small for series observables (need nt >= 3)")
     obs = {
         "field": fl.algebra.generator(interior[0]),
         "bilinear": fl.algebra.monomial((interior[0], interior[-1])),
@@ -167,6 +168,7 @@ def cmd_gn_series(cfg, out: Path) -> int:
             residuals.append(homo)
             rows.append([name, k, repr(series.coefficient(k).max_abs()),
                          repr(homo.max_abs()), series.truncated])
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "gn_moller_series.csv",
               ["observable", "order", "coefficient_max_abs",
                "homomorphism_residual", "truncated"], rows)
@@ -191,7 +193,6 @@ def cmd_car_table(cfg, out: Path) -> int:
     from .lattice import causal_propagator, dirac_green
     from .quantization import star_commutator
 
-    out.mkdir(parents=True, exist_ok=True)
     fl = cfg.field_lattice()
     m = cfg.number(cfg.mass)
     dR = dirac_green(fl, m, "retarded")
@@ -206,6 +207,7 @@ def cmd_car_table(cfg, out: Path) -> int:
             val = complex(comm.coefficient(1).coefficient(()))
             if val != 0:
                 rows.append([i, j, repr(val.real), repr(val.imag)])
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "car_table.csv",
               ["field_slot", "conjugate_slot", "re_hbar1", "im_hbar1"], rows)
     return 0

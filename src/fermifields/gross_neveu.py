@@ -11,6 +11,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._core import merge_words
 from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
 from .kernels import ElementKernel, Kernel, _accumulate
@@ -44,6 +45,9 @@ class GrossNeveuParams:
                 raise ValueError("cutoff weight length != number of sites")
             return list(self.g)
         nt = fl.lattice.nt
+        if nt < 3:
+            raise ValueError(f"the default cutoff window 1..nt-2 is empty at "
+                             f"nt = {nt}; give g, or use nt >= 3")
         return fl.window_weights(1, nt - 2)
 
 
@@ -145,9 +149,10 @@ class InteractingKernel:
     product V_k = W∘Δ_{k−1} (V_1 = W·Δ0, W the even element part of S^(2)),
     and order k >= 1 is Δ_k = (−Δ0)·V_k, whose entries have grade exactly
     2k; evaluation against a grade-n configuration uses only k <= n//2
-    orders.  The series builds each Δ_k that a further vertex product
-    needs; the last order is built the first time ``corrections`` is read,
-    with the same call, so every order is the same whenever it is built.
+    orders.  :attr:`corrections` is the one place Δ_k is built: it builds
+    the orders not built yet, so :func:`interacting_propagator` builds
+    each Δ_k that a further vertex product needs, and the last order is
+    built the first time ``corrections`` is read.
 
     :meth:`per_order_norms` reads the vertex products only.  With
     X_b the dense (rows × words) coefficient block of column b of V_k and
@@ -155,13 +160,12 @@ class InteractingKernel:
     K_k = Σ_b conj(X_b)·X_bᵀ.
     """
 
-    def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
-                 vertices: list, corrections: list):
+    def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel):
         self.fl = fl
         self.max_grade = max_grade
         self.free = free
-        self.vertices = vertices          # ElementKernel V_k, k = 1..
-        self._corrections = corrections   # the Δ_k built so far, k = 1..
+        self.vertices: list = []          # ElementKernel V_k, k = 1..
+        self._corrections: list = []      # the Δ_k built so far, k = 1..
 
     @property
     def corrections(self) -> list:
@@ -238,7 +242,8 @@ def interacting_propagator(S: ActionFunctional,
     through the sparse, site-local W as the vertex product V_1 = W·Δ_0,
     V_k = W∘Δ_{k−1}, and Δ_k = (−Δ_0)·V_k: the sign is carried by the
     scalar matrix −Δ_0, and each wedge product has a single monomial on
-    its left.  The last order is left to :class:`InteractingKernel`.
+    its left.  Each V_k is appended to the series, and Δ_{k−1} is read
+    back from its ``corrections``; the last order is left unbuilt.
 
     Rows of W that meet a zero column of Δ_0 are dropped first: they add
     nothing to any Δ_k.  Δ_0 has full column rank on its other columns,
@@ -251,18 +256,14 @@ def interacting_propagator(S: ActionFunctional,
     free = dirac_green(fl, S.meta["m"], "retarded")
     _, W = S.second_kernel()
     W = W.restrict_rows([any(col) for col in free.mat.T])
-    last = max_grade // 2
-    vertices, corrections = [], []
-    neg_free = -free.mat
-    for k in range(1, last + 1):
+    ik = InteractingKernel(fl, max_grade, free)
+    for k in range(1, max_grade // 2 + 1):
         vertex = (W.compose_scalar_right(free.mat) if k == 1
-                  else W.compose(corrections[-1]))
+                  else W.compose(ik.corrections[-1]))
         if vertex.is_zero():
             break
-        vertices.append(vertex)
-        if k < last:
-            corrections.append(vertex.compose_scalar_left(neg_free))
-    return InteractingKernel(fl, max_grade, free, vertices, corrections)
+        ik.vertices.append(vertex)
+    return ik
 
 
 def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
@@ -337,25 +338,21 @@ def interacting_bracket(S: ActionFunctional, F: GrassmannElement,
 
 
 def permute_colors(fl: FieldLattice, elem: GrassmannElement, perm: dict) -> GrassmannElement:
-    """Relabel colors by a permutation {old: new}, with Koszul signs."""
+    """Relabel colors by a permutation {old: new}; each relabelled slot is
+    merged into its word by ``merge_words``, which gives the Koszul sign."""
+    if sorted(perm.values()) != sorted(perm):
+        raise ValueError("perm must permute its own keys")
     gens = fl.algebra.generators
     out: dict = {}
     ring = fl.ring
     for w, c in elem.items():
-        mapped = []
+        word = ()
         for i in w:
             g = gens[i]
-            mapped.append(fl.slot(g.species, perm.get(g.color, g.color),
-                                  g.site, g.component))
-        # sort with sign; repeated slots cannot occur under a bijection
-        sign = 1
-        arr = list(mapped)
-        for a in range(len(arr)):
-            for b in range(len(arr) - 1 - a):
-                if arr[b] > arr[b + 1]:
-                    arr[b], arr[b + 1] = arr[b + 1], arr[b]
-                    sign = -sign
-        w2 = tuple(arr)
-        cc = c if sign > 0 else -c
-        out[w2] = out.get(w2, ring.zero) + cc
+            slot = fl.slot(g.species, perm.get(g.color, g.color), g.site,
+                           g.component)
+            sign, word = merge_words(word, (slot,))
+            if sign < 0:
+                c = -c
+        out[word] = out.get(word, ring.zero) + c
     return fl.algebra.element(out)

@@ -4,15 +4,20 @@ All exponential series exploit nilpotency: iteration stops as soon as a
 contraction application returns zero, so hbar series are exactly finite
 at fixed functional grade.
 
-Operator conventions (fixed here and asserted by tests):
+Operator conventions (fixed here and asserted by tests); d_i is the left
+derivative of :meth:`GrassmannElement.derivatives`:
 
-* the pair contraction on a tensor factorization F ⊗ G contracts one
-  slot of F against one slot of G through the kernel, with Koszul signs
-  taken in the doubled algebra (F-words before G-words);
-* the single-argument contraction applies the inner derivative to the
-  kernel's first index:  Γ_K(F)|_word = (−1)^p (1/2) Σ K[i,j] · (remove
-  i first, then j), which makes the time-ordered product agree with the
-  star product on temporally ordered supports.
+* the single-argument contraction is  Γ_K = (1/2) Σ K[i,j] d_j d_i,  d_i
+  applied first, which makes the time-ordered product agree with the
+  star product on temporally ordered supports;
+* the single pair contraction Γ_Δ(F, G) is half the signed pairing of
+  :func:`~fermifields.dynamics.peierls_bracket`,
+  (1/2) (−1)^{|F|+1} ⟨F^(1), Δ G^(1)⟩;
+* the pair contraction on a tensor state F ⊗ G, iterated by the star
+  products, contracts one slot of F against one slot of G through the
+  kernel: its sign is a right derivative on F times a left derivative
+  on G, and the contracted words merge with their Koszul sign, F-words
+  before G-words.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._core import merge_words
 from .algebra import Algebra, GrassmannElement
+from .dynamics import peierls_bracket
 from .kernels import Kernel
 from .reports import TOL_FACTOR, check_record
 from .series import FormalSeries, HbarSeries
@@ -72,8 +79,10 @@ class SymmetricKernel(Kernel):
 def _gamma_pair_apply(state: dict, mat, factor) -> dict:
     """One contraction on {(word_F, word_G): coeff} tensor states.
 
-    ``factor`` is the 1/2 of the contraction, times any kernel scale.  A
-    falsy scalar is zero.
+    Slot i of word_F meets slot j of word_G with ``factor · mat[i, j]``
+    and the sign of a right derivative by i on word_F times a left
+    derivative by j on word_G.  ``factor`` is the 1/2 of the
+    contraction, times any kernel scale.  A falsy scalar is zero.
     """
     out: dict = {}
     for (wa, wb), c in state.items():
@@ -93,7 +102,6 @@ def _gamma_pair_apply(state: dict, mat, factor) -> dict:
 
 
 def _merge_state(alg: Algebra, state: dict) -> GrassmannElement:
-    from ._core import merge_words
     ring = alg.ring
     terms: dict = {}
     for (wa, wb), c in state.items():
@@ -106,20 +114,28 @@ def _merge_state(alg: Algebra, state: dict) -> GrassmannElement:
     return alg.element(terms)
 
 
-def _tensor_state(mat, F: GrassmannElement, G: GrassmannElement) -> dict:
-    """F ⊗ G as {(word_F, word_G): coeff}; ``mat`` must be n × n over the
-    generators of F's algebra."""
+def _check_kernel(mat, F: GrassmannElement, G: GrassmannElement) -> None:
+    """Raise unless F and G share an algebra and ``mat`` is n × n over
+    its generators."""
     alg = F.algebra
     alg.check_compatible(G.algebra)
     if mat.shape != (alg.n, alg.n):
         raise ValueError("kernel does not match the generator set")
-    zero = alg.ring.zero
-    state = {}
-    for wa, ca in F.items():
-        for wb, cb in G.items():
-            key = (wa, wb)
-            state[key] = state.get(key, zero) + ca * cb
-    return state
+
+
+def _hbar_exp(alg: Algebra, x, step, value, unit) -> FormalSeries:
+    """Σ_n (unitⁿ/n!) hbarⁿ value(stepⁿ x), stopping at the first empty
+    step (an empty tensor state or a zero element)."""
+    ring = alg.ring
+    coeffs = {}
+    scale = ring.one
+    n = 0
+    while x:
+        coeffs[n] = value(x).scale(scale * _inv_factorial(ring, n))
+        x = step(x)
+        n += 1
+        scale = scale * unit
+    return HbarSeries(alg, coeffs)
 
 
 def _star_with(mat, unit, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
@@ -128,19 +144,13 @@ def _star_with(mat, unit, F: GrassmannElement, G: GrassmannElement) -> FormalSer
     The scalar ``unit`` rides on the factor 1/2 of each contraction, so
     the kernel matrix itself is never rescaled.
     """
-    state = _tensor_state(mat, F, G)
+    _check_kernel(mat, F, G)
     alg = F.algebra
-    ring = alg.ring
-    factor = _half(ring) * unit
-    coeffs = {}
-    n = 0
-    while state:
-        e = _merge_state(alg, state).scale(_inv_factorial(ring, n))
-        if not e.is_zero():
-            coeffs[n] = e
-        state = _gamma_pair_apply(state, mat, factor)
-        n += 1
-    return HbarSeries(alg, coeffs)
+    factor = _half(alg.ring) * unit
+    # (word_F, word_G) keys are unique: one product per pair of terms
+    state = {(wa, wb): ca * cb for wa, ca in F.items() for wb, cb in G.items()}
+    return _hbar_exp(alg, state, lambda s: _gamma_pair_apply(s, mat, factor),
+                     lambda s: _merge_state(alg, s), alg.ring.one)
 
 
 def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
@@ -153,10 +163,11 @@ def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalS
 
 
 def gamma_delta(delta, F: GrassmannElement, G: GrassmannElement) -> GrassmannElement:
-    """Single pair contraction (−1)^{|F|+1} (1/2) Σ Δ[i,j] F^(1)_i ∧ G^(1)_j."""
+    """Single pair contraction, half the signed pairing:
+    (1/2) (−1)^{|F|+1} Σ Δ[i,j] F^(1)_i ∧ G^(1)_j."""
     mat = _mat(delta)
-    state = _tensor_state(mat, F, G)
-    return _merge_state(F.algebra, _gamma_pair_apply(state, mat, _half(F.algebra.ring)))
+    _check_kernel(mat, F, G)
+    return peierls_bracket(None, mat, F, G).scale(_half(F.algebra.ring))
 
 
 def star_product(delta, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
@@ -191,7 +202,7 @@ def star_commutator(delta, F: GrassmannElement, G: GrassmannElement) -> FormalSe
 # -- single-argument contraction (time ordering, product equivalence) -------
 
 def contraction_operator(kernel, F: GrassmannElement) -> GrassmannElement:
-    """Γ_K(F) = (1/2) Σ K[i,j] · (contract slot i first, then slot j).
+    """Γ_K(F) = (1/2) Σ K[i,j] d_j d_i F, left derivatives, d_i first.
 
     The grade-independent normalization makes Γ_K a second-order
     operator with graded Leibniz decomposition Γ_K(A∧B) = Γ_K A ∧ B +
@@ -204,35 +215,16 @@ def contraction_operator(kernel, F: GrassmannElement) -> GrassmannElement:
     mat = _mat(kernel)
     half = _half(ring)
     terms: dict = {}
-    for w, c in F.items():
-        for pi, i in enumerate(w):
-            wi = w[:pi] + w[pi + 1:]
-            si = -half if pi % 2 == 1 else half
-            row = mat[i]
-            for pj, j in enumerate(wi):
-                k = row[j]
-                if not k:
-                    continue
-                cc = c * k * (-si if pj % 2 == 1 else si)
-                nw = wi[:pj] + wi[pj + 1:]
-                terms[nw] = terms.get(nw, ring.zero) + cc
+    for i, di in F.derivatives().items():
+        row = mat[i]
+        for j, dji in di.derivatives().items():
+            k = row[j]
+            if not k:
+                continue
+            hk = half * k
+            for w, c in dji.items():
+                terms[w] = terms.get(w, ring.zero) + c * hk
     return alg.element(terms)
-
-
-def _exp_contraction(kernel, F: GrassmannElement, unit) -> FormalSeries:
-    """Σ_n (unit^n / n!) hbar^n Γ_K^n F as an hbar series."""
-    alg = F.algebra
-    ring = alg.ring
-    coeffs = {}
-    cur = F
-    n = 0
-    scale = ring.one
-    while not cur.is_zero():
-        coeffs[n] = cur.scale(scale * _inv_factorial(ring, n)) if n else cur
-        cur = contraction_operator(kernel, cur)
-        n += 1
-        scale = scale * ring.coerce(unit)
-    return HbarSeries(alg, coeffs)
 
 
 def _exp_map(kernel, F, direction: str, unit) -> FormalSeries:
@@ -242,11 +234,17 @@ def _exp_map(kernel, F, direction: str, unit) -> FormalSeries:
         raise ValueError(f"unknown direction {direction!r}")
     if direction == "inverse":
         unit = -unit
+    alg = F.algebra
+
+    def exp(e):
+        return _hbar_exp(alg, e, lambda x: contraction_operator(kernel, x),
+                         lambda x: x, unit)
+
     if not isinstance(F, FormalSeries):
-        return _exp_contraction(kernel, F, unit)
-    out = HbarSeries(F.algebra, {})
+        return exp(F)
+    out = HbarSeries(alg, {})
     for k, e in F.coeffs.items():
-        out = out + _exp_contraction(kernel, e, unit).shift(k)
+        out = out + exp(e).shift(k)
     return out
 
 
@@ -261,29 +259,28 @@ def time_ordering(dirac_kernel, F, direction: str = "forward") -> FormalSeries:
 
 def time_ordered_product(dirac_kernel, F, G) -> FormalSeries:
     """F ·_T G = T(T^{-1}F ∧ T^{-1}G); graded-symmetric by construction."""
-    sF = F if isinstance(F, FormalSeries) else HbarSeries(F.algebra, {0: F})
-    sG = G if isinstance(G, FormalSeries) else HbarSeries(G.algebra, {0: G})
-    inv_F = time_ordering(dirac_kernel, sF, "inverse")
-    inv_G = time_ordering(dirac_kernel, sG, "inverse")
+    inv_F = time_ordering(dirac_kernel, F, "inverse")
+    inv_G = time_ordering(dirac_kernel, G, "inverse")
     return time_ordering(dirac_kernel, inv_F.wedge(inv_G), "forward")
 
 
 def formal_smatrix(dirac_kernel, F: GrassmannElement, max_n: int) -> FormalSeries:
-    """Σ_{n<=max_n} (1/n!) F ·_T ... ·_T F (n factors); unit at F = 0."""
+    """Σ_{n<=max_n} (1/n!) F ·_T ... ·_T F (n factors); unit at F = 0.
+
+    T is linear, so it is applied once, to Σ_n (T^{-1}F)^∧n / n!.
+    """
     if not F.is_even():
         raise ValueError("interaction term must be even")
     alg = F.algebra
     ring = alg.ring
-    out = HbarSeries(alg, {0: alg.one()})
     inv_F = time_ordering(dirac_kernel, F, "inverse")
-    power = None
+    total = power = HbarSeries(alg, {0: alg.one()})
     for n in range(1, max_n + 1):
-        power = inv_F if power is None else power.wedge(inv_F)
+        power = power.wedge(inv_F)
         if power.is_zero():
             break
-        term = time_ordering(dirac_kernel, power, "forward")
-        out = out + term.scale(_inv_factorial(ring, n))
-    return out
+        total = total + power.scale(_inv_factorial(ring, n))
+    return time_ordering(dirac_kernel, total, "forward")
 
 
 def alpha_transform(sym_kernel, F, direction: str = "forward") -> FormalSeries:

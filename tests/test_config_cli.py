@@ -104,6 +104,16 @@ def test_default_window_cutoff_needs_three_times(tmp_path, capsys):
     assert "cutoff = window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["propagators", "gn-series", "verify"])
+def test_cli_config_error_leaves_no_out_directory(tmp_path, command):
+    """At nt = 2 each command exits 2 on its inputs (the default cutoff
+    window, or the bracket suite's bound) before it creates --out."""
+    p = write(tmp_path, "lattice.nt = 2\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     p = write(tmp_path, "lattice.dt = 2\nlattice.dx = 1\n")
     code = main(["propagators", "--config", str(p), "--out", str(tmp_path)])

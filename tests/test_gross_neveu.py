@@ -9,7 +9,7 @@ import pytest
 from fermifields import gross_neveu, verify
 from fermifields.algebra import CONJUGATE, FIELD, evaluate, random_element
 from fermifields.config import RunConfig
-from fermifields.dynamics import peierls_bracket
+from fermifields.dynamics import SubstitutionMap, peierls_bracket
 from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
                                      build_gn_action, gn_interaction_term,
                                      interacting_bracket, interacting_causal,
@@ -19,6 +19,7 @@ from fermifields.kernels import ElementKernel, Kernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green)
 from fermifields.reports import TOL_NUM
+from fermifields.series import TruncatedSeries
 
 
 @pytest.fixture
@@ -682,3 +683,38 @@ def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
         _assert_same_bits(ik.corrections, eager)
         for (_, _, got), ref in zip(norms[1:], _reference_norms(ik)):
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_permute_colors_matches_the_substitution_of_permuted_generators(rng):
+    """At 3 colours a 3-cycle reorders words across colours; the sign that
+    merge_words gives matches the homomorphism that sends each generator to
+    its relabelled one."""
+    fl = FieldLattice(Lattice(3, 2, 1, 1), 3, "rational")
+    alg = fl.algebra
+    perm = {1: 2, 2: 3, 3: 1}
+    sub = SubstitutionMap(alg, 0, max_grade=None)
+    for i, g in enumerate(alg.generators):
+        j = fl.slot(g.species, perm[g.color], g.site, g.component)
+        sub.set_image(i, TruncatedSeries(alg, {0: alg.generator(j)}, 0))
+    for grade in range(7):
+        F = random_element(alg, rng, grade, 4)
+        want = sub.apply(F).coefficient(0)
+        assert (permute_colors(fl, F, perm) - want).is_zero()
+        assert want.is_zero() == F.is_zero()
+    with pytest.raises(ValueError, match="permute"):
+        permute_colors(fl, F, {1: 2})
+
+
+def test_default_cutoff_window_needs_three_times():
+    """At nt = 2 the default window 1..nt-2 is empty: the library refuses
+    it instead of building the free theory; an explicit cutoff still
+    builds an interacting series."""
+    fl = FieldLattice(Lattice(2, 2, 1, 1), 1, "rational")
+    params = GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=Fraction(1))
+    with pytest.raises(ValueError, match="cutoff window"):
+        params.cutoff(fl)
+    with pytest.raises(ValueError, match="cutoff window"):
+        build_gn_action(fl, params)
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 4),
+                                             m=Fraction(1), g=[1] * 4))
+    assert interacting_propagator(S, 2).vertices

@@ -1,5 +1,6 @@
 """Star products, time ordering, S-matrix and product equivalence."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from fermifields.dynamics import peierls_bracket
 from fermifields.gross_neveu import build_free_action
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green)
+from fermifields.linalg import zeros
 from fermifields.quantization import (SymmetricKernel, alpha_transform,
                                       contraction_operator, formal_smatrix,
                                       gamma_delta, random_symmetric_kernel,
@@ -302,3 +304,85 @@ def test_star_with_kernel_matches_star_float_exactly(rng):
         assert 1 in lhs.coeffs
         for n, e in lhs.coeffs.items():
             assert e.terms() == rhs.coeffs[n].terms()
+
+
+# -- exact references for the library-derived operators ----------------------
+
+def _word_level_contraction(mat, F):
+    """Γ_K(F) by the word-level loop: remove slot i, then slot j, each with
+    the position sign of a left derivative."""
+    ring = F.algebra.ring
+    half = ring.number(Fraction(1, 2))
+    terms = {}
+    for w, c in F.items():
+        for pi, i in enumerate(w):
+            wi = w[:pi] + w[pi + 1:]
+            si = -half if pi % 2 == 1 else half
+            for pj, j in enumerate(wi):
+                k = mat[i, j]
+                if not k:
+                    continue
+                nw = wi[:pj] + wi[pj + 1:]
+                terms[nw] = (terms.get(nw, ring.zero)
+                             + c * k * (-si if pj % 2 == 1 else si))
+    return F.algebra.element(terms)
+
+
+@pytest.mark.parametrize("grade", range(7))
+def test_contraction_operator_matches_the_word_level_loop(quant, rng, grade):
+    """Γ_K = (1/2) Σ K[i,j] d_j d_i against the word-level loop, for a
+    kernel that is not antisymmetric (Γ_K reads only K's antisymmetric
+    part, so a sum over i < j alone would differ)."""
+    fl = quant[0]
+    ring = fl.ring
+    n = fl.n_slots
+    mat = zeros((n, n), ring)
+    for i in range(n):
+        for j in range(n):
+            mat[i, j] = ring.number(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    assert any(mat[i, j] + mat[j, i] for i in range(n) for j in range(n))
+    F = random_element(fl.algebra, rng, grade, 4, rng.sample(range(n), 9))
+    want = _word_level_contraction(mat, F)
+    assert (contraction_operator(mat, F) - want).is_zero()
+    assert want.is_zero() == (grade < 2)
+
+
+def test_gamma_delta_is_the_first_order_of_star_with_kernel(quant, rng):
+    """Γ_Δ(F, G), half the signed pairing, equals the hbar^1 coefficient of
+    the tensor-state engine with kernel Δ, inhomogeneous F included."""
+    fl, S, dR, dA, delta, dD = quant
+    alg = fl.algebra
+    nonzero = 0
+    for _ in range(40):
+        slots = rng.sample(range(fl.n_slots), 8)
+        F = (random_element(alg, rng, rng.randint(0, 4), 2, slots)
+             + random_element(alg, rng, rng.randint(0, 4), 2, slots))
+        G = random_element(alg, rng, rng.randint(0, 4), 2, slots)
+        want = star_with_kernel(delta, F, G).coefficient(1)
+        assert (gamma_delta(delta, F, G) - want).is_zero()
+        nonzero += not want.is_zero()
+    assert nonzero > 10
+    with pytest.raises(ValueError, match="kernel does not match"):
+        gamma_delta(delta.mat[:-1, :-1], F, G)
+
+
+def test_formal_smatrix_matches_the_per_power_sum(quant, rng):
+    """T applied once to Σ (T⁻¹F)^n / n! equals Σ T((T⁻¹F)^n) / n!."""
+    fl, S, dR, dA, delta, dD = quant
+    alg = fl.algebra
+    ring = fl.ring
+    slots = rng.sample(range(fl.n_slots), 10)
+    # three disjoint bilinears, so that the third power is not 0
+    F = (alg.monomial(sorted(slots[0:2])) + alg.monomial(sorted(slots[2:4]))
+         + alg.monomial(sorted(slots[4:6]))
+         + random_element(alg, rng, 2, 3, slots))
+    inv_F = time_ordering(dD, F, "inverse")
+    want = HbarSeries(alg, {0: alg.one()})
+    power = None
+    for n in range(1, 4):
+        power = inv_F if power is None else power.wedge(inv_F)
+        want = want + time_ordering(dD, power, "forward").scale(
+            ring.number(Fraction(1, math.factorial(n))))
+    assert not power.coefficient(0).is_zero()
+    assert (formal_smatrix(dD, F, 3) - want).is_zero()
