@@ -476,23 +476,42 @@ def _perturbed(ik, k, eps):
     return ik
 
 
+def _perturbed_block(ik, k, eps):
+    """Float ``ik`` with ``eps`` added to one coefficient of the block of
+    V_{k+1}: the last nonzero one on an exact row of the last group that
+    reaches that order."""
+    stored = [b for b in ik._blocks if len(b) > k][-1]
+    _, x = stored[k]
+    exact = ik.free.exact_rows[ik._rows]
+    r, c = np.argwhere((x != 0) & exact[:, None])[-1]
+    x[r, c] += eps
+    return ik
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_propagator_defect_sees_a_perturbed_correction(mode):
     """Negative control: a coefficient of Δ_1, or of the last, lazily built
     order Δ_2, moved on an exact row (by 1 in rational mode, by 1e-6 in
     float mode) fails the defect, while the series itself passes it:
-    exactly 0 in rational mode, below ``TOL_NUM`` in float mode."""
+    exactly 0 in rational mode, below ``TOL_NUM`` in float mode.  In float
+    mode the coefficient moved is one of the stored block of V_1 or of
+    V_2, the top order."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
     ring = fl.ring
     S = build_gn_action(fl, GrossNeveuParams(
         ncolors=1, lam=ring.number(Fraction(1, 3)), m=ring.number(Fraction(3, 4))))
     eps, bound = (ring.one, 0.0) if ring.exact else (1e-6, TOL_NUM)
     ik = interacting_propagator(S, 4)
-    assert len(ik._corrections) == 1 and len(ik.vertices) == 2
+    if ring.exact:
+        assert len(ik._corrections) == 1 and len(ik.vertices) == 2
+    else:
+        assert ik.order_count == 3 and not ik._corrections
+        assert max(len(b) for b in ik._blocks) == 2
     clean = propagator_defect(S, ik)
     assert clean == 0.0 if ring.exact else clean < TOL_NUM
+    perturb = _perturbed if ring.exact else _perturbed_block
     for k in (0, 1):
-        ik = _perturbed(interacting_propagator(S, 4), k, eps)
+        ik = perturb(interacting_propagator(S, 4), k, eps)
         assert propagator_defect(S, ik) > bound
 
 
@@ -530,14 +549,18 @@ def float32_two_colors():
 @pytest.mark.parametrize("scaled", [False, True], ids=["series", "scaled"])
 def test_float_propagator_defect_matches_the_sparse_oracle(
         request, monkeypatch, series, orders, scaled):
-    """The dense per-column float residual agrees with the sparse one to
-    1e-15, both on the series and on one whose order k is scaled by
-    1 + k/1000, where every grade-2k residual is far from 0.  The grade-0
-    block is set aside, so the defect is the grade-2k part alone."""
+    """The float residual on dense blocks agrees with the sparse one to
+    1e-15, both on the series and on one whose stored blocks of order k
+    are scaled by 1 + k/1000, where every grade-2k residual is far from
+    0.  The sparse residual reads the corrections unpacked from the same
+    blocks.  The grade-0 block is set aside, so the defect is the grade-2k
+    part alone."""
     S, ik = request.getfixturevalue(series)
     if scaled:
-        ik = SimpleNamespace(fl=ik.fl, free=ik.free, corrections=[
-            c.scale(1 + k / 1000) for k, c in enumerate(ik.corrections, 1)])
+        ik = interacting_propagator(S, ik.max_grade)
+        for stored in ik._blocks:
+            for k, (_, x) in enumerate(stored, 1):
+                x *= 1 + k / 1000
     assert len(ik.corrections) == orders
     want = _sparse_defect(S, ik)
     assert (want > 1e-6) if scaled else (want < TOL_NUM)
@@ -547,50 +570,51 @@ def test_float_propagator_defect_matches_the_sparse_oracle(
 
 def test_column_blocks_pack_every_term_in_first_appearance_order(
         float32_two_colors):
-    """Per column b, each kernel's block holds every (row, word,
-    coefficient) of that column and nothing else, over one word index in
-    order of first appearance, kernel by kernel; columns come in order of
-    first appearance."""
+    """Per column b, the block holds every (row, word, coefficient) of that
+    column and nothing else, over the column's words in order of first
+    appearance; columns come in order of first appearance."""
     _, ik = float32_two_colors
-    kernels = (ik.corrections[1], ik.vertices[0], ik.corrections[0])
-    cols = list(dict.fromkeys(b for v in kernels for _, b in v.entries))
-    got = list(gross_neveu._column_blocks(*kernels))
+    v = ik.corrections[1]
+    cols = list(dict.fromkeys(b for _, b in v.entries))
+    got = list(gross_neveu._column_blocks(v))
     assert len(got) == len(cols)
-    for b, blocks in zip(cols, got):
+    for b, x in zip(cols, got):
         words: list = []
-        for v in kernels:
-            for (_, c), e in v.entries.items():
-                for w, _ in e.items():
-                    if c == b and w not in words:
-                        words.append(w)
-        assert len(blocks) == len(kernels)
-        for v, x in zip(kernels, blocks):
-            want = np.zeros((v.n, len(words)), dtype=complex)
-            for (a, c), e in v.entries.items():
-                if c == b:
-                    for w, coef in e.items():
-                        want[a, words.index(w)] = coef
-            assert x.shape == want.shape
-            assert np.array_equal(x, want)
+        for (_, c), e in v.entries.items():
+            for w, _ in e.items():
+                if c == b and w not in words:
+                    words.append(w)
+        want = np.zeros((v.n, len(words)), dtype=complex)
+        for (a, c), e in v.entries.items():
+            if c == b:
+                for w, coef in e.items():
+                    want[a, words.index(w)] = coef
+        assert x.shape == want.shape
+        assert np.array_equal(x, want)
 
 
 # -- per-order norms from the vertex products ------------------------------------
 
-def _eager_orders(S, kind, max_grade):
-    """Δ_k = (−Δ0)·(W∘Δ_{k−1}), Δ_1 = (−Δ0)·(W·Δ0), every order built at
-    once and a zero order ending the series."""
+def _eager_chain(S, kind, max_grade):
+    """(V_k, Δ_k) with V_1 = W·Δ0, V_k = W∘Δ_{k−1} and Δ_k = (−Δ0)·V_k as
+    sparse ElementKernels, every order built at once and a zero order
+    ending the series."""
     free = dirac_green(S.fl, S.meta["m"], kind).mat
     _, W = S.second_kernel()
-    orders = []
-    current = W.compose_scalar_right(free)
+    chain = []
+    vertex = W.compose_scalar_right(free)
     for k in range(1, max_grade // 2 + 1):
         if k > 1:
-            current = W.compose(current)
-        current = current.compose_scalar_left(-free)
-        if current.is_zero():
+            vertex = W.compose(chain[-1][1])
+        order = vertex.compose_scalar_left(-free)
+        if order.is_zero():
             break
-        orders.append(current)
-    return orders
+        chain.append((vertex, order))
+    return chain
+
+
+def _eager_orders(S, kind, max_grade):
+    return [order for _, order in _eager_chain(S, kind, max_grade)]
 
 
 def _reference_norms(ik):
@@ -618,16 +642,27 @@ def _assert_same_bits(got, want):
 
 @pytest.fixture(scope="module")
 def float43_order8():
-    """4x3 float series to order 4, its norms read before anything else."""
+    """4x3 float series to order 4, its norms read before anything else,
+    with the number of order steps taken and of Δ_k built by then; later
+    order steps are counted in ``steps`` too."""
     fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75))
     ik = interacting_propagator(S, 8)
+    steps = []
+    step = ik._step
+
+    def counted(*args):
+        steps.append(args[0])
+        return step(*args)
+
+    ik._step = counted
     norms = ik.per_order_norms()
-    return S, ik, norms, len(ik._corrections)
+    return SimpleNamespace(S=S, ik=ik, norms=norms, steps=steps,
+                           steps_at_norms=len(steps), built=len(ik._corrections))
 
 
 def test_per_order_norms_match_the_built_orders_in_float(float43_order8):
-    _, ik, norms, _ = float43_order8
+    ik, norms = float43_order8.ik, float43_order8.norms
     assert [(k, g) for k, g, _ in norms] == [(k, 2 * k) for k in range(5)]
     want = _reference_norms(ik)
     assert len(want) == 4
@@ -636,11 +671,129 @@ def test_per_order_norms_match_the_built_orders_in_float(float43_order8):
 
 
 def test_per_order_norms_leave_the_last_order_unbuilt(float43_order8):
-    """The norms read only the vertex products; the last order is built on
-    the first read of ``corrections``, with the eager chain's bits."""
-    S, ik, _, built = float43_order8
-    assert len(ik.vertices) == 4 and built == 3
-    _assert_same_bits(ik.corrections, _eager_orders(S, "retarded", 8))
+    """The norms read the Gram matrices summed while the series was built:
+    no order step and no Δ_k.  The last order Δ_4 is built, from its
+    stored blocks and with no order step, the first time ``corrections``
+    is read, and then agrees with the sparse eager chain."""
+    f = float43_order8
+    assert f.steps_at_norms == 0 and f.built == 0
+    assert f.ik.order_count == 5 and max(len(b) for b in f.ik._blocks) == 4
+    _assert_matches_the_chain(f.ik, f.norms, f.ik.free.mat,
+                              _eager_chain(f.S, "retarded", 8))
+    assert len(f.steps) == f.steps_at_norms
+
+
+# -- the float blocks against independent series ---------------------------------
+
+def _gram_norms(free, vertices):
+    """‖(−Δ0)·V_k‖_F by the Gram identity Σ G[a,a']·K[a,a'], with G = Δ0ᴴΔ0
+    and K = Σ_b conj(X_b)·X_bᵀ, X_b the dense (rows × words) block of column
+    b of V_k packed here from its entries."""
+    d0 = np.array(free.tolist(), dtype=complex)
+    gram = d0.conj().T @ d0
+    norms = []
+    for v in vertices:
+        cols: dict = {}
+        for (a, b), e in v.entries.items():
+            for w, c in e.items():
+                cols.setdefault(b, {}).setdefault(w, {})[a] = c
+        k = np.zeros_like(gram)
+        for words in cols.values():
+            x = np.zeros((len(gram), len(words)), dtype=complex)
+            for i, by_row in enumerate(words.values()):
+                for a, c in by_row.items():
+                    x[a, i] = c
+            k += x.conj() @ x.T
+        norms.append(max(float(np.sum(gram * k).real), 0.0) ** 0.5)
+    return norms
+
+
+def _assert_matches_the_chain(ik, norms, free, chain):
+    """Same order count as the sparse chain; per order k, the same entry
+    keys and words but for terms below 1e-15·max|c| (an exact cancellation
+    may differ), every coefficient within 1e-15·max|c|, and the norm
+    within 1e-15 of the chain's Gram-identity norm."""
+    assert ik.order_count == 1 + len(chain)
+    got = ik.corrections
+    for k, ((_, want), have) in enumerate(zip(chain, got), 1):
+        bound = 1e-15 * max(e.max_abs() for e in want.entries.values())
+        for key in have.entries.keys() | want.entries.keys():
+            a, b = dict(have.get(*key).items()), dict(want.get(*key).items())
+            for w in a.keys() ^ b.keys():
+                assert abs(a.get(w, 0) or b.get(w, 0)) <= bound, (k, key, w)
+            for w in a.keys() | b.keys():
+                assert abs(a.get(w, 0) - b.get(w, 0)) <= bound, (k, key, w)
+    assert [(k, g) for k, g, _ in norms] == [(k, 2 * k) for k in range(1 + len(chain))]
+    for (_, _, n), ref in zip(norms[1:], _gram_norms(free, [v for v, _ in chain])):
+        assert abs(n - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("nt, nx, ncolors, max_grade, g", [
+    (3, 2, 2, 6, None), (3, 2, 1, 10, [1] * 6), (4, 3, 1, 0, None),
+    (4, 3, 1, 2, None)],
+    ids=["3x2-2colors-grade6", "3x2-cutoff-on-every-site", "4x3-grade0",
+         "4x3-grade2"])
+def test_float_blocks_match_the_sparse_eager_chain(nt, nx, ncolors, max_grade, g):
+    """The float series, its orders unpacked from the blocks and its norms
+    from the Gram matrices, against the sparse chain run in float.  With
+    g = 1 on every site W has rows and columns on dead columns of Δ0.  The
+    4x3 series at grade 8 is checked in
+    ``test_per_order_norms_leave_the_last_order_unbuilt``."""
+    fl = FieldLattice(Lattice(nt, nx, 1, 1), ncolors, "float")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=1 / 3, m=0.75,
+                                             g=g))
+    ik = interacting_propagator(S, max_grade)
+    if g is not None:
+        free = ik.free.mat
+        dead = {j for j in range(fl.n_slots) if not any(free[:, j])}
+        assert any(i in dead or a in dead for i, a in S.second_kernel()[1].entries)
+    chain = _eager_chain(S, "retarded", max_grade)
+    assert len(chain) == max_grade // 2
+    _assert_matches_the_chain(ik, ik.per_order_norms(), ik.free.mat, chain)
+
+
+def test_float_blocks_match_the_exact_series():
+    """At 3x3 to grade 8 the float series agrees with the rational one:
+    each norm within 1e-13 relative, each coefficient within 1e-13 of its
+    order's largest."""
+    def series(mode):
+        fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
+        ring = fl.ring
+        S = build_gn_action(fl, GrossNeveuParams(
+            ncolors=1, lam=ring.number(Fraction(1, 3)),
+            m=ring.number(Fraction(3, 4))))
+        return interacting_propagator(S, 8)
+
+    exact, approx = series("rational"), series("float")
+    assert exact.order_count == approx.order_count == 5
+    for (k, g, a), (kf, gf, b) in zip(exact.per_order_norms(),
+                                      approx.per_order_norms()):
+        assert (k, g) == (kf, gf) and abs(a - b) <= 1e-13 * a
+    for want, got in zip(exact.corrections, approx.corrections):
+        bound = 1e-13 * max(e.max_abs() for e in want.entries.values())
+        for key in want.entries.keys() | got.entries.keys():
+            a, b = dict(want.get(*key).items()), dict(got.get(*key).items())
+            for w in a.keys() | b.keys():
+                assert abs(complex(a.get(w, 0)) - b.get(w, 0)) <= bound
+
+
+def test_float_cli_series_builds_no_element_kernel_product(tmp_path, monkeypatch):
+    """Float ``propagators`` and ``gn-series`` form the series, its norms
+    and its defect on dense blocks alone."""
+    from fermifields.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ElementKernel product on the float CLI path")
+
+    monkeypatch.setattr(ElementKernel, "compose", refuse)
+    monkeypatch.setattr(ElementKernel, "compose_scalar_left", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lattice.nt = 3\nlattice.nx = 3\narithmetic = float\n"
+                   "mass = 3/4\nlambda = 1/8\n")
+    for cmd in ("propagators", "gn-series"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0
+    rows = (tmp_path / "propagators" / "interacting_retarded_orders.csv")
+    assert len(rows.read_text().splitlines()) == 5
 
 
 def test_per_order_norms_match_the_built_orders_in_rational():
