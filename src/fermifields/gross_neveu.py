@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +158,8 @@ class InteractingKernel:
     :func:`interacting_propagator` reads Δ_{k−1} back from
     ``corrections`` to form V_k, so only the last order is left unbuilt.
     The float series it returns leaves ``vertices`` empty: it keeps the
-    V_k as dense column blocks (see :class:`_BlockKernel`) and builds no
-    Δ_k unless ``corrections`` is read.
+    nonzeros of each V_k's column blocks (see :class:`_BlockKernel`) and
+    builds no Δ_k unless ``corrections`` is read.
 
     :meth:`per_order_norms` reads the vertex products only.  With
     X_b the dense (rows × words) coefficient block of column b of V_k and
@@ -241,52 +242,147 @@ def _column_gram(v: ElementKernel) -> np.ndarray:
 # column, and by word id within a column.
 _SHIFT = 32
 _WORD = (1 << _SHIFT) - 1
-_UNSET = np.iinfo(np.int64).min
 
 
-def _split(W: ElementKernel):
-    """W's rows and columns (sorted), and per monomial w of its entries
-    ``(w, I, J, C)``: C[r, c] is the coefficient of w in W[rows[I[r]],
-    cols[J[c]]], over the rows I and columns J (positions) where w occurs."""
-    rows = sorted({i for i, _ in W.entries})
-    cols = sorted({a for _, a in W.entries})
-    at_row = {i: r for r, i in enumerate(rows)}
-    at_col = {a: c for c, a in enumerate(cols)}
-    by_word: dict = {}
-    for (i, a), e in W.entries.items():
-        for w, c in e.items():
-            by_word.setdefault(w, []).append((at_row[i], at_col[a], c))
-    parts = []
-    for w, terms in by_word.items():
-        I = np.array(sorted({r for r, _, _ in terms}), dtype=np.int64)
-        J = np.array(sorted({c for _, c, _ in terms}), dtype=np.int64)
-        C = np.zeros((len(I), len(J)), dtype=complex)
-        for r, c, x in terms:
-            C[np.searchsorted(I, r), np.searchsorted(J, c)] += x
-        parts.append((w, I, J, C))
-    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), parts
+class _Entries(NamedTuple):
+    """W as flat per-entry arrays, the entries sorted by column.
+
+    ``rows`` and ``cols`` are W's rows and columns (sorted slot indices);
+    entry e is the coefficient ``coef[e]`` of monomial ``mono[e]`` in
+    W[rows[row[e]], cols[c]], where ``start[c] <= e < start[c + 1]``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    row: np.ndarray
+    mono: np.ndarray
+    coef: np.ndarray
+    start: np.ndarray
+
+
+class _Order(NamedTuple):
+    """One order of one site group, nonzeros only: ``vals`` at the flat
+    positions ``at`` = row · len(keys) + key position of its dense
+    (W rows × keys) block."""
+
+    keys: np.ndarray
+    at: np.ndarray
+    vals: np.ndarray
+
+
+class _MergeTables:
+    """Words of every order, numbered in order of first appearance, and
+    the merge tables of W's monomials against them.
+
+    ``words[k]`` holds the grade-2k words met so far, one row of
+    increasing generator ordinals per id.  ``merge[k][m, u]`` is ±(id + 1)
+    of monomial m ∧ word u in order k+1's table, the sign its Koszul
+    sign, or 0 where the two share a generator; ``seen[k]`` marks the
+    entries filled so far.  Entries are filled by array arithmetic, for a
+    whole batch of (monomial, word) pairs at once.
+    """
+
+    def __init__(self):
+        self._mono_ids: dict = {}                     # monomial word -> id
+        self.monomials = np.zeros((0, 0), dtype=np.int64)
+        self.words = [np.zeros((1, 0), dtype=np.int64)]
+        self._ids = [{b"": 0}]                        # per order: bytes -> id
+        self.merge: list = []
+        self.seen: list = []
+
+    def monomial_ids(self, words: list) -> np.ndarray:
+        """The id of each monomial word, numbering new ones in order."""
+        ids = self._mono_ids
+        got = [ids.setdefault(w, len(ids)) for w in words]
+        if len(ids) > len(self.monomials):
+            grade = len(next(iter(ids)))
+            self.monomials = np.array(list(ids), dtype=np.int64).reshape(-1, grade)
+        return np.array(got, dtype=np.int64)
+
+    def lookup(self, k: int, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """±(id + 1) of monomial m ∧ order-k word u per pair, 0 where they
+        share a generator; fills the pairs not seen yet first."""
+        self._fit(k)
+        at = m * self.merge[k].shape[1] + u
+        todo = at[~self.seen[k].ravel()[at]]
+        if len(todo):
+            self._fill(k, todo)
+        return self.merge[k].ravel()[at]
+
+    def _fit(self, k: int):
+        """Grow order k's merge table to every monomial and word so far."""
+        if len(self.merge) == k:
+            self.merge.append(np.zeros((0, 0), dtype=np.int64))
+            self.seen.append(np.zeros((0, 0), dtype=bool))
+        have = self.merge[k].shape
+        need = (len(self.monomials), len(self.words[k]))
+        if need[0] <= have[0] and need[1] <= have[1]:
+            return
+        shape = tuple(h if n <= h else max(n, 2 * h) for n, h in zip(need, have))
+        for tables in (self.merge, self.seen):
+            grown = np.zeros(shape, dtype=tables[k].dtype)
+            grown[:have[0], :have[1]] = tables[k]
+            tables[k] = grown
+
+    def _fill(self, k: int, at: np.ndarray):
+        """Fill order k's merge table at the flat positions ``at``."""
+        merge, seen = self.merge[k].ravel(), self.seen[k].ravel()
+        # each pair once, sorted by (monomial, word): new words are numbered
+        # in the order a per-monomial loop over sorted word ids meets them
+        todo = np.zeros(len(seen), dtype=bool)
+        todo[at] = True
+        at = np.flatnonzero(todo)
+        m, u = np.divmod(at, self.merge[k].shape[1])
+        a, b = self.monomials[m], self.words[k][u]
+        apart = ~(a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
+        a, b = a[apart], b[apart]
+        # Koszul sign of w ∧ u: one transposition per a ∈ w, b ∈ u, b < a
+        odd = (b[:, None, :] < a[:, :, None]).sum(axis=(1, 2)) % 2
+        ids = self._intern(k + 1, np.sort(np.concatenate([a, b], axis=1), axis=1))
+        out = np.zeros(len(at), dtype=np.int64)
+        out[apart] = (ids + 1) * (1 - 2 * odd)
+        merge[at] = out
+        seen[at] = True
+
+    def _intern(self, k: int, words: np.ndarray) -> np.ndarray:
+        """Order k's id of each word, numbering new ones by first appearance."""
+        if len(self.words) == k:
+            self.words.append(np.zeros((0, words.shape[1]), dtype=np.int64))
+            self._ids.append({})
+        ids = self._ids[k]
+        # each row as one bytes object: an exact key for any generator
+        # count and grade
+        words = np.ascontiguousarray(words)
+        raw = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
+        fresh = [w for w in dict.fromkeys(raw) if w not in ids]
+        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+        got = np.fromiter(map(ids.__getitem__, raw), dtype=np.int64, count=len(raw))
+        if fresh:
+            _, first = np.unique(got, return_index=True)
+            self.words[k] = np.concatenate([self.words[k], words[first[-len(fresh):]]])
+        return got
 
 
 class _BlockKernel(InteractingKernel):
-    """Float-mode series: each V_k as dense complex column blocks.
+    """Float-mode series: each V_k as nonzero-only column blocks.
 
-    Order k's words (grade 2k) are numbered in a table of their own, and
-    a block of V_k is a dense matrix X over W's rows whose columns are
-    keys ``column << 32 | word id``.  The live source columns of Δ0 are
-    grouped by lattice site; each group runs through every order before
-    the next group starts, one block per group and order.
+    Order k's words (grade 2k) are numbered in a table of their own
+    (:class:`_MergeTables`), and a block of V_k is a matrix over W's rows
+    whose columns are keys ``column << 32 | word id``.  The live source
+    columns of Δ0 are grouped by lattice site; each group runs through
+    every order before the next group starts, one block per group and
+    order.  A block is stored as its nonzeros alone (:class:`_Order`) and
+    made dense only where it is read.
 
-    One order step, V_{k+1} = W∘Δ_k, takes Δ_k on W's columns (Y =
-    −Δ0[cols, rows]·X_k, or Δ0 itself for V_1) and, per monomial w of W,
-    forms the one product C_w·Y[J_w, present] over the keys whose word is
-    present on w's columns and shares no generator with w.  The merged
-    words come from a per-w map from order k's word ids to signed order
-    k+1 ids, filled through ``merge_words`` only for words met so far.
-    A first pass finds the new keys (``np.unique``), a second adds each
-    product, with its sign, straight into the new block.
+    One order step, V_{k+1} = W∘Δ_k, is one pass of whole-array numpy
+    calls, whatever W's monomial count: it takes Δ_k on W's columns
+    (Y = −Δ0[cols, rows]·X_k, or Δ0 itself for V_1), expands each nonzero
+    of Y against the entries of W (:class:`_Entries`) in the same column,
+    reads each merged word's signed id from the merge table of order k,
+    and adds the products into the new block with ``np.add.at``.
 
-    The Gram matrix conj(X)·Xᵀ of every order is summed while the series
-    is built.
+    The Gram matrix conj(X)·Xᵀ of every order is summed while its block
+    is dense at hand, as the series is built.
     """
 
     def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
@@ -295,128 +391,119 @@ class _BlockKernel(InteractingKernel):
         d0 = np.array(free.mat.tolist(), dtype=complex)
         self._free = d0
         self._neg_free = -d0
-        self._rows, self._cols, self._parts = _split(W)
-        self._tables = [([()], {(): 0})]   # order k: grade-2k words, their ids
-        self._maps: dict = {}              # (k, w): signed order-k+1 id + 1
+        self._tables = _MergeTables()
+        self._W = self._entries(W)
         sites = [g.site for g in fl.algebra.generators]
         groups: dict = {}
         for j in np.flatnonzero(d0.any(axis=0)).tolist():
             groups.setdefault(sites[j], []).append(j)
         self._groups = [np.array(g, dtype=np.int64) for g in groups.values()]
         self._grams: list = []             # per order: Σ conj(X)·Xᵀ
-        # per group: (keys, X) of V_1, V_2, … up to its last nonzero order
+        # per group: the _Order of V_1, V_2, … up to its last nonzero order
         self._blocks = [self._build(g) for g in range(len(self._groups))]
+
+    def _entries(self, W: ElementKernel) -> _Entries:
+        """W as flat per-entry arrays, its monomials numbered in the merge
+        tables."""
+        rows = sorted({i for i, _ in W.entries})
+        cols = sorted({a for _, a in W.entries})
+        at_row = {i: r for r, i in enumerate(rows)}
+        at_col = {a: c for c, a in enumerate(cols)}
+        flat = [(at_row[i], at_col[a], w, x)
+                for (i, a), e in W.entries.items() for w, x in e.items()]
+        # monomials numbered in order of first appearance in W
+        mono = self._tables.monomial_ids([t[2] for t in flat])
+        col = np.array([t[1] for t in flat], dtype=np.int64)
+        order = np.argsort(col, kind="stable")
+        return _Entries(
+            np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array([t[0] for t in flat], dtype=np.int64)[order], mono[order],
+            np.array([t[3] for t in flat], dtype=complex)[order],
+            np.searchsorted(col[order], np.arange(len(cols) + 1)))
 
     def _build(self, g: int) -> list:
         """Run group g through every order, summing each Gram matrix; its
-        blocks up to its last nonzero order."""
+        orders up to its last nonzero one."""
+        W = self._W
+        back = self._neg_free[np.ix_(W.cols, W.rows)]
+        last = self.max_grade // 2
         stored: list = []
-        for k in range(1, self.max_grade // 2 + 1):
-            keys, x = self._step(k - 1, *self._source(
-                g, self._cols, stored[-1] if stored else None),
-                self._parts, len(self._rows))
-            if not x.any():
+        keys, y = self._first(g, W.cols)
+        for k in range(1, last + 1):
+            keys, x = self._step(k - 1, keys, y, W)
+            at = np.flatnonzero(x != 0)
+            if not len(at):
                 break
             if k > len(self._grams):
-                self._grams.append(np.zeros((len(self._rows),) * 2, dtype=complex))
+                self._grams.append(np.zeros((len(W.rows),) * 2, dtype=complex))
             self._grams[k - 1] += x.conj() @ x.T
-            stored.append((keys, x))
+            stored.append(_Order(keys, at, x.ravel()[at]))
+            if k < last:
+                y = back @ x   # Δ_k = −Δ0[:, rows]·X_k on W's columns
         return stored
 
-    def _source(self, g: int, cols: np.ndarray, below):
-        """Keys and rows ``cols`` of Δ_k in group g, from the block ``below``
-        of V_k: −Δ0[cols, rows]·X_k, or Δ0's own columns (word id 0, the
-        empty word) when ``below`` is None, at k = 0."""
-        if below is None:
-            group = self._groups[g]
-            return group << _SHIFT, self._free[np.ix_(cols, group)]
-        keys, x = below
-        return keys, self._neg_free[np.ix_(cols, self._rows)] @ x
+    def _first(self, g: int, cols: np.ndarray):
+        """Keys and rows ``cols`` of Δ0 in group g: Δ0's own columns, under
+        word id 0, the empty word."""
+        group = self._groups[g]
+        return group << _SHIFT, self._free[np.ix_(cols, group)]
 
-    def _merged(self, k: int, w: tuple, ids: np.ndarray) -> np.ndarray:
-        """Signed (id + 1) of w ∧ u in order k+1's table for each order-k
-        word id of u, 0 where w and u share a generator."""
-        words = self._tables[k][0]
-        if len(self._tables) == k + 1:
-            self._tables.append(([], {}))
-        out_words, out_ids = self._tables[k + 1]
-        m = self._maps.get((k, w))
-        if m is None or len(m) < len(words):
-            grown = np.full(max(len(words), 2 * (0 if m is None else len(m))),
-                            _UNSET, dtype=np.int64)
-            if m is not None:
-                grown[:len(m)] = m
-            m = self._maps[(k, w)] = grown
-        got = m[ids]
-        unset = got == _UNSET
-        if not unset.any():
-            return got
-        # sorted(set()): np.unique would import numpy.ma (about 1 MB) to
-        # check for a mask
-        for u in sorted(set(ids[unset].tolist())):
-            merged = merge_words(w, words[u])
-            if merged is None:
-                m[u] = 0
-                continue
-            sign, word = merged
-            i = out_ids.get(word)
-            if i is None:
-                i = out_ids[word] = len(out_words)
-                out_words.append(word)
-            m[u] = sign * (i + 1)
-        return m[ids]
+    def _dense(self, order: _Order) -> np.ndarray:
+        """The dense (W rows × keys) block of a stored order."""
+        x = np.zeros(len(self._W.rows) * len(order.keys), dtype=complex)
+        x[order.at] = order.vals
+        return x.reshape(len(self._W.rows), len(order.keys))
 
-    def _step(self, k: int, keys: np.ndarray, y: np.ndarray, parts: list,
-              nrows: int):
-        """Keys and block over ``nrows`` rows of W∘Δ_k, W given by its
-        monomial ``parts`` and Δ_k by ``keys`` and its rows ``y`` on W's
-        columns."""
-        words = keys & _WORD
-        cols = keys & ~_WORD
-        nonzero = y != 0
-        live = nonzero.any(axis=1).tolist()
-        todo = []
-        for w, I, J, C in parts:
-            if not any(live[j] for j in J.tolist()):
-                continue
-            present = nonzero[J].any(axis=0).nonzero()[0]
-            merged = self._merged(k, w, words[present])
-            keep = merged != 0
-            if keep.any():
-                present, merged = present[keep], merged[keep]
-                todo.append((I, J, C, present, np.sign(merged),
-                             cols[present] | (np.abs(merged) - 1)))
-        if not todo:
-            return keys[:0], np.zeros((nrows, 0), dtype=complex)
-        new, inv = np.unique(np.concatenate([t[-1] for t in todo]),
-                             return_inverse=True)
-        z = np.zeros((nrows, len(new)), dtype=complex)
-        start = 0
-        for I, J, C, present, sign, _ in todo:
-            stop = start + len(present)
-            # one w merges distinct keys into distinct keys: no index repeats
-            z[I[:, None], inv[start:stop]] += (C @ y[J[:, None], present]) * sign
-            start = stop
-        return new, z
+    def _step(self, k: int, keys: np.ndarray, y: np.ndarray, W: _Entries):
+        """Keys and dense block over W's rows of W∘Δ_k, Δ_k given by its
+        sorted ``keys`` and its rows ``y`` on W's columns."""
+        at = np.flatnonzero(y != 0)
+        c, p = np.divmod(at, y.shape[1])
+        lo = W.start[c]
+        count = W.start[c + 1] - lo
+        # e runs over W's entries in column c, for each nonzero (c, p) of y
+        e = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        p = np.repeat(p, count)
+        merged = self._tables.lookup(k, W.mono[e], keys[p] & _WORD)
+        keep = np.flatnonzero(merged)
+        if not len(keep):
+            return keys[:0], np.zeros((len(W.rows), 0), dtype=complex)
+        e, p, merged = e[keep], p[keep], merged[keep]
+        value = W.coef[e] * np.repeat(y.ravel()[at], count)[keep]
+        value[merged < 0] *= -1
+        # the new keys, sorted, from a mark per (column rank, new word id)
+        col = keys >> _SHIFT
+        cols = col[np.flatnonzero(np.diff(col, prepend=-1))]
+        n = len(self._tables.words[k + 1])
+        code = np.searchsorted(cols, col)[p] * n + np.abs(merged) - 1
+        mark = np.zeros(len(cols) * n, dtype=bool)
+        mark[code] = True
+        new = np.flatnonzero(mark)
+        pos = np.cumsum(mark)[code] - 1
+        z = np.zeros(len(W.rows) * len(new), dtype=complex)
+        np.add.at(z, W.row[e] * len(new) + pos, value)
+        return (cols[new // n] << _SHIFT) | (new % n), z.reshape(len(W.rows), len(new))
 
     @property
     def order_count(self) -> int:
         return 1 + max(map(len, self._blocks), default=0)
 
     def _gram_sums(self, gram: np.ndarray):
-        on_rows = gram[np.ix_(self._rows, self._rows)]
+        rows = self._W.rows
+        on_rows = gram[np.ix_(rows, rows)]
         for k_k in self._grams:
             yield float(np.sum(on_rows * k_k).real)
 
     def _correction(self, k: int) -> ElementKernel:
         """Δ_k = −Δ0[:, rows]·X_k, unpacked row by row into term dicts."""
-        words = self._tables[k][0]
-        to_slots = self._neg_free[:, self._rows]
+        words = list(map(tuple, self._tables.words[k].tolist()))
+        to_slots = self._neg_free[:, self._W.rows]
         acc: dict = {}
         for stored in self._blocks:
             if k > len(stored):
                 continue
-            keys, x = stored[k - 1]
+            keys = stored[k - 1].keys
+            x = self._dense(stored[k - 1])
             col_of = keys >> _SHIFT
             cols, ids = col_of.tolist(), (keys & _WORD).tolist()
             bounds = [0, *(np.flatnonzero(np.diff(col_of)) + 1).tolist(), len(cols)]
@@ -435,28 +522,33 @@ class _BlockKernel(InteractingKernel):
     def _defect(self, k0: np.ndarray, W: ElementKernel) -> float:
         """max |K0·Δ_k + W∘Δ_{k−1}| over every order k and column, with
         ``k0`` and ``W`` restricted to the exact rows, on the blocks: K0·Δ_k
-        is k0·(−Δ0[:, rows]·X_k), W∘Δ_{k−1} is the order step from the
-        stored order k − 1, and the two are added on their (column, word
-        id) keys.  No Δ_k term dict is built."""
-        k0 = np.array(k0.tolist(), dtype=complex)
-        rows, cols, parts = _split(W)
-        to_slots = self._neg_free[:, self._rows]
+        is K0·(−Δ0[:, rows]), formed once, times X_k; W∘Δ_{k−1} is the
+        order step, on the exact rows' entries of W, from the stored order
+        k − 1; the two are added on their (column, word id) keys.  No Δ_k
+        term dict is built."""
+        upper = np.array(k0.tolist(), dtype=complex) @ self._neg_free[:, self._W.rows]
+        W = self._entries(W)
+        # K0·Δ_k on W's rows, where W∘Δ_{k−1} is added, and on the others
+        on, off = upper[W.rows], np.delete(upper, W.rows, axis=0)
+        back = self._neg_free[np.ix_(W.cols, self._W.rows)]
         worst = 0.0
         for g, stored in enumerate(self._blocks):
-            below = None
+            keys, y = self._first(g, W.cols)
             for k in range(1, self.order_count):
-                lk, lower = self._step(k - 1, *self._source(g, cols, below),
-                                       parts, len(rows))
+                lk, lower = self._step(k - 1, keys, y, W)
                 if k > len(stored):   # V_k is 0 on this group
                     worst = max(worst, float(np.abs(lower).max(initial=0.0)))
                     break
-                keys, x = below = stored[k - 1]
-                res = k0 @ (to_slots @ x)
+                keys, x = stored[k - 1].keys, self._dense(stored[k - 1])
+                res = on @ x
                 at = np.minimum(np.searchsorted(keys, lk), len(keys) - 1)
                 hit = keys[at] == lk
-                res[np.ix_(rows, at[hit])] += lower[:, hit]
-                worst = max(worst, float(np.abs(res).max(initial=0.0)),
-                            float(np.abs(lower[:, ~hit]).max(initial=0.0)))
+                res[:, at[hit]] += lower[:, hit]
+                worst = max(worst, float(np.abs(lower[:, ~hit]).max(initial=0.0)),
+                            float(np.abs(res).max(initial=0.0)),
+                            float(np.abs(off @ x).max(initial=0.0)))
+                if k + 1 < self.order_count:
+                    y = back @ x
         return worst
 
 
@@ -474,9 +566,10 @@ def interacting_propagator(S: ActionFunctional,
 
     Rational mode keeps each V_k as an exact sparse ``ElementKernel`` and
     reads Δ_{k−1} back from ``corrections``; the last order is left
-    unbuilt.  Float mode keeps each V_k as dense column blocks, one
-    numpy product per monomial of W and order (:class:`_BlockKernel`),
-    and builds no Δ_k term dict until ``corrections`` is read.
+    unbuilt.  Float mode keeps the nonzeros of each V_k's column blocks,
+    built by one whole-array order step per lattice site and order,
+    whatever W's monomial count (:class:`_BlockKernel`), and builds no
+    Δ_k term dict until ``corrections`` is read.
 
     Rows of W that meet a zero column of Δ_0 are dropped first: they add
     nothing to any Δ_k.  Δ_0 has full column rank on its other columns,
@@ -508,9 +601,11 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     recomputed from the stored order k − 1, so each order is checked
     against the one before it; the last order is checked too.
 
-    On a series that keeps dense blocks (the float series of
+    On a series that keeps column blocks (the float series of
     :func:`interacting_propagator`) the grade-2k residual K0·Δ_k +
-    W∘Δ_{k−1} is formed on the blocks, building no Δ_k term dict.  On any
+    W∘Δ_{k−1} is formed on the blocks, each made dense as it is read,
+    with K0·(−Δ0) formed once and the order step run on the entries of W
+    on the exact rows; no Δ_k term dict is built.  On any
     other series, which need only have ``fl``, ``free`` and
     ``corrections``, it is accumulated sparsely, entry by entry, from
     ``ik.corrections``: exactly in rational mode.

@@ -8,6 +8,7 @@ import pytest
 from fermifields import verify
 from fermifields.cli import main
 from fermifields.config import ConfigError, RunConfig, load_config
+from fermifields.reports import TOL_NUM
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -356,3 +357,18 @@ def test_cli_car_table(tmp_path):
     lines = (out / "car_table.csv").read_text().splitlines()
     assert lines[0] == "field_slot,conjugate_slot,re_hbar1,im_hbar1"
     assert len(lines) > 1
+
+
+def test_cli_float_two_colours_at_3x3(tmp_path):
+    """Float propagators and gn-series at 3x3 with two colours: 72
+    generators, more than a 64-bit word mask could hold.  Both exit 0, so
+    the interacting defect is below ``TOL_NUM``; gn-series reaches
+    grade 8."""
+    p = write(tmp_path, "lattice.nt = 3\nlattice.nx = 3\ncolors = 2\n"
+                        "mass = 3/4\nlambda = 1/8\narithmetic = float\n")
+    for cmd in ("propagators", "gn-series"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
+    rows = dict(r.split(",") for r in
+                (tmp_path / "propagators" / "defects.csv").read_text().splitlines()[1:])
+    assert float(rows["interacting_defect"]) < TOL_NUM

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fermifields import gross_neveu, verify
+from fermifields._core import merge_words
 from fermifields.algebra import CONJUGATE, FIELD, evaluate, random_element
 from fermifields.config import RunConfig
 from fermifields.dynamics import SubstitutionMap, peierls_bracket
@@ -480,11 +481,10 @@ def _perturbed_block(ik, k, eps):
     """Float ``ik`` with ``eps`` added to one coefficient of the block of
     V_{k+1}: the last nonzero one on an exact row of the last group that
     reaches that order."""
-    stored = [b for b in ik._blocks if len(b) > k][-1]
-    _, x = stored[k]
-    exact = ik.free.exact_rows[ik._rows]
-    r, c = np.argwhere((x != 0) & exact[:, None])[-1]
-    x[r, c] += eps
+    order = [b for b in ik._blocks if len(b) > k][-1][k]
+    exact = ik.free.exact_rows[ik._W.rows]
+    i = np.flatnonzero(exact[order.at // len(order.keys)])[-1]
+    order.vals[i] += eps
     return ik
 
 
@@ -559,13 +559,70 @@ def test_float_propagator_defect_matches_the_sparse_oracle(
     if scaled:
         ik = interacting_propagator(S, ik.max_grade)
         for stored in ik._blocks:
-            for k, (_, x) in enumerate(stored, 1):
-                x *= 1 + k / 1000
+            for k, order in enumerate(stored, 1):
+                order.vals[:] *= 1 + k / 1000
     assert len(ik.corrections) == orders
     want = _sparse_defect(S, ik)
     assert (want > 1e-6) if scaled else (want < TOL_NUM)
     monkeypatch.setattr(Kernel, "identity_defect", lambda self, op: 0.0)
     assert abs(propagator_defect(S, ik) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("case", ["one-site-unchecked", "every-row-checked"])
+def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
+    """The defect's order steps run on the entries of W on the checked
+    rows, not on the series' W.  With the rows of one interacting site
+    left unchecked they miss some stored keys (the stored orders are
+    scaled by 1 + k/1000 here, so that the residual is far from 0).  With
+    every row checked and the cutoff on every site, W keeps entries on
+    dead columns of Δ0 that the series dropped, and they reach keys the
+    series lacks.  Either way the float residual agrees with the sparse
+    oracle within 1e-15·max(1, residual); on the dead rows alone, with
+    K0 = 0, it is the largest coefficient of W∘Δ_{k−1}."""
+    g = [1] * 12 if case == "every-row-checked" else None
+    fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
+    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75, g=g))
+    ik = interacting_propagator(S, 6)
+    if g is None:
+        gens = fl.algebra.generators
+        site = gens[ik._W.rows[0]].site
+        rows = ik.free.exact_rows.copy()
+        rows[[i for i, gen in enumerate(gens) if gen.site == site]] = False
+        for stored in ik._blocks:
+            for k, order in enumerate(stored, 1):
+                order.vals[:] *= 1 + k / 1000
+    else:
+        rows = np.ones(fl.n_slots, dtype=bool)
+    ik.free = Kernel(ik.free.mat, ik.free.ring, ik.free.kind, ik.free.row_times,
+                     ik.free.col_times, rows)
+    stepped = []
+    step = ik._step
+
+    def recorded(k, *args):
+        keys, x = step(k, *args)
+        stepped.extend((k + 1, key) for key in keys.tolist())
+        return keys, x
+
+    ik._step = recorded
+    want = _sparse_defect(S, ik)
+    assert want > 1e-6
+    monkeypatch.setattr(Kernel, "identity_defect", lambda self, op: 0.0)
+    assert abs(propagator_defect(S, ik) - want) <= 1e-15 * max(want, 1.0)
+    stored = {(k, key) for b in ik._blocks for k, order in enumerate(b, 1)
+              for key in order.keys.tolist()}
+    if g is None:
+        assert set(stepped) < stored
+        return
+    assert set(stepped) - stored
+    # on the entries of W on dead rows alone every key is one the series
+    # lacks, and with K0 = 0 the residual is W∘Δ_{k−1} itself
+    _, W = S.second_kernel()
+    W = W.restrict_rows([not any(col) for col in ik.free.mat.T])
+    lowers = [W.compose_scalar_right(ik.free.mat),
+              *(W.compose(c) for c in ik.corrections[:-1])]
+    want = max(e.max_abs() for lower in lowers for e in lower.entries.values())
+    got = ik._defect(np.zeros((fl.n_slots,) * 2), W)
+    assert want > 0.1 and abs(got - want) <= 1e-15 * want
 
 
 def test_column_blocks_pack_every_term_in_first_appearance_order(
@@ -775,6 +832,173 @@ def test_float_blocks_match_the_exact_series():
             a, b = dict(want.get(*key).items()), dict(got.get(*key).items())
             for w in a.keys() | b.keys():
                 assert abs(complex(a.get(w, 0)) - b.get(w, 0)) <= bound
+
+
+# -- the order step against the per-monomial oracle -----------------------------
+
+def _split(W):
+    """W's rows and columns (sorted), and per monomial w of its entries
+    ``(w, I, J, C)``: C[r, c] is the coefficient of w in W[rows[I[r]],
+    cols[J[c]]], over the rows I and columns J (positions) where w occurs."""
+    rows = sorted({i for i, _ in W.entries})
+    cols = sorted({a for _, a in W.entries})
+    at_row = {i: r for r, i in enumerate(rows)}
+    at_col = {a: c for c, a in enumerate(cols)}
+    by_word: dict = {}
+    for (i, a), e in W.entries.items():
+        for w, c in e.items():
+            by_word.setdefault(w, []).append((at_row[i], at_col[a], c))
+    parts = []
+    for w, terms in by_word.items():
+        I = np.array(sorted({r for r, _, _ in terms}), dtype=np.int64)
+        J = np.array(sorted({c for _, c, _ in terms}), dtype=np.int64)
+        C = np.zeros((len(I), len(J)), dtype=complex)
+        for r, c, x in terms:
+            C[np.searchsorted(I, r), np.searchsorted(J, c)] += x
+        parts.append((w, I, J, C))
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), parts
+
+
+class _PerMonomialSteps:
+    """Oracle order step: one product C_w·Y[J_w, present] per monomial w
+    of W into a dense block, the merged word ids from per-(order, w) maps
+    filled one ``merge_words`` call at a time, in order of first
+    appearance."""
+
+    def __init__(self):
+        self.tables = [([()], {(): 0})]   # order k: grade-2k words, their ids
+        self.maps: dict = {}              # (k, w): signed order-k+1 id + 1
+
+    def merged(self, k, w, ids):
+        words = self.tables[k][0]
+        if len(self.tables) == k + 1:
+            self.tables.append(([], {}))
+        out_words, out_ids = self.tables[k + 1]
+        m = self.maps.setdefault((k, w), {})
+        for u in sorted(set(ids.tolist()) - m.keys()):
+            merged = merge_words(w, words[u])
+            if merged is None:
+                m[u] = 0
+                continue
+            sign, word = merged
+            i = out_ids.get(word)
+            if i is None:
+                i = out_ids[word] = len(out_words)
+                out_words.append(word)
+            m[u] = sign * (i + 1)
+        return np.array([m[u] for u in ids.tolist()], dtype=np.int64)
+
+    def step(self, k, keys, y, parts, nrows):
+        words = keys & gross_neveu._WORD
+        cols = keys & ~gross_neveu._WORD
+        nonzero = y != 0
+        todo = []
+        for w, I, J, C in parts:
+            present = nonzero[J].any(axis=0).nonzero()[0]
+            merged = self.merged(k, w, words[present])
+            keep = merged != 0
+            if keep.any():
+                present, merged = present[keep], merged[keep]
+                todo.append((I, J, C, present, np.sign(merged),
+                             cols[present] | (np.abs(merged) - 1)))
+        if not todo:
+            return keys[:0], np.zeros((nrows, 0), dtype=complex)
+        new, inv = np.unique(np.concatenate([t[-1] for t in todo]),
+                             return_inverse=True)
+        z = np.zeros((nrows, len(new)), dtype=complex)
+        start = 0
+        for I, J, C, present, sign, _ in todo:
+            stop = start + len(present)
+            z[I[:, None], inv[start:stop]] += (C @ y[J[:, None], present]) * sign
+            start = stop
+        return new, z
+
+
+def _oracle_blocks(S, ik):
+    """The oracle's word tables and, per site group of ``ik``, its dense
+    blocks (keys, X) of V_1, V_2, … up to the group's last nonzero order,
+    run from the same W, groups and sources as ``ik``."""
+    _, W = S.second_kernel()
+    W = W.restrict_rows([any(col) for col in ik.free.mat.T])
+    rows, cols, parts = _split(W)
+    steps = _PerMonomialSteps()
+    out = []
+    for group in ik._groups:
+        keys, y = group << gross_neveu._SHIFT, ik._free[np.ix_(cols, group)]
+        blocks = []
+        for k in range(1, ik.max_grade // 2 + 1):
+            keys, x = steps.step(k - 1, keys, y, parts, len(rows))
+            if not x.any():
+                break
+            blocks.append((keys, x))
+            y = ik._neg_free[np.ix_(cols, rows)] @ x
+        out.append(blocks)
+    return steps.tables, out
+
+
+def _float_gn(nt, nx, ncolors, lam=0.125, g=None):
+    fl = FieldLattice(Lattice(nt, nx, 1, 1), ncolors, "float")
+    return build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=lam, m=0.75,
+                                                g=g))
+
+
+@pytest.mark.parametrize("nt, nx, ncolors, lam, g, max_grade", [
+    (4, 3, 1, 0.125, None, 8), (3, 2, 2, 0.125, None, 6),
+    (3, 2, 1, 1 / 3, [1] * 6, 10), (4, 3, 1, 0.0, None, 6)],
+    ids=["4x3-grade8", "3x2-2colors-grade6", "3x2-cutoff-on-every-site",
+         "4x3-lambda0"])
+def test_stored_orders_match_the_per_monomial_oracle(nt, nx, ncolors, lam, g,
+                                                      max_grade):
+    """Per group and order, the stored nonzeros against the oracle's dense
+    block: the same keys over the same word tables (words numbered in the
+    same order of first appearance), every coefficient within
+    1e-15·max|c| of the order, and one stored entry per nonzero of the
+    oracle's block, so no zero is stored.  At λ = 0, W is empty and so
+    is every block."""
+    S = _float_gn(nt, nx, ncolors, lam, g)
+    ik = interacting_propagator(S, max_grade)
+    tables, want = _oracle_blocks(S, ik)
+    assert [len(b) for b in ik._blocks] == [len(b) for b in want]
+    assert any(want) == (lam != 0)
+    for k in range(1, ik.order_count):
+        assert list(map(tuple, ik._tables.words[k].tolist())) == tables[k][0]
+        bound = 1e-15 * max(np.abs(x).max() for b in want if len(b) >= k
+                            for _, x in [b[k - 1]])
+        for stored, blocks in zip(ik._blocks, want):
+            if len(blocks) < k:
+                continue
+            order, (keys, x) = stored[k - 1], blocks[k - 1]
+            assert np.array_equal(order.keys, keys)
+            assert len(order.vals) == np.count_nonzero(x)
+            assert np.all(order.vals != 0)
+            assert np.abs(ik._dense(order) - x).max() <= bound
+
+
+@pytest.mark.parametrize("nt, nx, ncolors, max_grade", [
+    (4, 3, 1, 8), (3, 3, 2, 6)], ids=["4x3-grade8", "3x3-2colors-grade6"])
+def test_merge_tables_match_merge_words(nt, nx, ncolors, max_grade):
+    """Every filled entry of every order's merge table is
+    ``merge_words(w, u)``: 0 where the words share a generator, else the
+    sign times (id + 1) of the merged word.  The 3x3 lattice with two
+    colours has 72 generators."""
+    S = _float_gn(nt, nx, ncolors)
+    ik = interacting_propagator(S, max_grade)
+    tables = ik._tables
+    assert S.fl.n_slots == 72 if ncolors == 2 else True
+    monomials = list(map(tuple, tables.monomials.tolist()))
+    filled = 0
+    for k, (merge, seen) in enumerate(zip(tables.merge, tables.seen)):
+        words = list(map(tuple, tables.words[k].tolist()))
+        above = list(map(tuple, tables.words[k + 1].tolist()))
+        for m, u in zip(*np.nonzero(seen)):
+            got, want = merge[m, u], merge_words(monomials[m], words[u])
+            if want is None:
+                assert got == 0
+            else:
+                assert got != 0
+                assert (np.sign(got), above[abs(got) - 1]) == want
+            filled += 1
+    assert filled > 1000
 
 
 def test_float_cli_series_builds_no_element_kernel_product(tmp_path, monkeypatch):
