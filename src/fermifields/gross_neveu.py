@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -15,8 +14,9 @@ import numpy as np
 from ._core import merge_words
 from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
-from .kernels import ElementKernel, Kernel, _accumulate
+from .kernels import ElementKernel, Kernel
 from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
+from .linalg import matmul
 
 __all__ = [
     "GrossNeveuParams", "InteractingKernel", "bilinear_element",
@@ -141,101 +141,6 @@ def build_gn_action(fl: FieldLattice, params: GrossNeveuParams) -> ActionFunctio
     S = ActionFunctional(fl, build, name="gross_neveu")
     S.meta = {"m": params.m}
     return S
-
-
-class InteractingKernel:
-    """Terminating retarded propagator series with Grassmann-even entries.
-
-    ``free`` is the scalar order Δ0.  Order k >= 1 is Δ_k = (−Δ0)·V_k
-    with the vertex product V_k = W∘Δ_{k−1} (V_1 = W·Δ0, W the even
-    element part of S^(2)); its entries have grade exactly 2k, so
-    evaluation against a grade-n configuration uses only k <= n//2
-    orders.  :attr:`corrections` is the one place Δ_k is built, as an
-    :class:`~fermifields.kernels.ElementKernel`: it builds the orders not
-    built yet, the first time it is read.
-
-    ``vertices[k-1]`` is V_k as an ``ElementKernel``.  In rational mode
-    :func:`interacting_propagator` reads Δ_{k−1} back from
-    ``corrections`` to form V_k, so only the last order is left unbuilt.
-    The float series it returns leaves ``vertices`` empty: it keeps the
-    nonzeros of each V_k's column blocks (see :class:`_BlockKernel`) and
-    builds no Δ_k unless ``corrections`` is read.
-
-    :meth:`per_order_norms` reads the vertex products only.  With
-    X_b the dense (rows × words) coefficient block of column b of V_k and
-    the Gram matrix G = Δ0ᴴΔ0, ‖Δ_k‖_F² = Σ_{a,a'} G[a,a'] K_k[a,a'] where
-    K_k = Σ_b conj(X_b)·X_bᵀ.
-    """
-
-    def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel):
-        self.fl = fl
-        self.max_grade = max_grade
-        self.free = free
-        self.vertices: list = []          # ElementKernel V_k, k = 1.. (sparse)
-        self._corrections: list = []      # the Δ_k built so far, k = 1..
-
-    @property
-    def corrections(self) -> list:
-        """Δ_1, Δ_2, … as ElementKernels; builds the ones not built yet."""
-        built = self._corrections
-        while len(built) < self.order_count - 1:
-            built.append(self._correction(len(built) + 1))
-        return built
-
-    def _correction(self, k: int) -> ElementKernel:
-        return self.vertices[k - 1].compose_scalar_left(-self.free.mat)
-
-    @property
-    def order_count(self) -> int:
-        return 1 + len(self.vertices)
-
-    def per_order_norms(self) -> list:
-        """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity."""
-        rows = [(0, 0, float(np.sqrt(sum(abs(complex(c)) ** 2
-                                         for c in self.free.mat.ravel()))))]
-        d0 = np.array(self.free.mat.tolist(), dtype=complex)
-        gram = d0.conj().T @ d0
-        for k, sq in enumerate(self._gram_sums(gram), start=1):
-            rows.append((k, 2 * k, max(sq, 0.0) ** 0.5))
-        return rows
-
-    def _gram_sums(self, gram: np.ndarray):
-        """Σ G·K_k per order k, G the Gram matrix of Δ0."""
-        for v in self.vertices:
-            yield float(np.sum(gram * _column_gram(v)).real)
-
-    def __repr__(self):
-        return (f"InteractingKernel(orders={self.order_count}, "
-                f"max_grade={self.max_grade})")
-
-
-def _column_blocks(v: ElementKernel):
-    """Yield the dense (rows × words) complex coefficient block X_b of each
-    column b of ``v``, in order of first appearance, over the words of
-    column b numbered in order of first appearance."""
-    cols: dict[int, list] = {}
-    for (a, b), e in v.entries.items():
-        cols.setdefault(b, []).append((a, e._terms))
-    for part in cols.values():
-        words = {w: i for i, w in enumerate(dict.fromkeys(chain.from_iterable(
-            terms for _, terms in part)))}
-        x = np.zeros((v.n, len(words)), dtype=complex)
-        rows = np.repeat(np.array([a for a, _ in part], dtype=int),
-                         [len(terms) for _, terms in part])
-        idx = list(map(words.__getitem__,
-                       chain.from_iterable(terms for _, terms in part)))
-        x[rows, idx] = np.array(
-            list(chain.from_iterable(terms.values() for _, terms in part)),
-            dtype=complex)
-        yield x
-
-
-def _column_gram(v: ElementKernel) -> np.ndarray:
-    """K = Σ_b conj(X_b)·X_bᵀ, X_b the (rows × words) block of column b."""
-    out = np.zeros((v.n, v.n), dtype=complex)
-    for x in _column_blocks(v):
-        out += x.conj() @ x.T
-    return out
 
 
 # A block key is ``column << _SHIFT | word id``: sorted keys run column by
@@ -363,10 +268,17 @@ class _MergeTables:
         return got
 
 
-class _BlockKernel(InteractingKernel):
-    """Float-mode series: each V_k as nonzero-only column blocks.
+class InteractingKernel:
+    """Terminating retarded propagator series with Grassmann-even entries.
 
-    Order k's words (grade 2k) are numbered in a table of their own
+    ``free`` is the scalar order Δ0.  Order k >= 1 is Δ_k = (−Δ0)·V_k
+    with the vertex product V_k = W∘Δ_{k−1} (V_1 = W·Δ0, W the even
+    element part of S^(2), its rows restricted to the nonzero columns of
+    Δ0); its entries have grade exactly 2k, so evaluation against a
+    grade-n configuration uses only k <= n//2 orders.
+
+    Each V_k is kept as nonzero-only column blocks.  Order k's words
+    (grade 2k) are numbered in a table of their own
     (:class:`_MergeTables`), and a block of V_k is a matrix over W's rows
     whose columns are keys ``column << 32 | word id``.  The live source
     columns of Δ0 are grouped by lattice site; each group runs through
@@ -381,26 +293,69 @@ class _BlockKernel(InteractingKernel):
     reads each merged word's signed id from the merge table of order k,
     and adds the products into the new block with ``np.add.at``.
 
-    The Gram matrix conj(X)·Xᵀ of every order is summed while its block
-    is dense at hand, as the series is built.
+    Both arithmetic modes run the same steps; the dtype of the blocks is
+    the only difference.  Float mode holds complex arrays; rational mode
+    holds object arrays of the ring's exact :class:`~fermifields.scalars.QC`
+    scalars, and its matrix products go through
+    :func:`~fermifields.linalg.matmul`, which skips exact zeros.
+
+    :attr:`corrections` is the one place Δ_k is built, as an
+    :class:`~fermifields.kernels.ElementKernel`: it builds the orders not
+    built yet, the first time it is read.  :meth:`per_order_norms` reads
+    no Δ_k: with X the dense block of V_k and the Gram matrix G = Δ0ᴴΔ0,
+    ‖Δ_k‖_F² = Σ_{a,a'} G[a,a'] K_k[a,a'] where K_k = Σ conj(X)·Xᵀ over
+    the blocks of V_k, summed in complex floats as the series is built.
     """
 
     def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
                  W: ElementKernel):
-        super().__init__(fl, max_grade, free)
-        d0 = np.array(free.mat.tolist(), dtype=complex)
-        self._free = d0
-        self._neg_free = -d0
+        self.fl = fl
+        self.max_grade = max_grade
+        self.free = free
+        self._corrections: list = []      # the Δ_k built so far, k = 1..
+        # the zeros of a dense exact block are the int 0 that np.zeros puts
+        # in object arrays: QC arithmetic takes it as an exact zero, and
+        # numpy tests its truth without a Python call
+        self._dtype = object if fl.ring.exact else complex
+        self._free = free.mat
+        self._neg_free = -free.mat
         self._tables = _MergeTables()
         self._W = self._entries(W)
         sites = [g.site for g in fl.algebra.generators]
         groups: dict = {}
-        for j in np.flatnonzero(d0.any(axis=0)).tolist():
+        for j in np.flatnonzero(free.mat.astype(bool).any(axis=0)).tolist():
             groups.setdefault(sites[j], []).append(j)
         self._groups = [np.array(g, dtype=np.int64) for g in groups.values()]
         self._grams: list = []             # per order: Σ conj(X)·Xᵀ
         # per group: the _Order of V_1, V_2, … up to its last nonzero order
         self._blocks = [self._build(g) for g in range(len(self._groups))]
+
+    @property
+    def corrections(self) -> list:
+        """Δ_1, Δ_2, … as ElementKernels; builds the ones not built yet."""
+        built = self._corrections
+        while len(built) < self.order_count - 1:
+            built.append(self._correction(len(built) + 1))
+        return built
+
+    @property
+    def order_count(self) -> int:
+        return 1 + max(map(len, self._blocks), default=0)
+
+    def per_order_norms(self) -> list:
+        """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity."""
+        out = [(0, 0, float(np.sqrt(sum(abs(complex(c)) ** 2
+                                        for c in self.free.mat.ravel()))))]
+        d0 = np.array(self.free.mat.tolist(), dtype=complex)
+        rows = self._W.rows
+        gram = (d0.conj().T @ d0)[np.ix_(rows, rows)]
+        for k, k_k in enumerate(self._grams, start=1):
+            out.append((k, 2 * k, max(float(np.sum(gram * k_k).real), 0.0) ** 0.5))
+        return out
+
+    def __repr__(self):
+        return (f"InteractingKernel(orders={self.order_count}, "
+                f"max_grade={self.max_grade})")
 
     def _entries(self, W: ElementKernel) -> _Entries:
         """W as flat per-entry arrays, its monomials numbered in the merge
@@ -418,28 +373,32 @@ class _BlockKernel(InteractingKernel):
         return _Entries(
             np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
             np.array([t[0] for t in flat], dtype=np.int64)[order], mono[order],
-            np.array([t[3] for t in flat], dtype=complex)[order],
+            np.array([t[3] for t in flat], dtype=self._dtype)[order],
             np.searchsorted(col[order], np.arange(len(cols) + 1)))
 
     def _build(self, g: int) -> list:
         """Run group g through every order, summing each Gram matrix; its
         orders up to its last nonzero one."""
         W = self._W
+        ring = self.fl.ring
         back = self._neg_free[np.ix_(W.cols, W.rows)]
         last = self.max_grade // 2
         stored: list = []
         keys, y = self._first(g, W.cols)
         for k in range(1, last + 1):
             keys, x = self._step(k - 1, keys, y, W)
-            at = np.flatnonzero(x != 0)
+            at = np.flatnonzero(x.astype(bool))
             if not len(at):
                 break
+            order = _Order(keys, at, x.ravel()[at])
+            stored.append(order)
             if k > len(self._grams):
                 self._grams.append(np.zeros((len(W.rows),) * 2, dtype=complex))
-            self._grams[k - 1] += x.conj() @ x.T
-            stored.append(_Order(keys, at, x.ravel()[at]))
+            # in complex floats: x itself, or its stored nonzeros made complex
+            xc = x if x.dtype == complex else self._dense(order, complex)
+            self._grams[k - 1] += xc.conj() @ xc.T
             if k < last:
-                y = back @ x   # Δ_k = −Δ0[:, rows]·X_k on W's columns
+                y = matmul(back, x, ring)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
         return stored
 
     def _first(self, g: int, cols: np.ndarray):
@@ -448,16 +407,18 @@ class _BlockKernel(InteractingKernel):
         group = self._groups[g]
         return group << _SHIFT, self._free[np.ix_(cols, group)]
 
-    def _dense(self, order: _Order) -> np.ndarray:
-        """The dense (W rows × keys) block of a stored order."""
-        x = np.zeros(len(self._W.rows) * len(order.keys), dtype=complex)
+    def _dense(self, order: _Order, dtype=None) -> np.ndarray:
+        """The dense (W rows × keys) block of a stored order, over the
+        ring's scalars, or made ``dtype`` when one is given."""
+        size = len(self._W.rows) * len(order.keys)
+        x = np.zeros(size, dtype=dtype or self._dtype)
         x[order.at] = order.vals
         return x.reshape(len(self._W.rows), len(order.keys))
 
     def _step(self, k: int, keys: np.ndarray, y: np.ndarray, W: _Entries):
         """Keys and dense block over W's rows of W∘Δ_k, Δ_k given by its
         sorted ``keys`` and its rows ``y`` on W's columns."""
-        at = np.flatnonzero(y != 0)
+        at = np.flatnonzero(y.astype(bool))
         c, p = np.divmod(at, y.shape[1])
         lo = W.start[c]
         count = W.start[c + 1] - lo
@@ -467,10 +428,11 @@ class _BlockKernel(InteractingKernel):
         merged = self._tables.lookup(k, W.mono[e], keys[p] & _WORD)
         keep = np.flatnonzero(merged)
         if not len(keep):
-            return keys[:0], np.zeros((len(W.rows), 0), dtype=complex)
+            return keys[:0], np.zeros((len(W.rows), 0), dtype=self._dtype)
         e, p, merged = e[keep], p[keep], merged[keep]
         value = W.coef[e] * np.repeat(y.ravel()[at], count)[keep]
-        value[merged < 0] *= -1
+        odd = merged < 0
+        value[odd] = -value[odd]
         # the new keys, sorted, from a mark per (column rank, new word id)
         col = keys >> _SHIFT
         cols = col[np.flatnonzero(np.diff(col, prepend=-1))]
@@ -480,22 +442,13 @@ class _BlockKernel(InteractingKernel):
         mark[code] = True
         new = np.flatnonzero(mark)
         pos = np.cumsum(mark)[code] - 1
-        z = np.zeros(len(W.rows) * len(new), dtype=complex)
+        z = np.zeros(len(W.rows) * len(new), dtype=self._dtype)
         np.add.at(z, W.row[e] * len(new) + pos, value)
         return (cols[new // n] << _SHIFT) | (new % n), z.reshape(len(W.rows), len(new))
 
-    @property
-    def order_count(self) -> int:
-        return 1 + max(map(len, self._blocks), default=0)
-
-    def _gram_sums(self, gram: np.ndarray):
-        rows = self._W.rows
-        on_rows = gram[np.ix_(rows, rows)]
-        for k_k in self._grams:
-            yield float(np.sum(on_rows * k_k).real)
-
     def _correction(self, k: int) -> ElementKernel:
         """Δ_k = −Δ0[:, rows]·X_k, unpacked row by row into term dicts."""
+        ring = self.fl.ring
         words = list(map(tuple, self._tables.words[k].tolist()))
         to_slots = self._neg_free[:, self._W.rows]
         acc: dict = {}
@@ -513,8 +466,8 @@ class _BlockKernel(InteractingKernel):
                 # one product per column: a group's product is large enough,
                 # even at 3x2, for OpenBLAS to wake its second thread, whose
                 # spin-wait then slows the Python work that follows
-                part = to_slots @ x[:, start:stop]
-                live = np.flatnonzero(part.any(axis=1))
+                part = matmul(to_slots, x[:, start:stop], ring)
+                live = np.flatnonzero(part.astype(bool).any(axis=1))
                 for a, row in zip(live.tolist(), part[live].tolist()):
                     acc[(a, j)] = {w: c for w, c in zip(ws, row) if c}
         return ElementKernel(self.fl.algebra, self.fl.n_slots)._from_terms(acc)
@@ -526,10 +479,13 @@ class _BlockKernel(InteractingKernel):
         order step, on the exact rows' entries of W, from the stored order
         k − 1; the two are added on their (column, word id) keys.  No Δ_k
         term dict is built."""
-        upper = np.array(k0.tolist(), dtype=complex) @ self._neg_free[:, self._W.rows]
+        ring = self.fl.ring
+        upper = matmul(k0, self._neg_free[:, self._W.rows], ring)
         W = self._entries(W)
-        # K0·Δ_k on W's rows, where W∘Δ_{k−1} is added, and on the others
+        # K0·Δ_k on W's rows, where W∘Δ_{k−1} is added, and on the other
+        # rows of K0·(−Δ0) that are not 0
         on, off = upper[W.rows], np.delete(upper, W.rows, axis=0)
+        off = off[off.astype(bool).any(axis=1)]
         back = self._neg_free[np.ix_(W.cols, self._W.rows)]
         worst = 0.0
         for g, stored in enumerate(self._blocks):
@@ -537,19 +493,25 @@ class _BlockKernel(InteractingKernel):
             for k in range(1, self.order_count):
                 lk, lower = self._step(k - 1, keys, y, W)
                 if k > len(stored):   # V_k is 0 on this group
-                    worst = max(worst, float(np.abs(lower).max(initial=0.0)))
+                    worst = max(worst, _max_abs(lower))
                     break
                 keys, x = stored[k - 1].keys, self._dense(stored[k - 1])
-                res = on @ x
+                res = matmul(on, x, ring)
                 at = np.minimum(np.searchsorted(keys, lk), len(keys) - 1)
                 hit = keys[at] == lk
-                res[:, at[hit]] += lower[:, hit]
-                worst = max(worst, float(np.abs(lower[:, ~hit]).max(initial=0.0)),
-                            float(np.abs(res).max(initial=0.0)),
-                            float(np.abs(off @ x).max(initial=0.0)))
+                # W∘Δ_{k−1} added at its nonzeros alone
+                r, c = np.nonzero(lower[:, hit])
+                res[r, at[hit][c]] += lower[:, hit][r, c]
+                worst = max(worst, _max_abs(lower[:, ~hit]), _max_abs(res),
+                            _max_abs(matmul(off, x, ring)))
                 if k + 1 < self.order_count:
-                    y = back @ x
+                    y = matmul(back, x, ring)
         return worst
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| over the nonzeros of a block, complex or exact; 0 if none."""
+    return float(np.abs(x[x.astype(bool)]).max(initial=0.0))
 
 
 def interacting_propagator(S: ActionFunctional,
@@ -562,14 +524,10 @@ def interacting_propagator(S: ActionFunctional,
     through the sparse, site-local W as the vertex product V_1 = W·Δ_0,
     V_k = W∘Δ_{k−1}, and Δ_k = (−Δ_0)·V_k: the sign is carried by the
     scalar matrix −Δ_0, and each product has a single monomial of W on
-    its left.
-
-    Rational mode keeps each V_k as an exact sparse ``ElementKernel`` and
-    reads Δ_{k−1} back from ``corrections``; the last order is left
-    unbuilt.  Float mode keeps the nonzeros of each V_k's column blocks,
-    built by one whole-array order step per lattice site and order,
-    whatever W's monomial count (:class:`_BlockKernel`), and builds no
-    Δ_k term dict until ``corrections`` is read.
+    its left.  The series keeps the nonzeros of each V_k's column blocks,
+    built by one whole-array order step per lattice site and order, in
+    either arithmetic (:class:`InteractingKernel`), and builds no Δ_k term
+    dict until ``corrections`` is read.
 
     Rows of W that meet a zero column of Δ_0 are dropped first: they add
     nothing to any Δ_k.  Δ_0 has full column rank on its other columns,
@@ -582,61 +540,31 @@ def interacting_propagator(S: ActionFunctional,
     free = dirac_green(fl, S.meta["m"], "retarded")
     _, W = S.second_kernel()
     W = W.restrict_rows([any(col) for col in free.mat.T])
-    if not fl.ring.exact:
-        return _BlockKernel(fl, max_grade, free, W)
-    ik = InteractingKernel(fl, max_grade, free)
-    for k in range(1, max_grade // 2 + 1):
-        vertex = (W.compose_scalar_right(free.mat) if k == 1
-                  else W.compose(ik.corrections[-1]))
-        if vertex.is_zero():
-            break
-        ik.vertices.append(vertex)
-    return ik
+    return InteractingKernel(fl, max_grade, free, W)
 
 
 def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise.
 
-    Only the exact rows of each product are formed, and W∘Δ_{k−1} is
-    recomputed from the stored order k − 1, so each order is checked
-    against the one before it; the last order is checked too.
-
-    On a series that keeps column blocks (the float series of
-    :func:`interacting_propagator`) the grade-2k residual K0·Δ_k +
-    W∘Δ_{k−1} is formed on the blocks, each made dense as it is read,
-    with K0·(−Δ0) formed once and the order step run on the entries of W
-    on the exact rows; no Δ_k term dict is built.  On any
-    other series, which need only have ``fl``, ``free`` and
-    ``corrections``, it is accumulated sparsely, entry by entry, from
-    ``ik.corrections``: exactly in rational mode.
+    The grade-0 block is K0·Δ0 − Id.  The grade-2k block is the residual
+    K0·Δ_k + W∘Δ_{k−1}, formed on the stored blocks of the series, each
+    made dense as it is read: K0·(−Δ0) is formed once and multiplies X_k,
+    and W∘Δ_{k−1} is recomputed by the order step from the stored order
+    k − 1, on the exact rows' entries of W.  So each order is checked
+    against the one before it, the last order too, and no Δ_k term dict
+    is built.  In rational mode every residual is exact.
     """
     K0, W = S.second_kernel()
-    ring = ik.fl.ring
     rows = ik.free.exact_rows
     # grade-0 block: K0 @ Δ0 − Id
     worst = ik.free.identity_defect(K0.mat)
     k0 = K0.mat
     if rows is not None:
         k0 = k0.copy()
-        k0[~rows] = ring.zero
+        k0[~rows] = ik.fl.ring.zero
         W = W.restrict_rows(rows)
     # grade-2k blocks: K0 @ Δ_k + W∘Δ_{k−1}
-    if isinstance(ik, _BlockKernel):
-        return max(worst, ik._defect(k0, W))
-    # the second product is added in place into the first's fresh term dicts
-    prev = None
-    for corr in ik.corrections:
-        lower = (W.compose_scalar_right(ik.free.mat) if prev is None
-                 else W.compose(prev))
-        upper = corr.compose_scalar_left(k0)
-        blk = {key: e._terms for key, e in upper.entries.items()}
-        for key, e in lower.entries.items():
-            _accumulate(blk, key, e._terms, ring)
-        for terms in blk.values():
-            worst = max(worst, max((abs(complex(c)) for c in terms.values()),
-                                   default=0.0))
-        prev = corr
-    return worst
+    return max(worst, ik._defect(k0, W))
 
 
 def interacting_causal(ik: InteractingKernel) -> list:

@@ -185,15 +185,17 @@ def test_interacting_propagator_structure(gn32):
 
 def test_interacting_propagator_inverse_identity(gn32):
     """S^(2)·Δ_I = Id on exact rows for the retarded series, and for the
-    advanced series Δᴬ_k = −(Δ_k)ᵀ over the advanced free kernel."""
+    advanced series Δᴬ_k = −(Δ_k)ᵀ over the advanced free kernel, whose
+    grade-2k residuals the sparse oracle forms from its orders."""
     fl, params, S = gn32
     ik = interacting_propagator(S, max_grade=4)
     assert propagator_defect(S, ik) == 0.0
-    # propagator_defect reads fl, free and corrections only
-    ika = SimpleNamespace(fl=fl, free=dirac_green(fl, params.m, "advanced"),
+    assert _sparse_defect(S, ik) == 0.0
+    ika = SimpleNamespace(free=dirac_green(fl, params.m, "advanced"),
                           corrections=[c.transpose().scale(-1)
                                        for c in ik.corrections])
-    assert propagator_defect(S, ika) == 0.0
+    assert ika.free.identity_defect(S.second_kernel()[0].mat) == 0.0
+    assert _sparse_defect(S, ika) == 0.0
 
 
 def test_interacting_first_order_dense_oracle(gn32):
@@ -349,7 +351,8 @@ def _product_chain(S, kind, max_grade):
 @pytest.mark.parametrize("ncolors, max_grade", [(1, 6), (2, 4)])
 def test_interacting_propagator_equals_product_chain_exactly(ncolors, max_grade):
     """At nx = 3 the spatial Dirac term is nonzero; in rational mode the
-    sparse-vertex association gives the chain's entries exactly."""
+    block series gives the entries of the left-associated chain and of the
+    sparse eager chain exactly."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), ncolors, "rational")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
@@ -357,14 +360,17 @@ def test_interacting_propagator_equals_product_chain_exactly(ncolors, max_grade)
     chain = _product_chain(S, "retarded", max_grade)
     assert len(ik.corrections) == len(chain) == max_grade // 2
     _assert_same_entries(ik.corrections, chain)
+    _assert_same_entries(ik.corrections, _eager_orders(S, "retarded", max_grade))
 
 
 def _assert_same_entries(got, want):
-    """Same orders, and in each the same entry keys and equal entries."""
+    """Same orders, and in each the same entry keys and, per key, the same
+    term dict (in any order)."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.entries.keys() == w.entries.keys()
-        assert all(g.entries[k] == e for k, e in w.entries.items())
+        assert all(dict(g.entries[k].items()) == dict(e.items())
+                   for k, e in w.entries.items())
 
 
 def _assert_close(got, want):
@@ -462,25 +468,10 @@ def test_suite_gn_quartic_canonical_identity_is_exact(monkeypatch):
                if name != "gn_canonical_identity_quartic")
 
 
-def _perturbed(ik, k, eps):
-    """``ik`` with ``eps`` added to one coefficient of order k, in its last
-    entry on an exact row; reading ``ik.corrections`` builds the last order
-    first."""
-    fl = ik.fl
-    corr = ik.corrections[k]
-    (i, j), e = next((key, e) for key, e in reversed(corr.entries.items())
-                     if ik.free.exact_rows[key[0]])
-    w, _ = next(iter(e.items()))
-    entries = dict(corr.entries)
-    entries[(i, j)] = e + fl.algebra.element({w: eps})
-    ik.corrections[k] = ElementKernel(fl.algebra, corr.n, entries)
-    return ik
-
-
 def _perturbed_block(ik, k, eps):
-    """Float ``ik`` with ``eps`` added to one coefficient of the block of
-    V_{k+1}: the last nonzero one on an exact row of the last group that
-    reaches that order."""
+    """``ik`` with ``eps`` added to one coefficient of the block of V_{k+1}:
+    the last nonzero one on an exact row of the last group that reaches
+    that order."""
     order = [b for b in ik._blocks if len(b) > k][-1][k]
     exact = ik.free.exact_rows[ik._W.rows]
     i = np.flatnonzero(exact[order.at // len(order.keys)])[-1]
@@ -490,28 +481,22 @@ def _perturbed_block(ik, k, eps):
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_propagator_defect_sees_a_perturbed_correction(mode):
-    """Negative control: a coefficient of Δ_1, or of the last, lazily built
-    order Δ_2, moved on an exact row (by 1 in rational mode, by 1e-6 in
-    float mode) fails the defect, while the series itself passes it:
-    exactly 0 in rational mode, below ``TOL_NUM`` in float mode.  In float
-    mode the coefficient moved is one of the stored block of V_1 or of
-    V_2, the top order."""
+    """Negative control: a coefficient of the stored block of V_1, or of
+    V_2, the top order, moved on an exact row (by 1 in rational mode, by
+    1e-6 in float mode) fails the defect, while the series itself passes
+    it: exactly 0 in rational mode, below ``TOL_NUM`` in float mode."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
     ring = fl.ring
     S = build_gn_action(fl, GrossNeveuParams(
         ncolors=1, lam=ring.number(Fraction(1, 3)), m=ring.number(Fraction(3, 4))))
     eps, bound = (ring.one, 0.0) if ring.exact else (1e-6, TOL_NUM)
     ik = interacting_propagator(S, 4)
-    if ring.exact:
-        assert len(ik._corrections) == 1 and len(ik.vertices) == 2
-    else:
-        assert ik.order_count == 3 and not ik._corrections
-        assert max(len(b) for b in ik._blocks) == 2
+    assert ik.order_count == 3 and not ik._corrections
+    assert max(len(b) for b in ik._blocks) == 2
     clean = propagator_defect(S, ik)
     assert clean == 0.0 if ring.exact else clean < TOL_NUM
-    perturb = _perturbed if ring.exact else _perturbed_block
     for k in (0, 1):
-        ik = perturb(interacting_propagator(S, 4), k, eps)
+        ik = _perturbed_block(interacting_propagator(S, 4), k, eps)
         assert propagator_defect(S, ik) > bound
 
 
@@ -625,31 +610,6 @@ def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
     assert want > 0.1 and abs(got - want) <= 1e-15 * want
 
 
-def test_column_blocks_pack_every_term_in_first_appearance_order(
-        float32_two_colors):
-    """Per column b, the block holds every (row, word, coefficient) of that
-    column and nothing else, over the column's words in order of first
-    appearance; columns come in order of first appearance."""
-    _, ik = float32_two_colors
-    v = ik.corrections[1]
-    cols = list(dict.fromkeys(b for _, b in v.entries))
-    got = list(gross_neveu._column_blocks(v))
-    assert len(got) == len(cols)
-    for b, x in zip(cols, got):
-        words: list = []
-        for (_, c), e in v.entries.items():
-            for w, _ in e.items():
-                if c == b and w not in words:
-                    words.append(w)
-        want = np.zeros((v.n, len(words)), dtype=complex)
-        for (a, c), e in v.entries.items():
-            if c == b:
-                for w, coef in e.items():
-                    want[a, words.index(w)] = coef
-        assert x.shape == want.shape
-        assert np.array_equal(x, want)
-
-
 # -- per-order norms from the vertex products ------------------------------------
 
 def _eager_chain(S, kind, max_grade):
@@ -678,23 +638,6 @@ def _reference_norms(ik):
     return [float(np.sqrt(sum(abs(complex(c)) ** 2 for e in corr.entries.values()
                               for _, c in e.items())))
             for corr in ik.corrections]
-
-
-def _assert_same_bits(got, want):
-    """Same entry keys and word order, and the same coefficients: the same
-    bits for floats (as repr would show them), the same values for QC."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert list(g.entries) == list(w.entries)
-        for key, e in w.entries.items():
-            f = g.entries[key]
-            assert [word for word, _ in f.items()] == [word for word, _ in e.items()]
-            a = [c for _, c in f.items()]
-            b = [c for _, c in e.items()]
-            if isinstance(b[0], complex):
-                assert np.array(a).tobytes() == np.array(b).tobytes()
-            else:
-                assert a == b
 
 
 @pytest.fixture(scope="module")
@@ -1001,18 +944,19 @@ def test_merge_tables_match_merge_words(nt, nx, ncolors, max_grade):
     assert filled > 1000
 
 
-def test_float_cli_series_builds_no_element_kernel_product(tmp_path, monkeypatch):
-    """Float ``propagators`` and ``gn-series`` form the series, its norms
-    and its defect on dense blocks alone."""
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_cli_series_builds_no_element_kernel_product(tmp_path, monkeypatch, mode):
+    """``propagators`` and ``gn-series`` form the series, its norms and its
+    defect on dense blocks alone, in either arithmetic."""
     from fermifields.cli import main
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ElementKernel product on the float CLI path")
+        raise AssertionError("ElementKernel product on the CLI path")
 
     monkeypatch.setattr(ElementKernel, "compose", refuse)
     monkeypatch.setattr(ElementKernel, "compose_scalar_left", refuse)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lattice.nt = 3\nlattice.nx = 3\narithmetic = float\n"
+    cfg.write_text(f"lattice.nt = 3\nlattice.nx = 3\narithmetic = {mode}\n"
                    "mass = 3/4\nlambda = 1/8\n")
     for cmd in ("propagators", "gn-series"):
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0
@@ -1021,12 +965,16 @@ def test_float_cli_series_builds_no_element_kernel_product(tmp_path, monkeypatch
 
 
 def test_per_order_norms_match_the_built_orders_in_rational():
+    """The norms read the Gram sums of the blocks and build no Δ_k; the
+    orders built afterwards equal the sparse eager chain term for term,
+    and their norms match."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
     ik = interacting_propagator(S, 6)
     norms = ik.per_order_norms()
-    assert len(ik._corrections) == 2
+    assert max(len(b) for b in ik._blocks) == 3 and not ik._corrections
+    _assert_same_entries(ik.corrections, _eager_orders(S, "retarded", 6))
     want = _reference_norms(ik)
     assert len(want) == 3
     for (_, _, got), ref in zip(norms[1:], want):
@@ -1036,11 +984,10 @@ def test_per_order_norms_match_the_built_orders_in_rational():
 @pytest.mark.parametrize("kind", ["retarded", "advanced"])
 def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
     """With g = 1 on every site, W has rows on the zero columns of Δ0 (a
-    boundary time slice).  Those rows add nothing, so the stored vertex
-    products leave them out, and the series still stops where the eager
-    chain of either kind stops.  It matches the retarded chain bit for
-    bit, and its signed transpose −(Δ_k)ᵀ matches the advanced chain
-    exactly."""
+    boundary time slice).  Those rows add nothing, so the stored blocks
+    leave them out, and the series still stops where the eager chain of
+    either kind stops.  It matches the retarded chain term for term, and
+    its signed transpose −(Δ_k)ᵀ matches the advanced chain exactly."""
     fl = FieldLattice(Lattice(3, 2, 1, 1), 1, "rational")
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
                                              m=Fraction(3, 4), g=[1] * 6))
@@ -1049,7 +996,7 @@ def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
     dead = {j for j in range(fl.n_slots) if not any(free[:, j])}
     _, W = S.second_kernel()
     assert dead and any(i in dead for i, _ in W.entries)
-    assert not any(i in dead for v in ik.vertices for i, _ in v.entries)
+    assert not dead & set(ik._W.rows.tolist())
     eager = _eager_orders(S, kind, 10)
     assert ik.order_count == 1 + len(eager)
     if kind == "advanced":
@@ -1057,7 +1004,7 @@ def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
                              eager)
     else:
         norms = ik.per_order_norms()
-        _assert_same_bits(ik.corrections, eager)
+        _assert_same_entries(ik.corrections, eager)
         for (_, _, got), ref in zip(norms[1:], _reference_norms(ik)):
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
@@ -1094,4 +1041,4 @@ def test_default_cutoff_window_needs_three_times():
         build_gn_action(fl, params)
     S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 4),
                                              m=Fraction(1), g=[1] * 4))
-    assert interacting_propagator(S, 2).vertices
+    assert any(interacting_propagator(S, 2)._blocks)
