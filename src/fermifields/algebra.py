@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ._core import BACKEND, contract, wedge_terms
+from .linalg import max_abs
 from .scalars import Ring
 
 __all__ = [
@@ -199,7 +202,7 @@ class GrassmannElement:
         return s
 
     def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self._terms.values()), default=0.0)
+        return max_abs(np.array(list(self._terms.values()), dtype=object))
 
     def truncate(self, max_grade: int) -> "GrassmannElement":
         return GrassmannElement(

@@ -16,7 +16,7 @@ from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
 from .kernels import ElementKernel, Kernel
 from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
-from .linalg import matmul
+from .linalg import matmul, max_abs, zeros
 
 __all__ = [
     "GrossNeveuParams", "InteractingKernel", "bilinear_element",
@@ -293,10 +293,9 @@ class InteractingKernel:
     reads each merged word's signed id from the merge table of order k,
     and adds the products into the new block with ``np.add.at``.
 
-    Both arithmetic modes run the same steps; the dtype of the blocks is
-    the only difference.  Float mode holds complex arrays; rational mode
-    holds object arrays of the ring's exact :class:`~fermifields.scalars.QC`
-    scalars, and its matrix products go through
+    Both arithmetic modes run the same steps on the ring arrays of
+    :mod:`~fermifields.linalg`; their dtype is the only difference.
+    Rational mode's matrix products go through
     :func:`~fermifields.linalg.matmul`, which skips exact zeros.
 
     :attr:`corrections` is the one place Δ_k is built, as an
@@ -313,10 +312,6 @@ class InteractingKernel:
         self.max_grade = max_grade
         self.free = free
         self._corrections: list = []      # the Δ_k built so far, k = 1..
-        # the zeros of a dense exact block are the int 0 that np.zeros puts
-        # in object arrays: QC arithmetic takes it as an exact zero, and
-        # numpy tests its truth without a Python call
-        self._dtype = object if fl.ring.exact else complex
         self._free = free.mat
         self._neg_free = -free.mat
         self._tables = _MergeTables()
@@ -344,9 +339,8 @@ class InteractingKernel:
 
     def per_order_norms(self) -> list:
         """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity."""
-        out = [(0, 0, float(np.sqrt(sum(abs(complex(c)) ** 2
-                                        for c in self.free.mat.ravel()))))]
-        d0 = np.array(self.free.mat.tolist(), dtype=complex)
+        d0 = self.free.mat.astype(complex)
+        out = [(0, 0, float(np.sqrt(sum(abs(c) ** 2 for c in d0.ravel().tolist()))))]
         rows = self._W.rows
         gram = (d0.conj().T @ d0)[np.ix_(rows, rows)]
         for k, k_k in enumerate(self._grams, start=1):
@@ -366,6 +360,8 @@ class InteractingKernel:
         at_col = {a: c for c, a in enumerate(cols)}
         flat = [(at_row[i], at_col[a], w, x)
                 for (i, a), e in W.entries.items() for w, x in e.items()]
+        coef = zeros(len(flat), self.fl.ring)
+        coef[:] = [t[3] for t in flat]
         # monomials numbered in order of first appearance in W
         mono = self._tables.monomial_ids([t[2] for t in flat])
         col = np.array([t[1] for t in flat], dtype=np.int64)
@@ -373,7 +369,7 @@ class InteractingKernel:
         return _Entries(
             np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
             np.array([t[0] for t in flat], dtype=np.int64)[order], mono[order],
-            np.array([t[3] for t in flat], dtype=self._dtype)[order],
+            coef[order],
             np.searchsorted(col[order], np.arange(len(cols) + 1)))
 
     def _build(self, g: int) -> list:
@@ -394,8 +390,7 @@ class InteractingKernel:
             stored.append(order)
             if k > len(self._grams):
                 self._grams.append(np.zeros((len(W.rows),) * 2, dtype=complex))
-            # in complex floats: x itself, or its stored nonzeros made complex
-            xc = x if x.dtype == complex else self._dense(order, complex)
+            xc = x.astype(complex, copy=False)
             self._grams[k - 1] += xc.conj() @ xc.T
             if k < last:
                 y = matmul(back, x, ring)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
@@ -407,11 +402,9 @@ class InteractingKernel:
         group = self._groups[g]
         return group << _SHIFT, self._free[np.ix_(cols, group)]
 
-    def _dense(self, order: _Order, dtype=None) -> np.ndarray:
-        """The dense (W rows × keys) block of a stored order, over the
-        ring's scalars, or made ``dtype`` when one is given."""
-        size = len(self._W.rows) * len(order.keys)
-        x = np.zeros(size, dtype=dtype or self._dtype)
+    def _dense(self, order: _Order) -> np.ndarray:
+        """The dense (W rows × keys) block of a stored order."""
+        x = zeros(len(self._W.rows) * len(order.keys), self.fl.ring)
         x[order.at] = order.vals
         return x.reshape(len(self._W.rows), len(order.keys))
 
@@ -428,7 +421,7 @@ class InteractingKernel:
         merged = self._tables.lookup(k, W.mono[e], keys[p] & _WORD)
         keep = np.flatnonzero(merged)
         if not len(keep):
-            return keys[:0], np.zeros((len(W.rows), 0), dtype=self._dtype)
+            return keys[:0], zeros((len(W.rows), 0), self.fl.ring)
         e, p, merged = e[keep], p[keep], merged[keep]
         value = W.coef[e] * np.repeat(y.ravel()[at], count)[keep]
         odd = merged < 0
@@ -442,7 +435,7 @@ class InteractingKernel:
         mark[code] = True
         new = np.flatnonzero(mark)
         pos = np.cumsum(mark)[code] - 1
-        z = np.zeros(len(W.rows) * len(new), dtype=self._dtype)
+        z = zeros(len(W.rows) * len(new), self.fl.ring)
         np.add.at(z, W.row[e] * len(new) + pos, value)
         return (cols[new // n] << _SHIFT) | (new % n), z.reshape(len(W.rows), len(new))
 
@@ -487,13 +480,13 @@ class InteractingKernel:
         on, off = upper[W.rows], np.delete(upper, W.rows, axis=0)
         off = off[off.astype(bool).any(axis=1)]
         back = self._neg_free[np.ix_(W.cols, self._W.rows)]
-        worst = 0.0
+        parts = []
         for g, stored in enumerate(self._blocks):
             keys, y = self._first(g, W.cols)
             for k in range(1, self.order_count):
                 lk, lower = self._step(k - 1, keys, y, W)
                 if k > len(stored):   # V_k is 0 on this group
-                    worst = max(worst, _max_abs(lower))
+                    parts.append(max_abs(lower))
                     break
                 keys, x = stored[k - 1].keys, self._dense(stored[k - 1])
                 res = matmul(on, x, ring)
@@ -502,16 +495,11 @@ class InteractingKernel:
                 # W∘Δ_{k−1} added at its nonzeros alone
                 r, c = np.nonzero(lower[:, hit])
                 res[r, at[hit][c]] += lower[:, hit][r, c]
-                worst = max(worst, _max_abs(lower[:, ~hit]), _max_abs(res),
-                            _max_abs(matmul(off, x, ring)))
+                parts += [max_abs(lower[:, ~hit]), max_abs(res),
+                          max_abs(matmul(off, x, ring))]
                 if k + 1 < self.order_count:
                     y = matmul(back, x, ring)
-        return worst
-
-
-def _max_abs(x: np.ndarray) -> float:
-    """max |x| over the nonzeros of a block, complex or exact; 0 if none."""
-    return float(np.abs(x[x.astype(bool)]).max(initial=0.0))
+        return max_abs(np.array(parts))
 
 
 def interacting_propagator(S: ActionFunctional,
@@ -561,10 +549,10 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     k0 = K0.mat
     if rows is not None:
         k0 = k0.copy()
-        k0[~rows] = ik.fl.ring.zero
+        k0[~rows] = 0
         W = W.restrict_rows(rows)
     # grade-2k blocks: K0 @ Δ_k + W∘Δ_{k−1}
-    return max(worst, ik._defect(k0, W))
+    return max_abs(np.array([worst, ik._defect(k0, W)]))
 
 
 def interacting_causal(ik: InteractingKernel) -> list:

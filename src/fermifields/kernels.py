@@ -75,51 +75,39 @@ class Kernel:
             bad = self.row_times[:, None] > self.col_times[None, :]
         else:
             return 0.0
-        worst = 0.0
-        rows, cols = np.nonzero(bad)
-        for i, j in zip(rows, cols):
-            worst = max(worst, abs(complex(self.mat[i, j])))
-        return worst
+        return max_abs(self.mat[bad])
 
     def max_abs(self) -> float:
         return max_abs(self.mat)
 
     def identity_defect(self, op: np.ndarray) -> float:
         """max |(op @ kernel)[i, j] - δ_ij| over ``exact_rows`` (all rows
-        when None), e.g. ``op`` = S2; ``abs(complex(x) - δ_ij)`` keeps the
-        float bits of each product entry."""
+        when None), e.g. ``op`` = S2; each product entry is read as a
+        complex float before δ_ij is subtracted."""
         prod = matmul(op, self.mat, self.ring)
-        rows = self.exact_rows
-        worst = 0.0
-        for i in range(prod.shape[0]):
-            if rows is not None and not rows[i]:
-                continue
-            row = prod[i]
-            for j in range(prod.shape[1]):
-                worst = max(worst, abs(complex(row[j]) - (1 if i == j else 0)))
-        return worst
+        res = prod.astype(complex) - np.eye(*prod.shape)
+        return max_abs(res if self.exact_rows is None else res[self.exact_rows])
 
     # -- export ------------------------------------------------------------
+    def _nonzeros(self) -> list:
+        """(row, col, re, im) of each nonzero entry read as a complex
+        float, in row-major order."""
+        c = self.mat.astype(complex)
+        rows, cols = np.nonzero(c)
+        v = c[rows, cols]
+        return list(zip(rows.tolist(), cols.tolist(), v.real.tolist(),
+                        v.imag.tolist()))
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "re", "im"])
-            n, m = self.mat.shape
-            for i in range(n):
-                for j in range(m):
-                    c = complex(self.mat[i, j])
-                    if c != 0:
-                        writer.writerow([i, j, repr(c.real), repr(c.imag)])
+            for i, j, re, im in self._nonzeros():
+                writer.writerow([i, j, repr(re), repr(im)])
 
     def to_json(self, path) -> None:
-        n, m = self.mat.shape
-        entries = []
-        for i in range(n):
-            for j in range(m):
-                c = complex(self.mat[i, j])
-                if c != 0:
-                    entries.append([i, j, c.real, c.imag])
-        payload = {"kind": self.kind, "shape": [n, m], "entries": entries}
+        payload = {"kind": self.kind, "shape": list(self.mat.shape),
+                   "entries": self._nonzeros()}
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
@@ -255,7 +243,7 @@ class ElementKernel:
         return self._from_terms(acc)
 
     def max_abs(self) -> float:
-        return max((e.max_abs() for e in self.entries.values()), default=0.0)
+        return max_abs(np.array([e.max_abs() for e in self.entries.values()]))
 
     def grades(self) -> set:
         gs: set = set()

@@ -1,16 +1,22 @@
 """Small dense linear algebra over either scalar ring.
 
 Float mode uses ``complex128`` ndarrays and hands products and inverses
-to numpy.  Rational mode uses object ndarrays of
-:class:`~fermifields.scalars.QC`, exact complex rationals stored as
-one-denominator integer triples, and runs its own loops that skip exact
-zeros: :func:`matmul` sums only products of nonzero entries, and
-:func:`mat_inv` eliminates only over the pivot row's nonzero columns.
-The Dirac and Klein-Gordon blocks are mostly zero, so this is where the
-exact time goes.  Exact sums of the same nonzero products normalise to
-the same triples, so skipping zeros changes no result.  Matrices here
-are tiny (a few dozen rows), so generic Gauss-Jordan elimination is
-plenty.
+to numpy.  Rational mode uses object ndarrays.  Their empty slots hold
+the int 0 that ``np.zeros(..., dtype=object)`` gives, and the slots that
+were written hold :class:`~fermifields.scalars.QC`, exact complex
+rationals stored as one-denominator integer triples.  ``QC`` arithmetic
+takes an int 0 operand as an exact zero, and numpy tests its truth
+without a Python call.  A sum that cancels is the normalised ``QC``
+zero.  An exact array is read as floats by ``astype(complex)``, which
+rounds each entry as ``complex(x)`` does.
+
+Rational mode runs its own loops that skip exact zeros: :func:`matmul`
+sums only products of nonzero entries, and :func:`mat_inv` eliminates
+only over the pivot row's nonzero columns.  The Dirac and Klein-Gordon
+blocks are mostly zero, so this is where the exact time goes.  Exact
+sums of the same nonzero products normalise to the same triples, so
+skipping zeros changes no result.  Matrices here are tiny (a few dozen
+rows), so generic Gauss-Jordan elimination is plenty.
 """
 
 from __future__ import annotations
@@ -23,11 +29,7 @@ __all__ = ["zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs"]
 
 
 def zeros(shape, ring: Ring) -> np.ndarray:
-    if ring.exact:
-        out = np.empty(shape, dtype=object)
-        out[...] = ring.zero
-        return out
-    return np.zeros(shape, dtype=complex)
+    return np.zeros(shape, dtype=object if ring.exact else complex)
 
 
 def eye(n: int, ring: Ring) -> np.ndarray:
@@ -38,7 +40,11 @@ def eye(n: int, ring: Ring) -> np.ndarray:
 
 
 def kron2(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
-    """Kronecker product that stays inside the ring."""
+    """Kronecker product that stays inside the ring.
+
+    Zero entries of ``a`` are skipped rather than multiplied, as
+    ``np.kron`` would: a float product with a zero can turn a +0 part into
+    the −0.0 that ``repr`` writes."""
     ra, ca = a.shape
     rb, cb = b.shape
     out = zeros((ra * rb, ca * cb), ring)
@@ -76,10 +82,12 @@ def matmul(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
 
 
 def max_abs(a: np.ndarray) -> float:
-    flat = a.ravel()
-    if flat.size == 0:
-        return 0.0
-    return max(abs(complex(x)) for x in flat)
+    """max |x| over the nonzeros of a ring array, read as complex floats:
+    0.0 if there are none, NaN if a modulus is NaN.  Each modulus is the
+    ``hypot`` of the parts, which rounds as ``abs(complex(x))`` does;
+    numpy's complex ``abs`` does not."""
+    c = a[a.astype(bool)].astype(complex)
+    return float(np.hypot(c.real, c.imag).max(initial=0.0))
 
 
 def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
@@ -94,7 +102,7 @@ def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
     if not ring.exact:
         return np.linalg.inv(np.asarray(a, dtype=complex))
     work = [[a[i, j] for j in range(n)] for i in range(n)]
-    inv = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    inv = [[ring.one if i == j else 0 for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
@@ -121,8 +129,4 @@ def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
                 w_r[j] = w_r[j] - f * w_row[j]
             for j in i_nz:
                 i_r[j] = i_r[j] - f * i_row[j]
-    out = zeros((n, n), ring)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = inv[i][j]
-    return out
+    return np.array(inv, dtype=object)

@@ -104,8 +104,13 @@ class QC:
         return NotImplemented
 
     def __rsub__(self, other):
+        # reached as ``0 - x`` from the empty slots of exact arrays
         if isinstance(other, (int, Fraction)):
-            return -(self - other)
+            a, b, d = self._abd
+            c, f = other.numerator, other.denominator
+            if not c:
+                return _qc_normal(-a, -b, d)
+            return _qc(c * d - a * f, -b * f, d * f)
         return NotImplemented
 
     def __mul__(self, other):

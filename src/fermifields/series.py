@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from .algebra import Algebra, GrassmannElement
+from .linalg import max_abs
 
 __all__ = ["FormalSeries", "TruncatedSeries", "HbarSeries"]
 
@@ -69,7 +72,7 @@ class FormalSeries:
         return all(e.is_zero() for e in self.coeffs.values())
 
     def max_abs(self) -> float:
-        return max((e.max_abs() for e in self.coeffs.values()), default=0.0)
+        return max_abs(np.array([e.max_abs() for e in self.coeffs.values()]))
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):

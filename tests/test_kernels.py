@@ -1,8 +1,12 @@
-"""ElementKernel compositions against an entrywise element reference."""
+"""ElementKernel compositions against an entrywise element reference, and
+Kernel's whole-array reads against the per-entry loops they replaced."""
 
+import csv
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +14,9 @@ from fermifields._core import merge_words, wedge_terms
 from fermifields.algebra import Algebra, GeneratorId
 from fermifields.gross_neveu import (GrossNeveuParams, build_gn_action,
                                      interacting_propagator)
-from fermifields.kernels import ElementKernel
-from fermifields.linalg import zeros
+from fermifields.kernels import ElementKernel, Kernel
+from fermifields.linalg import matmul, max_abs, zeros
+from fermifields.scalars import Ring
 
 N = 4
 MODES = ("rational", "float")
@@ -198,3 +203,117 @@ def test_interacting_propagator_orders_do_not_depend_on_max_grade(fl_rat, mass):
     for c8, c6 in zip(ik8.corrections, ik6.corrections):
         assert c8.entries.keys() == c6.entries.keys()
         assert all(c8.entries[k] == e for k, e in c6.entries.items())
+
+
+# -- reference: Kernel's reads one entry at a time ------------------------------
+# These are the per-entry loops that Kernel and linalg.max_abs ran before
+# they read the whole array through ``astype(complex)``.
+
+def _ref_max_abs(a):
+    flat = a.ravel()
+    if flat.size == 0:
+        return 0.0
+    return max(abs(complex(x)) for x in flat)
+
+
+def _ref_support_violation(k):
+    if k.row_times is None or k.col_times is None:
+        return 0.0
+    if k.kind == "retarded":
+        bad = k.row_times[:, None] < k.col_times[None, :]
+    elif k.kind == "advanced":
+        bad = k.row_times[:, None] > k.col_times[None, :]
+    else:
+        return 0.0
+    worst = 0.0
+    rows, cols = np.nonzero(bad)
+    for i, j in zip(rows, cols):
+        worst = max(worst, abs(complex(k.mat[i, j])))
+    return worst
+
+
+def _ref_identity_defect(k, op):
+    prod = matmul(op, k.mat, k.ring)
+    rows = k.exact_rows
+    worst = 0.0
+    for i in range(prod.shape[0]):
+        if rows is not None and not rows[i]:
+            continue
+        row = prod[i]
+        for j in range(prod.shape[1]):
+            worst = max(worst, abs(complex(row[j]) - (1 if i == j else 0)))
+    return worst
+
+
+def _ref_to_csv(k, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "col", "re", "im"])
+        n, m = k.mat.shape
+        for i in range(n):
+            for j in range(m):
+                c = complex(k.mat[i, j])
+                if c != 0:
+                    writer.writerow([i, j, repr(c.real), repr(c.imag)])
+
+
+def _ref_to_json(k, path):
+    n, m = k.mat.shape
+    entries = []
+    for i in range(n):
+        for j in range(m):
+            c = complex(k.mat[i, j])
+            if c != 0:
+                entries.append([i, j, c.real, c.imag])
+    payload = {"kind": k.kind, "shape": [n, m], "entries": entries}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_matrix(ring, rng, n=6):
+    """A matrix whose float entries often carry a -0.0 part, and whose
+    exact empty slots hold the int 0; one exact slot holds a written
+    ``QC`` zero, as a cancelled sum leaves."""
+    mat = zeros((n, n), ring)
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.4:
+                continue
+            if ring.exact:
+                mat[i, j] = _coeff(ring, rng)
+            else:
+                parts = [0.0, -0.0, rng.choice([-1.5, 0.25, 3.0]) * rng.random()]
+                mat[i, j] = complex(rng.choice(parts), rng.choice(parts))
+    if ring.exact:
+        mat[n - 1, 0] = ring.zero
+    return mat
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", ["retarded", "advanced", "causal"])
+@pytest.mark.parametrize("exact_rows", ["set", "unset"])
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_reads_match_per_entry_loops(tmp_path, mode, kind, exact_rows, seed):
+    """support_violation, identity_defect and max_abs give the loops' float
+    bits; to_csv and to_json write the loops' bytes."""
+    ring = Ring(mode)
+    rng = random.Random(f"{mode}:{kind}:{exact_rows}:{seed}")
+    times = np.arange(6) // 2
+    rows = np.array([rng.random() < 0.6 for _ in times]) if exact_rows == "set" else None
+    k = Kernel(_read_matrix(ring, rng), ring, kind, times, times, rows)
+    op = _read_matrix(ring, rng)
+    if not ring.exact:
+        assert any(np.signbit(x.real) or np.signbit(x.imag)
+                   for x in k.mat.ravel().tolist() if x != 0)
+    else:
+        assert any(type(x) is int for x in k.mat.ravel().tolist())
+    assert repr(k.support_violation()) == repr(_ref_support_violation(k))
+    assert repr(k.identity_defect(op)) == repr(_ref_identity_defect(k, op))
+    assert repr(k.max_abs()) == repr(_ref_max_abs(k.mat))
+    for a in (k.mat, op, matmul(op, k.mat, ring), k.mat[:0]):
+        assert repr(max_abs(a)) == repr(_ref_max_abs(a))
+    for write, ref in ((Kernel.to_csv, _ref_to_csv), (Kernel.to_json, _ref_to_json)):
+        write(k, tmp_path / "got")
+        ref(k, tmp_path / "want")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()

@@ -1,5 +1,8 @@
 """Exact linear algebra that skips zeros: ``matmul`` against numpy's
-object ``@`` and ``mat_inv`` against a dense Gauss-Jordan reference."""
+object ``@`` and ``mat_inv`` against a dense Gauss-Jordan reference.
+
+An exact array's empty slots hold the int 0 and its written slots hold
+normalised ``QC``; :func:`values` reads both as triples."""
 
 import random
 from fractions import Fraction
@@ -28,8 +31,13 @@ def sparse_qc(rng, shape, density):
     return a
 
 
-def triples(a):
-    return [[x._abd for x in row] for row in a.tolist()]
+def values(a):
+    """Each slot's normalised triple; an empty slot holds the int 0 and
+    reads as (0, 0, 1)."""
+    rows = a.tolist()
+    assert all(type(x) is QC or (type(x) is int and x == 0)
+               for row in rows for x in row)
+    return [[RAT.coerce(x)._abd for x in row] for row in rows]
 
 
 # -- matmul ------------------------------------------------------------------
@@ -49,8 +57,14 @@ def test_matmul_rational_equals_object_matmul(n, k, m):
             b[:, rng.randrange(m)] = RAT.zero
             got = matmul(a, b, RAT)
             assert got.shape == (n, m) and got.dtype == object
-            assert all(type(x) is QC for x in got.ravel())
-            assert triples(got) == triples(a @ b)
+            # a slot has a nonzero product when some a[i, k] and b[k, j]
+            # are both nonzero
+            live = (a.astype(bool).astype(int) @ b.astype(bool).astype(int)) > 0
+            for x, want, hit in zip(got.ravel(), (a @ b).ravel(), live.ravel()):
+                if hit:
+                    assert type(x) is QC and x._abd == want._abd
+                else:
+                    assert type(x) is int and x == 0
 
 
 def test_matmul_rational_cancelling_sums():
@@ -63,9 +77,10 @@ def test_matmul_rational_cancelling_sums():
     b[0, 0], b[1, 0] = y, -y                       # x·y − x·y
     b[0, 1], b[2, 1] = y, -x                       # row 1: x·y − y·x
     got = matmul(a, b, RAT)
-    assert got[0, 0]._abd == (0, 0, 1) and got[1, 1]._abd == (0, 0, 1)
+    assert type(got[0, 0]) is QC and got[0, 0]._abd == (0, 0, 1)
+    assert type(got[1, 1]) is QC and got[1, 1]._abd == (0, 0, 1)
     assert got[0, 1] == x * y and got[1, 0] == x * y
-    assert triples(got) == triples(a @ b)
+    assert values(got) == values(a @ b)
 
 
 def test_matmul_rejects_mismatched_shapes():
@@ -126,9 +141,9 @@ def test_mat_inv_sparse_exact(n):
         for _ in range(3):
             a, ref = invertible_needing_swaps(rng, n, density)
             inv = mat_inv(a, RAT)
-            assert [[x._abd for x in row] for row in ref] == triples(inv)
-            assert triples(matmul(a, inv, RAT)) == triples(eye(n, RAT))
-            assert triples(matmul(inv, a, RAT)) == triples(eye(n, RAT))
+            assert [[x._abd for x in row] for row in ref] == values(inv)
+            assert values(matmul(a, inv, RAT)) == values(eye(n, RAT))
+            assert values(matmul(inv, a, RAT)) == values(eye(n, RAT))
 
 
 def test_mat_inv_singular_raises():

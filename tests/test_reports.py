@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from fermifields.algebra import Algebra, GeneratorId
-from fermifields.kernels import ElementKernel
+from fermifields.kernels import ElementKernel, Kernel
 from fermifields.reports import TOL_NUM, check_record
 from fermifields.scalars import Ring
 from fermifields.series import TruncatedSeries
@@ -58,6 +60,18 @@ def test_no_residuals_read_zero_and_pass():
 
 
 def test_nan_residual_fails():
-    for tol in (None, 1.0):
-        rec = check_record("c", {}, [0.5, float("nan"), 0.25], tol)
-        assert not rec["passed"] and math.isnan(rec["max_residual"])
+    """A NaN anywhere in a residual fails it, not only a NaN met first."""
+    nan = float("nan")
+    alg = Algebra([GeneratorId(0, 1, i, 0) for i in range(4)], mode="float")
+    small = alg.element({(): 1e-12})
+    cases = [
+        [0.5, nan, 0.25],
+        [alg.element({(0,): 1e-12, (1,): nan})],
+        [TruncatedSeries(alg, {1: small, 2: alg.element({(1,): nan})}, 2)],
+        [ElementKernel(alg, 2, {(0, 0): small, (0, 1): alg.element({(0, 1): nan})})],
+        [Kernel(np.array([[1e-12, nan]], dtype=complex), alg.ring)],
+    ]
+    for residuals in cases:
+        for tol in (None, TOL_NUM, 1.0):
+            rec = check_record("c", {}, residuals, tol)
+            assert not rec["passed"] and math.isnan(rec["max_residual"])
