@@ -57,6 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: Path) -> None:
+    """Reject an ``--out`` that is, or lies under, an existing non-directory."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {str(out)!r}: {str(existing)!r} exists and "
+                          f"is not a directory")
+
+
 def _load(args) -> "RunConfig":
     overrides = {
         "arithmetic": getattr(args, "arithmetic", None),
@@ -71,8 +79,7 @@ def _load(args) -> "RunConfig":
 
 def cmd_propagators(cfg, out: Path) -> int:
     from .gross_neveu import build_gn_action, interacting_propagator, propagator_defect
-    from .lattice import (DiracOperator, causal_propagator, dirac_green,
-                          free_second_derivative, kg_green)
+    from .lattice import DiracOperator, causal_propagator, dirac_green, kg_green
     from .scalars import Ring
 
     fl = cfg.field_lattice()
@@ -101,7 +108,7 @@ def cmd_propagators(cfg, out: Path) -> int:
         ("factorization", DiracOperator(lat, m, ring).factorization_defect(),
          TOL_FACTOR),
         ("green_identity_interior_rows",
-         dR.identity_defect(free_second_derivative(fl, m).mat), TOL_GREEN),
+         dR.identity_defect(S.second_kernel()[0].mat), TOL_GREEN),
         ("interacting_defect", propagator_defect(S, ik), TOL_NUM),
     ]
     write_csv(out / "defects.csv", ["check", "max_defect"],
@@ -217,6 +224,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         cfg = _load(args)
         if args.command == "propagators":
             return cmd_propagators(cfg, args.out)

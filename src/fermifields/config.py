@@ -16,6 +16,7 @@ same file drives both arithmetic modes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields as dc_fields
 from fractions import Fraction
 
@@ -149,8 +150,7 @@ class RunConfig:
         return fl.window_weights(*self._window())
 
     def gn_params(self, fl: FieldLattice) -> GrossNeveuParams:
-        return GrossNeveuParams(ncolors=self.colors,
-                                lam=self.number(self.lam),
+        return GrossNeveuParams(lam=self.number(self.lam),
                                 m=self.number(self.mass),
                                 g=self.cutoff_weights(fl))
 
@@ -164,6 +164,8 @@ class RunConfig:
 
 def parse_config_file(path, rejected: dict | None = None) -> RunConfig:
     """Parse a config file; ``rejected`` maps keys the caller refuses to why."""
+    if os.path.isdir(path):
+        raise ConfigError(f"config {str(path)!r} is a directory, not a file")
     cfg = RunConfig()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

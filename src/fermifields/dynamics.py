@@ -297,19 +297,16 @@ class MollerMap(SubstitutionMap):
             raise ParityError("interaction term must be even")
         super().__init__(S.algebra, order, max_grade)
         self._mat = dR.mat
-        alg = self.algebra
         self._dF = F.derivatives()
         self._supp = sorted(self._dF)
         # _src[k][j] is the λ^k coefficient of ∂_jF[W]; _cut[k] holds the j
         # whose coefficient lost a grade to max_grade
         self._src: list[dict[int, GrassmannElement]] = []
         self._cut: list[set] = []
-        # ∂F involves interaction slots only: their images through order
-        # k - 1 give the order k - 1 source, and that gives order k
-        ladder = {i: {0: alg.generator(i)} for i in sorted(F.support())}
-        for i, coeffs in ladder.items():
-            self.set_image(i, TruncatedSeries(alg, coeffs, order))
+        # ∂F involves interaction slots only, and their images from the
+        # sources through order k - 2 give the order k - 1 source
         for k in range(1, order + 1):
+            self._images.clear()
             src, cut = {}, set()
             for j in self._supp:
                 series, dropped = self._substitute(self._dF[j], k - 1)
@@ -318,10 +315,7 @@ class MollerMap(SubstitutionMap):
                     cut.add(j)
             self._src.append(src)
             self._cut.append(cut)
-            for i, coeffs in ladder.items():
-                coeffs[k], dropped = self._response(i, src, cut)
-                self.set_image(i, TruncatedSeries(
-                    alg, coeffs, order, dropped or self._images[i].truncated))
+        self._images.clear()
 
     def _response(self, i: int, src: dict, cut=()) -> tuple:
         """(Σ_j Δ^R[i, j] · src[j] over the interaction's derivative slots,
@@ -338,12 +332,14 @@ class MollerMap(SubstitutionMap):
         return v, lost or dropped
 
     def image(self, i: int) -> FormalSeries:
+        """W_i through the orders whose sources are built so far: all of
+        them once the map is constructed."""
         if i in self._images:
             return self._images[i]
         coeffs = {0: self.algebra.generator(i)}
         lost = False
-        for k in range(1, self.order + 1):
-            coeffs[k], dropped = self._response(i, self._src[k - 1], self._cut[k - 1])
+        for k, (src, cut) in enumerate(zip(self._src, self._cut), 1):
+            coeffs[k], dropped = self._response(i, src, cut)
             lost = lost or dropped
         s = TruncatedSeries(self.algebra, coeffs, self.order, lost)
         self._images[i] = s

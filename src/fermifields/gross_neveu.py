@@ -35,7 +35,6 @@ class GrossNeveuParams:
     identities hold exactly on it).
     """
 
-    ncolors: int = 1
     lam: object = 0
     m: object = 0
     g: list | None = None
@@ -54,21 +53,16 @@ class GrossNeveuParams:
 
 def bilinear_element(fl: FieldLattice, M: np.ndarray) -> GrassmannElement:
     """Σ_colors conj_a M[a, b] field_b as a canonical grade-2 element."""
-    ring = fl.ring
+    zero = fl.ring.zero
     terms: dict = {}
-    b = fl.block
+    rows, cols = np.nonzero(M)          # row-major order
+    entries = list(zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()))
     for color in range(1, fl.ncolors + 1):
         psi0 = fl.slot(FIELD, color, 0, 0)
         psb0 = fl.slot(CONJUGATE, color, 0, 0)
-        for a in range(b):
-            row = M[a]
-            for bb in range(b):
-                c = row[bb]
-                if not c:
-                    continue
-                # conj_a ∧ field_b = - field_b ∧ conj_a (canonical word)
-                w = (psi0 + bb, psb0 + a)
-                terms[w] = terms.get(w, ring.zero) - c
+        for a, b, c in entries:
+            # conj_a ∧ field_b = - field_b ∧ conj_a (canonical word)
+            terms[(psi0 + b, psb0 + a)] = zero - c
     return fl.algebra.element(terms)
 
 
@@ -86,33 +80,25 @@ def build_free_action(fl: FieldLattice, m) -> ActionFunctional:
     return S
 
 
-def _site_density(fl: FieldLattice, site: int) -> GrassmannElement:
-    """Σ_{color, component} conj ∧ field at one site (even, grade 2)."""
-    ring = fl.ring
-    terms = {}
-    for color in range(1, fl.ncolors + 1):
-        for comp in range(NCOMP):
-            w = (fl.slot(FIELD, color, site, comp),
-                 fl.slot(CONJUGATE, color, site, comp))
-            terms[w] = -ring.one  # conj ∧ field in canonical order
-    return fl.algebra.element(terms)
-
-
 def _quartic(fl: FieldLattice, params: GrossNeveuParams,
              weights) -> GrassmannElement:
-    """Σ_x vol w(x) g(x)/(2N) (ρ_x ∧ ρ_x), with λ left formal."""
+    """Σ_x vol w(x) g(x)/(2N) (ρ_x ∧ ρ_x), with λ left formal, N =
+    ``fl.ncolors`` and ρ_x = Σ_{color, component} conj ∧ field at site x."""
     ring = fl.ring
     lat = fl.lattice
     vol = ring.coerce(lat.volume_weight())
     half = ring.number(Fraction(1, 2))
-    invN = ring.number(Fraction(1, params.ncolors))
+    invN = ring.number(Fraction(1, fl.ncolors))
     g = params.cutoff(fl)
     out = fl.algebra.zero()
     for site in range(lat.n_sites):
         w = ring.coerce(weights[site]) * ring.coerce(g[site])
         if not w:
             continue
-        rho = _site_density(fl, site)
+        P = zeros((fl.block, fl.block), ring)
+        for r in range(site * NCOMP, (site + 1) * NCOMP):
+            P[r, r] = ring.one
+        rho = bilinear_element(fl, P)
         quartic = rho.wedge(rho)
         if quartic.is_zero():
             continue
@@ -131,8 +117,6 @@ def gn_interaction_term(fl: FieldLattice,
 
 def build_gn_action(fl: FieldLattice, params: GrossNeveuParams) -> ActionFunctional:
     """Gross-Neveu action S(f) = S_0(f) + λ F(f), F the quartic cutoff term."""
-    if fl.ncolors != params.ncolors:
-        raise ValueError("params.ncolors disagrees with the field lattice")
     free = _free_builder(fl, params.m)
 
     def build(weights):

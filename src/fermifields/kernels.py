@@ -80,6 +80,9 @@ class Kernel:
     def max_abs(self) -> float:
         return max_abs(self.mat)
 
+    def is_zero(self) -> bool:
+        return not np.count_nonzero(self.mat)
+
     def identity_defect(self, op: np.ndarray) -> float:
         """max |(op @ kernel)[i, j] - δ_ij| over ``exact_rows`` (all rows
         when None), e.g. ``op`` = S2; each product entry is read as a

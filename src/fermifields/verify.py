@@ -411,7 +411,7 @@ def suite_moller(cfg: RunConfig) -> list:
     fl, S, dR, _, _ = _free_theory(Lattice(5, 2, cfg.dt, cfg.dx), "rational",
                                    cfg.mass)
     alg, ring = fl.algebra, fl.ring
-    F = gn_interaction_term(fl, GrossNeveuParams(ncolors=1, lam=cfg.lam, m=cfg.mass))
+    F = gn_interaction_term(fl, GrossNeveuParams(lam=cfg.lam, m=cfg.mass))
     order = min(cfg.lambda_order, 3)
     slots = range(fl.n_slots)
     interior = fl.interior_slots()
@@ -519,7 +519,7 @@ def suite_gn(cfg: RunConfig) -> list:
     fl, Sfree, dR, _, delta = _free_theory(lat, "rational", cfg.mass)
     alg, ring = fl.algebra, fl.ring
     n = fl.n_slots
-    params = GrossNeveuParams(ncolors=1, lam=cfg.lam, m=cfg.mass)
+    params = GrossNeveuParams(lam=cfg.lam, m=cfg.mass)
     S = build_gn_action(fl, params)
 
     ik = interacting_propagator(S, max_grade=4)
@@ -534,7 +534,7 @@ def suite_gn(cfg: RunConfig) -> list:
         (corr + -other for corr, other in zip(ik.corrections, ik6.corrections))))
 
     # lambda = 0 reduces to the free theory: no corrections to Δ0
-    S0 = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0, m=cfg.mass))
+    S0 = build_gn_action(fl, GrossNeveuParams(lam=0, m=cfg.mass))
     records.append(check_record(
         "gn_lambda_zero_reduction", {},
         [float(bool(interacting_propagator(S0, max_grade=4).corrections))]))
@@ -580,7 +580,7 @@ def suite_gn(cfg: RunConfig) -> list:
     # canonical identity with the quartic perturbation, first order (exact)
     Hq = gn_interaction_term(fl, params)
     _, WH = build_gn_action(
-        fl, GrossNeveuParams(ncolors=1, lam=1, m=cfg.mass)).second_kernel()
+        fl, GrossNeveuParams(lam=1, m=cfg.mass)).second_kernel()
     sym = bracket_kernel_derivative(dR, WH)
 
     def quartic_gap():
@@ -597,21 +597,21 @@ def suite_gn(cfg: RunConfig) -> list:
 
     def first_correction(lam):
         ik_eps = interacting_propagator(build_gn_action(
-            fl_f, GrossNeveuParams(ncolors=1, lam=lam, m=float(cfg.mass))),
+            fl_f, GrossNeveuParams(lam=lam, m=float(cfg.mass))),
             max_grade=2)
         return (ik_eps.corrections[0] if ik_eps.corrections
                 else ElementKernel(fl_f.algebra, fl_f.n_slots))
 
     fd_corr = (first_correction(eps) + -first_correction(-eps)).scale(1.0 / (2 * eps))
     _, WHf = build_gn_action(
-        fl_f, GrossNeveuParams(ncolors=1, lam=1, m=float(cfg.mass))).second_kernel()
+        fl_f, GrossNeveuParams(lam=1, m=float(cfg.mass))).second_kernel()
     sym_f = bracket_kernel_derivative(dRff, WHf)[0]
     records.append(check_record(
         "gn_kernel_derivative_fd_oracle", {"step": eps}, [fd_corr + -sym_f], TOL_FD))
 
     # color symmetry (float, two colors)
     flc = FieldLattice(lat, 2, "float")
-    params2 = GrossNeveuParams(ncolors=2, lam=float(cfg.lam), m=float(cfg.mass))
+    params2 = GrossNeveuParams(lam=float(cfg.lam), m=float(cfg.mass))
     S2 = build_gn_action(flc, params2)
     rngc = _rng(cfg, "color")
     slots2 = [flc.slot(FIELD, 1, 2, 0), flc.slot(CONJUGATE, 1, 3, 1),
@@ -740,9 +740,11 @@ SUITES = {
 
 def run_suites(cfg: RunConfig, names=None) -> tuple[list, bool]:
     names = list(SUITES) if not names else list(names)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}")
+        if name in names[:i]:
+            raise ConfigError(f"suite {name!r} is listed twice")
     # bracket samples its directions from the interior times 1..nt-2
     if "bracket" in names and cfg.nt < 3:
         raise ConfigError(f"suite 'bracket' needs lattice.nt >= 3, got {cfg.nt}")

@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines; the
 same battery backs ``fermifields verify``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,19 @@ from fermifields.reports import write_report
 from fermifields.verify import SUITES, run_suites
 
 EXACT = 0.0
+
+# The checks whose residual is a float rounding error, which may move with
+# numpy's BLAS; every other residual in the report is exact.
+FLOAT_TOLERANCE_CHECKS = {
+    "dirac_factorization", "kg_green_identity",
+    "dirac_green_identity_interior_rows", "bracket_graded_jacobi",
+    "canonical_identity_symbolic", "canonical_identity_fd_oracle",
+    "gn_kernel_derivative_fd_oracle", "gn_color_symmetry",
+}
+# sha256 of the default report with those residuals set to null, at
+# commit ab1cbf3
+BLAS_FREE_REPORT_SHA256 = \
+    "65ecabd5de83df4c7266c96fd394afb286304a82bc9043c0a9d0da3888de83b3"
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +149,22 @@ def test_criterion_8_reproducibility(battery):
     assert ok
     payload = json.loads(a)
     assert payload["passed"] is True
+
+
+def test_report_bytes_outside_float_residuals_are_fixed(battery):
+    """The default report, with the float-tolerance residuals blanked and
+    serialised as ``write_report`` writes it, keeps its hash: every exact
+    residual, pass flag, digest and config value is pinned."""
+    _, out, _, _ = battery
+    payload = json.loads((out / "report_a.json").read_bytes())
+    blanked = 0
+    for rec in payload["checks"]:
+        if rec["check"] in FLOAT_TOLERANCE_CHECKS:
+            rec["max_residual"] = None
+            blanked += 1
+    assert blanked == len(FLOAT_TOLERANCE_CHECKS)
+    blob = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    assert hashlib.sha256(blob.encode()).hexdigest() == BLAS_FREE_REPORT_SHA256
 
 
 def test_every_suite_check_passed(battery):

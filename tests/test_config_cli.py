@@ -195,6 +195,41 @@ def test_cli_unknown_suite_exits_2(tmp_path, capsys):
     assert "unknown suite 'nope'" in capsys.readouterr().err
 
 
+def _one_config_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    return err
+
+
+def test_cli_out_naming_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
+    """car-table --out FILE exits 2 before it builds the lattice, and
+    leaves FILE as it was."""
+    monkeypatch.setattr(RunConfig, "field_lattice",
+                        lambda self: pytest.fail("the command ran"))
+    out = write(tmp_path, "not a directory\n", name="taken")
+    assert main(["car-table", "--out", str(out)]) == 2
+    assert "is not a directory" in _one_config_error_line(capsys)
+    assert out.read_text() == "not a directory\n"
+
+
+def test_cli_config_naming_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["propagators", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert "is a directory" in _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+def test_cli_suite_listed_twice_exits_2(tmp_path, capsys, monkeypatch):
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda cfg, name=name: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    assert main(["verify", "--suite", "grassmann,grassmann",
+                 "--out", str(out)]) == 2
+    assert "suite 'grassmann' is listed twice" in _one_config_error_line(capsys)
+    assert not out.exists()
+
+
 def test_cli_verify_bracket_needs_three_times(tmp_path, capsys, monkeypatch):
     """bracket samples its directions from the interior times 1..nt-2, so
     at nt = 2 verify exits 2, naming the suite and the bound, before any

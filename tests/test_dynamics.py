@@ -90,7 +90,7 @@ def test_eom_generators_gross_neveu_cubic(fl_rat, mass):
     """Interacting generator = free part + cubic term with weight
     lam*g(x)/N * vol, derived symbolically from the quartic action."""
     lam = Fraction(1, 3)
-    params = GrossNeveuParams(ncolors=1, lam=lam, m=mass)
+    params = GrossNeveuParams(lam=lam, m=mass)
     S = build_gn_action(fl_rat, params)
     S0 = build_free_action(fl_rat, mass)
     g = params.cutoff(fl_rat)
@@ -246,7 +246,7 @@ def moller_setup(nt=5, nx=2, dt=1, m=Fraction(1)):
     lat = Lattice(nt, nx, dt, 1)
     fl = FieldLattice(lat, 1, "rational")
     S = build_free_action(fl, m)
-    params = GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=m)
+    params = GrossNeveuParams(lam=Fraction(1, 4), m=m)
     F = gn_interaction_term(fl, params)
     dR = dirac_green(fl, m, "retarded")
     return fl, S, F, dR
@@ -381,7 +381,7 @@ def test_eom_element_is_the_derivative_along_h(rng):
     """⟨S(1)^(1), h⟩ is Σ_i h_i ∂_i S(1), words in the same order, for the
     Gross–Neveu action at rational 3×3."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
+    S = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
     derivs = S.functional().derivatives()
     for _ in range(5):
@@ -541,6 +541,52 @@ def test_truncated_flag_is_carried_per_result():
         assert cut.apply(gen).truncated and not full.apply(gen).truncated
 
 
+@pytest.mark.parametrize("max_grade", [None, 4], ids=["uncut", "grade4"])
+def test_every_image_solves_the_image_equation(max_grade):
+    """For every slot i and order k ≥ 1, [λᵏ] W_i = Σ_j Δᴿ[i, j]·[λᵏ⁻¹]
+    m(∂_jF) cut at ``max_grade``, on the interaction's slots and off them.
+    W_i is flagged truncated exactly when that sum, or a source [λᵏ⁻¹]
+    m(∂_jF) with Δᴿ[i, j] ≠ 0, reaches above ``max_grade`` in the uncut
+    map."""
+    fl, S, F, dR = moller_setup()
+    m = moller_substitution(S, F, dR, 3, max_grade)
+    full = moller_substitution(S, F, dR, 3, max_grade=None)
+    alg = fl.algebra
+    dF = F.derivatives()
+
+    def over(e):
+        return max_grade is not None and e.max_grade() > max_grade
+
+    def response(i, src):
+        return sum((src[j].scale(dR.mat[i, j]) for j in src if dR.mat[i, j]),
+                   alg.zero())
+
+    src = {k: {j: m.apply(d, k - 1).coefficient(k - 1) for j, d in dF.items()}
+           for k in range(1, 4)}
+    src_full = {k: {j: full.apply(d, k - 1).coefficient(k - 1)
+                    for j, d in dF.items()} for k in range(1, 4)}
+    inside = set(F.support())
+    assert inside and len(inside) < fl.n_slots
+    flagged = set()
+    for i in range(fl.n_slots):
+        img = m.image(i)
+        lost = False
+        for k in range(1, 4):
+            want = response(i, src[k])
+            if max_grade is not None:
+                want = want.truncate(max_grade)
+            assert list(img.coefficient(k).items()) == list(want.items())
+            lost = lost or over(response(i, src_full[k])) or any(
+                over(e) for j, e in src_full[k].items() if dR.mat[i, j])
+        assert img.truncated == lost
+        if lost:
+            flagged.add(i)
+    if max_grade is None:
+        assert not flagged
+    else:   # flags both on the interaction's slots and off them
+        assert flagged & inside and flagged - inside
+
+
 def test_moller_inverse_round_trip_exact_at_nx3(rng):
     """At nx = 3 the spatial Dirac term enters Δᴿ; the closed-form inverse
     still undoes the map exactly through order 3."""
@@ -617,7 +663,7 @@ def test_bracket_kernel_derivative_element_parts(mode):
     part, equals Δ^A K_H Δ^A built from the advanced kernel, by value."""
     m = Fraction(3, 4) if mode == "rational" else 0.75
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
-    _, KH = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=1, m=m)).second_kernel()
+    _, KH = build_gn_action(fl, GrossNeveuParams(lam=1, m=m)).second_kernel()
     dR, dA = dirac_green(fl, m, "retarded"), dirac_green(fl, m, "advanced")
     ret, adv = bracket_kernel_derivative(dR, KH)
     want = KH.compose_scalar_left(dR.mat).compose_scalar_right(dR.mat).scale(-1)

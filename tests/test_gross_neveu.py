@@ -28,7 +28,7 @@ def gn32():
     """3x2 rational lattice with an interior-supported quartic coupling."""
     lat = Lattice(3, 2, 1, 1)
     fl = FieldLattice(lat, 1, "rational")
-    params = GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=Fraction(1))
+    params = GrossNeveuParams(lam=Fraction(1, 4), m=Fraction(1))
     return fl, params, build_gn_action(fl, params)
 
 
@@ -66,7 +66,7 @@ def test_free_second_derivative_antisymmetric_in_test_vectors(fl_rat, mass, rng)
 
 
 def test_gn_action_reduces_to_free_at_zero_coupling(fl_rat, mass):
-    params = GrossNeveuParams(ncolors=1, lam=0, m=mass)
+    params = GrossNeveuParams(lam=0, m=mass)
     S = build_gn_action(fl_rat, params)
     S0 = build_free_action(fl_rat, mass)
     assert (S.functional() - S0.functional()).is_zero()
@@ -76,7 +76,7 @@ def test_gn_quartic_respects_cutoff_support(fl_rat, mass):
     lat = fl_rat.lattice
     g = [Fraction(1) if lat.site_time(s) == 1 else Fraction(0)
          for s in range(lat.n_sites)]
-    params = GrossNeveuParams(ncolors=1, lam=Fraction(1, 2), m=mass, g=g)
+    params = GrossNeveuParams(lam=Fraction(1, 2), m=mass, g=g)
     S = build_gn_action(fl_rat, params)
     S0 = build_free_action(fl_rat, mass)
     quartic = S.functional() - S0.functional()
@@ -242,7 +242,7 @@ def test_series_termination_and_evaluation_count(gn32, rng):
 
 def test_interacting_bracket_free_limit_and_antisymmetry(gn32, rng):
     fl, params, S = gn32
-    params0 = GrossNeveuParams(ncolors=1, lam=0, m=params.m)
+    params0 = GrossNeveuParams(lam=0, m=params.m)
     S0 = build_gn_action(fl, params0)
     dR = dirac_green(fl, params.m, "retarded")
     dA = dirac_green(fl, params.m, "advanced")
@@ -264,7 +264,7 @@ def test_one_pairing_is_linear_in_the_kernel_at_nx3(rng):
     term on."""
     m = Fraction(3, 4)
     fl = FieldLattice(Lattice(3, 3, Fraction(1, 2), 1), 1, "rational")
-    S0 = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0, m=m))
+    S0 = build_gn_action(fl, GrossNeveuParams(lam=0, m=m))
     dR, dA = dirac_green(fl, m, "retarded"), dirac_green(fl, m, "advanced")
     delta = causal_propagator(dR, dA)
     nonzero = 0
@@ -285,7 +285,7 @@ def test_one_pairing_is_linear_in_the_kernel_at_nx3(rng):
 def test_color_symmetry_two_colors(rng):
     lat = Lattice(3, 2, 1, 1)
     fl = FieldLattice(lat, 2, "rational")
-    params = GrossNeveuParams(ncolors=2, lam=Fraction(1, 3), m=Fraction(1))
+    params = GrossNeveuParams(lam=Fraction(1, 3), m=Fraction(1))
     S = build_gn_action(fl, params)
     perm = {1: 2, 2: 1}
     # the action itself is color symmetric
@@ -315,7 +315,7 @@ def test_gn_action_is_free_plus_lambda_quartic_at_nonunit_volume():
     doubled volume factor shows."""
     lat = Lattice(4, 2, Fraction(1, 2), 1)
     fl = FieldLattice(lat, 2, "rational")
-    p = GrossNeveuParams(ncolors=2, lam=Fraction(1, 3), m=Fraction(2, 5))
+    p = GrossNeveuParams(lam=Fraction(1, 3), m=Fraction(2, 5))
     F = gn_interaction_term(fl, p)
     assert build_gn_action(fl, p).functional() == \
         build_free_action(fl, p.m).functional() + F.scale(p.lam)
@@ -354,7 +354,7 @@ def test_interacting_propagator_equals_product_chain_exactly(ncolors, max_grade)
     block series gives the entries of the left-associated chain and of the
     sparse eager chain exactly."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), ncolors, "rational")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=Fraction(1, 3),
+    S = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
     ik = interacting_propagator(S, max_grade)
     chain = _product_chain(S, "retarded", max_grade)
@@ -390,7 +390,7 @@ def _assert_close(got, want):
 def float43():
     """4x3 float action with its grade-6 retarded series."""
     fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75))
+    S = build_gn_action(fl, GrossNeveuParams(lam=0.125, m=0.75))
     return S, interacting_propagator(S, 6)
 
 
@@ -410,7 +410,7 @@ def test_interacting_causal_is_the_signed_transposed_series_exactly(
     from independent product chains of both kinds, the advanced one
     included, entry by entry and exactly."""
     fl = FieldLattice(Lattice(3, nx, 1, 1), ncolors, "rational")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=Fraction(1, 3),
+    S = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 3),
                                              m=Fraction(3, 4), g=g))
     got = interacting_causal(interacting_propagator(S, max_grade))
     # [ΔR0 − ΔA0, *ΔR_k, *(−ΔA_k)] from the product chains of both kinds
@@ -487,8 +487,8 @@ def test_propagator_defect_sees_a_perturbed_correction(mode):
     it: exactly 0 in rational mode, below ``TOL_NUM`` in float mode."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
     ring = fl.ring
-    S = build_gn_action(fl, GrossNeveuParams(
-        ncolors=1, lam=ring.number(Fraction(1, 3)), m=ring.number(Fraction(3, 4))))
+    S = build_gn_action(fl, GrossNeveuParams(lam=ring.number(Fraction(1, 3)),
+                                             m=ring.number(Fraction(3, 4))))
     eps, bound = (ring.one, 0.0) if ring.exact else (1e-6, TOL_NUM)
     ik = interacting_propagator(S, 4)
     assert ik.order_count == 3 and not ik._corrections
@@ -524,7 +524,7 @@ def _sparse_defect(S, ik):
 def float32_two_colors():
     """3x2 float action with two colours and its grade-4 retarded series."""
     fl = FieldLattice(Lattice(3, 2, 1, 1), 2, "float")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=2, lam=0.125, m=0.75))
+    S = build_gn_action(fl, GrossNeveuParams(lam=0.125, m=0.75))
     return S, interacting_propagator(S, 4)
 
 
@@ -566,7 +566,7 @@ def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
     K0 = 0, it is the largest coefficient of W∘Δ_{k−1}."""
     g = [1] * 12 if case == "every-row-checked" else None
     fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75, g=g))
+    S = build_gn_action(fl, GrossNeveuParams(lam=0.125, m=0.75, g=g))
     ik = interacting_propagator(S, 6)
     if g is None:
         gens = fl.algebra.generators
@@ -646,7 +646,7 @@ def float43_order8():
     with the number of order steps taken and of Δ_k built by then; later
     order steps are counted in ``steps`` too."""
     fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=0.125, m=0.75))
+    S = build_gn_action(fl, GrossNeveuParams(lam=0.125, m=0.75))
     ik = interacting_propagator(S, 8)
     steps = []
     step = ik._step
@@ -740,8 +740,7 @@ def test_float_blocks_match_the_sparse_eager_chain(nt, nx, ncolors, max_grade, g
     4x3 series at grade 8 is checked in
     ``test_per_order_norms_leave_the_last_order_unbuilt``."""
     fl = FieldLattice(Lattice(nt, nx, 1, 1), ncolors, "float")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=1 / 3, m=0.75,
-                                             g=g))
+    S = build_gn_action(fl, GrossNeveuParams(lam=1 / 3, m=0.75, g=g))
     ik = interacting_propagator(S, max_grade)
     if g is not None:
         free = ik.free.mat
@@ -759,9 +758,8 @@ def test_float_blocks_match_the_exact_series():
     def series(mode):
         fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
         ring = fl.ring
-        S = build_gn_action(fl, GrossNeveuParams(
-            ncolors=1, lam=ring.number(Fraction(1, 3)),
-            m=ring.number(Fraction(3, 4))))
+        S = build_gn_action(fl, GrossNeveuParams(lam=ring.number(Fraction(1, 3)),
+                                                 m=ring.number(Fraction(3, 4))))
         return interacting_propagator(S, 8)
 
     exact, approx = series("rational"), series("float")
@@ -881,8 +879,7 @@ def _oracle_blocks(S, ik):
 
 def _float_gn(nt, nx, ncolors, lam=0.125, g=None):
     fl = FieldLattice(Lattice(nt, nx, 1, 1), ncolors, "float")
-    return build_gn_action(fl, GrossNeveuParams(ncolors=ncolors, lam=lam, m=0.75,
-                                                g=g))
+    return build_gn_action(fl, GrossNeveuParams(lam=lam, m=0.75, g=g))
 
 
 @pytest.mark.parametrize("nt, nx, ncolors, lam, g, max_grade", [
@@ -969,7 +966,7 @@ def test_per_order_norms_match_the_built_orders_in_rational():
     orders built afterwards equal the sparse eager chain term for term,
     and their norms match."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
+    S = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
     ik = interacting_propagator(S, 6)
     norms = ik.per_order_norms()
@@ -989,7 +986,7 @@ def test_series_with_a_cutoff_on_every_site_matches_the_eager_chain(kind):
     either kind stops.  It matches the retarded chain term for term, and
     its signed transpose −(Δ_k)ᵀ matches the advanced chain exactly."""
     fl = FieldLattice(Lattice(3, 2, 1, 1), 1, "rational")
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 3),
+    S = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 3),
                                              m=Fraction(3, 4), g=[1] * 6))
     ik = interacting_propagator(S, 10)
     free = ik.free.mat
@@ -1034,11 +1031,11 @@ def test_default_cutoff_window_needs_three_times():
     it instead of building the free theory; an explicit cutoff still
     builds an interacting series."""
     fl = FieldLattice(Lattice(2, 2, 1, 1), 1, "rational")
-    params = GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=Fraction(1))
+    params = GrossNeveuParams(lam=Fraction(1, 4), m=Fraction(1))
     with pytest.raises(ValueError, match="cutoff window"):
         params.cutoff(fl)
     with pytest.raises(ValueError, match="cutoff window"):
         build_gn_action(fl, params)
-    S = build_gn_action(fl, GrossNeveuParams(ncolors=1, lam=Fraction(1, 4),
+    S = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 4),
                                              m=Fraction(1), g=[1] * 4))
     assert any(interacting_propagator(S, 2)._blocks)

@@ -196,7 +196,7 @@ def test_wedge_terms_shared_merges_matches_plain(pairs):
 def test_interacting_propagator_orders_do_not_depend_on_max_grade(fl_rat, mass):
     """A larger ``max_grade`` only appends orders, so one series serves
     every smaller cap (``gn-series`` reads both from one series)."""
-    S = build_gn_action(fl_rat, GrossNeveuParams(ncolors=1, lam=Fraction(1, 4), m=mass))
+    S = build_gn_action(fl_rat, GrossNeveuParams(lam=Fraction(1, 4), m=mass))
     ik8 = interacting_propagator(S, 8)
     ik6 = interacting_propagator(S, 6)
     assert len(ik8.corrections) == 4 and len(ik6.corrections) == 3

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from fermifields.algebra import Algebra, GeneratorId
 from fermifields.kernels import ElementKernel, Kernel
+from fermifields.linalg import zeros
 from fermifields.reports import TOL_NUM, check_record
 from fermifields.scalars import Ring
 from fermifields.series import TruncatedSeries
@@ -29,6 +31,19 @@ def test_exact_check_fails_on_any_nonzero_residual():
         assert not rec["passed"] and rec["max_residual"] == math.ulp(0.0)
     rec = check_record("c", {}, [alg.zero(), ring.zero, 0.0])
     assert rec["passed"] and rec["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("entry, worst", [(None, 0.0),
+                                           (Fraction(1, 10**400), math.ulp(0.0))])
+def test_exact_check_on_a_scalar_kernel(entry, worst):
+    """An all-zero exact Kernel passes; one holding a nonzero rational that
+    reads 0.0 as a float fails at ``math.ulp(0.0)``, as an element does."""
+    ring = Ring("rational")
+    mat = zeros((2, 2), ring)
+    if entry is not None:
+        mat[0, 1] = ring.number(entry)
+    rec = check_record("c", {}, [Kernel(mat, ring)])
+    assert rec["passed"] is (entry is None) and rec["max_residual"] == worst
 
 
 def test_float_check_passes_strictly_below_tol():
