@@ -15,6 +15,13 @@ column as a shift of it.  A bilinear matrix whose time blocks differ
 (a time-varying cutoff) still runs the full substitution, one source
 time at a time.
 
+One solve loop serves both arithmetic modes.  Float mode steps complex
+blocks with numpy's ``@``.  Rational mode steps the same loop on
+Gaussian-integer numerators over one denominator per block
+(``linalg._ExactBlock``), with one ``gcd`` per block operation; each
+kernel block is turned back into ``QC`` entries once, and its empty
+and cancelled slots hold the int 0.
+
 On a finite time range the defining identity ``S2 @ kernel = Id`` can
 only hold on equation rows whose stencil stays inside the lattice; each
 kernel records that row set (``exact_rows``) and tests pin it.
@@ -31,7 +38,8 @@ import numpy as np
 
 from .algebra import CONJUGATE, FIELD, Algebra, GeneratorId
 from .kernels import Kernel
-from .linalg import eye, kron2, mat_inv, matmul, max_abs, zeros
+from .linalg import (_block, _ring_array, eye, kron2, mat_inv, matmul, max_abs,
+                     zeros)
 from .scalars import Ring
 
 __all__ = [
@@ -244,7 +252,7 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
     inv_dt2 = ring.one / ring.coerce(lattice.dt ** 2)
     m_c = ring.coerce(m)
     A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - matmul(Xs, Xs, ring)
-    A0_inv = mat_inv(A0, ring)
+    A0_inv = _block(mat_inv(A0, ring), ring)
     inv_vol = ring.one / ring.coerce(lattice.volume_weight())
     # chain[d]: block (s + d, s) for every source time s
     chain = [A0_inv * inv_vol]
@@ -252,7 +260,8 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
         rhs = chain[d - 1] * (-2 * inv_dt2)
         if d >= 2:
             rhs = rhs + chain[d - 2] * inv_dt2
-        chain.append(-matmul(A0_inv, rhs, ring))
+        chain.append(-(A0_inv @ rhs))
+    chain = [_ring_array(c) for c in chain]
     G = zeros((ns, ns), ring)
     for t in range(nt):
         for s in range(t + 1):
@@ -344,30 +353,34 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     toeplitz = all(np.array_equal(blk(t, t), blk(0, 0))
                    and np.array_equal(blk(t, t - 1), blk(1, 0))
                    for t in range(1, nt))
-    if toeplitz:
-        Dd_inv = [mat_inv(blk(0, 0), ring)] * nt
-        Ms_t_inv = [None] + [mat_inv(blk(1, 0).T.copy(), ring)] * (nt - 1)
-    else:
-        Dd_inv = [mat_inv(blk(t, t), ring) for t in range(nt)]
-        Ms_t_inv = [None] + [mat_inv(blk(t, t - 1).T.copy(), ring)
-                             for t in range(1, nt)]
+
+    def per_time(f, first):
+        """[f(t) for t >= first], padded to nt; one f call if Toeplitz."""
+        if toeplitz:
+            return [None] * first + [f(first)] * (nt - first)
+        return [None] * first + [f(t) for t in range(first, nt)]
+
+    diag_inv = per_time(lambda t: _block(mat_inv(blk(t, t), ring), ring), 0)
+    sub_t_inv = per_time(
+        lambda t: _block(mat_inv(blk(t, t - 1).T.copy(), ring), ring), 1)
+    sub = per_time(lambda t: _block(blk(t, t - 1), ring), 1)
+    diag_t = per_time(lambda t: _block(blk(t, t).T, ring), 0)
     P = zeros((fl.block, fl.block), ring)
     Q = zeros((fl.block, fl.block), ring)
     for s in range(1 if toeplitz else nt):
         # P column block: M^{-1} by forward substitution, then negated
-        cur = Dd_inv[s]
-        P[s * nb:(s + 1) * nb, s * nb:(s + 1) * nb] = -cur
+        cur = diag_inv[s]
+        P[s * nb:(s + 1) * nb, s * nb:(s + 1) * nb] = _ring_array(-cur)
         for t in range(s + 1, nt):
-            cur = -matmul(Dd_inv[t], matmul(blk(t, t - 1), cur, ring), ring)
-            P[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb] = -cur
+            cur = -(diag_inv[t] @ (sub[t] @ cur))
+            P[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb] = _ring_array(-cur)
         # Q column block: strictly retarded one-sided inverse of M^T
         if s + 1 < nt:
-            qblk = Ms_t_inv[s + 1]
-            Q[(s + 1) * nb:(s + 2) * nb, s * nb:(s + 1) * nb] = qblk
+            qblk = sub_t_inv[s + 1]
+            Q[(s + 1) * nb:(s + 2) * nb, s * nb:(s + 1) * nb] = _ring_array(qblk)
             for t in range(s + 1, nt - 1):
-                qblk = -matmul(Ms_t_inv[t + 1], matmul(blk(t, t).T, qblk, ring),
-                               ring)
-                Q[(t + 1) * nb:(t + 2) * nb, s * nb:(s + 1) * nb] = qblk
+                qblk = -(sub_t_inv[t + 1] @ (diag_t[t] @ qblk))
+                Q[(t + 1) * nb:(t + 2) * nb, s * nb:(s + 1) * nb] = _ring_array(qblk)
     if toeplitz:
         for s in range(1, nt):
             P[s * nb:, s * nb:(s + 1) * nb] = P[:(nt - s) * nb, :nb]
@@ -440,7 +453,16 @@ def dirac_green(fl: FieldLattice, m, kind: str) -> Kernel:
 
 
 def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:
-    """Difference of retarded and advanced kernels (symmetric matrix)."""
+    """Difference of retarded and advanced kernels (symmetric matrix).
+
+    Raises ``ValueError`` unless ``dR`` is retarded and ``dA`` advanced,
+    over rings of one mode: swapped kernels would give -Δ."""
+    if (dR.kind, dA.kind) != ("retarded", "advanced"):
+        raise ValueError("causal_propagator takes a retarded then an advanced "
+                         f"kernel, not {dR.kind} then {dA.kind}")
+    if dR.ring.mode != dA.ring.mode:
+        raise ValueError(f"kernels over a {dR.ring.mode} and a {dA.ring.mode} "
+                         "ring")
     if dR.mat.shape != dA.mat.shape:
         raise ValueError("kernel shape mismatch")
     out = Kernel(dR.mat - dA.mat, dR.ring, "causal", dR.row_times, dR.col_times)

@@ -17,13 +17,26 @@ blocks are mostly zero, so this is where the exact time goes.  Exact
 sums of the same nonzero products normalise to the same triples, so
 skipping zeros changes no result.  Matrices here are tiny (a few dozen
 rows), so generic Gauss-Jordan elimination is plenty.
+
+The forward solves of the Green's kernels chain many block products.
+In rational mode they step :class:`_ExactBlock` values: one block's
+entries as Gaussian-integer numerators, two object arrays of Python
+ints, over one common denominator.  A product is four integer array
+products and one ``gcd`` over the whole block, where the same
+product of ``QC`` entries takes a ``gcd`` per multiply and per add.
+:func:`_block` lifts a ring array into the type the solves step (float
+arrays stay as they are, so float results keep every bit) and
+:func:`_ring_array` turns it back: a ``QC`` where a numerator is
+nonzero, the int 0 in every other slot, sums that cancel included.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 import numpy as np
 
-from .scalars import Ring
+from .scalars import QC, Ring, _qc
 
 __all__ = ["zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs"]
 
@@ -130,3 +143,77 @@ def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
             for j in i_nz:
                 i_r[j] = i_r[j] - f * i_row[j]
     return np.array(inv, dtype=object)
+
+
+class _ExactBlock:
+    """Exact complex block ``(re + i·im)/den``: ``re`` and ``im`` are
+    object arrays of Python ints and ``den`` a positive int, with no
+    factor common to ``den`` and every numerator.
+
+    It has the operations the exact forward solves use: ``@``, ``+``,
+    unary ``-`` and ``*`` by a ``QC``.  Each result but a negation
+    is normalised by one ``gcd`` over the whole block."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, den: int):
+        self.re, self.im, self.den = re, im, den
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "_ExactBlock":
+        """The block of an exact ring array (``QC`` entries, int 0 in
+        empty slots) over the lcm of its entries' denominators."""
+        abd = [x._abd if x else (0, 0, 1) for x in a.ravel().tolist()]
+        den = lcm(*(d for _, _, d in abd))
+        re = np.empty(len(abd), dtype=object)
+        im = np.empty(len(abd), dtype=object)
+        re[:] = [p * (den // d) for p, _, d in abd]
+        im[:] = [q * (den // d) for _, q, d in abd]
+        return cls(re.reshape(a.shape), im.reshape(a.shape), den)
+
+    def ring_array(self) -> np.ndarray:
+        """The ring array of this block: a ``QC`` where a numerator is
+        nonzero and the int 0 everywhere else."""
+        d = self.den
+        out = np.empty(self.re.size, dtype=object)
+        out[:] = [_qc(p, q, d) if p or q else 0
+                  for p, q in zip(self.re.ravel().tolist(),
+                                  self.im.ravel().tolist())]
+        return out.reshape(self.re.shape)
+
+    def __matmul__(self, other: "_ExactBlock") -> "_ExactBlock":
+        a, b, c, e = self.re, self.im, other.re, other.im
+        return _normal(a @ c - b @ e, a @ e + b @ c, self.den * other.den)
+
+    def __add__(self, other: "_ExactBlock") -> "_ExactBlock":
+        d, f = self.den, other.den
+        den = lcm(d, f)
+        u, v = den // d, den // f
+        return _normal(self.re * u + other.re * v, self.im * u + other.im * v,
+                       den)
+
+    def __neg__(self) -> "_ExactBlock":
+        return _ExactBlock(-self.re, -self.im, self.den)
+
+    def __mul__(self, x: QC) -> "_ExactBlock":
+        c, e, f = x._abd
+        a, b = self.re, self.im
+        return _normal(a * c - b * e, a * e + b * c, self.den * f)
+
+
+def _normal(re: np.ndarray, im: np.ndarray, den: int) -> _ExactBlock:
+    g = gcd(den, *re.ravel().tolist(), *im.ravel().tolist())
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
+    return _ExactBlock(re, im, den)
+
+
+def _block(a: np.ndarray, ring: Ring):
+    """``a`` as the forward solves step it: an :class:`_ExactBlock` in
+    rational mode, the complex array itself in float mode."""
+    return _ExactBlock.of(a) if ring.exact else a
+
+
+def _ring_array(b) -> np.ndarray:
+    """Inverse of :func:`_block`."""
+    return b.ring_array() if isinstance(b, _ExactBlock) else b

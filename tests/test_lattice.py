@@ -9,9 +9,10 @@ from fermifields.lattice import (CausalityError, DiracOperator, FieldLattice,
                                  Lattice, causal_propagator, dirac_green,
                                  dirac_matrix, free_second_derivative,
                                  green_from_bilinear, kg_green,
-                                 _retarded_inverse_blocks)
-from fermifields.linalg import eye, kron2, mat_inv, matmul, max_abs
-from fermifields.scalars import Ring
+                                 _retarded_inverse_blocks, _space_block,
+                                 _species_blocks)
+from fermifields.linalg import eye, kron2, mat_inv, matmul, max_abs, zeros
+from fermifields.scalars import QC, Ring
 
 
 def hand_unrolled_retarded(nt, dt, m, source):
@@ -154,6 +155,20 @@ def test_dirac_green_supports_and_transposes(fl_float):
     # degenerate difference vanishes
     zero = causal_propagator(dR, dR.copy_with(dR.mat, "advanced"))
     assert zero.max_abs() == 0.0
+
+
+def test_causal_propagator_rejects_swapped_kinds_and_mixed_rings(fl_float):
+    """Swapped arguments would return -Δ, and kernels over two rings
+    cannot be subtracted: both raise before any arithmetic."""
+    dR = dirac_green(fl_float, 1.0, "retarded")
+    dA = dirac_green(fl_float, 1.0, "advanced")
+    with pytest.raises(ValueError, match="retarded then an advanced"):
+        causal_propagator(dA, dR)
+    with pytest.raises(ValueError, match="retarded then an advanced"):
+        causal_propagator(dR, dR)
+    exact = FieldLattice(Lattice(4, 2, Fraction(1, 2), 1), 1, "rational")
+    with pytest.raises(ValueError, match="ring"):
+        causal_propagator(dR, dirac_green(exact, 1, "advanced"))
 
 
 BLOCK_FORMULA_CASES = [
@@ -426,3 +441,100 @@ def test_retarded_inverse_blocks_mat_inv_count(monkeypatch):
     calls.clear()
     green_from_bilinear(fl, dirac_matrix(fl, 1, _time_varying_weights(fl)))
     assert len(calls) == 2 * nt - 1
+
+
+# Oracles of the integer-numerator block step: the same forward
+# substitution on QC entries through linalg.matmul, every source time
+# stepped, and the same Klein-Gordon chain.
+
+def _qc_retarded_inverse_blocks(fl, M):
+    ring = fl.ring
+    nt = fl.lattice.nt
+    nb = fl.lattice.nx * 2
+
+    def blk(t, s):
+        return M[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb]
+
+    Dd_inv = [mat_inv(blk(t, t), ring) for t in range(nt)]
+    Ms_t_inv = [None] + [mat_inv(blk(t, t - 1).T.copy(), ring)
+                         for t in range(1, nt)]
+    P = zeros((fl.block, fl.block), ring)
+    Q = zeros((fl.block, fl.block), ring)
+    for s in range(nt):
+        cur = Dd_inv[s]
+        P[s * nb:(s + 1) * nb, s * nb:(s + 1) * nb] = -cur
+        for t in range(s + 1, nt):
+            cur = -matmul(Dd_inv[t], matmul(blk(t, t - 1), cur, ring), ring)
+            P[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb] = -cur
+        if s + 1 < nt:
+            qblk = Ms_t_inv[s + 1]
+            Q[(s + 1) * nb:(s + 2) * nb, s * nb:(s + 1) * nb] = qblk
+            for t in range(s + 1, nt - 1):
+                qblk = -matmul(Ms_t_inv[t + 1], matmul(blk(t, t).T, qblk, ring),
+                               ring)
+                Q[(t + 1) * nb:(t + 2) * nb, s * nb:(s + 1) * nb] = qblk
+    return P, Q
+
+
+def _qc_kg_chain(lattice, m, ring):
+    nt, nx, ns = lattice.nt, lattice.nx, lattice.n_sites
+    Xs = _space_block(lattice, ring)
+    inv_dt2 = ring.one / ring.coerce(lattice.dt ** 2)
+    m_c = ring.coerce(m)
+    A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - matmul(Xs, Xs, ring)
+    A0_inv = mat_inv(A0, ring)
+    chain = [A0_inv * (ring.one / ring.coerce(lattice.volume_weight()))]
+    for d in range(1, nt):
+        rhs = chain[d - 1] * (-2 * inv_dt2)
+        if d >= 2:
+            rhs = rhs + chain[d - 2] * inv_dt2
+        chain.append(-matmul(A0_inv, rhs, ring))
+    G = zeros((ns, ns), ring)
+    for t in range(nt):
+        for s in range(t + 1):
+            G[t * nx:(t + 1) * nx, s * nx:(s + 1) * nx] = chain[t - s]
+    return G
+
+
+def _written_zeros(a):
+    return sum(1 for x in a.ravel() if type(x) is QC and not x)
+
+
+ORACLE_CASES = [
+    pytest.param(2, 1, 1, id="2x1"),
+    pytest.param(2, 2, 2, id="2x2-2colors"),
+    pytest.param(2, 4, 1, id="2x4"),
+    pytest.param(3, 4, 2, id="3x4-2colors"),
+    pytest.param(10, 4, 1, id="10x4"),
+]
+
+
+@pytest.mark.parametrize("nt,nx,ncolors", ORACLE_CASES)
+@pytest.mark.parametrize("varying", [False, True], ids=["toeplitz", "weighted"])
+def test_retarded_inverse_blocks_equal_the_qc_substitution(nt, nx, ncolors, varying):
+    """The integer-numerator block step gives P and Q entry for entry
+    equal to the QC forward substitution, on block-Toeplitz and weighted
+    M, and writes no QC zero: a slot whose sum cancels holds the int 0."""
+    fl = FieldLattice(Lattice(nt, nx, Fraction(2, 3), 1), ncolors, "rational")
+    weights = _time_varying_weights(fl) if varying else None
+    M = dirac_matrix(fl, Fraction(5, 7), weights)
+    got, want = _retarded_inverse_blocks(fl, M), _qc_retarded_inverse_blocks(fl, M)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.all(g == w)
+        assert _written_zeros(g) == 0
+    if not varying:
+        dR = dirac_green(fl, Fraction(5, 7), "retarded").mat
+        assert np.all(dR == _species_blocks(fl, *want))
+        assert _written_zeros(dR) == 0
+
+
+@pytest.mark.parametrize("nt,nx", [(2, 1), (2, 2), (2, 4), (10, 4)])
+def test_kg_green_equals_the_qc_chain(nt, nx):
+    """kg_green's integer-numerator chain equals the QC chain entry for
+    entry and writes no QC zero."""
+    ring = Ring("rational")
+    lat = Lattice(nt, nx, Fraction(2, 3), 1)
+    G = kg_green(lat, Fraction(5, 7), "retarded", ring).mat
+    want = _qc_kg_chain(lat, Fraction(5, 7), ring)
+    assert np.all(G == want)
+    assert _written_zeros(G) == 0

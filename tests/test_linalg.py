@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermifields.linalg import eye, mat_inv, matmul, zeros
+from fermifields.linalg import _ExactBlock, eye, mat_inv, matmul, zeros
 from fermifields.scalars import QC, Ring
 
 RAT = Ring("rational")
@@ -38,6 +38,17 @@ def values(a):
     assert all(type(x) is QC or (type(x) is int and x == 0)
                for row in rows for x in row)
     return [[RAT.coerce(x)._abd for x in row] for row in rows]
+
+
+def only(a, part):
+    """``a`` with each entry cut to its real or imaginary part, or zeroed."""
+    cut = {"complex": lambda x: x, "real": lambda x: QC(x.re),
+           "imaginary": lambda x: QC(0, x.im), "zero": lambda x: QC(0)}[part]
+    out = zeros(a.shape, RAT)
+    for idx, x in np.ndenumerate(a):
+        if x:
+            out[idx] = cut(x)
+    return out
 
 
 # -- matmul ------------------------------------------------------------------
@@ -155,3 +166,47 @@ def test_mat_inv_singular_raises():
     for a in (zero_col, dependent, zeros((2, 2), RAT)):
         with pytest.raises(np.linalg.LinAlgError):
             mat_inv(a, RAT)
+
+
+# -- the integer-numerator block of the exact solves --------------------------
+
+def block_values(blk):
+    """Triples of a block's ring array, whose zero slots hold the int 0."""
+    got = blk.ring_array()
+    assert not any(type(x) is QC and not x for x in got.ravel())
+    return values(got)
+
+
+@pytest.mark.parametrize("left,right", [("complex", "complex"),
+                                        ("real", "imaginary"),
+                                        ("imaginary", "real"),
+                                        ("zero", "complex")])
+def test_exact_block_ops_equal_qc_arithmetic(left, right):
+    """``@``, ``+``, unary ``-`` and ``*`` by a ``QC`` on integer
+    numerators over one denominator equal the same ``QC`` arithmetic
+    slot for slot, real, imaginary and zero operands included."""
+    rng = random.Random(f"block:{left}:{right}")
+    for _ in range(4):
+        a = only(sparse_qc(rng, (4, 5), 0.6), left)
+        b = only(sparse_qc(rng, (5, 3), 0.6), right)
+        c = only(sparse_qc(rng, (4, 3), 0.6), right)
+        x = only(np.array([[rand_qc(rng)]], dtype=object), left)[0, 0]
+        x = x if x else QC(Fraction(3, 4))
+        A, B, C = (_ExactBlock.of(m) for m in (a, b, c))
+        assert block_values(A) == values(a)
+        assert block_values(A @ B) == values(a @ b)
+        assert block_values(A @ B + C) == values(a @ b + c)
+        assert block_values(-C) == values(-c)
+        assert block_values(C * x) == values(c * x)
+        assert block_values(C + -C) == values(zeros(c.shape, RAT))
+
+
+def test_exact_block_holds_one_normalised_denominator():
+    a = zeros((2, 2), RAT)
+    a[0, 0], a[0, 1], a[1, 1] = QC(Fraction(1, 6)), QC(0, Fraction(3, 4)), QC(2)
+    A = _ExactBlock.of(a)
+    assert A.den == 12
+    assert A.re.tolist() == [[2, 0], [0, 24]] and A.im.tolist() == [[0, 9], [0, 0]]
+    # 4·a has numerators 8, 36i, 96 over 12: one gcd brings it to 3
+    B = A * QC(4)
+    assert B.den == 3 and B.re.tolist() == [[2, 0], [0, 24]]
