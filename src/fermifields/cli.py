@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .lattice import CausalityError
 from .reports import (TOL_FACTOR, TOL_GREEN, TOL_NUM, check_record, write_csv,
                       write_report)
 
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
         if args.command == "car-table":
             return cmd_car_table(cfg, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, CausalityError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

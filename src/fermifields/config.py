@@ -17,6 +17,7 @@ same file drives both arithmetic modes.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields as dc_fields
 from fractions import Fraction
 
@@ -28,6 +29,12 @@ __all__ = ["ConfigError", "RunConfig", "parse_config_file", "load_config"]
 
 class ConfigError(ValueError):
     """Invalid configuration value or key."""
+
+
+# the config key of each parameter that a Lattice, FieldLattice or Ring
+# ValueError names first
+_PARAM_KEYS = {"nt": "lattice.nt", "nx": "lattice.nx", "dt": "lattice.dt",
+               "dx": "lattice.dx", "ncolors": "colors", "mode": "arithmetic"}
 
 
 def _parse_number(text: str) -> Fraction:
@@ -92,24 +99,24 @@ class RunConfig:
         setattr(self, attr, value)
 
     def validate(self) -> "RunConfig":
-        if self.nt < 2:
-            raise ConfigError("lattice.nt must be >= 2")
-        if self.nx < 1:
-            raise ConfigError("lattice.nx must be >= 1")
-        if self.dt <= 0 or self.dx <= 0:
-            raise ConfigError("lattice spacings must be positive")
-        if self.dt > self.dx:
-            raise ConfigError(
-                f"dt={self.dt} > dx={self.dx} violates the explicit-scheme "
-                "causality condition dt <= dx")
-        if self.colors < 1:
-            raise ConfigError("colors must be >= 1")
+        for key, (attr, conv) in self.KEYS.items():
+            if conv is _parse_number:
+                try:
+                    float(getattr(self, attr))  # a Fraction's float is finite
+                except OverflowError:
+                    raise ConfigError(f"{key} does not fit in a float") from None
+        # the lattice, colour and mode rules live in the objects they build;
+        # every command also reads the spacings as floats
+        try:
+            self.field_lattice()
+            Lattice(self.nt, self.nx, float(self.dt), float(self.dx))
+        except ValueError as exc:
+            name = re.match(r"\w+", str(exc))[0]
+            raise ConfigError(f"{_PARAM_KEYS.get(name, name)}: {exc}") from None
         if self.lambda_order < 0:
             raise ConfigError("truncation.lambda_order must be >= 0")
         if self.max_grade < 0:
             raise ConfigError("truncation.max_grade must be >= 0")
-        if self.arithmetic not in ("float", "rational"):
-            raise ConfigError("arithmetic must be 'float' or 'rational'")
         if self.cutoff.startswith("window:"):
             self._window()
         elif self.cutoff not in ("ones", "window"):

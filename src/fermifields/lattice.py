@@ -61,8 +61,9 @@ class Lattice:
             raise ValueError("nt must be >= 2")
         if nx < 1:
             raise ValueError("nx must be >= 1")
-        if not (0 < dt and 0 < dx):
-            raise ValueError("spacings must be positive")
+        for name, h in (("dt", dt), ("dx", dx)):
+            if not 0 < h:
+                raise ValueError(f"{name} must be positive, got {h}")
         if dt > dx:
             raise CausalityError(
                 f"dt={dt} > dx={dx} violates the explicit-scheme causality condition")
@@ -471,8 +472,8 @@ def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:
     return out
 
 
-def free_second_derivative(fl: FieldLattice, m, weights=None) -> Kernel:
+def free_second_derivative(fl: FieldLattice, m) -> Kernel:
     """Second-derivative kernel K[j, i] = d_j d_i S of the free action."""
-    M = dirac_matrix(fl, m, weights)
+    M = dirac_matrix(fl, m)
     return Kernel(_species_blocks(fl, M.T, -M), fl.ring, "operator",
                   fl.slot_times, fl.slot_times)

@@ -8,11 +8,13 @@ Two arithmetic modes are supported throughout the package:
   *exactly* zero.  A :class:`QC` keeps one shared denominator for both
   parts, ``(a + b·i)/d`` as three Python ints, so ring operations are a
   few integer products and one ``gcd`` rather than two ``Fraction``
-  operations; add and subtract skip the cross products when the
-  denominators agree.  An exact-zero operand of ``+``, ``-`` or ``*``
-  (a zero ``QC``, ``0`` or ``Fraction(0)``), and unary ``-`` of zero,
-  return at once with no ``gcd``: sparse exact matrices make most
-  operands zero.
+  operations; addition skips the cross products when the denominators
+  agree.  Each of ``+``, ``*``, ``/`` and ``==`` reads its other operand
+  in one place, an int or ``Fraction`` entering as the triple
+  ``(n, 0, d)``, and then runs one body; subtraction is addition of the
+  negation.  An exact-zero operand of ``+``, ``-`` or ``*`` (a zero
+  ``QC``, ``0`` or ``Fraction(0)``), and unary ``-`` of zero, return at
+  once with no ``gcd``: sparse exact matrices make most operands zero.
 """
 
 from __future__ import annotations
@@ -58,78 +60,48 @@ class QC:
         return Fraction(b, d)
 
     # -- ring operations ------------------------------------------------
-    # An int or Fraction operand enters as (numerator, 0, denominator),
+    # Each binary operation reads its other operand once: a QC's triple,
+    # or (numerator, 0, denominator) for an int or Fraction, which is
     # already normalised.  An exact-zero operand returns at once; the
     # zero QC is (0, 0, 1).
     def __add__(self, other):
-        a, b, d = self._abd
         if type(other) is QC:
             c, e, f = other._abd
-            if not (c or e):
-                return self
-            if not (a or b):
-                return other
-            if d == f:
-                return _qc(a + c, b + e, d)
-            return _qc(a * f + c * d, b * f + e * d, d * f)
-        if isinstance(other, (int, Fraction)):
-            c, f = other.numerator, other.denominator
-            if not c:
-                return self
-            if not (a or b):
-                return _qc_normal(c, 0, f)
-            return _qc(a * f + c * d, b * f, d * f)
-        return NotImplemented
+        elif isinstance(other, (int, Fraction)):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        if not (c or e):
+            return self
+        a, b, d = self._abd
+        if not (a or b):
+            return other if type(other) is QC else _qc_normal(c, e, f)
+        if d == f:
+            return _qc(a + c, b + e, d)
+        return _qc(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b, d = self._abd
-        if type(other) is QC:
-            c, e, f = other._abd
-            if not (c or e):
-                return self
-            if not (a or b):
-                return _qc_normal(-c, -e, f)
-            if d == f:
-                return _qc(a - c, b - e, d)
-            return _qc(a * f - c * d, b * f - e * d, d * f)
-        if isinstance(other, (int, Fraction)):
-            c, f = other.numerator, other.denominator
-            if not c:
-                return self
-            if not (a or b):
-                return _qc_normal(-c, 0, f)
-            return _qc(a * f - c * d, b * f, d * f)
-        return NotImplemented
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         # reached as ``0 - x`` from the empty slots of exact arrays
-        if isinstance(other, (int, Fraction)):
-            a, b, d = self._abd
-            c, f = other.numerator, other.denominator
-            if not c:
-                return _qc_normal(-a, -b, d)
-            return _qc(c * d - a * f, -b * f, d * f)
-        return NotImplemented
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        a, b, d = self._abd
-        if not (a or b):
-            if type(other) is QC or isinstance(other, (int, Fraction)):
-                return self
-            return NotImplemented
         if type(other) is QC:
             c, e, f = other._abd
-            if not (c or e):
-                return other
-            return _qc(a * c - b * e, a * e + b * c, d * f)
-        if isinstance(other, (int, Fraction)):
-            c, f = other.numerator, other.denominator
-            if not c:
-                return _ZERO
-            return _qc(a * c, b * c, d * f)
-        return NotImplemented
+        elif isinstance(other, (int, Fraction)):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        a, b, d = self._abd
+        if not (a or b):
+            return self
+        if not (c or e):
+            return _ZERO
+        return _qc(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -223,7 +195,7 @@ class Ring:
 
     def __init__(self, mode: str):
         if mode not in ("float", "rational"):
-            raise ValueError(f"unknown arithmetic mode {mode!r}")
+            raise ValueError(f"mode must be 'float' or 'rational', got {mode!r}")
         self.mode = mode
         self.exact = mode == "rational"
         self.zero = QC(0) if self.exact else 0j

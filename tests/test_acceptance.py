@@ -9,6 +9,7 @@ same battery backs ``fermifields verify``.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -26,10 +27,17 @@ FLOAT_TOLERANCE_CHECKS = {
     "canonical_identity_symbolic", "canonical_identity_fd_oracle",
     "gn_kernel_derivative_fd_oracle", "gn_color_symmetry",
 }
-# sha256 of the default report with those residuals set to null, at
-# commit ab1cbf3
-BLAS_FREE_REPORT_SHA256 = \
-    "65ecabd5de83df4c7266c96fd394afb286304a82bc9043c0a9d0da3888de83b3"
+# The non-default config of the CI's second verify step: dt*dx != 1, so
+# every exact residual carries denominators other than 1.
+NON_DEFAULT = dict(nt=5, dt=Fraction(1, 3), dx=Fraction(1, 2),
+                   mass=Fraction(3, 4), lam=Fraction(1, 8), seed=77)
+# sha256 of each report with those residuals set to null: the default
+# config's at commit ab1cbf3, the non-default one's at commit fb0de16
+BLAS_FREE_REPORT_SHA256 = {
+    "default": "65ecabd5de83df4c7266c96fd394afb286304a82bc9043c0a9d0da3888de83b3",
+    "non-default":
+        "ccaac2aa9a1b0f89487fafe32fe5bad620a13ce3637f5e55f0a9acbc310150a4",
+}
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +159,21 @@ def test_criterion_8_reproducibility(battery):
     assert payload["passed"] is True
 
 
-def test_report_bytes_outside_float_residuals_are_fixed(battery):
-    """The default report, with the float-tolerance residuals blanked and
+@pytest.mark.parametrize("config", list(BLAS_FREE_REPORT_SHA256))
+def test_report_bytes_outside_float_residuals_are_fixed(battery, tmp_path,
+                                                        config):
+    """The report, with the float-tolerance residuals blanked and
     serialised as ``write_report`` writes it, keeps its hash: every exact
     residual, pass flag, digest and config value is pinned."""
     _, out, _, _ = battery
-    payload = json.loads((out / "report_a.json").read_bytes())
+    report = out / "report_a.json"
+    if config == "non-default":
+        cfg = RunConfig(**NON_DEFAULT).validate()
+        names = list(SUITES)
+        records, _ = run_suites(cfg, names)
+        report = tmp_path / "report.json"
+        write_report(report, records, cfg.to_dict(), names)
+    payload = json.loads(report.read_bytes())
     blanked = 0
     for rec in payload["checks"]:
         if rec["check"] in FLOAT_TOLERANCE_CHECKS:
@@ -164,7 +181,7 @@ def test_report_bytes_outside_float_residuals_are_fixed(battery):
             blanked += 1
     assert blanked == len(FLOAT_TOLERANCE_CHECKS)
     blob = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    assert hashlib.sha256(blob.encode()).hexdigest() == BLAS_FREE_REPORT_SHA256
+    assert hashlib.sha256(blob.encode()).hexdigest() == BLAS_FREE_REPORT_SHA256[config]
 
 
 def test_every_suite_check_passed(battery):

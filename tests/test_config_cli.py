@@ -49,12 +49,15 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_validation_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(write(tmp_path, "lattice.dt = 2\nlattice.dx = 1\n"))
-    with pytest.raises(ConfigError):
-        load_config(write(tmp_path, "lattice.nt = 1\n"))
-    with pytest.raises(ConfigError):
-        load_config(write(tmp_path, "arithmetic = decimal\n"))
+    # the lattice, colour and mode rules name the key they reject
+    for text, key in (("lattice.dt = 2\nlattice.dx = 1\n", "lattice.dt"),
+                      ("lattice.nt = 1\n", "lattice.nt"),
+                      ("lattice.nx = 0\n", "lattice.nx"),
+                      ("lattice.dx = 0\n", "lattice.dx"),
+                      ("colors = 0\n", "colors"),
+                      ("arithmetic = decimal\n", "arithmetic")):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_config(write(tmp_path, text))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "cutoff = sometimes\n"))
     with pytest.raises(ConfigError):
@@ -227,6 +230,36 @@ def test_cli_suite_listed_twice_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--suite", "grassmann,grassmann",
                  "--out", str(out)]) == 2
     assert "suite 'grassmann' is listed twice" in _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, arithmetic, line", [
+    # a spacing that rounds to 0.0, read as a float by every command
+    *[(cmd, "float", "lattice.dt = 1e-400")
+      for cmd in ("propagators", "gn-series", "car-table")],
+    ("verify", None, "lattice.dt = 1e-400"),
+    ("propagators", "rational", "lattice.dt = 1e-400"),
+    # values above the float range
+    ("verify", None, "mass = 1e400"),
+    ("propagators", "float", "mass = 1e400"),
+    *[(cmd, "rational", line) for cmd in ("propagators", "gn-series")
+      for line in ("mass = 1e400", "lambda = 1e400")],
+    ("car-table", "rational", "lattice.dx = 1e400"),
+])
+def test_cli_value_no_float_holds_exits_2(tmp_path, capsys, monkeypatch,
+                                          command, arithmetic, line):
+    """A config value that no float can hold exits 2 before the command
+    runs, naming its key, and leaves no --out directory."""
+    from fermifields import cli
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                        lambda *a: pytest.fail("the command ran"))
+    p = write(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p), "--out", str(out)]
+    if arithmetic:
+        argv += ["--arithmetic", arithmetic]
+    assert main(argv) == 2
+    assert line.split(" = ")[0] in _one_config_error_line(capsys)
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fermifields import scalars
 from fermifields.scalars import QC
 
 # -- reference model: (re, im) as a pair of Fractions ----------------------
@@ -110,6 +111,17 @@ ZERO_OPERANDS = [QC(0), QC(0, 0), QC(Fraction(0, 5)), 0, Fraction(0), False]
 @given(st.one_of(qcs, st.just((QC(0), ZERO))))
 def test_qc_zero_operands_match_model(x):
     q, m = x
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "gcd", lambda *a: calls.append(a) or math.gcd(*a))
+        for z in ZERO_OPERANDS:
+            # x + 0, x − 0, 0 + x and QC(0) + x are the operand x itself
+            assert q + z is q and q - z is q
+            if q:
+                assert z + q is q
+            assert (q * z)._abd == (z * q)._abd == (0, 0, 1)
+            z - q  # checked by value below
+    assert calls == []
     for z in ZERO_OPERANDS:
         for op, mop in ((operator.add, m_add), (operator.sub, m_sub),
                         (operator.mul, m_mul)):
@@ -137,3 +149,13 @@ def test_qc_zero_plus_real_is_exact_real():
         assert_matches(r + QC(0), (Fraction(r), Fraction(0)))
         assert_matches(QC(0) - r, (-Fraction(r), Fraction(0)))
         assert_matches(r - QC(0), (Fraction(r), Fraction(0)))
+
+
+@pytest.mark.parametrize("other", [1.5, 2j, "2"])
+@pytest.mark.parametrize("x", [QC(0), QC(Fraction(3, 4), -2)])
+def test_qc_rejects_float_complex_and_str_operands(x, other):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
