@@ -113,17 +113,17 @@ class Algebra:
         return f"Algebra(n={self.n}, mode={self.mode!r})"
 
 
-def _add_terms(out: dict, terms: dict, ring: Ring, sub: bool = False) -> None:
+def _add_terms(out: dict, terms: dict, sub: bool = False) -> None:
     """Add (``sub``: subtract) the term dict ``terms`` into ``out`` in place.
 
-    Each coefficient becomes ``out.get(w, zero) ± c``, in the order of
-    ``terms``; a word whose sum is exactly zero is popped.  Here and in
-    the other hot loops of this module a coefficient is zero when it is
-    falsy.
+    Each coefficient becomes ``out.get(w, 0) ± c``, in the order of
+    ``terms``: the int 0 is the zero of both rings (``0 ± c`` has the
+    bits of ``0j ± c`` for a complex ``c``).  A word whose sum is exactly
+    zero is popped.  Here and in the other hot loops of this module a
+    coefficient is zero when it is falsy.
     """
-    zero = ring.zero
     for w, c in terms.items():
-        c2 = (out.get(w, zero) - c) if sub else (out.get(w, zero) + c)
+        c2 = (out.get(w, 0) - c) if sub else (out.get(w, 0) + c)
         if c2:
             out[w] = c2
         else:
@@ -213,7 +213,7 @@ class GrassmannElement:
     def _zip(self, other, sub=False):
         self.algebra.check_compatible(other.algebra)
         out = dict(self._terms)
-        _add_terms(out, other._terms, self.algebra.ring, sub)
+        _add_terms(out, other._terms, sub)
         return GrassmannElement(self.algebra, out)
 
     def __add__(self, other):

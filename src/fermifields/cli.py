@@ -76,6 +76,11 @@ def _load(args) -> "RunConfig":
     return load_config(args.config, overrides, rejected)
 
 
+def _series_grade(cfg) -> int:
+    """Interacting series grade: ``truncation.max_grade`` made even, at most 6."""
+    return min(cfg.max_grade // 2 * 2, 6)
+
+
 def cmd_propagators(cfg, out: Path) -> int:
     from .gross_neveu import build_gn_action, interacting_propagator, propagator_defect
     from .lattice import DiracOperator, causal_propagator, dirac_green, kg_green
@@ -97,7 +102,7 @@ def cmd_propagators(cfg, out: Path) -> int:
         kern.to_csv(out / f"{name}.csv")
         kern.to_json(out / f"{name}.json")
 
-    ik = interacting_propagator(S, max_grade=min(cfg.max_grade // 2 * 2, 6))
+    ik = interacting_propagator(S, max_grade=_series_grade(cfg))
     ik.free.to_csv(out / "interacting_retarded_order0.csv")
     write_csv(out / "interacting_retarded_orders.csv",
               ["k", "grade", "frobenius_norm"],
@@ -180,7 +185,8 @@ def cmd_gn_series(cfg, out: Path) -> int:
                "homomorphism_residual", "truncated"], rows)
 
     S_gn = build_gn_action(fl, params)
-    max_grade = min(cfg.max_grade // 2 * 2, 6)
+    # one order beyond the series grade, flagged outside the truncation
+    max_grade = _series_grade(cfg)
     ik = interacting_propagator(S_gn, max_grade + 2)
     norm_rows = []
     for k, g, v in ik.per_order_norms():

@@ -99,17 +99,20 @@ class RunConfig:
         setattr(self, attr, value)
 
     def validate(self) -> "RunConfig":
+        # every command also reads the numeric keys as floats
         for key, (attr, conv) in self.KEYS.items():
             if conv is _parse_number:
+                value = getattr(self, attr)
                 try:
-                    float(getattr(self, attr))  # a Fraction's float is finite
+                    as_float = float(value)  # a Fraction's float is finite
                 except OverflowError:
                     raise ConfigError(f"{key} does not fit in a float") from None
-        # the lattice, colour and mode rules live in the objects they build;
-        # every command also reads the spacings as floats
+                if value and not as_float:
+                    raise ConfigError(f"{key} is nonzero but rounds to 0.0 "
+                                      "as a float")
+        # the lattice, colour and mode rules live in the objects they build
         try:
             self.field_lattice()
-            Lattice(self.nt, self.nx, float(self.dt), float(self.dx))
         except ValueError as exc:
             name = re.match(r"\w+", str(exc))[0]
             raise ConfigError(f"{_PARAM_KEYS.get(name, name)}: {exc}") from None

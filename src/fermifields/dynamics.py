@@ -89,7 +89,7 @@ class ActionFunctional:
                         key = (j, i)
                         entries[key] = entries[key] + rest if key in entries else rest
             self._cache["d2"] = (
-                Kernel(K0, ring, "operator", self.fl.slot_times, self.fl.slot_times),
+                Kernel(K0, "operator", self.fl.slot_times),
                 ElementKernel(self.algebra, n, entries),
             )
         return self._cache["d2"]
@@ -395,11 +395,11 @@ def bracket_kernel_derivative(dR: Kernel, KH):
     even, so they commute through the transpose).  Returns ``[X, X^T]``
     for an :class:`ElementKernel` K_H and ``[X + X^T]`` for a scalar one.
     """
-    mR, ring = dR.mat, dR.ring
+    mR = dR.mat
     if isinstance(KH, ElementKernel):
         X = KH.compose_scalar_left(-mR).compose_scalar_right(mR)
         return [X, X.transpose()]
-    X = -matmul(matmul(mR, KH, ring), mR, ring)
+    X = -matmul(matmul(mR, KH), mR)
     return [X + X.T]
 
 

@@ -360,7 +360,6 @@ class InteractingKernel:
         """Run group g through every order, summing each Gram matrix; its
         orders up to its last nonzero one."""
         W = self._W
-        ring = self.fl.ring
         back = self._neg_free[np.ix_(W.cols, W.rows)]
         last = self.max_grade // 2
         stored: list = []
@@ -377,7 +376,7 @@ class InteractingKernel:
             xc = x.astype(complex, copy=False)
             self._grams[k - 1] += xc.conj() @ xc.T
             if k < last:
-                y = matmul(back, x, ring)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
+                y = matmul(back, x)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
         return stored
 
     def _first(self, g: int, cols: np.ndarray):
@@ -425,7 +424,6 @@ class InteractingKernel:
 
     def _correction(self, k: int) -> ElementKernel:
         """Δ_k = −Δ0[:, rows]·X_k, unpacked row by row into term dicts."""
-        ring = self.fl.ring
         words = list(map(tuple, self._tables.words[k].tolist()))
         to_slots = self._neg_free[:, self._W.rows]
         acc: dict = {}
@@ -443,7 +441,7 @@ class InteractingKernel:
                 # one product per column: a group's product is large enough,
                 # even at 3x2, for OpenBLAS to wake its second thread, whose
                 # spin-wait then slows the Python work that follows
-                part = matmul(to_slots, x[:, start:stop], ring)
+                part = matmul(to_slots, x[:, start:stop])
                 live = np.flatnonzero(part.astype(bool).any(axis=1))
                 for a, row in zip(live.tolist(), part[live].tolist()):
                     acc[(a, j)] = {w: c for w, c in zip(ws, row) if c}
@@ -456,8 +454,7 @@ class InteractingKernel:
         order step, on the exact rows' entries of W, from the stored order
         k − 1; the two are added on their (column, word id) keys.  No Δ_k
         term dict is built."""
-        ring = self.fl.ring
-        upper = matmul(k0, self._neg_free[:, self._W.rows], ring)
+        upper = matmul(k0, self._neg_free[:, self._W.rows])
         W = self._entries(W)
         # K0·Δ_k on W's rows, where W∘Δ_{k−1} is added, and on the other
         # rows of K0·(−Δ0) that are not 0
@@ -473,16 +470,16 @@ class InteractingKernel:
                     parts.append(max_abs(lower))
                     break
                 keys, x = stored[k - 1].keys, self._dense(stored[k - 1])
-                res = matmul(on, x, ring)
+                res = matmul(on, x)
                 at = np.minimum(np.searchsorted(keys, lk), len(keys) - 1)
                 hit = keys[at] == lk
                 # W∘Δ_{k−1} added at its nonzeros alone
                 r, c = np.nonzero(lower[:, hit])
                 res[r, at[hit][c]] += lower[:, hit][r, c]
                 parts += [max_abs(lower[:, ~hit]), max_abs(res),
-                          max_abs(matmul(off, x, ring))]
+                          max_abs(matmul(off, x))]
                 if k + 1 < self.order_count:
-                    y = matmul(back, x, ring)
+                    y = matmul(back, x)
         return max_abs(np.array(parts))
 
 

@@ -15,13 +15,12 @@ import numpy as np
 
 from ._core import wedge_terms
 from .algebra import Algebra, GrassmannElement, _add_terms
-from .linalg import matmul, max_abs
-from .scalars import Ring
+from .linalg import matmul, max_abs, ring_of
 
 __all__ = ["Kernel", "ElementKernel"]
 
 
-def _accumulate(acc: dict, key, terms: dict, ring: Ring) -> None:
+def _accumulate(acc: dict, key, terms: dict) -> None:
     """Add the term dict ``terms`` into entry ``key`` of ``acc`` in place.
 
     The first terms for a key are stored as they are (``acc`` takes the
@@ -31,29 +30,28 @@ def _accumulate(acc: dict, key, terms: dict, ring: Ring) -> None:
     if cur is None:
         acc[key] = terms
     else:
-        _add_terms(cur, terms, ring)
+        _add_terms(cur, terms)
 
 
 class Kernel:
     """Scalar two-point kernel: a dense matrix plus support metadata.
 
     ``kind`` is one of ``retarded | advanced | causal | dirac | symmetric
-    | operator``;  ``row_times``/``col_times`` give the time coordinate of
-    each slot so support conditions can be validated structurally.
+    | operator``;  ``times`` gives the time of each slot, row and column
+    alike, so support conditions can be validated structurally.
     ``exact_rows`` records the equation rows on which a defining identity
     (for instance S2 @ kernel = Id) holds exactly; rows whose difference
-    stencil crosses the temporal boundary are excluded.
+    stencil crosses the temporal boundary are excluded.  ``ring`` is read
+    from the matrix (:func:`~fermifields.linalg.ring_of`).
     """
 
-    def __init__(self, mat: np.ndarray, ring: Ring, kind: str = "operator",
-                 row_times: np.ndarray | None = None,
-                 col_times: np.ndarray | None = None,
+    def __init__(self, mat: np.ndarray, kind: str = "operator",
+                 times: np.ndarray | None = None,
                  exact_rows: np.ndarray | None = None):
         self.mat = mat
-        self.ring = ring
+        self.ring = ring_of(mat)
         self.kind = kind
-        self.row_times = row_times
-        self.col_times = col_times
+        self.times = times
         self.exact_rows = exact_rows
 
     @property
@@ -61,21 +59,16 @@ class Kernel:
         return self.mat.shape
 
     def copy_with(self, mat, kind=None) -> "Kernel":
-        return Kernel(mat, self.ring, kind or self.kind,
-                      self.row_times, self.col_times, self.exact_rows)
+        return Kernel(mat, kind or self.kind, self.times, self.exact_rows)
 
     # -- checks ------------------------------------------------------------
     def support_violation(self) -> float:
         """Largest |entry| outside the kernel's causal support (0 if clean)."""
-        if self.row_times is None or self.col_times is None:
+        t = self.times
+        if t is None or self.kind not in ("retarded", "advanced"):
             return 0.0
-        if self.kind == "retarded":
-            bad = self.row_times[:, None] < self.col_times[None, :]
-        elif self.kind == "advanced":
-            bad = self.row_times[:, None] > self.col_times[None, :]
-        else:
-            return 0.0
-        return max_abs(self.mat[bad])
+        early = t[:, None] < t[None, :]     # the row's time is the earlier
+        return max_abs(self.mat[early if self.kind == "retarded" else early.T])
 
     def max_abs(self) -> float:
         return max_abs(self.mat)
@@ -87,7 +80,7 @@ class Kernel:
         """max |(op @ kernel)[i, j] - δ_ij| over ``exact_rows`` (all rows
         when None), e.g. ``op`` = S2; each product entry is read as a
         complex float before δ_ij is subtracted."""
-        prod = matmul(op, self.mat, self.ring)
+        prod = matmul(op, self.mat)
         res = prod.astype(complex) - np.eye(*prod.shape)
         return max_abs(res if self.exact_rows is None else res[self.exact_rows])
 
@@ -229,7 +222,6 @@ class ElementKernel:
         when it returns.
         """
         self.algebra.check_compatible(other.algebra)
-        ring = self.algebra.ring
         by_row: dict[int, list] = {}
         for (k, j), f in other.entries.items():
             by_row.setdefault(k, []).append((j, f._terms))
@@ -242,7 +234,7 @@ class ElementKernel:
                 prod = {w: c for w, c in wedge_terms(ta, tb, merges).items()
                         if c}
                 if prod:
-                    _accumulate(acc, (i, j), prod, ring)
+                    _accumulate(acc, (i, j), prod)
         return self._from_terms(acc)
 
     def max_abs(self) -> float:

@@ -39,7 +39,7 @@ import numpy as np
 from .algebra import CONJUGATE, FIELD, Algebra, GeneratorId
 from .kernels import Kernel
 from .linalg import (_block, _ring_array, eye, kron2, mat_inv, matmul, max_abs,
-                     zeros)
+                     ring_of, zeros)
 from .scalars import Ring
 
 __all__ = [
@@ -168,14 +168,14 @@ def time_backward(lattice: Lattice, ring: Ring) -> np.ndarray:
     nx = lattice.nx
     step = eye(nx, ring) * (ring.one / ring.coerce(lattice.dt))
     # 0 − step, not −step: off the diagonal a float zero stays +0
-    return _bidiagonal(step, zeros((nx, nx), ring) - step, lattice.nt, ring)
+    return _bidiagonal(step, zeros((nx, nx), ring) - step, lattice.nt)
 
 
 def space_central(lattice: Lattice, ring: Ring) -> np.ndarray:
     """Central spatial difference with periodic boundary."""
     nx = lattice.nx
     return _bidiagonal(_space_block(lattice, ring), zeros((nx, nx), ring),
-                       lattice.nt, ring)
+                       lattice.nt)
 
 
 def gamma_matrices(ring: Ring):
@@ -196,7 +196,7 @@ class DiracOperator:
     conjugate-side operator ``Dstar = -(i g0 T + i g1 X + m)`` so that
     ``D @ Dstar = Dstar @ D = Box + m^2`` holds exactly, where
     ``Box = T @ T - X @ X``.  ``D`` and ``Dstar`` share the time blocks of
-    ``dirac_matrix``; ``Box``, built when read, is the dense reference.
+    ``dirac_matrix``; ``box_plus_m2()`` builds the dense reference.
     """
 
     def __init__(self, lattice: Lattice, m, ring: Ring):
@@ -206,9 +206,9 @@ class DiracOperator:
         m_c = ring.coerce(m)
         diag, sub = _dirac_blocks(lattice, m, ring)
         nt = lattice.nt
-        self.D = _bidiagonal(diag, sub, nt, ring)
+        self.D = _bidiagonal(diag, sub, nt)
         ident = eye(diag.shape[0], ring)
-        self.Dstar = _bidiagonal(-(diag + ident * (2 * m_c)), -sub, nt, ring)
+        self.Dstar = _bidiagonal(-(diag + ident * (2 * m_c)), -sub, nt)
         self.mass_sq = m_c * m_c
 
     @property
@@ -216,22 +216,17 @@ class DiracOperator:
         ring = self.ring
         T = time_backward(self.lattice, ring)
         X = space_central(self.lattice, ring)
-        return matmul(T, T, ring) - matmul(X, X, ring)
-
-    @property
-    def box(self) -> np.ndarray:
-        return kron2(self.box_site, eye(NCOMP, self.ring), self.ring)
+        return matmul(T, T) - matmul(X, X)
 
     def box_plus_m2(self) -> np.ndarray:
-        box = self.box
+        box = kron2(self.box_site, eye(NCOMP, self.ring))
         return box + eye(box.shape[0], self.ring) * self.mass_sq
 
     def factorization_defect(self) -> float:
         """max |DD* - (Box+m^2)| and |D*D - (Box+m^2)| entries."""
         target = self.box_plus_m2()
-        D, Dstar, ring = self.D, self.Dstar, self.ring
-        return max(max_abs(matmul(D, Dstar, ring) - target),
-                   max_abs(matmul(Dstar, D, ring) - target))
+        return max(max_abs(matmul(self.D, self.Dstar) - target),
+                   max_abs(matmul(self.Dstar, self.D) - target))
 
 
 # -- Green's functions ----------------------------------------------------
@@ -252,8 +247,8 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
     Xs = _space_block(lattice, ring)
     inv_dt2 = ring.one / ring.coerce(lattice.dt ** 2)
     m_c = ring.coerce(m)
-    A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - matmul(Xs, Xs, ring)
-    A0_inv = _block(mat_inv(A0, ring), ring)
+    A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - matmul(Xs, Xs)
+    A0_inv = _block(mat_inv(A0))
     inv_vol = ring.one / ring.coerce(lattice.volume_weight())
     # chain[d]: block (s + d, s) for every source time s
     chain = [A0_inv * inv_vol]
@@ -269,9 +264,8 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
             G[t * nx:(t + 1) * nx, s * nx:(s + 1) * nx] = chain[t - s]
     times = lattice.site_times()
     if kind == "advanced":
-        return Kernel(G.T.copy(), ring, "advanced", times, times, exact_rows=None)
-    return Kernel(G, ring, "retarded", times, times,
-                  exact_rows=np.ones(ns, dtype=bool))
+        return Kernel(G.T.copy(), "advanced", times)
+    return Kernel(G, "retarded", times, exact_rows=np.ones(ns, dtype=bool))
 
 
 def _space_block(lattice: Lattice, ring: Ring) -> np.ndarray:
@@ -295,17 +289,17 @@ def _dirac_blocks(lattice: Lattice, m, ring: Ring):
     g0, g1 = gamma_matrices(ring)
     i_ = ring.i
     inv_dt = ring.one / ring.coerce(lattice.dt)
-    kin = (kron2(eye(nx, ring) * inv_dt, g0, ring)
-           + kron2(_space_block(lattice, ring), g1, ring))
+    kin = (kron2(eye(nx, ring) * inv_dt, g0)
+           + kron2(_space_block(lattice, ring), g1))
     diag = kin * i_ - eye(nx * NCOMP, ring) * ring.coerce(m)
-    sub = kron2(eye(nx, ring) * (-inv_dt), g0, ring) * i_
+    sub = kron2(eye(nx, ring) * (-inv_dt), g0) * i_
     return diag, sub
 
 
-def _bidiagonal(diag: np.ndarray, sub: np.ndarray, nt: int, ring: Ring) -> np.ndarray:
+def _bidiagonal(diag: np.ndarray, sub: np.ndarray, nt: int) -> np.ndarray:
     """Block matrix with ``diag`` at every (t, t) and ``sub`` at (t, t-1)."""
     nb = diag.shape[0]
-    out = zeros((nt * nb, nt * nb), ring)
+    out = zeros((nt * nb, nt * nb), ring_of(diag))
     for t in range(nt):
         out[t * nb:(t + 1) * nb, t * nb:(t + 1) * nb] = diag
         if t >= 1:
@@ -323,7 +317,7 @@ def dirac_matrix(fl: FieldLattice, m, weights=None) -> np.ndarray:
     lat = fl.lattice
     diag, sub = _dirac_blocks(lat, m, ring)
     vol = ring.coerce(lat.volume_weight())
-    M = _bidiagonal(diag * vol, sub * vol, lat.nt, ring)
+    M = _bidiagonal(diag * vol, sub * vol, lat.nt)
     if weights is not None:
         w = np.array([ring.coerce(x) for x in weights], dtype=M.dtype)
         M = M * np.repeat(w, NCOMP)[:, None]
@@ -344,7 +338,6 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     forward, and block (t, s) is block (t - s, 0).  Any other M, such as
     a time-varying cutoff, runs the substitution for every source time.
     """
-    ring = fl.ring
     nt = fl.lattice.nt
     nb = fl.lattice.nx * NCOMP
 
@@ -361,13 +354,12 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
             return [None] * first + [f(first)] * (nt - first)
         return [None] * first + [f(t) for t in range(first, nt)]
 
-    diag_inv = per_time(lambda t: _block(mat_inv(blk(t, t), ring), ring), 0)
-    sub_t_inv = per_time(
-        lambda t: _block(mat_inv(blk(t, t - 1).T.copy(), ring), ring), 1)
-    sub = per_time(lambda t: _block(blk(t, t - 1), ring), 1)
-    diag_t = per_time(lambda t: _block(blk(t, t).T, ring), 0)
-    P = zeros((fl.block, fl.block), ring)
-    Q = zeros((fl.block, fl.block), ring)
+    diag_inv = per_time(lambda t: _block(mat_inv(blk(t, t))), 0)
+    sub_t_inv = per_time(lambda t: _block(mat_inv(blk(t, t - 1).T.copy())), 1)
+    sub = per_time(lambda t: _block(blk(t, t - 1)), 1)
+    diag_t = per_time(lambda t: _block(blk(t, t).T), 0)
+    P = zeros((fl.block, fl.block), fl.ring)
+    Q = zeros((fl.block, fl.block), fl.ring)
     for s in range(1 if toeplitz else nt):
         # P column block: M^{-1} by forward substitution, then negated
         cur = diag_inv[s]
@@ -414,9 +406,9 @@ def _green_kernel(fl: FieldLattice, mat: np.ndarray, kind: str) -> Kernel:
     nt = fl.lattice.nt
     if kind == "retarded":
         exact = (fl.slot_species == CONJUGATE) | (times <= nt - 2)
-        return Kernel(mat, fl.ring, "retarded", times, times, exact)
+        return Kernel(mat, "retarded", times, exact)
     exact = (fl.slot_species == FIELD) | (times >= 1)
-    return Kernel(-mat.T.copy(), fl.ring, "advanced", times, times, exact)
+    return Kernel(-mat.T.copy(), "advanced", times, exact)
 
 
 def green_from_bilinear(fl: FieldLattice, M: np.ndarray) -> Kernel:
@@ -466,7 +458,7 @@ def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:
                          "ring")
     if dR.mat.shape != dA.mat.shape:
         raise ValueError("kernel shape mismatch")
-    out = Kernel(dR.mat - dA.mat, dR.ring, "causal", dR.row_times, dR.col_times)
+    out = Kernel(dR.mat - dA.mat, "causal", dR.times)
     if dR.exact_rows is not None and dA.exact_rows is not None:
         out.exact_rows = dR.exact_rows & dA.exact_rows
     return out
@@ -475,5 +467,4 @@ def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:
 def free_second_derivative(fl: FieldLattice, m) -> Kernel:
     """Second-derivative kernel K[j, i] = d_j d_i S of the free action."""
     M = dirac_matrix(fl, m)
-    return Kernel(_species_blocks(fl, M.T, -M), fl.ring, "operator",
-                  fl.slot_times, fl.slot_times)
+    return Kernel(_species_blocks(fl, M.T, -M), "operator", fl.slot_times)

@@ -1,7 +1,10 @@
 """Small dense linear algebra over either scalar ring.
 
-Float mode uses ``complex128`` ndarrays and hands products and inverses
-to numpy.  Rational mode uses object ndarrays.  Their empty slots hold
+An array's dtype names its arithmetic, and :func:`ring_of` reads it: the
+functions that take an existing array take no ``Ring``, which is passed
+only where a value is created (:func:`zeros`, :func:`eye`).  Float mode
+uses ``complex128`` ndarrays and hands products and inverses to numpy.
+Rational mode uses object ndarrays.  Their empty slots hold
 the int 0 that ``np.zeros(..., dtype=object)`` gives, and the slots that
 were written hold :class:`~fermifields.scalars.QC`, exact complex
 rationals stored as one-denominator integer triples.  ``QC`` arithmetic
@@ -38,7 +41,15 @@ import numpy as np
 
 from .scalars import QC, Ring, _qc
 
-__all__ = ["zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs"]
+__all__ = ["ring_of", "zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs"]
+
+_RATIONAL, _FLOAT = Ring("rational"), Ring("float")
+
+
+def ring_of(a: np.ndarray) -> Ring:
+    """The ring of an existing array: rational for an object array,
+    float for any other."""
+    return _RATIONAL if a.dtype == object else _FLOAT
 
 
 def zeros(shape, ring: Ring) -> np.ndarray:
@@ -52,7 +63,7 @@ def eye(n: int, ring: Ring) -> np.ndarray:
     return out
 
 
-def kron2(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product that stays inside the ring.
 
     Zero entries of ``a`` are skipped rather than multiplied, as
@@ -60,7 +71,7 @@ def kron2(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
     the −0.0 that ``repr`` writes."""
     ra, ca = a.shape
     rb, cb = b.shape
-    out = zeros((ra * rb, ca * cb), ring)
+    out = zeros((ra * rb, ca * cb), ring_of(a))
     for i in range(ra):
         for j in range(ca):
             aij = a[i, j]
@@ -72,23 +83,22 @@ def kron2(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product ``a @ b``; exact mode sums only nonzero products."""
-    if not ring.exact:
+    if not ring_of(a).exact:
         return a @ b
     (n, k), (k2, m) = a.shape, b.shape
     if k != k2:
         raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
-    zero = ring.zero
-    out = zeros((n, m), ring)
+    out = zeros((n, m), _RATIONAL)
     for i, a_row in enumerate(a.tolist()):
         acc = {}
         for x, b_row in zip(a_row, b_rows):
             if not x:
                 continue
             for j, y in b_row:
-                acc[j] = acc.get(j, zero) + x * y
+                acc[j] = acc.get(j, 0) + x * y
         for j, v in acc.items():
             out[i, j] = v
     return out
@@ -103,7 +113,7 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.hypot(c.real, c.imag).max(initial=0.0))
 
 
-def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
+def mat_inv(a: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse with partial pivoting (exact in rational mode).
 
     In rational mode a row update touches only the pivot row's nonzero
@@ -112,10 +122,10 @@ def mat_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    if not ring.exact:
+    if not ring_of(a).exact:
         return np.linalg.inv(np.asarray(a, dtype=complex))
     work = [[a[i, j] for j in range(n)] for i in range(n)]
-    inv = [[ring.one if i == j else 0 for j in range(n)] for i in range(n)]
+    inv = [[QC(1) if i == j else 0 for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
@@ -208,10 +218,10 @@ def _normal(re: np.ndarray, im: np.ndarray, den: int) -> _ExactBlock:
     return _ExactBlock(re, im, den)
 
 
-def _block(a: np.ndarray, ring: Ring):
+def _block(a: np.ndarray):
     """``a`` as the forward solves step it: an :class:`_ExactBlock` in
     rational mode, the complex array itself in float mode."""
-    return _ExactBlock.of(a) if ring.exact else a
+    return _ExactBlock.of(a) if ring_of(a).exact else a
 
 
 def _ring_array(b) -> np.ndarray:

@@ -62,13 +62,13 @@ class SymmetricKernel(Kernel):
     rational mode and below ``TOL_FACTOR`` in float mode.
     """
 
-    def __init__(self, mat, ring):
-        super().__init__(mat, ring, kind="symmetric")
+    def __init__(self, mat):
+        super().__init__(mat, kind="symmetric")
         n = mat.shape[0]
         rec = check_record(
             "graded_symmetry", {},
             (mat[i, j] + mat[j, i] for i in range(n) for j in range(i, n)),
-            None if ring.exact else TOL_FACTOR)
+            None if self.ring.exact else TOL_FACTOR)
         if not rec["passed"]:
             raise ValueError(f"kernel violates graded symmetry "
                              f"(defect {rec['max_residual']:.3g})")
@@ -320,4 +320,4 @@ def random_symmetric_kernel(n: int, rng, ring) -> SymmetricKernel:
                 c = complex(round(rng.uniform(-1, 1), 6), round(rng.uniform(-1, 1), 6))
             mat[i, j] = c
             mat[j, i] = -c
-    return SymmetricKernel(mat, ring)
+    return SymmetricKernel(mat)

@@ -499,7 +499,7 @@ def _quadratic_moller_residuals(cfg, fl, S, dR, order):
     sub = moller_substitution(S, H, dR, order, cfg.max_grade)
     # K_H[j, i] = d_j d_i H; image recursion W = (Id - lam * dR K_H^T)^{-1} e,
     # so the order-k image of e_i is row i of (dR K_H^T)^k
-    step = matmul(dR.mat, _second_matrix(fl, H).T, ring)
+    step = matmul(dR.mat, _second_matrix(fl, H).T)
     sampled = list(range(0, n, max(1, n // 6)))
     rows = zeros((len(sampled), n), ring)
     for r, i in enumerate(sampled):
@@ -508,7 +508,7 @@ def _quadratic_moller_residuals(cfg, fl, S, dR, order):
         for r, i in enumerate(sampled):
             yield (sub.image(i).coefficient(k)
                    - fl.algebra.linear(dict(enumerate(rows[r]))))
-        rows = matmul(rows, step, ring)
+        rows = matmul(rows, step)
 
 
 # -- suite: interacting model --------------------------------------------------

@@ -245,6 +245,12 @@ def test_cli_suite_listed_twice_exits_2(tmp_path, capsys, monkeypatch):
     *[(cmd, "rational", line) for cmd in ("propagators", "gn-series")
       for line in ("mass = 1e400", "lambda = 1e400")],
     ("car-table", "rational", "lattice.dx = 1e400"),
+    # a nonzero coupling or mass that rounds to 0.0: the float run would
+    # be the free or the massless theory
+    *[(cmd, arithmetic, line) for cmd in ("propagators", "gn-series", "car-table")
+      for arithmetic in ("float", "rational")
+      for line in ("lambda = 1e-400", "mass = 1e-400")],
+    ("verify", None, "mass = 1e-400"),
 ])
 def test_cli_value_no_float_holds_exits_2(tmp_path, capsys, monkeypatch,
                                           command, arithmetic, line):
@@ -261,6 +267,20 @@ def test_cli_value_no_float_holds_exits_2(tmp_path, capsys, monkeypatch,
     assert main(argv) == 2
     assert line.split(" = ")[0] in _one_config_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "rational"])
+def test_cli_zero_coupling_and_mass_run(tmp_path, arithmetic):
+    """lambda = 0 and mass = 0 are exact zeros, not values that round to
+    0.0: every command runs them and exits 0."""
+    p = write(tmp_path, "lattice.nt = 3\nlattice.nx = 2\nlambda = 0\nmass = 0\n"
+                        f"arithmetic = {arithmetic}\n")
+    for cmd in ("propagators", "gn-series", "car-table"):
+        assert main([cmd, "--config", str(p), "--out", str(tmp_path / cmd)]) == 0
+    if arithmetic == "float":
+        p = write(tmp_path, "lambda = 0\nmass = 0\n", "verify.cfg")
+        assert main(["verify", "--suite", "green", "--config", str(p),
+                     "--out", str(tmp_path / "verify")]) == 0
 
 
 def test_cli_verify_bracket_needs_three_times(tmp_path, capsys, monkeypatch):

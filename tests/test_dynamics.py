@@ -618,7 +618,7 @@ def test_quadratic_moller_defect_negative_control(monkeypatch):
     monkeypatch.setattr(verify, "moller_substitution",
                         lambda S_, H, _dR, order, mg: substitution(S_, H, dR, order, mg))
     assert not all(r.is_zero() for r in verify._quadratic_moller_residuals(
-        cfg, fl, S, Kernel(bad, fl.ring, "retarded"), 3))
+        cfg, fl, S, Kernel(bad, "retarded"), 3))
 
 
 def test_moller_map_series_api(rng):
@@ -682,13 +682,12 @@ def test_bracket_kernel_derivative_scalar_part_is_exact():
     for entry in rational arithmetic, at 3×3."""
     m = Fraction(3, 4)
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
-    ring = fl.ring
     KH = _second_matrix(fl, bilinear_element(fl, _local_mass_bilinear(fl)))
     dR = dirac_green(fl, m, "retarded")
     mR, mA = dR.mat, dirac_green(fl, m, "advanced").mat
     (got,) = bracket_kernel_derivative(dR, KH)
-    want = (-matmul(matmul(mR, KH, ring), mR, ring)
-            + matmul(matmul(mA, KH, ring), mA, ring))
+    want = (-matmul(matmul(mR, KH), mR)
+            + matmul(matmul(mA, KH), mA))
     assert any(want.ravel())
     assert all(g == w for g, w in zip(got.ravel(), want.ravel()))
 

@@ -578,8 +578,7 @@ def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
                 order.vals[:] *= 1 + k / 1000
     else:
         rows = np.ones(fl.n_slots, dtype=bool)
-    ik.free = Kernel(ik.free.mat, ik.free.ring, ik.free.kind, ik.free.row_times,
-                     ik.free.col_times, rows)
+    ik.free = Kernel(ik.free.mat, ik.free.kind, ik.free.times, rows)
     stepped = []
     step = ik._step
 

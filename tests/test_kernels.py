@@ -1,5 +1,6 @@
-"""ElementKernel compositions against an entrywise element reference, and
-Kernel's whole-array reads against the per-entry loops they replaced."""
+"""ElementKernel compositions against an entrywise element reference,
+Kernel's whole-array reads against the per-entry loops they replaced, and
+the rule that arrays and kernels carry their own arithmetic."""
 
 import csv
 import json
@@ -11,12 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermifields._core import merge_words, wedge_terms
-from fermifields.algebra import Algebra, GeneratorId
-from fermifields.gross_neveu import (GrossNeveuParams, build_gn_action,
-                                     interacting_propagator)
+from fermifields.algebra import Algebra, GeneratorId, GrassmannElement
+from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
+                                     build_gn_action, interacting_propagator)
 from fermifields.kernels import ElementKernel, Kernel
-from fermifields.linalg import matmul, max_abs, zeros
-from fermifields.scalars import Ring
+from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
+                                 dirac_green, dirac_matrix, free_second_derivative,
+                                 green_from_bilinear, kg_green)
+from fermifields.linalg import kron2, mat_inv, matmul, max_abs, ring_of, zeros
+from fermifields.scalars import QC, Ring
 
 N = 4
 MODES = ("rational", "float")
@@ -217,12 +221,12 @@ def _ref_max_abs(a):
 
 
 def _ref_support_violation(k):
-    if k.row_times is None or k.col_times is None:
+    if k.times is None:
         return 0.0
     if k.kind == "retarded":
-        bad = k.row_times[:, None] < k.col_times[None, :]
+        bad = k.times[:, None] < k.times[None, :]
     elif k.kind == "advanced":
-        bad = k.row_times[:, None] > k.col_times[None, :]
+        bad = k.times[:, None] > k.times[None, :]
     else:
         return 0.0
     worst = 0.0
@@ -233,7 +237,7 @@ def _ref_support_violation(k):
 
 
 def _ref_identity_defect(k, op):
-    prod = matmul(op, k.mat, k.ring)
+    prod = matmul(op, k.mat)
     rows = k.exact_rows
     worst = 0.0
     for i in range(prod.shape[0]):
@@ -301,7 +305,7 @@ def test_kernel_reads_match_per_entry_loops(tmp_path, mode, kind, exact_rows, se
     rng = random.Random(f"{mode}:{kind}:{exact_rows}:{seed}")
     times = np.arange(6) // 2
     rows = np.array([rng.random() < 0.6 for _ in times]) if exact_rows == "set" else None
-    k = Kernel(_read_matrix(ring, rng), ring, kind, times, times, rows)
+    k = Kernel(_read_matrix(ring, rng), kind, times, rows)
     op = _read_matrix(ring, rng)
     if not ring.exact:
         assert any(np.signbit(x.real) or np.signbit(x.imag)
@@ -311,9 +315,85 @@ def test_kernel_reads_match_per_entry_loops(tmp_path, mode, kind, exact_rows, se
     assert repr(k.support_violation()) == repr(_ref_support_violation(k))
     assert repr(k.identity_defect(op)) == repr(_ref_identity_defect(k, op))
     assert repr(k.max_abs()) == repr(_ref_max_abs(k.mat))
-    for a in (k.mat, op, matmul(op, k.mat, ring), k.mat[:0]):
+    for a in (k.mat, op, matmul(op, k.mat), k.mat[:0]):
         assert repr(max_abs(a)) == repr(_ref_max_abs(a))
     for write, ref in ((Kernel.to_csv, _ref_to_csv), (Kernel.to_json, _ref_to_json)):
         write(k, tmp_path / "got")
         ref(k, tmp_path / "want")
         assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+# -- values carry their arithmetic ---------------------------------------------
+
+def _bits(v):
+    """A scalar's exact triple, or a complex float's parts with their signs."""
+    return v._abd if isinstance(v, QC) else (v.real.hex(), v.imag.hex())
+
+
+def _ring_matrix(ring, rng, n, m, density=1.0):
+    """An n x m ring array; entries left out hold the zeros of ``zeros``."""
+    a = zeros((n, m), ring)
+    for i in range(n):
+        for j in range(m):
+            if rng.random() < density:
+                a[i, j] = ring.number(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)),
+                                      Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return a
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_values_carry_their_arithmetic(mode):
+    """A kernel reads its ring from its matrix and holds its slot or site
+    times; ``matmul``, ``mat_inv`` and ``kron2`` run exact arithmetic on
+    object arrays and give numpy's bits on complex ones; a term-dict sum
+    into a word the element lacks starts from the int 0, with the bits of
+    ``0j ± c`` in float mode."""
+    ring = Ring(mode)
+    h, m = (Fraction(1, 2), Fraction(3, 4)) if ring.exact else (0.5, 0.75)
+    fl = FieldLattice(Lattice(4, 3, h, 1), 1, mode)
+    lat = fl.lattice
+    dR, dA = dirac_green(fl, m, "retarded"), dirac_green(fl, m, "advanced")
+    kernels = [(k, fl.slot_times) for k in (
+        dR, dA, causal_propagator(dR, dA), green_from_bilinear(fl, dirac_matrix(fl, m)),
+        free_second_derivative(fl, m), build_free_action(fl, m).second_kernel()[0])]
+    kernels += [(kg_green(lat, m, kind, ring), lat.site_times())
+                for kind in ("retarded", "advanced")]
+    for k, times in kernels:
+        assert k.ring.mode == mode and ring_of(k.mat).mode == mode
+        assert np.array_equal(k.times, times)
+
+    rng = random.Random(f"arith:{mode}")
+    a, b = _ring_matrix(ring, rng, 4, 4), _ring_matrix(ring, rng, 4, 3, density=0.6)
+    if ring.exact:
+        assert a.dtype == b.dtype == object
+        exact = (QC, int)
+        prod = matmul(a, b)
+        assert all(type(x) in exact for x in prod.ravel())
+        assert all(x == y for x, y in zip(prod.ravel(), (a @ b).ravel()))
+        inv = mat_inv(a)
+        assert all(type(x) in exact for x in inv.ravel())
+        assert all(x == (1 if i == j else 0) for (i, j), x in np.ndenumerate(matmul(a, inv)))
+        kr = kron2(a, b)
+        assert all(type(x) in exact for x in kr.ravel())
+        assert all(x == y for x, y in zip(kr.ravel(), np.kron(a, b).ravel()))
+    else:
+        assert a.dtype == b.dtype == complex
+        # kron2 forms numpy's scalar products; np.kron's vectorised ones
+        # can round differently in the last bit
+        rb, cb = b.shape
+        products = np.array([[a[i // rb, j // cb] * b[i % rb, j % cb]
+                              for j in range(a.shape[1] * cb)]
+                             for i in range(a.shape[0] * rb)])
+        for got, want in ((matmul(a, b), a @ b), (mat_inv(a), np.linalg.inv(a)),
+                          (kron2(a, b), products)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    alg = _algebra(mode)
+    w = (1, 2)
+    coeffs = ([ring.number(Fraction(-1, 3), 2), ring.number(0, Fraction(5, 2))]
+              if ring.exact else [complex(-0.0, -0.0), complex(-0.0, 1.5),
+                                  complex(2.0, -0.0), complex(-0.0, -2.5)])
+    for c in coeffs:
+        x = GrassmannElement(alg, {w: c})
+        for got, want in ((alg.zero() + x, ring.zero + c), (alg.zero() - x, ring.zero - c)):
+            assert {u: _bits(v) for u, v in got.items()} == ({w: _bits(want)} if want else {})

@@ -8,10 +8,15 @@ each entry the way the tracer does, without installing it.
 ``perfbench/workloads.py`` checks each pass of a workload.  The
 green-ladder checks run here on whole passes, so a wrong Green's kernel
 fails tier-1 and not only the benchmark.
+
+``perfbench/layers.py`` calls library functions positionally, and only
+traced runs reach it; its measurements run here on small inputs, so a
+changed signature fails tier-1 too.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 WORKLOADS = PERFBENCH / "workloads.py"
+LAYERS = PERFBENCH / "layers.py"
 
 
 def _load(name, path):
@@ -57,3 +63,12 @@ def test_green_ladder_pass_reports_no_problem(seed, inputs, tmp_path):
     results = ladder.check(ladder.run())
     assert len(results) == 4 * len(workloads.RUNGS)
     assert [(op, problem) for op, problem in results if problem is not None] == []
+
+
+def test_layer_measurements_run():
+    """The scalar micro-benchmark and the raw-wedge and float-bracket
+    batches run, and each returns finite float timings."""
+    layers = _load("perfbench_layers", LAYERS)
+    got = {**layers.scalar_micro(1, 200), **layers.core_measurements(1, 4, 2)}
+    assert "dynamics.bracket_batch_s" in got and "scalars.qc_mul_us" in got
+    assert all(type(v) is float and math.isfinite(v) for v in got.values()), got

@@ -238,7 +238,7 @@ def test_alpha_transform_and_equivalence(quant, rng):
     n = fl.n_slots
     # zero kernel: identity transform and *_H = *
     from fermifields.linalg import zeros
-    zero_kernel = SymmetricKernel(zeros((n, n), ring), ring)
+    zero_kernel = SymmetricKernel(zeros((n, n), ring))
     F = random_element(fl.algebra, rng, 3, 3, rng.sample(range(n), 6))
     G = random_element(fl.algebra, rng, 2, 2, rng.sample(range(n), 6))
     aF = alpha_transform(zero_kernel, F)
@@ -264,7 +264,7 @@ def test_alpha_transform_and_equivalence(quant, rng):
 def test_symmetric_kernel_validation(quant):
     fl, S, dR, dA, delta, dD = quant
     with pytest.raises(ValueError):
-        SymmetricKernel(delta.mat, fl.ring)  # symmetric matrix is rejected
+        SymmetricKernel(delta.mat)  # symmetric matrix is rejected
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -276,9 +276,9 @@ def test_symmetric_kernel_is_exact_in_rational_mode(mode, rng):
     mat[0, 1] = mat[0, 1] + ring.number(Fraction(1, 10 ** 14))
     if mode == "rational":
         with pytest.raises(ValueError, match="graded symmetry"):
-            SymmetricKernel(mat, ring)
+            SymmetricKernel(mat)
     else:
-        assert SymmetricKernel(mat, ring).kind == "symmetric"
+        assert SymmetricKernel(mat).kind == "symmetric"
 
 
 def test_star_with_kernel_matches_star(quant, rng):

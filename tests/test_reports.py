@@ -42,7 +42,7 @@ def test_exact_check_on_a_scalar_kernel(entry, worst):
     mat = zeros((2, 2), ring)
     if entry is not None:
         mat[0, 1] = ring.number(entry)
-    rec = check_record("c", {}, [Kernel(mat, ring)])
+    rec = check_record("c", {}, [Kernel(mat)])
     assert rec["passed"] is (entry is None) and rec["max_residual"] == worst
 
 
@@ -84,7 +84,7 @@ def test_nan_residual_fails():
         [alg.element({(0,): 1e-12, (1,): nan})],
         [TruncatedSeries(alg, {1: small, 2: alg.element({(1,): nan})}, 2)],
         [ElementKernel(alg, 2, {(0, 0): small, (0, 1): alg.element({(0, 1): nan})})],
-        [Kernel(np.array([[1e-12, nan]], dtype=complex), alg.ring)],
+        [Kernel(np.array([[1e-12, nan]], dtype=complex))],
     ]
     for residuals in cases:
         for tol in (None, TOL_NUM, 1.0):
