@@ -53,6 +53,8 @@ class Kernel:
         self.kind = kind
         self.times = times
         self.exact_rows = exact_rows
+        # the memoised solve ``lattice.dirac_green`` read ``mat`` from
+        self._solve = None
 
     @property
     def shape(self):

@@ -28,11 +28,18 @@ kernel records that row set (``exact_rows``) and tests pin it.
 
 The free Dirac solve is memoised per :class:`FieldLattice` and mass:
 ``dirac_green`` runs the forward substitution once for each (lattice,
-mass) pair, the advanced kernel is the signed transpose of that one
-retarded matrix, and the retarded matrix it hands out is read-only.
+mass) pair and keeps one record of read-only retarded, advanced and
+causal matrices.  The advanced matrix is the signed transpose of the
+retarded one, and the causal matrix their difference; both are built
+on first request, in rational mode by tiling the solve's lag blocks.
+``causal_propagator`` hands out the record's causal matrix for that
+record's own retarded and advanced kernels, and subtracts any other
+pair.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -119,7 +126,7 @@ class FieldLattice:
         self.slot_times = np.array(
             [lattice.site_time(g.site) for g in self.algebra.generators])
         self.slot_species = np.array([g.species for g in self.algebra.generators])
-        # coerced mass -> read-only species-block retarded Dirac matrix
+        # coerced mass -> _DiracSolve (read-only species-block matrices)
         self._dirac_solves: dict = {}
 
     @property
@@ -400,15 +407,15 @@ def _check_kind(kind: str) -> None:
 
 
 def _green_kernel(fl: FieldLattice, mat: np.ndarray, kind: str) -> Kernel:
-    """Kernel of ``kind`` from the species-block retarded matrix ``mat``;
-    the advanced kernel is the argument-swapped negative transpose."""
+    """Kernel of ``kind`` over its species-block matrix ``mat``, with the
+    equation rows on which that kind's defining identity holds."""
     times = fl.slot_times
     nt = fl.lattice.nt
     if kind == "retarded":
         exact = (fl.slot_species == CONJUGATE) | (times <= nt - 2)
-        return Kernel(mat, "retarded", times, exact)
-    exact = (fl.slot_species == FIELD) | (times >= 1)
-    return Kernel(-mat.T.copy(), "advanced", times, exact)
+    else:
+        exact = (fl.slot_species == FIELD) | (times >= 1)
+    return Kernel(mat, kind, times, exact)
 
 
 def green_from_bilinear(fl: FieldLattice, M: np.ndarray) -> Kernel:
@@ -421,6 +428,59 @@ def green_from_bilinear(fl: FieldLattice, M: np.ndarray) -> Kernel:
                          "retarded")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _DiracSolve:
+    """The memoised free Dirac solve of one :class:`FieldLattice` and mass:
+    read-only species-block retarded, advanced and causal matrices.  The
+    advanced and causal ones are built on first request.
+
+    Per color the retarded matrix is ``[[0, P], [Q, 0]]`` with P and Q
+    block-Toeplitz in time, P of support t >= s and Q strictly retarded.
+    So the advanced matrix is ``[[0, -Q^T], [-P^T, 0]]`` and the causal
+    one ``[[0, P + Q^T], [Q + P^T, 0]]``, whose two terms never share a
+    slot.  Rational mode negates each lag block of P and Q once and
+    tiles it, and lays the causal matrix out from references to the
+    retarded entries, with no ``QC`` operation per slot.  Float mode
+    keeps numpy's ``-R^T`` and ``R - A``, whose signed zeros a tiling
+    would flip.
+    """
+
+    def __init__(self, fl: FieldLattice, retarded: np.ndarray):
+        self.fl = fl
+        self.retarded = _read_only(retarded)
+
+    @cached_property
+    def advanced(self) -> np.ndarray:
+        R = self.retarded
+        if not ring_of(R).exact:
+            return _read_only(-R.T.copy())
+        fl = self.fl
+        nt, nb, b = fl.lattice.nt, fl.lattice.nx * NCOMP, fl.block
+        psb = fl.slot(CONJUGATE, 1, 0, 0)
+        # source-0 column strips: every lag block of -P, then of -Q
+        neg_p, neg_q = -R[:b, psb:psb + nb], -R[psb:psb + b, :nb]
+        upper, lower = zeros((b, b), fl.ring), zeros((b, b), fl.ring)
+        for s in range(nt):
+            upper[s * nb:(s + 1) * nb, s * nb:] = neg_q[:(nt - s) * nb].T
+            lower[s * nb:(s + 1) * nb, s * nb:] = neg_p[:(nt - s) * nb].T
+        return _read_only(_species_blocks(fl, upper, lower))
+
+    @cached_property
+    def causal(self) -> np.ndarray:
+        R = self.retarded
+        if not ring_of(R).exact:
+            return _read_only(R - self.advanced)
+        # slots where R holds P or Q; every other slot takes R^T
+        t, field = self.fl.slot_times, self.fl.slot_species == FIELD
+        own = (t[:, None] > t[None, :]) | ((t[:, None] == t[None, :])
+                                          & field[:, None])
+        return _read_only(np.where(own, R, R.T))
+
+
 def dirac_green(fl: FieldLattice, m, kind: str) -> Kernel:
     """Block propagator over all generator slots.
 
@@ -429,27 +489,37 @@ def dirac_green(fl: FieldLattice, m, kind: str) -> Kernel:
     transpose.  ``exact_rows`` marks equation rows of the free second
     derivative on which S2 @ kernel = Id holds exactly.
 
-    The retarded solve is memoised on ``fl`` by the coerced mass
-    (``1``, ``Fraction(1)`` and ``QC(1)`` share it): both kinds and every
-    repeat call reuse one solve, the advanced kernel being its signed
-    transpose.  The retarded kernel's matrix is that shared solve, so it
-    is read-only; copy it before writing into it.
+    The solve is memoised on ``fl`` by the coerced mass (``1``,
+    ``Fraction(1)`` and ``QC(1)`` share it): both kinds and every repeat
+    call reuse one record, whose advanced matrix is tiled from the
+    retarded solve's lag blocks on first request.  The kernel's matrix
+    is that shared matrix, so it is read-only; copy it before writing
+    into it.  The kernel carries the record privately, so that
+    :func:`causal_propagator` can hand out the record's causal matrix.
     """
     _check_kind(kind)
     key = fl.ring.coerce(m)
-    mat = fl._dirac_solves.get(key)
-    if mat is None:
-        mat = _species_blocks(fl, *_retarded_inverse_blocks(fl, dirac_matrix(fl, m)))
-        mat.flags.writeable = False
-        fl._dirac_solves[key] = mat
-    return _green_kernel(fl, mat, kind)
+    rec = fl._dirac_solves.get(key)
+    if rec is None:
+        rec = fl._dirac_solves[key] = _DiracSolve(
+            fl, _species_blocks(fl, *_retarded_inverse_blocks(fl, dirac_matrix(fl, m))))
+    out = _green_kernel(fl, rec.retarded if kind == "retarded" else rec.advanced,
+                        kind)
+    out._solve = rec
+    return out
 
 
 def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:
     """Difference of retarded and advanced kernels (symmetric matrix).
 
     Raises ``ValueError`` unless ``dR`` is retarded and ``dA`` advanced,
-    over rings of one mode: swapped kernels would give -Δ."""
+    over rings of one mode: swapped kernels would give -Δ.
+
+    When ``dR.mat`` and ``dA.mat`` are the retarded and advanced matrices
+    of one memoised :func:`dirac_green` solve, the result's matrix is
+    that solve's read-only causal matrix, built once.  Every other pair
+    (other masses or lattices, ``copy_with`` kernels, Klein-Gordon
+    kernels) gets the fresh difference ``dR.mat - dA.mat``."""
     if (dR.kind, dA.kind) != ("retarded", "advanced"):
         raise ValueError("causal_propagator takes a retarded then an advanced "
                          f"kernel, not {dR.kind} then {dA.kind}")
@@ -458,7 +528,13 @@ def causal_propagator(dR: Kernel, dA: Kernel) -> Kernel:
                          "ring")
     if dR.mat.shape != dA.mat.shape:
         raise ValueError("kernel shape mismatch")
-    out = Kernel(dR.mat - dA.mat, "causal", dR.times)
+    rec = dR._solve
+    if (rec is not None and dA._solve is rec and dR.mat is rec.retarded
+            and dA.mat is rec.advanced):
+        mat = rec.causal
+    else:
+        mat = dR.mat - dA.mat
+    out = Kernel(mat, "causal", dR.times)
     if dR.exact_rows is not None and dA.exact_rows is not None:
         out.exact_rows = dR.exact_rows & dA.exact_rows
     return out

@@ -349,16 +349,76 @@ def test_memoised_dirac_green_equals_fresh_solve(mode):
 
 
 def test_memoised_retarded_matrix_is_read_only():
-    fl = _rational_fl_4x3()
-    dR = dirac_green(fl, 1, "retarded")
-    with pytest.raises(ValueError, match="read-only"):
-        dR.mat[0, 0] = fl.ring.one
-    with pytest.raises(ValueError, match="read-only"):
-        dR.mat[:2, :2] += fl.ring.one
-    # the advanced kernel is a fresh array; writing it leaves the cache alone
-    dA = dirac_green(fl, 1, "advanced")
-    dA.mat[0, 1] = fl.ring.one
-    assert dirac_green(fl, 1, "advanced").mat[0, 1] == -dR.mat[1, 0]
+    """The retarded, advanced and causal matrices of a memoised solve are
+    shared by every caller, so none of them can be written into."""
+    for fl in (_rational_fl_4x3(), FieldLattice(Lattice(4, 3, 0.5, 1.0), 1, "float")):
+        dR = dirac_green(fl, 1, "retarded")
+        dA = dirac_green(fl, 1, "advanced")
+        delta = causal_propagator(dR, dA)
+        for mat in (dR.mat, dA.mat, delta.mat):
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = fl.ring.one
+            with pytest.raises(ValueError, match="read-only"):
+                mat[:2, :2] += fl.ring.one
+        assert dirac_green(fl, 1, "advanced").mat is dA.mat
+        assert causal_propagator(dR, dA).mat is delta.mat
+
+
+def _same_entries(a, b):
+    """Equal term for term; float parts also equal in sign, zeros included."""
+    if a.dtype == object:
+        return a.shape == b.shape and bool(np.all(a == b))
+    return all(np.array_equal(f(a), f(b)) for f in (
+        np.real, np.imag, lambda z: np.signbit(z.real), lambda z: np.signbit(z.imag)))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_tiled_advanced_and_causal_equal_reference(mode):
+    """The memoised advanced and causal matrices, tiled from the retarded
+    solve's lag blocks in rational mode, equal the signed transpose and
+    the difference slot by slot (float: bit for bit, signed zeros too)."""
+    for nt in range(2, 6):
+        for nx in range(1, 4):
+            for ncolors in (1, 2):
+                for dt in (1, Fraction(1, 2)):
+                    if mode == "rational":
+                        lat, m = Lattice(nt, nx, dt, 1), Fraction(3, 4)
+                    else:
+                        lat, m = Lattice(nt, nx, float(dt), 1.0), 0.75
+                    fl = FieldLattice(lat, ncolors, mode)
+                    dR = dirac_green(fl, m, "retarded")
+                    dA = dirac_green(fl, m, "advanced")
+                    delta = causal_propagator(dR, dA)
+                    case = (nt, nx, ncolors, dt)
+                    assert _same_entries(dA.mat, -dR.mat.T), case
+                    assert _same_entries(delta.mat, dR.mat - dA.mat), case
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_causal_propagator_of_other_pairs_is_the_difference(mode):
+    """Only the retarded and advanced matrices of one memoised solve give
+    its causal matrix; every other pair is the fresh difference, even
+    where a link keyed on the lattice alone would find a solve."""
+    if mode == "rational":
+        lat, m1, m2 = Lattice(4, 3, Fraction(1, 2), 1), Fraction(3, 4), Fraction(1, 3)
+    else:
+        lat, m1, m2 = Lattice(4, 3, 0.5, 1.0), 0.75, 1 / 3
+    fl, other = FieldLattice(lat, 1, mode), FieldLattice(lat, 1, mode)
+    dR, dA = dirac_green(fl, m1, "retarded"), dirac_green(fl, m1, "advanced")
+    pairs = [
+        (dR, dirac_green(fl, m2, "advanced")),        # another mass
+        (dirac_green(fl, m2, "retarded"), dA),
+        (dR, dirac_green(other, m1, "advanced")),     # another FieldLattice
+        (dirac_green(other, m2, "retarded"), dA),
+        (dR.copy_with(dR.mat), dA),                   # copy_with kernels
+        (dR, dA.copy_with(dA.mat)),
+        (dR, dA.copy_with(dA.mat * 2)),
+    ]
+    for i, (r, a) in enumerate(pairs):
+        got = causal_propagator(r, a)
+        assert _same_entries(got.mat, r.mat - a.mat), i
+        assert got.mat.flags.writeable, i
+    assert not causal_propagator(dR, dA).mat.flags.writeable
 
 
 def _time_varying_weights(fl):
