@@ -2,11 +2,8 @@
 wedge of term dictionaries, and single-generator contraction.
 
 Words are strictly increasing tuples of generator ordinals.  ``BACKEND``
-names the implementation in run records.
-
-The wedge can memoise word merges in a ``merges`` dict that its caller
-owns and passes to a batch of wedges over the same words (one kernel
-composition, say), then drops; the module keeps no cache of its own.
+names the implementation in run records.  The module keeps no cache: a
+wedge calls :func:`merge_words` on every word pair.
 """
 
 from __future__ import annotations
@@ -48,26 +45,13 @@ def merge_words(wa: tuple, wb: tuple):
     return (1 if crossings % 2 == 0 else -1), tuple(out)
 
 
-def wedge_terms(ta: dict, tb: dict, merges: dict | None = None) -> dict:
-    """Sparse product of two term dictionaries ``{word: coeff}``.
-
-    With ``merges`` given, the :func:`merge_words` result of each word
-    pair is looked up in, or stored into, ``merges[wa][wb]`` as
-    ``(sign, word)``, or ``0`` when the words share a generator.  The
-    caller may share one dict across any number of calls; the product
-    is the same as without it.
-    """
+def wedge_terms(ta: dict, tb: dict) -> dict:
+    """Sparse product of two term dictionaries ``{word: coeff}``."""
     out: dict = {}
     for wa, ca in ta.items():
-        row = None if merges is None else merges.setdefault(wa, {})
         for wb, cb in tb.items():
-            if row is None:
-                m = merge_words(wa, wb)
-            else:
-                m = row.get(wb)
-                if m is None:
-                    m = row[wb] = merge_words(wa, wb) or 0
-            if not m:
+            m = merge_words(wa, wb)
+            if m is None:
                 continue
             sign, w = m
             c = ca * cb

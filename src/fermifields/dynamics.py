@@ -86,8 +86,7 @@ class ActionFunctional:
                         K0[j, i] = K0[j, i] + c0
                     rest = dji - self.algebra.scalar(c0)
                     if not rest.is_zero():
-                        key = (j, i)
-                        entries[key] = entries[key] + rest if key in entries else rest
+                        entries[(j, i)] = rest
             self._cache["d2"] = (
                 Kernel(K0, "operator", self.fl.slot_times),
                 ElementKernel(self.algebra, n, entries),

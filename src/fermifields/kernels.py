@@ -156,13 +156,15 @@ class ElementKernel:
         return out
 
     def transpose(self) -> "ElementKernel":
-        return ElementKernel(self.algebra, self.n,
-                             {(j, i): e for (i, j), e in self.entries.items()})
+        """Every entry, moved from (i, j) to (j, i), in its order."""
+        out = ElementKernel(self.algebra, self.n)
+        out.entries = {(j, i): e for (i, j), e in self.entries.items()}
+        return out
 
     # -- compositions -------------------------------------------------------
-    # Each composition builds every output entry as one term dict that its
-    # products are added into in place, with the sums ``+`` would form, in
-    # the same order; entries become elements once, at the end.
+    # Each composition forms its entry products in the order of
+    # ``self.entries`` and adds each through ``_accumulate``: the sums ``+``
+    # would form, in the same order.  Entries become elements at the end.
 
     def _from_terms(self, acc: dict) -> "ElementKernel":
         """Wrap nonempty term dicts as entries.  Products and sums of even
@@ -173,68 +175,37 @@ class ElementKernel:
         return out
 
     def compose_scalar_left(self, mat: np.ndarray) -> "ElementKernel":
-        """mat @ self, entrywise scalar-times-element, accumulated in place."""
-        return self._compose_scalar(mat, left=True)
-
-    def compose_scalar_right(self, mat: np.ndarray) -> "ElementKernel":
-        """self @ mat, entrywise element-times-scalar, accumulated in place."""
-        return self._compose_scalar(mat, left=False)
-
-    def _compose_scalar(self, mat: np.ndarray, left: bool) -> "ElementKernel":
-        """Sum of ``mat[i, k]·self[k, j]`` (``left``) or ``self[i, k]·mat[k, j]``.
-
-        The nonzero coerced scalars of each column (row) of ``mat`` are
-        listed once per call.  The first product for an output entry is
-        stored as its scaled dict; later ones are added word by word as
-        ``out.get(w, zero) + v*c``, and exact zeros are popped.  Here and
-        in :meth:`compose` a scalar is zero when it is falsy.
-        """
-        ring = self.algebra.ring
-        zero, coerce = ring.zero, ring.coerce
-        n = self.n
-        lines: dict[int, list] = {}
+        """mat @ self: the sum of ``mat[i, k]·self[k, j]``.  Each column of
+        ``mat`` is read once per call; a scalar is zero when it is falsy."""
+        coerce = self.algebra.ring.coerce
+        cols: dict[int, list] = {}
         acc: dict[tuple[int, int], dict] = {}
-        for (a, b), e in self.entries.items():
-            k = a if left else b
-            line = lines.get(k)
-            if line is None:
-                vec = mat[:, k] if left else mat[k, :]
-                line = lines[k] = [(x, coerce(vec[x])) for x in range(n)
-                                   if vec[x]]
+        for (k, j), e in self.entries.items():
+            col = cols.get(k)
+            if col is None:
+                col = cols[k] = [(i, coerce(mat[i, k])) for i in range(self.n)
+                                 if mat[i, k]]
             terms = e._terms
-            for x, c in line:
-                key = (x, b) if left else (a, x)
-                out = acc.get(key)
-                if out is None:
-                    acc[key] = {w: v * c for w, v in terms.items()}
-                    continue
-                for w, v in terms.items():
-                    s = out.get(w, zero) + v * c
-                    if s:
-                        out[w] = s
-                    else:
-                        out.pop(w, None)
+            for i, c in col:
+                _accumulate(acc, (i, j), {w: v * c for w, v in terms.items()})
         return self._from_terms(acc)
 
-    def compose(self, other: "ElementKernel") -> "ElementKernel":
-        """self @ other with wedge-multiplied entries (even entries commute).
+    def compose_scalar_right(self, mat: np.ndarray) -> "ElementKernel":
+        """self @ mat = (matᵀ @ selfᵀ)ᵀ: even entries commute with scalars."""
+        return self.transpose().compose_scalar_left(mat.T).transpose()
 
-        Entry products are accumulated in place.  Word merges are memoised
-        in one dict shared by every entry product of this call, and freed
-        when it returns.
-        """
+    def compose(self, other: "ElementKernel") -> "ElementKernel":
+        """self @ other with wedge-multiplied entries (even entries commute)."""
         self.algebra.check_compatible(other.algebra)
         by_row: dict[int, list] = {}
         for (k, j), f in other.entries.items():
             by_row.setdefault(k, []).append((j, f._terms))
         acc: dict[tuple[int, int], dict] = {}
-        merges: dict = {}
         for (i, k), e in self.entries.items():
             ta = e._terms
             for j, tb in by_row.get(k, ()):
                 # exact zeros dropped, as GrassmannElement.wedge drops them
-                prod = {w: c for w, c in wedge_terms(ta, tb, merges).items()
-                        if c}
+                prod = {w: c for w, c in wedge_terms(ta, tb).items() if c}
                 if prod:
                     _accumulate(acc, (i, j), prod)
         return self._from_terms(acc)

@@ -162,7 +162,6 @@ def TruncatedSeries(algebra: Algebra, coeffs=None, max_order: int | None = None,
     return FormalSeries(algebra, "lambda", coeffs, max_order, truncated)
 
 
-def HbarSeries(algebra: Algebra, coeffs=None, max_order: int | None = None,
-               truncated: bool = False) -> FormalSeries:
+def HbarSeries(algebra: Algebra, coeffs=None) -> FormalSeries:
     """Deformation series (symbol ``hbar``); finite by nilpotency at fixed grade."""
-    return FormalSeries(algebra, "hbar", coeffs, max_order, truncated)
+    return FormalSeries(algebra, "hbar", coeffs)

@@ -1,5 +1,6 @@
 """Configuration grammar and the command-line front end."""
 
+import csv
 import hashlib
 import json
 from fractions import Fraction
@@ -461,6 +462,25 @@ def test_cli_float_two_colours_at_3x3(tmp_path):
     rows = dict(r.split(",") for r in
                 (tmp_path / "propagators" / "defects.csv").read_text().splitlines()[1:])
     assert float(rows["interacting_defect"]) < TOL_NUM
+
+
+def test_cli_float_car_table_shadows_rational_at_3x3(tmp_path):
+    """Float car-table at 3x3 writes the rational table's (field,
+    conjugate) rows in its order, each entry within 1e-12 relative of the
+    rational one, as the CI's float step checks at 4x3."""
+    tables = []
+    for arithmetic in ("rational", "float"):
+        p = write(tmp_path, "lattice.nt = 3\nlattice.nx = 3\nmass = 3/4\n"
+                            f"lambda = 1/8\narithmetic = {arithmetic}\n", f"{arithmetic}.cfg")
+        out = tmp_path / arithmetic
+        assert main(["car-table", "--config", str(p), "--out", str(out)]) == 0
+        with open(out / "car_table.csv", newline="") as fh:
+            tables.append({(r["field_slot"], r["conjugate_slot"]):
+                           complex(float(r["re_hbar1"]), float(r["im_hbar1"]))
+                           for r in csv.DictReader(fh)})
+    exact, approx = tables
+    assert list(exact) == list(approx) and len(exact) > 200
+    assert max(abs(approx[k] - v) / (abs(v) or 1.0) for k, v in exact.items()) < 1e-12
 
 
 # sha256 of each rational output at 4x3 that does not go through numpy's

@@ -9,9 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from fermifields._core import merge_words, wedge_terms
 from fermifields.algebra import Algebra, GeneratorId, GrassmannElement
 from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
                                      build_gn_action, interacting_propagator)
@@ -124,6 +122,25 @@ def test_compositions_match_element_reference(mode, seed):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_compositions_match_element_reference_at_3x3(mode):
+    """W = S_int^(2) and Δᴿ at 3×3 with two colours, where the spatial Dirac
+    term enters and W's entries hold up to three words: an entry of W·(WΔᴿ)
+    or Δᴿ(WΔᴿ) sums up to 25 products, so float summation order shows.
+    (With one colour W·(WΔᴿ) is 0 and W's entries hold one word.)"""
+    m = Fraction(3, 4) if mode == "rational" else 0.75
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 2, mode)
+    _, W = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 8), m=m)).second_kernel()
+    dR = dirac_green(fl, m, "retarded").mat
+    right = W.compose_scalar_right(dR)
+    _assert_same(W.compose_scalar_left(dR), _ref_scalar_left(dR, W))
+    _assert_same(right, _ref_scalar_right(W, dR))
+    _assert_same(right.compose_scalar_left(dR), _ref_scalar_left(dR, right))
+    composed = W.compose(right)
+    assert not composed.is_zero()
+    _assert_same(composed, _ref_compose(W, right))
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_compositions_drop_cancelled_words_and_entries(mode):
     alg = _algebra(mode)
     ring = alg.ring
@@ -180,21 +197,6 @@ def test_compositions_with_empty_kernel(mode):
     for out in (empty.compose(k), k.compose(empty), empty.compose(empty),
                 empty.compose_scalar_left(mat), empty.compose_scalar_right(mat)):
         assert out.is_zero() and out.n == N
-
-
-_words = st.frozensets(st.integers(0, 5), max_size=4).map(lambda s: tuple(sorted(s)))
-_term_dicts = st.dictionaries(_words, st.integers(-3, 3).filter(bool), max_size=5)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(_term_dicts, _term_dicts), min_size=1, max_size=6))
-def test_wedge_terms_shared_merges_matches_plain(pairs):
-    merges = {}
-    for ta, tb in pairs:
-        assert list(wedge_terms(ta, tb, merges).items()) == list(wedge_terms(ta, tb).items())
-    for wa, row in merges.items():
-        for wb, m in row.items():
-            assert m == (merge_words(wa, wb) or 0)
 
 
 def test_interacting_propagator_orders_do_not_depend_on_max_grade(fl_rat, mass):
