@@ -131,6 +131,7 @@ def build_gn_action(fl: FieldLattice, params: GrossNeveuParams) -> ActionFunctio
 # column, and by word id within a column.
 _SHIFT = 32
 _WORD = (1 << _SHIFT) - 1
+_UNFILLED = np.iinfo(np.int64).min   # a merge-table entry not filled yet
 
 
 class _Entries(NamedTuple):
@@ -166,9 +167,9 @@ class _MergeTables:
     ``words[k]`` holds the grade-2k words met so far, one row of
     increasing generator ordinals per id.  ``merge[k][m, u]`` is ±(id + 1)
     of monomial m ∧ word u in order k+1's table, the sign its Koszul
-    sign, or 0 where the two share a generator; ``seen[k]`` marks the
-    entries filled so far.  Entries are filled by array arithmetic, for a
-    whole batch of (monomial, word) pairs at once.
+    sign, or 0 where the two share a generator, and ``_UNFILLED`` until it
+    is filled.  Entries are filled by array arithmetic, for a whole batch
+    of (monomial, word) pairs at once.
     """
 
     def __init__(self):
@@ -177,7 +178,6 @@ class _MergeTables:
         self.words = [np.zeros((1, 0), dtype=np.int64)]
         self._ids = [{b"": 0}]                        # per order: bytes -> id
         self.merge: list = []
-        self.seen: list = []
 
     def monomial_ids(self, words: list) -> np.ndarray:
         """The id of each monomial word, numbering new ones in order."""
@@ -190,10 +190,10 @@ class _MergeTables:
 
     def lookup(self, k: int, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """±(id + 1) of monomial m ∧ order-k word u per pair, 0 where they
-        share a generator; fills the pairs not seen yet first."""
+        share a generator; fills the pairs still ``_UNFILLED`` first."""
         self._fit(k)
         at = m * self.merge[k].shape[1] + u
-        todo = at[~self.seen[k].ravel()[at]]
+        todo = at[self.merge[k].ravel()[at] == _UNFILLED]
         if len(todo):
             self._fill(k, todo)
         return self.merge[k].ravel()[at]
@@ -202,23 +202,21 @@ class _MergeTables:
         """Grow order k's merge table to every monomial and word so far."""
         if len(self.merge) == k:
             self.merge.append(np.zeros((0, 0), dtype=np.int64))
-            self.seen.append(np.zeros((0, 0), dtype=bool))
         have = self.merge[k].shape
         need = (len(self.monomials), len(self.words[k]))
         if need[0] <= have[0] and need[1] <= have[1]:
             return
         shape = tuple(h if n <= h else max(n, 2 * h) for n, h in zip(need, have))
-        for tables in (self.merge, self.seen):
-            grown = np.zeros(shape, dtype=tables[k].dtype)
-            grown[:have[0], :have[1]] = tables[k]
-            tables[k] = grown
+        grown = np.full(shape, _UNFILLED, dtype=np.int64)
+        grown[:have[0], :have[1]] = self.merge[k]
+        self.merge[k] = grown
 
     def _fill(self, k: int, at: np.ndarray):
         """Fill order k's merge table at the flat positions ``at``."""
-        merge, seen = self.merge[k].ravel(), self.seen[k].ravel()
+        merge = self.merge[k].ravel()
         # each pair once, sorted by (monomial, word): new words are numbered
         # in the order a per-monomial loop over sorted word ids meets them
-        todo = np.zeros(len(seen), dtype=bool)
+        todo = np.zeros(len(merge), dtype=bool)
         todo[at] = True
         at = np.flatnonzero(todo)
         m, u = np.divmod(at, self.merge[k].shape[1])
@@ -231,7 +229,6 @@ class _MergeTables:
         out = np.zeros(len(at), dtype=np.int64)
         out[apart] = (ids + 1) * (1 - 2 * odd)
         merge[at] = out
-        seen[at] = True
 
     def _intern(self, k: int, words: np.ndarray) -> np.ndarray:
         """Order k's id of each word, numbering new ones by first appearance."""
@@ -257,18 +254,18 @@ class InteractingKernel:
 
     ``free`` is the scalar order Δ0.  Order k >= 1 is Δ_k = (−Δ0)·V_k
     with the vertex product V_k = W∘Δ_{k−1} (V_1 = W·Δ0, W the even
-    element part of S^(2), its rows restricted to the nonzero columns of
-    Δ0); its entries have grade exactly 2k, so evaluation against a
-    grade-n configuration uses only k <= n//2 orders.
+    element part of S^(2), its rows restricted to ``free.exact_rows``, the
+    nonzero columns of Δ0); its entries have grade exactly 2k, so
+    evaluation against a grade-n configuration uses only k <= n//2 orders.
 
     Each V_k is kept as nonzero-only column blocks.  Order k's words
     (grade 2k) are numbered in a table of their own
     (:class:`_MergeTables`), and a block of V_k is a matrix over W's rows
     whose columns are keys ``column << 32 | word id``.  The live source
-    columns of Δ0 are grouped by lattice site; each group runs through
-    every order before the next group starts, one block per group and
-    order.  A block is stored as its nonzeros alone (:class:`_Order`) and
-    made dense only where it is read.
+    columns of Δ0, its exact rows, are grouped by lattice site; each group
+    runs through every order before the next group starts, one block per
+    group and order.  A block is stored as its nonzeros alone
+    (:class:`_Order`) and made dense only where it is read.
 
     One order step, V_{k+1} = W∘Δ_k, is one pass of whole-array numpy
     calls, whatever W's monomial count: it takes Δ_k on W's columns
@@ -302,7 +299,7 @@ class InteractingKernel:
         self._W = self._entries(W)
         sites = [g.site for g in fl.algebra.generators]
         groups: dict = {}
-        for j in np.flatnonzero(free.mat.astype(bool).any(axis=0)).tolist():
+        for j in np.flatnonzero(free.exact_rows).tolist():
             groups.setdefault(sites[j], []).append(j)
         self._groups = [np.array(g, dtype=np.int64) for g in groups.values()]
         self._grams: list = []             # per order: Σ conj(X)·Xᵀ
@@ -498,8 +495,8 @@ def interacting_propagator(S: ActionFunctional,
     either arithmetic (:class:`InteractingKernel`), and builds no Δ_k term
     dict until ``corrections`` is read.
 
-    Rows of W that meet a zero column of Δ_0 are dropped first: they add
-    nothing to any Δ_k.  Δ_0 has full column rank on its other columns,
+    Rows of W outside Δ_0's ``exact_rows`` meet its zero columns and are
+    dropped first.  Δ_0 has full column rank on its other columns,
     so Δ_k = 0 exactly when V_k = 0, and a zero V_k ends the series.
     The advanced series is not built: see :func:`interacting_causal`.
     """
@@ -508,7 +505,7 @@ def interacting_propagator(S: ActionFunctional,
     fl = S.fl
     free = dirac_green(fl, S.meta["m"], "retarded")
     _, W = S.second_kernel()
-    W = W.restrict_rows([any(col) for col in free.mat.T])
+    W = W.restrict_rows(free.exact_rows)
     return InteractingKernel(fl, max_grade, free, W)
 
 

@@ -75,15 +75,12 @@ class Kernel:
     def max_abs(self) -> float:
         return max_abs(self.mat)
 
-    def is_zero(self) -> bool:
-        return not np.count_nonzero(self.mat)
-
     def identity_defect(self, op: np.ndarray) -> float:
         """max |(op @ kernel)[i, j] - δ_ij| over ``exact_rows`` (all rows
-        when None), e.g. ``op`` = S2; each product entry is read as a
-        complex float before δ_ij is subtracted."""
-        prod = matmul(op, self.mat)
-        res = prod.astype(complex) - np.eye(*prod.shape)
+        when None), e.g. ``op`` = S2; δ is subtracted in the kernel's ring,
+        so in rational mode the defect is exact until ``max_abs`` reads it."""
+        res = matmul(op, self.mat)
+        np.fill_diagonal(res, res.diagonal() - self.ring.one)
         return max_abs(res if self.exact_rows is None else res[self.exact_rows])
 
     # -- export ------------------------------------------------------------

@@ -35,7 +35,7 @@ nonzero, the int 0 in every other slot, sums that cancel included.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, ulp
 
 import numpy as np
 
@@ -106,11 +106,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """max |x| over the nonzeros of a ring array, read as complex floats:
-    0.0 if there are none, NaN if a modulus is NaN.  Each modulus is the
+    0.0 only if there are none, ``math.ulp(0.0)`` if all round to 0.0 (as
+    only exact ones can), NaN if a modulus is NaN.  Each modulus is the
     ``hypot`` of the parts, which rounds as ``abs(complex(x))`` does;
     numpy's complex ``abs`` does not."""
     c = a[a.astype(bool)].astype(complex)
-    return float(np.hypot(c.real, c.imag).max(initial=0.0))
+    worst = float(np.hypot(c.real, c.imag).max(initial=0.0))
+    return ulp(0.0) if worst == 0.0 and c.size else worst
 
 
 def mat_inv(a: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Reports depend only on the configuration and seed, never on wall-clock
 state, so identical runs are byte-identical.  :func:`check_record`
-decides whether a check passes, for ``verify`` and the CLI alike.
+decides whether a check passes, for ``verify`` and the CLI alike, from
+each residual's :func:`~fermifields.linalg.max_abs`, 0.0 only if it is 0.
 """
 
 from __future__ import annotations
@@ -10,7 +11,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
+
+import numpy as np
+
+from .linalg import max_abs
 
 __all__ = ["check_record", "write_report", "write_csv"]
 
@@ -30,15 +34,12 @@ def _digest(payload) -> str:
 def check_record(check: str, inputs: dict, residuals, tol: float | None = None,
                  order: int | None = None) -> dict:
     """The one pass rule: ``residuals`` (elements, series, kernels or
-    scalars) fold to their worst max-abs, which must be identically 0 for
-    an exact check (``tol=None``) and below ``tol`` for a float check.  No
-    residuals read 0; a NaN residual fails."""
+    scalars, as one-entry arrays) fold to their worst ``max_abs``, which
+    must be 0.0 for an exact check (``tol=None``) and below ``tol`` for a
+    float check.  No residuals read 0; a NaN residual fails."""
     worst = 0.0
     for r in residuals:
-        norm = hasattr(r, "max_abs")
-        v = r.max_abs() if norm else abs(complex(r))
-        if v == 0.0 and tol is None and not (r.is_zero() if norm else not r):
-            v = math.ulp(0.0)   # nonzero, but below the float range
+        v = r.max_abs() if hasattr(r, "max_abs") else max_abs(np.array([r]))
         if v > worst or v != v:
             worst = v
     return {

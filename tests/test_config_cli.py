@@ -159,6 +159,28 @@ def test_cli_propagators_fails_on_interacting_defect(tmp_path, monkeypatch,
     assert rows[-1] == f"interacting_defect,{defect!r}"
 
 
+@pytest.mark.parametrize("arithmetic, nt, nx", [("rational", 3, 2), ("float", 4, 3)])
+def test_cli_propagators_with_cutoff_ones(tmp_path, arithmetic, nt, nx):
+    """propagators with ``cutoff = ones``, where W has rows on the first
+    and the last time slice, exits 0: every rational defect reads exactly
+    0.0, and every float one is below ``TOL_NUM``."""
+    from fermifields.gross_neveu import build_gn_action
+    p = write(tmp_path, f"lattice.nt = {nt}\nlattice.nx = {nx}\nlattice.dt = 1/2\n"
+                        "mass = 3/4\nlambda = 1/8\ncutoff = ones\n"
+                        f"arithmetic = {arithmetic}\n")
+    cfg = load_config(p)
+    fl = cfg.field_lattice()
+    _, W = build_gn_action(fl, cfg.gn_params(fl)).second_kernel()
+    assert {fl.slot_times[i] for i, _ in W.entries} >= {0, nt - 1}
+    out = tmp_path / "out"
+    assert main(["propagators", "--config", str(p), "--out", str(out)]) == 0
+    with open(out / "defects.csv", newline="") as fh:
+        defects = [float(r["max_defect"]) for r in csv.DictReader(fh)]
+    assert len(defects) == 3
+    for d in defects:
+        assert d == 0.0 if arithmetic == "rational" else d < TOL_NUM
+
+
 def test_cli_propagators_lambda_zero_matches_free(tmp_path):
     p = write(tmp_path, "lattice.nt = 3\nlattice.nx = 1\nlambda = 0\n")
     out = tmp_path / "zero"

@@ -482,22 +482,25 @@ def _perturbed_block(ik, k, eps):
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_propagator_defect_sees_a_perturbed_correction(mode):
     """Negative control: a coefficient of the stored block of V_1, or of
-    V_2, the top order, moved on an exact row (by 1 in rational mode, by
-    1e-6 in float mode) fails the defect, while the series itself passes
-    it: exactly 0 in rational mode, below ``TOL_NUM`` in float mode."""
+    V_2, the top order, moved on an exact row (by 1 or by 10⁻⁴⁰⁰, below
+    the float range, in rational mode; by 1e-6 in float mode) fails the
+    defect, while the series itself passes it: exactly 0 in rational mode,
+    below ``TOL_NUM`` in float mode."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
     ring = fl.ring
     S = build_gn_action(fl, GrossNeveuParams(lam=ring.number(Fraction(1, 3)),
                                              m=ring.number(Fraction(3, 4))))
-    eps, bound = (ring.one, 0.0) if ring.exact else (1e-6, TOL_NUM)
+    epsilons, bound = (((ring.one, ring.number(Fraction(1, 10**400))), 0.0)
+                       if ring.exact else ((1e-6,), TOL_NUM))
     ik = interacting_propagator(S, 4)
     assert ik.order_count == 3 and not ik._corrections
     assert max(len(b) for b in ik._blocks) == 2
     clean = propagator_defect(S, ik)
     assert clean == 0.0 if ring.exact else clean < TOL_NUM
-    for k in (0, 1):
-        ik = _perturbed_block(interacting_propagator(S, 4), k, eps)
-        assert propagator_defect(S, ik) > bound
+    for eps in epsilons:
+        for k in (0, 1):
+            ik = _perturbed_block(interacting_propagator(S, 4), k, eps)
+            assert propagator_defect(S, ik) > bound
 
 
 def _sparse_defect(S, ik):
@@ -916,20 +919,20 @@ def test_stored_orders_match_the_per_monomial_oracle(nt, nx, ncolors, lam, g,
 @pytest.mark.parametrize("nt, nx, ncolors, max_grade", [
     (4, 3, 1, 8), (3, 3, 2, 6)], ids=["4x3-grade8", "3x3-2colors-grade6"])
 def test_merge_tables_match_merge_words(nt, nx, ncolors, max_grade):
-    """Every filled entry of every order's merge table is
-    ``merge_words(w, u)``: 0 where the words share a generator, else the
-    sign times (id + 1) of the merged word.  The 3x3 lattice with two
-    colours has 72 generators."""
+    """Every filled entry of every order's merge table, one that no longer
+    holds the ``_UNFILLED`` sentinel, is ``merge_words(w, u)``: 0 where the
+    words share a generator, else the sign times (id + 1) of the merged
+    word.  The 3x3 lattice with two colours has 72 generators."""
     S = _float_gn(nt, nx, ncolors)
     ik = interacting_propagator(S, max_grade)
     tables = ik._tables
     assert S.fl.n_slots == 72 if ncolors == 2 else True
     monomials = list(map(tuple, tables.monomials.tolist()))
     filled = 0
-    for k, (merge, seen) in enumerate(zip(tables.merge, tables.seen)):
+    for k, merge in enumerate(tables.merge):
         words = list(map(tuple, tables.words[k].tolist()))
         above = list(map(tuple, tables.words[k + 1].tolist()))
-        for m, u in zip(*np.nonzero(seen)):
+        for m, u in zip(*np.nonzero(merge != gross_neveu._UNFILLED)):
             got, want = merge[m, u], merge_words(monomials[m], words[u])
             if want is None:
                 assert got == 0

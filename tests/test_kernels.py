@@ -4,6 +4,7 @@ the rule that arrays and kernels carry their own arithmetic."""
 
 import csv
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from fermifields.kernels import ElementKernel, Kernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green, dirac_matrix, free_second_derivative,
                                  green_from_bilinear, kg_green)
-from fermifields.linalg import kron2, mat_inv, matmul, max_abs, ring_of, zeros
+from fermifields.linalg import eye, kron2, mat_inv, matmul, max_abs, ring_of, zeros
 from fermifields.scalars import QC, Ring
 
 N = 4
@@ -323,6 +324,21 @@ def test_kernel_reads_match_per_entry_loops(tmp_path, mode, kind, exact_rows, se
         write(k, tmp_path / "got")
         ref(k, tmp_path / "want")
         assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+@pytest.mark.parametrize("slot", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
+def test_identity_defect_sees_a_rational_below_the_float_range(slot):
+    """The rational identity moved by 10⁻⁴⁰⁰ at one slot, on the diagonal
+    or off it, has a nonzero defect against ``eye``: δ is subtracted in
+    the ring, before ``max_abs`` reads the residual.  With that row
+    outside ``exact_rows`` the defect is 0.0."""
+    ring = Ring("rational")
+    mat = eye(3, ring)
+    mat[slot] = ring.number((slot[0] == slot[1]) + Fraction(1, 10**400))
+    assert Kernel(mat).identity_defect(eye(3, ring)) == math.ulp(0.0)
+    rows = np.array([True, False, True])
+    assert Kernel(mat, exact_rows=~rows).identity_defect(eye(3, ring)) == math.ulp(0.0)
+    assert Kernel(mat, exact_rows=rows).identity_defect(eye(3, ring)) == 0.0
 
 
 # -- values carry their arithmetic ---------------------------------------------

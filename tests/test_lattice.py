@@ -206,6 +206,24 @@ def test_dirac_green_block_formula(mode, nt, nx, dt, m):
     assert _block_formula_residual(fl, dop, m + shift) > 1e-3
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("nt, nx, ncolors, dt", [
+    (2, 1, 1, Fraction(1)), (3, 2, 2, Fraction(1, 2)), (4, 3, 1, Fraction(1, 3))],
+    ids=["2x1", "3x2-2colors", "4x3"])
+@pytest.mark.parametrize("m", [Fraction(3, 4), Fraction(0)], ids=["m3/4", "m0"])
+def test_dirac_green_live_columns_are_its_exact_rows(mode, nt, nx, ncolors, dt, m):
+    """The nonzero columns of Δᴿ are exactly its exact rows, which the
+    interacting series reads as Δᴿ's live columns.  Per colour Δᴿ =
+    [[0, P], [Q, 0]]: P has an invertible diagonal block at every time and
+    Q is strictly retarded with an invertible first sub-diagonal block, so
+    only the field slots at the last time have a zero column."""
+    exact = mode == "rational"
+    fl = FieldLattice(Lattice(nt, nx, dt if exact else float(dt), 1), ncolors, mode)
+    dR = dirac_green(fl, m if exact else float(m), "retarded")
+    assert np.array_equal(dR.mat.astype(bool).any(axis=0), dR.exact_rows)
+    assert 0 < np.count_nonzero(~dR.exact_rows) < fl.n_slots
+
+
 def test_dirac_matrix_is_weighted_dirac_operator():
     """dirac_matrix and DiracOperator.D share one construction:
     dirac_matrix(fl, m, w) == vol * D with equation rows scaled by w."""

@@ -4,13 +4,14 @@ object ``@`` and ``mat_inv`` against a dense Gauss-Jordan reference.
 An exact array's empty slots hold the int 0 and its written slots hold
 normalised ``QC``; :func:`values` reads both as triples."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fermifields.linalg import _ExactBlock, eye, mat_inv, matmul, zeros
+from fermifields.linalg import _ExactBlock, eye, mat_inv, matmul, max_abs, zeros
 from fermifields.scalars import QC, Ring
 
 RAT = Ring("rational")
@@ -48,6 +49,22 @@ def only(a, part):
         if x:
             out[idx] = cut(x)
     return out
+
+
+# -- max_abs -----------------------------------------------------------------
+
+def test_max_abs_reads_zero_only_for_no_nonzero_entry():
+    """0.0 means every entry is 0: an exact nonzero below the float range
+    reads ``math.ulp(0.0)``, and a complex float keeps its subnormal
+    modulus."""
+    tiny = zeros((2, 3), RAT)
+    tiny[1, 2] = QC(Fraction(1, 10**400))
+    assert complex(tiny[1, 2]) == 0
+    assert max_abs(tiny) == math.ulp(0.0)
+    for empty in (zeros((2, 3), RAT), zeros((0, 3), RAT), tiny[:1],
+                  np.zeros((2, 2), dtype=complex), np.zeros(0, dtype=complex)):
+        assert max_abs(empty) == 0.0
+    assert max_abs(np.array([0j, complex(0.0, -5e-324)])) == 5e-324
 
 
 # -- matmul ------------------------------------------------------------------
