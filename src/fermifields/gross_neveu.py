@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ldexp
 from typing import NamedTuple
 
 import numpy as np
@@ -16,7 +17,7 @@ from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
 from .kernels import ElementKernel, Kernel
 from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
-from .linalg import matmul, max_abs, zeros
+from .linalg import matmul, max_abs, scaled_complex, zeros
 
 __all__ = [
     "GrossNeveuParams", "InteractingKernel", "bilinear_element",
@@ -151,13 +152,96 @@ class _Entries(NamedTuple):
 
 
 class _Order(NamedTuple):
-    """One order of one site group, nonzeros only: ``vals`` at the flat
-    positions ``at`` = row · len(keys) + key position of its dense
-    (W rows × keys) block."""
+    """One block, nonzeros only: ``vals`` at the flat positions ``at`` =
+    key position · rows + row, ascending, so the nonzeros of one key are
+    adjacent.  An order of a site group has W's rows; the input Y of an
+    order step has W's columns."""
 
     keys: np.ndarray
     at: np.ndarray
     vals: np.ndarray
+
+
+class _Columns(NamedTuple):
+    """A scalar matrix by its nonzeros, column by column: column j holds
+    ``vals[start[j]:start[j + 1]]`` on the rows ``rows[start[j]:start[j +
+    1]]``, of ``n`` rows in all."""
+
+    n: int
+    start: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+
+
+def _columns(a: np.ndarray) -> _Columns:
+    j, i = np.nonzero(a.T.astype(bool))
+    return _Columns(len(a), np.searchsorted(j, np.arange(a.shape[1] + 1)), i, a[i, j])
+
+
+def _runs(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """lo[i], lo[i] + 1, …, lo[i] + count[i] − 1 for every i, concatenated."""
+    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _summed(code: np.ndarray, vals: np.ndarray, span: int):
+    """The distinct codes, ascending, and the sum of ``vals`` on each, its
+    terms in the order given; every code is below ``span``."""
+    bits = len(code).bit_length()
+    if span << bits < 1 << 63:
+        # a stable argsort at the speed of a value sort: the position is
+        # packed below the code, so no two packed values are equal
+        packed = np.sort(code << bits | np.arange(len(code)))
+        order, code = packed & ((1 << bits) - 1), packed >> bits
+    else:
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    return code[first], np.add.reduceat(vals[order], first)
+
+
+def _nonzero(keys: np.ndarray, at: np.ndarray, vals: np.ndarray) -> _Order:
+    """The block of these sums, its exact zeros dropped."""
+    keep = vals.astype(bool)
+    return _Order(keys, at, vals) if keep.all() else _Order(keys, at[keep], vals[keep])
+
+
+def _expanded(a: _Columns, x: _Order):
+    """The products of a·X, one per pair of nonzeros a[i, r], X[r, p], as
+    the flat positions p · a.n + i and their values, not yet summed."""
+    p, r = np.divmod(x.at, len(a.start) - 1)
+    lo = a.start[r]
+    count = a.start[r + 1] - lo
+    e = _runs(lo, count)
+    return np.repeat(p, count) * a.n + a.rows[e], a.vals[e] * np.repeat(x.vals, count)
+
+
+def _product(a: _Columns, x: _Order) -> _Order:
+    """a·X on X's keys, from the nonzeros of both."""
+    return _nonzero(x.keys, *_summed(*_expanded(a, x), len(x.keys) * a.n))
+
+
+def _gram(x: _Order, vals: np.ndarray, n: int) -> np.ndarray:
+    """K = Σ conj(X)·Xᵀ of an n-row block whose nonzeros are ``vals`` at
+    ``x.at``, summed over the pairs of nonzeros that share a key: each
+    nonzero with itself, then with the one d places on, d = 1, 2, … while
+    some key holds d + 1 of them, and mirrored."""
+    p, r = np.divmod(x.at, n)
+    m = np.bincount(r * (n + 1), vals.real * vals.real + vals.imag * vals.imag,
+                    n * n).astype(complex)
+    # the nonzeros of one key are adjacent: the pair (i, i + d) shares a
+    # key when (i, i + d − 1) does and i + d is in the same key as i + d − 1
+    same = p[1:] == p[:-1]
+    pair, d = np.ones(len(p), dtype=bool), 1
+    while (pair := pair[:-1] & same[d - 1:]).any():
+        prod = vals[:-d][pair]
+        np.conjugate(prod, out=prod)
+        prod *= vals[d:][pair]
+        code = r[:-d][pair] * n + r[d:][pair]
+        m += np.bincount(code, prod.real, n * n)
+        m += 1j * np.bincount(code, prod.imag, n * n)
+        d += 1
+    m = m.reshape(n, n)
+    return m + m.conj().T - np.diag(m.diagonal())
 
 
 class _MergeTables:
@@ -258,33 +342,32 @@ class InteractingKernel:
     nonzero columns of Δ0); its entries have grade exactly 2k, so
     evaluation against a grade-n configuration uses only k <= n//2 orders.
 
-    Each V_k is kept as nonzero-only column blocks.  Order k's words
-    (grade 2k) are numbered in a table of their own
-    (:class:`_MergeTables`), and a block of V_k is a matrix over W's rows
-    whose columns are keys ``column << 32 | word id``.  The live source
-    columns of Δ0, its exact rows, are grouped by lattice site; each group
-    runs through every order before the next group starts, one block per
-    group and order.  A block is stored as its nonzeros alone
-    (:class:`_Order`) and made dense only where it is read.
+    Each V_k is kept as column blocks.  Order k's words (grade 2k) are
+    numbered in a table of their own (:class:`_MergeTables`), and a block
+    of V_k is a matrix over W's rows whose columns are keys ``column << 32
+    | word id``.  The live source columns of Δ0, its exact rows, are
+    grouped by lattice site; each group runs through every order before
+    the next group starts, one block per group and order.  A block is
+    only ever held as its nonzeros (:class:`_Order`), from the order step
+    that makes it to the last read.
 
     One order step, V_{k+1} = W∘Δ_k, is one pass of whole-array numpy
     calls, whatever W's monomial count: it takes Δ_k on W's columns
-    (Y = −Δ0[cols, rows]·X_k, or Δ0 itself for V_1), expands each nonzero
-    of Y against the entries of W (:class:`_Entries`) in the same column,
-    reads each merged word's signed id from the merge table of order k,
-    and adds the products into the new block with ``np.add.at``.
+    (Y = −Δ0[cols, rows]·X_k, formed from the nonzeros of X_k, or Δ0
+    itself for V_1), expands each nonzero of Y against the entries of W
+    (:class:`_Entries`) in the same column, reads each merged word's
+    signed id from the merge table of order k, and sums the products that
+    land on one (row, key) with one sort.
 
     Both arithmetic modes run the same steps on the ring arrays of
     :mod:`~fermifields.linalg`; their dtype is the only difference.
-    Rational mode's matrix products go through
-    :func:`~fermifields.linalg.matmul`, which skips exact zeros.
 
     :attr:`corrections` is the one place Δ_k is built, as an
     :class:`~fermifields.kernels.ElementKernel`: it builds the orders not
     built yet, the first time it is read.  :meth:`per_order_norms` reads
-    no Δ_k: with X the dense block of V_k and the Gram matrix G = Δ0ᴴΔ0,
-    ‖Δ_k‖_F² = Σ_{a,a'} G[a,a'] K_k[a,a'] where K_k = Σ conj(X)·Xᵀ over
-    the blocks of V_k, summed in complex floats as the series is built.
+    no Δ_k: with the Gram matrix G = Δ0ᴴΔ0, ‖Δ_k‖_F² = Σ_{a,a'} G[a,a']
+    K_k[a,a'] where K_k = Σ conj(X)·Xᵀ over the blocks X of V_k, summed
+    in complex floats over the pairs of stored nonzeros that share a key.
     """
 
     def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
@@ -302,7 +385,6 @@ class InteractingKernel:
         for j in np.flatnonzero(free.exact_rows).tolist():
             groups.setdefault(sites[j], []).append(j)
         self._groups = [np.array(g, dtype=np.int64) for g in groups.values()]
-        self._grams: list = []             # per order: Σ conj(X)·Xᵀ
         # per group: the _Order of V_1, V_2, … up to its last nonzero order
         self._blocks = [self._build(g) for g in range(len(self._groups))]
 
@@ -319,13 +401,27 @@ class InteractingKernel:
         return 1 + max(map(len, self._blocks), default=0)
 
     def per_order_norms(self) -> list:
-        """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity."""
+        """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity.
+
+        Each K_k is summed from the stored nonzeros of order k scaled by
+        2^−e, e the binary exponent of their largest modulus (each site
+        group's part rescaled to the largest exactly, by a power of 2),
+        and the norm scaled back, so an order whose norm squared would
+        underflow still reads its norm."""
         d0 = self.free.mat.astype(complex)
         out = [(0, 0, float(np.sqrt(sum(abs(c) ** 2 for c in d0.ravel().tolist()))))]
         rows = self._W.rows
         gram = (d0.conj().T @ d0)[np.ix_(rows, rows)]
-        for k, k_k in enumerate(self._grams, start=1):
-            out.append((k, 2 * k, max(float(np.sum(gram * k_k).real), 0.0) ** 0.5))
+        for k in range(1, self.order_count):
+            parts = []          # per group: its K scaled by 2^−2f, and f
+            for stored in self._blocks:
+                if len(stored) >= k:
+                    vals, f = scaled_complex(stored[k - 1].vals)
+                    parts.append((_gram(stored[k - 1], vals, len(rows)), f))
+            e = max(f for _, f in parts)
+            k_k = sum(m * ldexp(1.0, 2 * (f - e)) for m, f in parts)
+            square = max(float(np.sum(gram * k_k).real), 0.0)
+            out.append((k, 2 * k, ldexp(square ** 0.5, e)))
         return out
 
     def __repr__(self):
@@ -354,129 +450,115 @@ class InteractingKernel:
             np.searchsorted(col[order], np.arange(len(cols) + 1)))
 
     def _build(self, g: int) -> list:
-        """Run group g through every order, summing each Gram matrix; its
-        orders up to its last nonzero one."""
+        """Run group g through every order; its orders up to its last
+        nonzero one."""
         W = self._W
-        back = self._neg_free[np.ix_(W.cols, W.rows)]
+        back = _columns(self._neg_free[np.ix_(W.cols, W.rows)])
         last = self.max_grade // 2
         stored: list = []
-        keys, y = self._first(g, W.cols)
+        y = self._first(g, W.cols)
         for k in range(1, last + 1):
-            keys, x = self._step(k - 1, keys, y, W)
-            at = np.flatnonzero(x.astype(bool))
-            if not len(at):
+            x = self._step(k - 1, y, W)
+            if not len(x.vals):
                 break
-            order = _Order(keys, at, x.ravel()[at])
-            stored.append(order)
-            if k > len(self._grams):
-                self._grams.append(np.zeros((len(W.rows),) * 2, dtype=complex))
-            xc = x.astype(complex, copy=False)
-            self._grams[k - 1] += xc.conj() @ xc.T
+            stored.append(x)
             if k < last:
-                y = matmul(back, x)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
+                y = _product(back, x)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
         return stored
 
-    def _first(self, g: int, cols: np.ndarray):
-        """Keys and rows ``cols`` of Δ0 in group g: Δ0's own columns, under
+    def _first(self, g: int, cols: np.ndarray) -> _Order:
+        """Rows ``cols`` of Δ0 in group g: Δ0's own columns as keys, under
         word id 0, the empty word."""
         group = self._groups[g]
-        return group << _SHIFT, self._free[np.ix_(cols, group)]
+        y = self._free[np.ix_(cols, group)]
+        p, c = np.nonzero(y.T.astype(bool))
+        return _Order(group << _SHIFT, p * len(cols) + c, y[c, p])
 
-    def _dense(self, order: _Order) -> np.ndarray:
-        """The dense (W rows × keys) block of a stored order."""
-        x = zeros(len(self._W.rows) * len(order.keys), self.fl.ring)
-        x[order.at] = order.vals
-        return x.reshape(len(self._W.rows), len(order.keys))
-
-    def _step(self, k: int, keys: np.ndarray, y: np.ndarray, W: _Entries):
-        """Keys and dense block over W's rows of W∘Δ_k, Δ_k given by its
-        sorted ``keys`` and its rows ``y`` on W's columns."""
-        at = np.flatnonzero(y.astype(bool))
-        c, p = np.divmod(at, y.shape[1])
+    def _step(self, k: int, y: _Order, W: _Entries) -> _Order:
+        """W∘Δ_k on W's rows, Δ_k given by its rows ``y`` on W's columns.
+        Its keys are every (column, word) that a product reaches, sorted,
+        the products that sum to 0 included; its nonzeros are the sums."""
+        p, c = np.divmod(y.at, len(W.cols))
+        # e runs over W's entries in column c, for each nonzero (c, p) of y
         lo = W.start[c]
         count = W.start[c + 1] - lo
-        # e runs over W's entries in column c, for each nonzero (c, p) of y
-        e = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        p = np.repeat(p, count)
-        merged = self._tables.lookup(k, W.mono[e], keys[p] & _WORD)
+        e = _runs(lo, count)
+        src = np.repeat(np.arange(len(p)), count)   # the nonzero of y
+        merged = self._tables.lookup(k, W.mono[e], y.keys[p[src]] & _WORD)
         keep = np.flatnonzero(merged)
         if not len(keep):
-            return keys[:0], zeros((len(W.rows), 0), self.fl.ring)
-        e, p, merged = e[keep], p[keep], merged[keep]
-        value = W.coef[e] * np.repeat(y.ravel()[at], count)[keep]
-        odd = merged < 0
-        value[odd] = -value[odd]
-        # the new keys, sorted, from a mark per (column rank, new word id)
-        col = keys >> _SHIFT
+            return _Order(y.keys[:0], keep, W.coef[:0])
+        e, src, merged = e[keep], src[keep], merged[keep]
+        p = p[src]
+        value = W.coef[e] * y.vals[src]
+        np.negative(value, out=value, where=merged < 0)
+        # one sort by (column rank, new word id, row) sums the products and
+        # gives the new keys in order
+        col = y.keys >> _SHIFT
         cols = col[np.flatnonzero(np.diff(col, prepend=-1))]
-        n = len(self._tables.words[k + 1])
-        code = np.searchsorted(cols, col)[p] * n + np.abs(merged) - 1
-        mark = np.zeros(len(cols) * n, dtype=bool)
-        mark[code] = True
-        new = np.flatnonzero(mark)
-        pos = np.cumsum(mark)[code] - 1
-        z = zeros(len(W.rows) * len(new), self.fl.ring)
-        np.add.at(z, W.row[e] * len(new) + pos, value)
-        return (cols[new // n] << _SHIFT) | (new % n), z.reshape(len(W.rows), len(new))
+        n, nrows = len(self._tables.words[k + 1]), len(W.rows)
+        code, vals = _summed(
+            (np.searchsorted(cols, col)[p] * n + np.abs(merged) - 1) * nrows + W.row[e],
+            value, len(cols) * n * nrows)
+        key, row = np.divmod(code, nrows)
+        new = np.diff(key, prepend=-1) != 0
+        key = key[new]
+        return _nonzero((cols[key // n] << _SHIFT) | (key % n),
+                        (np.cumsum(new) - 1) * nrows + row, vals)
 
     def _correction(self, k: int) -> ElementKernel:
-        """Δ_k = −Δ0[:, rows]·X_k, unpacked row by row into term dicts."""
+        """Δ_k = −Δ0[:, rows]·X_k from the stored nonzeros, unpacked into
+        term dicts column by column, each column's rows ascending."""
         words = list(map(tuple, self._tables.words[k].tolist()))
-        to_slots = self._neg_free[:, self._W.rows]
+        to_slots = _columns(self._neg_free[:, self._W.rows])
         acc: dict = {}
         for stored in self._blocks:
             if k > len(stored):
                 continue
-            keys = stored[k - 1].keys
-            x = self._dense(stored[k - 1])
-            col_of = keys >> _SHIFT
-            cols, ids = col_of.tolist(), (keys & _WORD).tolist()
-            bounds = [0, *(np.flatnonzero(np.diff(col_of)) + 1).tolist(), len(cols)]
-            for start, stop in zip(bounds, bounds[1:]):
-                j = cols[start]
-                ws = [words[u] for u in ids[start:stop]]
-                # one product per column: a group's product is large enough,
-                # even at 3x2, for OpenBLAS to wake its second thread, whose
-                # spin-wait then slows the Python work that follows
-                part = matmul(to_slots, x[:, start:stop])
-                live = np.flatnonzero(part.astype(bool).any(axis=1))
-                for a, row in zip(live.tolist(), part[live].tolist()):
-                    acc[(a, j)] = {w: c for w, c in zip(ws, row) if c}
+            d = _product(to_slots, stored[k - 1])
+            p, slot = np.divmod(d.at, to_slots.n)
+            col = (d.keys >> _SHIFT)[p]
+            order = np.lexsort((slot, col))   # stable: word ids stay ascending
+            for j, a, u, c in zip(col[order].tolist(), slot[order].tolist(),
+                                  (d.keys[p[order]] & _WORD).tolist(),
+                                  d.vals[order].tolist()):
+                acc.setdefault((a, j), {})[words[u]] = c
         return ElementKernel(self.fl.algebra, self.fl.n_slots)._from_terms(acc)
 
     def _defect(self, k0: np.ndarray, W: ElementKernel) -> float:
         """max |K0·Δ_k + W∘Δ_{k−1}| over every order k and column, with
-        ``k0`` and ``W`` restricted to the exact rows, on the blocks: K0·Δ_k
-        is K0·(−Δ0[:, rows]), formed once, times X_k; W∘Δ_{k−1} is the
-        order step, on the exact rows' entries of W, from the stored order
-        k − 1; the two are added on their (column, word id) keys.  No Δ_k
-        term dict is built."""
-        upper = matmul(k0, self._neg_free[:, self._W.rows])
+        ``k0`` and ``W`` restricted to the exact rows, from the stored
+        nonzeros: K0·Δ_k is K0·(−Δ0[:, rows]), formed once, times X_k;
+        W∘Δ_{k−1} is the order step, on the exact rows' entries of W, from
+        the stored order k − 1; the two are summed on their (slot, key)
+        nonzeros.  No Δ_k term dict is built."""
+        upper = _columns(matmul(k0, self._neg_free[:, self._W.rows]))
         W = self._entries(W)
-        # K0·Δ_k on W's rows, where W∘Δ_{k−1} is added, and on the other
-        # rows of K0·(−Δ0) that are not 0
-        on, off = upper[W.rows], np.delete(upper, W.rows, axis=0)
-        off = off[off.astype(bool).any(axis=1)]
-        back = self._neg_free[np.ix_(W.cols, self._W.rows)]
+        back = _columns(self._neg_free[np.ix_(W.cols, self._W.rows)])
+        n = upper.n
         parts = []
         for g, stored in enumerate(self._blocks):
-            keys, y = self._first(g, W.cols)
+            y = self._first(g, W.cols)
             for k in range(1, self.order_count):
-                lk, lower = self._step(k - 1, keys, y, W)
+                lower = self._step(k - 1, y, W)
                 if k > len(stored):   # V_k is 0 on this group
-                    parts.append(max_abs(lower))
+                    parts.append(max_abs(lower.vals))
                     break
-                keys, x = stored[k - 1].keys, self._dense(stored[k - 1])
-                res = matmul(on, x)
-                at = np.minimum(np.searchsorted(keys, lk), len(keys) - 1)
-                hit = keys[at] == lk
-                # W∘Δ_{k−1} added at its nonzeros alone
-                r, c = np.nonzero(lower[:, hit])
-                res[r, at[hit][c]] += lower[:, hit][r, c]
-                parts += [max_abs(lower[:, ~hit]), max_abs(res),
-                          max_abs(matmul(off, x))]
+                x = stored[k - 1]
+                at, vals = _expanded(upper, x)
+                # both blocks' keys, each once, ascending
+                keys = np.sort(np.concatenate([x.keys, lower.keys]), kind="stable")
+                keys = keys[np.diff(keys, prepend=-1) != 0]
+                p, i = np.divmod(at, n)
+                q, r = np.divmod(lower.at, len(W.rows))
+                code = np.concatenate([np.searchsorted(keys, x.keys)[p] * n + i,
+                                       np.searchsorted(keys, lower.keys)[q] * n
+                                       + W.rows[r]])
+                _, sums = _summed(code, np.concatenate([vals, lower.vals]),
+                                  len(keys) * n)
+                parts.append(max_abs(sums))
                 if k + 1 < self.order_count:
-                    y = matmul(back, x)
+                    y = _product(back, x)
         return max_abs(np.array(parts))
 
 
@@ -490,10 +572,10 @@ def interacting_propagator(S: ActionFunctional,
     through the sparse, site-local W as the vertex product V_1 = W·Δ_0,
     V_k = W∘Δ_{k−1}, and Δ_k = (−Δ_0)·V_k: the sign is carried by the
     scalar matrix −Δ_0, and each product has a single monomial of W on
-    its left.  The series keeps the nonzeros of each V_k's column blocks,
-    built by one whole-array order step per lattice site and order, in
-    either arithmetic (:class:`InteractingKernel`), and builds no Δ_k term
-    dict until ``corrections`` is read.
+    its left.  The series keeps only the nonzeros of each V_k's column
+    blocks, built by one whole-array order step per lattice site and
+    order, in either arithmetic (:class:`InteractingKernel`), and builds
+    no Δ_k term dict until ``corrections`` is read.
 
     Rows of W outside Δ_0's ``exact_rows`` meet its zero columns and are
     dropped first.  Δ_0 has full column rank on its other columns,
@@ -513,12 +595,12 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise.
 
     The grade-0 block is K0·Δ0 − Id.  The grade-2k block is the residual
-    K0·Δ_k + W∘Δ_{k−1}, formed on the stored blocks of the series, each
-    made dense as it is read: K0·(−Δ0) is formed once and multiplies X_k,
-    and W∘Δ_{k−1} is recomputed by the order step from the stored order
-    k − 1, on the exact rows' entries of W.  So each order is checked
-    against the one before it, the last order too, and no Δ_k term dict
-    is built.  In rational mode every residual is exact.
+    K0·Δ_k + W∘Δ_{k−1}, summed from the stored nonzeros of the series:
+    K0·(−Δ0) is formed once and multiplies X_k, and W∘Δ_{k−1} is
+    recomputed by the order step from the stored order k − 1, on the
+    exact rows' entries of W.  So each order is checked against the one
+    before it, the last order too, and no block is made dense and no Δ_k
+    term dict is built.  In rational mode every residual is exact.
     """
     K0, W = S.second_kernel()
     rows = ik.free.exact_rows

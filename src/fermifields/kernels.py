@@ -103,9 +103,9 @@ class Kernel:
     def to_json(self, path) -> None:
         payload = {"kind": self.kind, "shape": list(self.mat.shape),
                    "entries": self._nonzeros()}
+        # one string, so the C encoder runs; json.dump to a file never uses it
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
     def __repr__(self):
         return f"Kernel({self.kind}, shape={self.mat.shape})"

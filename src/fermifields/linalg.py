@@ -35,13 +35,14 @@ nonzero, the int 0 in every other slot, sums that cancel included.
 
 from __future__ import annotations
 
-from math import gcd, lcm, ulp
+from math import frexp, gcd, lcm, ulp
 
 import numpy as np
 
 from .scalars import QC, Ring, _qc
 
-__all__ = ["ring_of", "zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs"]
+__all__ = ["ring_of", "zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs",
+           "scaled_complex"]
 
 _RATIONAL, _FLOAT = Ring("rational"), Ring("float")
 
@@ -113,6 +114,16 @@ def max_abs(a: np.ndarray) -> float:
     c = a[a.astype(bool)].astype(complex)
     worst = float(np.hypot(c.real, c.imag).max(initial=0.0))
     return ulp(0.0) if worst == 0.0 and c.size else worst
+
+
+def scaled_complex(a: np.ndarray):
+    """``(c, e)``: the ring array ``a`` read as complex floats and scaled
+    by 2^−e, e the binary exponent of its largest modulus (0 if it has
+    none), so that no square of an entry as large as the largest under-
+    or overflows.  The scaling is exact."""
+    c = a.astype(complex, copy=False)
+    e = frexp(float(np.abs(c).max(initial=0.0)))[1]
+    return np.ldexp(c.view(float), -e).view(complex), e
 
 
 def mat_inv(a: np.ndarray) -> np.ndarray:

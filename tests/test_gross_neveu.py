@@ -474,7 +474,7 @@ def _perturbed_block(ik, k, eps):
     that order."""
     order = [b for b in ik._blocks if len(b) > k][-1][k]
     exact = ik.free.exact_rows[ik._W.rows]
-    i = np.flatnonzero(exact[order.at // len(order.keys)])[-1]
+    i = np.flatnonzero(exact[order.at % len(ik._W.rows)])[-1]
     order.vals[i] += eps
     return ik
 
@@ -537,7 +537,7 @@ def float32_two_colors():
 @pytest.mark.parametrize("scaled", [False, True], ids=["series", "scaled"])
 def test_float_propagator_defect_matches_the_sparse_oracle(
         request, monkeypatch, series, orders, scaled):
-    """The float residual on dense blocks agrees with the sparse one to
+    """The float residual on the stored blocks agrees with the sparse one to
     1e-15, both on the series and on one whose stored blocks of order k
     are scaled by 1 + k/1000, where every grade-2k residual is far from
     0.  The sparse residual reads the corrections unpacked from the same
@@ -586,9 +586,9 @@ def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
     step = ik._step
 
     def recorded(k, *args):
-        keys, x = step(k, *args)
-        stepped.extend((k + 1, key) for key in keys.tolist())
-        return keys, x
+        order = step(k, *args)
+        stepped.extend((k + 1, key) for key in order.keys.tolist())
+        return order
 
     ik._step = recorded
     want = _sparse_defect(S, ik)
@@ -879,6 +879,13 @@ def _oracle_blocks(S, ik):
     return steps.tables, out
 
 
+def _dense(order, nrows):
+    """The dense (rows × keys) block of a stored order."""
+    x = np.zeros(len(order.keys) * nrows, dtype=complex)
+    x[order.at] = order.vals
+    return x.reshape(len(order.keys), nrows).T
+
+
 def _float_gn(nt, nx, ncolors, lam=0.125, g=None):
     fl = FieldLattice(Lattice(nt, nx, 1, 1), ncolors, "float")
     return build_gn_action(fl, GrossNeveuParams(lam=lam, m=0.75, g=g))
@@ -894,9 +901,13 @@ def test_stored_orders_match_the_per_monomial_oracle(nt, nx, ncolors, lam, g,
     """Per group and order, the stored nonzeros against the oracle's dense
     block: the same keys over the same word tables (words numbered in the
     same order of first appearance), every coefficient within
-    1e-15·max|c| of the order, and one stored entry per nonzero of the
-    oracle's block, so no zero is stored.  At λ = 0, W is empty and so
-    is every block."""
+    1e-15·max|c| of the order, no zero stored, and one stored entry per
+    entry of the oracle's block above that bound.  A cell whose exact
+    value is 0 reads as 0 or as rounding noise (below 1e-17·max|c| here)
+    depending on the order its products are summed in, and the oracle
+    forms Y = −Δ0·X_k by a BLAS product, the series by a sum over the
+    nonzeros of X_k, so the count leaves noise out.  At λ = 0, W is empty
+    and so is every block."""
     S = _float_gn(nt, nx, ncolors, lam, g)
     ik = interacting_propagator(S, max_grade)
     tables, want = _oracle_blocks(S, ik)
@@ -911,9 +922,10 @@ def test_stored_orders_match_the_per_monomial_oracle(nt, nx, ncolors, lam, g,
                 continue
             order, (keys, x) = stored[k - 1], blocks[k - 1]
             assert np.array_equal(order.keys, keys)
-            assert len(order.vals) == np.count_nonzero(x)
+            assert (np.count_nonzero(np.abs(order.vals) > bound)
+                    == np.count_nonzero(np.abs(x) > bound))
             assert np.all(order.vals != 0)
-            assert np.abs(ik._dense(order) - x).max() <= bound
+            assert np.abs(_dense(order, len(x)) - x).max() <= bound
 
 
 @pytest.mark.parametrize("nt, nx, ncolors, max_grade", [
@@ -946,7 +958,7 @@ def test_merge_tables_match_merge_words(nt, nx, ncolors, max_grade):
 @pytest.mark.parametrize("mode", ["float", "rational"])
 def test_cli_series_builds_no_element_kernel_product(tmp_path, monkeypatch, mode):
     """``propagators`` and ``gn-series`` form the series, its norms and its
-    defect on dense blocks alone, in either arithmetic."""
+    defect on the stored blocks alone, in either arithmetic."""
     from fermifields.cli import main
 
     def refuse(*args, **kwargs):
@@ -978,6 +990,64 @@ def test_per_order_norms_match_the_built_orders_in_rational():
     assert len(want) == 3
     for (_, _, got), ref in zip(norms[1:], want):
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_per_order_norms_read_an_order_whose_square_underflows(mode):
+    """At λ = 10⁻³⁰⁰ every |coefficient|² of V_1 is below the float range.
+    The norms read each order scaled by its largest modulus, so the k = 1
+    norm is 10⁻³⁰⁰ times the λ = 1 norm, to 1e-12 relative, not 0.0."""
+    def norms(lam):
+        fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
+        ring = fl.ring
+        S = build_gn_action(fl, GrossNeveuParams(lam=ring.number(lam),
+                                                 m=ring.number(Fraction(3, 4))))
+        return interacting_propagator(S, 4).per_order_norms()
+
+    tiny, one = norms(Fraction(1, 10**300)), norms(1)
+    assert tiny[1][:2] == (1, 2) and one[1][2] > 0.1
+    assert tiny[1][2] == pytest.approx(1e-300 * one[1][2], rel=1e-12, abs=0)
+
+
+def test_series_build_holds_no_dense_top_order_block():
+    """The 4x3 float grade-8 build's tracemalloc peak, less what the built
+    series keeps, stays below one dense (W rows × keys) block of its top
+    order, 24 × 17 874 complex slots (6.9 MB): no order is ever held
+    dense."""
+    import gc
+    import tracemalloc
+
+    S = _float_gn(4, 3, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ik = interacting_propagator(S, 8)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    top = max(len(b[-1].keys) for b in ik._blocks if b)
+    assert (len(ik._W.rows), top, ik.order_count) == (24, 17874, 5)
+    assert peak - kept < 24 * 17874 * 16
+
+
+def test_summed_takes_a_stable_order_either_way():
+    """The sort behind every sum over duplicate (row, key) products has two
+    ways: a value sort of code and position packed in one int64, and a
+    stable argsort where they do not fit.  Both give the distinct codes,
+    ascending, and the same sums bit for bit, each within 1e-14 of adding
+    its values (about eight, of modulus about 1) one by one."""
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    code = rng.integers(0, 50, 400)
+    want: dict = {}
+    for c, v in zip(code.tolist(), vals.tolist()):
+        want[c] = want.get(c, 0) + v
+    packed = gross_neveu._summed(code, vals, 50)
+    stable = gross_neveu._summed(code << 55, vals, 50 << 55)
+    assert packed[0].tolist() == sorted(want)
+    assert (stable[0] >> 55).tolist() == sorted(want)
+    assert np.array_equal(packed[1], stable[1])
+    assert np.abs(packed[1] - [want[c] for c in sorted(want)]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["retarded", "advanced"])
