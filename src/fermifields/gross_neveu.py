@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ldexp
+from math import frexp, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +17,7 @@ from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
 from .kernels import ElementKernel, Kernel
 from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
-from .linalg import matmul, max_abs, scaled_complex, zeros
+from .linalg import _ExactBlock, matmul, max_abs, ring_of, zeros
 
 __all__ = [
     "GrossNeveuParams", "InteractingKernel", "bilinear_element",
@@ -220,28 +220,51 @@ def _product(a: _Columns, x: _Order) -> _Order:
     return _nonzero(x.keys, *_summed(*_expanded(a, x), len(x.keys) * a.n))
 
 
-def _gram(x: _Order, vals: np.ndarray, n: int) -> np.ndarray:
-    """K = Σ conj(X)·Xᵀ of an n-row block whose nonzeros are ``vals`` at
-    ``x.at``, summed over the pairs of nonzeros that share a key: each
-    nonzero with itself, then with the one d places on, d = 1, 2, … while
-    some key holds d + 1 of them, and mirrored."""
+def _parts(a: np.ndarray):
+    """``(re, im, s)`` with ``a = (re + i·im)/s`` exactly: exact entries
+    as Python ints over the lcm of their denominators, float ones scaled
+    by 2^−e, e the binary exponent of the largest modulus, so that a
+    product of two parts as large as the largest neither under- nor
+    overflows."""
+    if ring_of(a).exact:
+        b = _ExactBlock.of(a)
+        return b.re, b.im, b.den
+    e = frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return np.ldexp(a.real, -e), np.ldexp(a.imag, -e), Fraction(2) ** -e
+
+
+def _square(x: _Order, gram, n: int) -> Fraction:
+    """Σ_p x_pᴴ·G·x_p over the keys p of the n-row block X, G Hermitian
+    and given by its :func:`_parts`: a sum over the pairs of stored
+    nonzeros v_i, v_j that share a key of Re conj(v_i)·G[r_i, r_j]·v_j,
+    each nonzero with itself once and every other pair twice.  Exact on
+    exact parts."""
+    gre, gim, gs = gram
+    re, im, s = _parts(x.vals)
     p, r = np.divmod(x.at, n)
-    m = np.bincount(r * (n + 1), vals.real * vals.real + vals.imag * vals.imag,
-                    n * n).astype(complex)
+    total = np.sum(gre[r, r] * (re * re + im * im))
     # the nonzeros of one key are adjacent: the pair (i, i + d) shares a
     # key when (i, i + d − 1) does and i + d is in the same key as i + d − 1
     same = p[1:] == p[:-1]
     pair, d = np.ones(len(p), dtype=bool), 1
     while (pair := pair[:-1] & same[d - 1:]).any():
-        prod = vals[:-d][pair]
-        np.conjugate(prod, out=prod)
-        prod *= vals[d:][pair]
-        code = r[:-d][pair] * n + r[d:][pair]
-        m += np.bincount(code, prod.real, n * n)
-        m += 1j * np.bincount(code, prod.imag, n * n)
+        i = np.flatnonzero(pair)
+        j = i + d
+        g = r[i], r[j]
+        total += 2 * np.sum(gre[g] * (re[i] * re[j] + im[i] * im[j])
+                            - gim[g] * (re[i] * im[j] - im[i] * re[j]))
         d += 1
-    m = m.reshape(n, n)
-    return m + m.conj().T - np.diag(m.diagonal())
+    return Fraction(total) / (gs * s * s)
+
+
+def _root(square: Fraction) -> float:
+    """√square rounded once to a float, 0.0 for a square <= 0: an integer
+    square root takes it exactly to 64 bits or more first."""
+    n, d = square.numerator, square.denominator
+    if n <= 0:
+        return 0.0
+    m = max(0, 66 + (d.bit_length() - n.bit_length()) // 2)
+    return isqrt((n << 2 * m) // d) / (1 << m)
 
 
 class _MergeTables:
@@ -365,9 +388,10 @@ class InteractingKernel:
     :attr:`corrections` is the one place Δ_k is built, as an
     :class:`~fermifields.kernels.ElementKernel`: it builds the orders not
     built yet, the first time it is read.  :meth:`per_order_norms` reads
-    no Δ_k: with the Gram matrix G = Δ0ᴴΔ0, ‖Δ_k‖_F² = Σ_{a,a'} G[a,a']
-    K_k[a,a'] where K_k = Σ conj(X)·Xᵀ over the blocks X of V_k, summed
-    in complex floats over the pairs of stored nonzeros that share a key.
+    no Δ_k: with the Gram matrix G = Δ0ᴴΔ0 on W's rows, ‖Δ_k‖_F² is
+    Σ_p x_pᴴ·G·x_p over the key columns x_p of the blocks of V_k, summed
+    over the pairs of stored nonzeros that share a key, exactly in
+    rational mode.
     """
 
     def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
@@ -403,25 +427,20 @@ class InteractingKernel:
     def per_order_norms(self) -> list:
         """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity.
 
-        Each K_k is summed from the stored nonzeros of order k scaled by
-        2^−e, e the binary exponent of their largest modulus (each site
-        group's part rescaled to the largest exactly, by a power of 2),
-        and the norm scaled back, so an order whose norm squared would
-        underflow still reads its norm."""
-        d0 = self.free.mat.astype(complex)
-        out = [(0, 0, float(np.sqrt(sum(abs(c) ** 2 for c in d0.ravel().tolist()))))]
+        Each square is summed from the exact parts of the stored values
+        (:func:`_parts`) into a ``Fraction`` over the site groups and
+        rooted once (:func:`_root`).  In rational mode it is exact, so
+        every norm is the exact norm rounded once; in either mode a norm
+        whose square is below the float range still reads."""
         rows = self._W.rows
-        gram = (d0.conj().T @ d0)[np.ix_(rows, rows)]
+        re, im, s = _parts(self.free.mat)
+        out = [(0, 0, _root(Fraction(np.sum(re * re + im * im)) / (s * s)))]
+        a = self.free.mat[:, rows]
+        gram = _parts(matmul(np.conjugate(a.T), a))
         for k in range(1, self.order_count):
-            parts = []          # per group: its K scaled by 2^−2f, and f
-            for stored in self._blocks:
-                if len(stored) >= k:
-                    vals, f = scaled_complex(stored[k - 1].vals)
-                    parts.append((_gram(stored[k - 1], vals, len(rows)), f))
-            e = max(f for _, f in parts)
-            k_k = sum(m * ldexp(1.0, 2 * (f - e)) for m, f in parts)
-            square = max(float(np.sum(gram * k_k).real), 0.0)
-            out.append((k, 2 * k, ldexp(square ** 0.5, e)))
+            out.append((k, 2 * k, _root(sum(
+                _square(stored[k - 1], gram, len(rows))
+                for stored in self._blocks if len(stored) >= k))))
         return out
 
     def __repr__(self):

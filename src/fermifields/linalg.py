@@ -35,14 +35,13 @@ nonzero, the int 0 in every other slot, sums that cancel included.
 
 from __future__ import annotations
 
-from math import frexp, gcd, lcm, ulp
+from math import gcd, lcm, ulp
 
 import numpy as np
 
 from .scalars import QC, Ring, _qc
 
-__all__ = ["ring_of", "zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs",
-           "scaled_complex"]
+__all__ = ["ring_of", "zeros", "eye", "kron2", "matmul", "mat_inv", "max_abs"]
 
 _RATIONAL, _FLOAT = Ring("rational"), Ring("float")
 
@@ -116,16 +115,6 @@ def max_abs(a: np.ndarray) -> float:
     return ulp(0.0) if worst == 0.0 and c.size else worst
 
 
-def scaled_complex(a: np.ndarray):
-    """``(c, e)``: the ring array ``a`` read as complex floats and scaled
-    by 2^−e, e the binary exponent of its largest modulus (0 if it has
-    none), so that no square of an entry as large as the largest under-
-    or overflows.  The scaling is exact."""
-    c = a.astype(complex, copy=False)
-    e = frexp(float(np.abs(c).max(initial=0.0)))[1]
-    return np.ldexp(c.view(float), -e).view(complex), e
-
-
 def mat_inv(a: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse with partial pivoting (exact in rational mode).
 
@@ -186,12 +175,15 @@ class _ExactBlock:
     def of(cls, a: np.ndarray) -> "_ExactBlock":
         """The block of an exact ring array (``QC`` entries, int 0 in
         empty slots) over the lcm of its entries' denominators."""
-        abd = [x._abd if x else (0, 0, 1) for x in a.ravel().tolist()]
-        den = lcm(*(d for _, _, d in abd))
+        abd = [x._abd if type(x) is QC else (0, 0, 1) for x in a.ravel().tolist()]
+        # one quotient per distinct denominator: there are few
+        scale = dict.fromkeys(d for _, _, d in abd)
+        den = lcm(*scale)
+        scale = {d: den // d for d in scale}
         re = np.empty(len(abd), dtype=object)
         im = np.empty(len(abd), dtype=object)
-        re[:] = [p * (den // d) for p, _, d in abd]
-        im[:] = [q * (den // d) for _, q, d in abd]
+        re[:] = [p * scale[d] for p, _, d in abd]
+        im[:] = [q * scale[d] for _, q, d in abd]
         return cls(re.reshape(a.shape), im.reshape(a.shape), den)
 
     def ring_array(self) -> np.ndarray:

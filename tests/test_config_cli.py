@@ -505,9 +505,10 @@ def test_cli_float_car_table_shadows_rational_at_3x3(tmp_path):
     assert max(abs(approx[k] - v) / (abs(v) or 1.0) for k, v in exact.items()) < 1e-12
 
 
-# sha256 of each rational output at 4x3 that does not go through numpy's
-# complex BLAS, the same values as the CI's EXPECTED_CLI_SHA256 list; the
-# per-order norm tables are left out
+# sha256 of each rational output at 4x3 of the propagators, car-table and
+# grade-4 gn-series runs, the same values as the CI's EXPECTED_CLI_SHA256
+# list; each norm in the two per-order norm tables is the exact norm
+# rounded once
 RATIONAL_4X3_SHA256 = {
     "car-table/car_table.csv": "a23ccc32151474fe1c63e90340e1b8be1399a4740336780257192758295285cf",
     "propagators/defects.csv": "69f273395e5d210bcd2fbe1fc1a95777432c78c0b86de667eef49324ef413ec1",
@@ -518,9 +519,11 @@ RATIONAL_4X3_SHA256 = {
     "propagators/free_retarded.csv": "b969df261e2dfefee3ca7a71a87dbd53caa1838de25c23fdd87e274def80b063",
     "propagators/free_retarded.json": "8ca2246a8df8e067ddb5b08aeb2ab0a9a46f5522b3226aac5a1cc7e9eb7bd785",
     "propagators/interacting_retarded_order0.csv": "b969df261e2dfefee3ca7a71a87dbd53caa1838de25c23fdd87e274def80b063",
+    "propagators/interacting_retarded_orders.csv": "23cd7dc2d90895e405e91cebf5c0688b9502086b48e292532d5827d92b91b816",
     "propagators/kg_retarded.csv": "1ebbc5c0ca27b5965c3c85f33780e1cf101045ee181ad7fd4a15a51c88360947",
     "propagators/kg_retarded.json": "284caa713dbea485b27eb9bc2cdb0260c396bdc5dc19ef8311325ccadd248f87",
     "gn-series-grade4/gn_moller_series.csv": "a6b4d55c5597822db88230b7cf4971c02272657938a37cdb8cbac8b2fd932b19",
+    "gn-series-grade4/gn_propagator_orders.csv": "ddfbaa89b24139f4e98b199d358750d3501daa9011ab1b61fd3043bcdecd4305",
 }
 
 

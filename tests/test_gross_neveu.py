@@ -1,5 +1,6 @@
 """Gross-Neveu actions, interacting kernels and brackets."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -673,10 +674,10 @@ def test_per_order_norms_match_the_built_orders_in_float(float43_order8):
 
 
 def test_per_order_norms_leave_the_last_order_unbuilt(float43_order8):
-    """The norms read the Gram matrices summed while the series was built:
-    no order step and no Δ_k.  The last order Δ_4 is built, from its
-    stored blocks and with no order step, the first time ``corrections``
-    is read, and then agrees with the sparse eager chain."""
+    """The norms read the stored blocks of the series: no order step and
+    no Δ_k.  The last order Δ_4 is built, from its stored blocks and with
+    no order step, the first time ``corrections`` is read, and then
+    agrees with the sparse eager chain."""
     f = float43_order8
     assert f.steps_at_norms == 0 and f.built == 0
     assert f.ik.order_count == 5 and max(len(b) for b in f.ik._blocks) == 4
@@ -860,10 +861,18 @@ class _PerMonomialSteps:
 def _oracle_blocks(S, ik):
     """The oracle's word tables and, per site group of ``ik``, its dense
     blocks (keys, X) of V_1, V_2, … up to the group's last nonzero order,
-    run from the same W, groups and sources as ``ik``."""
+    run from the same W, groups and sources as ``ik``.
+
+    The next input Y = −Δ0[cols, rows]·X is summed over the nonzeros of
+    X in the order the series sums it (``gross_neveu._product``), once it
+    is checked against the BLAS product to 1e-15 of its largest modulus:
+    a cell whose exact value is 0 reads 0 or rounding noise depending on
+    the order its products are summed in, and so do the cells of the next
+    order that it reaches."""
     _, W = S.second_kernel()
     W = W.restrict_rows([any(col) for col in ik.free.mat.T])
     rows, cols, parts = _split(W)
+    back = ik._neg_free[np.ix_(cols, rows)]
     steps = _PerMonomialSteps()
     out = []
     for group in ik._groups:
@@ -874,9 +883,18 @@ def _oracle_blocks(S, ik):
             if not x.any():
                 break
             blocks.append((keys, x))
-            y = ik._neg_free[np.ix_(cols, rows)] @ x
+            y = _dense(gross_neveu._product(gross_neveu._columns(back),
+                                            _nonzeros(keys, x)), len(cols))
+            blas = back @ x
+            assert np.abs(y - blas).max() <= 1e-15 * np.abs(blas).max()
         out.append(blocks)
     return steps.tables, out
+
+
+def _nonzeros(keys, x):
+    """The stored order of a dense (rows × keys) block."""
+    at = np.flatnonzero(x.T)
+    return gross_neveu._Order(keys, at, x.T.ravel()[at])
 
 
 def _dense(order, nrows):
@@ -901,13 +919,9 @@ def test_stored_orders_match_the_per_monomial_oracle(nt, nx, ncolors, lam, g,
     """Per group and order, the stored nonzeros against the oracle's dense
     block: the same keys over the same word tables (words numbered in the
     same order of first appearance), every coefficient within
-    1e-15·max|c| of the order, no zero stored, and one stored entry per
-    entry of the oracle's block above that bound.  A cell whose exact
-    value is 0 reads as 0 or as rounding noise (below 1e-17·max|c| here)
-    depending on the order its products are summed in, and the oracle
-    forms Y = −Δ0·X_k by a BLAS product, the series by a sum over the
-    nonzeros of X_k, so the count leaves noise out.  At λ = 0, W is empty
-    and so is every block."""
+    1e-15·max|c| of the order, and one stored entry per nonzero of the
+    oracle's block, so no zero is stored.  At λ = 0, W is empty and so is
+    every block."""
     S = _float_gn(nt, nx, ncolors, lam, g)
     ik = interacting_propagator(S, max_grade)
     tables, want = _oracle_blocks(S, ik)
@@ -922,8 +936,7 @@ def test_stored_orders_match_the_per_monomial_oracle(nt, nx, ncolors, lam, g,
                 continue
             order, (keys, x) = stored[k - 1], blocks[k - 1]
             assert np.array_equal(order.keys, keys)
-            assert (np.count_nonzero(np.abs(order.vals) > bound)
-                    == np.count_nonzero(np.abs(x) > bound))
+            assert len(order.vals) == np.count_nonzero(x)
             assert np.all(order.vals != 0)
             assert np.abs(_dense(order, len(x)) - x).max() <= bound
 
@@ -976,9 +989,10 @@ def test_cli_series_builds_no_element_kernel_product(tmp_path, monkeypatch, mode
 
 
 def test_per_order_norms_match_the_built_orders_in_rational():
-    """The norms read the Gram sums of the blocks and build no Δ_k; the
-    orders built afterwards equal the sparse eager chain term for term,
-    and their norms match."""
+    """The norms read the stored blocks and build no Δ_k; the orders built
+    afterwards equal the sparse eager chain term for term, and every norm,
+    Δ0's too, is their exact Frobenius norm rounded once to a float (here
+    by a 60-digit decimal root)."""
     fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
     S = build_gn_action(fl, GrossNeveuParams(lam=Fraction(1, 3),
                                              m=Fraction(3, 4)))
@@ -986,17 +1000,22 @@ def test_per_order_norms_match_the_built_orders_in_rational():
     norms = ik.per_order_norms()
     assert max(len(b) for b in ik._blocks) == 3 and not ik._corrections
     _assert_same_entries(ik.corrections, _eager_orders(S, "retarded", 6))
-    want = _reference_norms(ik)
-    assert len(want) == 3
-    for (_, _, got), ref in zip(norms[1:], want):
-        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+    squares = [sum(c.re ** 2 + c.im ** 2 for c in ik.free.mat.ravel().tolist() if c)]
+    squares += [sum(c.re ** 2 + c.im ** 2 for e in corr.entries.values()
+                    for _, c in e.items()) for corr in ik.corrections]
+    with localcontext(prec=60):
+        want = [float((Decimal(q.numerator) / q.denominator).sqrt())
+                for q in squares]
+    assert norms == [(k, 2 * k, v) for k, v in enumerate(want)]
+    assert len(want) == 4
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_per_order_norms_read_an_order_whose_square_underflows(mode):
     """At λ = 10⁻³⁰⁰ every |coefficient|² of V_1 is below the float range.
-    The norms read each order scaled by its largest modulus, so the k = 1
-    norm is 10⁻³⁰⁰ times the λ = 1 norm, to 1e-12 relative, not 0.0."""
+    The norms sum each square exactly in rational mode and on parts
+    scaled by a power of 2 in float mode, so the k = 1 norm is 10⁻³⁰⁰
+    times the λ = 1 norm, to 1e-12 relative, not 0.0."""
     def norms(lam):
         fl = FieldLattice(Lattice(3, 3, 1, 1), 1, mode)
         ring = fl.ring

@@ -11,8 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermifields.linalg import (_ExactBlock, eye, mat_inv, matmul, max_abs,
-                               scaled_complex, zeros)
+from fermifields.linalg import _ExactBlock, eye, mat_inv, matmul, max_abs, zeros
 from fermifields.scalars import QC, Ring
 
 RAT = Ring("rational")
@@ -71,24 +70,6 @@ def test_max_abs_reads_zero_only_for_no_nonzero_entry():
 # -- matmul ------------------------------------------------------------------
 
 SHAPES = [(1, 1, 1), (3, 5, 2), (1, 4, 6), (6, 1, 3), (7, 7, 7), (4, 9, 5)]
-
-
-def test_scaled_complex_keeps_entries_whose_squares_underflow():
-    """Entries times 2^−e, e the exponent of the largest modulus: float
-    moduli near 1e-200, whose squares underflow, and exact ones near
-    1e-300 read as floats, are scaled exactly, the largest to [1/2, 1);
-    an all-zero array keeps e = 0."""
-    f = np.array([3e-200 + 4e-200j, 0, -1e-201j])
-    a = zeros(3, RAT)
-    a[0] = QC(Fraction(3, 10**300), Fraction(4, 10**300))
-    a[2] = QC(0, Fraction(-1, 10**301))
-    for x in (f, a):
-        c, e = scaled_complex(x)
-        assert 0.5 <= np.abs(c).max() < 1
-        want = x.astype(complex)
-        assert np.array_equal(np.ldexp(c.view(float), e), want.view(float))
-    assert scaled_complex(zeros(2, RAT))[1] == 0
-    assert scaled_complex(np.zeros(2, complex))[1] == 0
 
 
 @pytest.mark.parametrize("n,k,m", SHAPES)
