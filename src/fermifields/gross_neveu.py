@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import frexp, isqrt
 from typing import NamedTuple
 
@@ -133,6 +134,7 @@ def build_gn_action(fl: FieldLattice, params: GrossNeveuParams) -> ActionFunctio
 _SHIFT = 32
 _WORD = (1 << _SHIFT) - 1
 _UNFILLED = np.iinfo(np.int64).min   # a merge-table entry not filled yet
+_FILL_BATCH = 4096                    # merge-table pairs filled per batch
 
 
 class _Entries(NamedTuple):
@@ -183,6 +185,15 @@ def _runs(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Whether each entry of a sorted array differs from the one before it;
+    the first one does."""
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
+
+
 def _summed(code: np.ndarray, vals: np.ndarray, span: int):
     """The distinct codes, ascending, and the sum of ``vals`` on each, its
     terms in the order given; every code is below ``span``."""
@@ -195,7 +206,7 @@ def _summed(code: np.ndarray, vals: np.ndarray, span: int):
     else:
         order = np.argsort(code, kind="stable")
         code = code[order]
-    first = np.flatnonzero(np.diff(code, prepend=-1))
+    first = np.flatnonzero(_starts(code))
     return code[first], np.add.reduceat(vals[order], first)
 
 
@@ -257,6 +268,17 @@ def _square(x: _Order, gram, n: int) -> Fraction:
     return Fraction(total) / (gs * s * s)
 
 
+def _translated(words: np.ndarray, perm: np.ndarray):
+    """Each row of increasing generator ordinals under the slot permutation
+    ``perm``, re-sorted, and whether its Koszul sign is odd: one
+    transposition per pair of generators that ``perm`` puts out of order."""
+    moved = perm[words]
+    i, j = np.triu_indices(words.shape[1], 1)
+    odd = (moved[:, i] > moved[:, j]).sum(axis=1) % 2
+    moved.sort(axis=1)
+    return moved, odd
+
+
 def _root(square: Fraction) -> float:
     """√square rounded once to a float, 0.0 for a square <= 0: an integer
     square root takes it exactly to 64 bits or more first."""
@@ -275,8 +297,9 @@ class _MergeTables:
     increasing generator ordinals per id.  ``merge[k][m, u]`` is ±(id + 1)
     of monomial m ∧ word u in order k+1's table, the sign its Koszul
     sign, or 0 where the two share a generator, and ``_UNFILLED`` until it
-    is filled.  Entries are filled by array arithmetic, for a whole batch
-    of (monomial, word) pairs at once.
+    is filled.  Entries are filled by array arithmetic, in batches of at
+    most ``_FILL_BATCH`` (monomial, word) pairs, so that a fill's arrays
+    stay small however many pairs an order step meets.
     """
 
     def __init__(self):
@@ -326,16 +349,30 @@ class _MergeTables:
         todo = np.zeros(len(merge), dtype=bool)
         todo[at] = True
         at = np.flatnonzero(todo)
-        m, u = np.divmod(at, self.merge[k].shape[1])
+        del todo
+        # in batches, so the pairs' arrays stay small whatever their count
+        for lo in range(0, len(at), _FILL_BATCH):
+            batch = at[lo:lo + _FILL_BATCH]
+            merge[batch] = self._merged(k, *np.divmod(batch, self.merge[k].shape[1]))
+
+    def _merged(self, k: int, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """±(id + 1) of monomial m ∧ order-k word u per pair, 0 where they
+        share a generator, numbering new words in order."""
         a, b = self.monomials[m], self.words[k][u]
-        apart = ~(a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
-        a, b = a[apart], b[apart]
-        # Koszul sign of w ∧ u: one transposition per a ∈ w, b ∈ u, b < a
-        odd = (b[:, None, :] < a[:, :, None]).sum(axis=(1, 2)) % 2
+        # one column pair at a time: whether w and u share a generator, and
+        # the Koszul sign of w ∧ u, one transposition per a ∈ w, b ∈ u, b < a
+        shared = np.zeros(len(m), dtype=bool)
+        odd = np.zeros(len(m), dtype=bool)
+        for j in range(a.shape[1]):
+            for i in range(b.shape[1]):
+                shared |= b[:, i] == a[:, j]
+                odd ^= b[:, i] < a[:, j]
+        apart = ~shared
+        a, b, odd = a[apart], b[apart], odd[apart]
+        out = np.zeros(len(m), dtype=np.int64)
         ids = self._intern(k + 1, np.sort(np.concatenate([a, b], axis=1), axis=1))
-        out = np.zeros(len(at), dtype=np.int64)
-        out[apart] = (ids + 1) * (1 - 2 * odd)
-        merge[at] = out
+        out[apart] = np.where(odd, -1 - ids, 1 + ids)
+        return out
 
     def _intern(self, k: int, words: np.ndarray) -> np.ndarray:
         """Order k's id of each word, numbering new ones by first appearance."""
@@ -347,12 +384,13 @@ class _MergeTables:
         # count and grade
         words = np.ascontiguousarray(words)
         raw = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
-        fresh = [w for w in dict.fromkeys(raw) if w not in ids]
-        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
-        got = np.fromiter(map(ids.__getitem__, raw), dtype=np.int64, count=len(raw))
-        if fresh:
-            _, first = np.unique(got, return_index=True)
-            self.words[k] = np.concatenate([self.words[k], words[first[-len(fresh):]]])
+        start = len(ids)
+        got = np.fromiter((ids.setdefault(w, len(ids)) for w in raw),
+                          dtype=np.int64, count=len(raw))
+        if len(ids) > start:
+            fresh = np.frombuffer(b"".join(islice(ids, start, None)), dtype=np.int64)
+            self.words[k] = np.concatenate(
+                [self.words[k], fresh.reshape(len(ids) - start, -1)])
         return got
 
 
@@ -369,10 +407,15 @@ class InteractingKernel:
     numbered in a table of their own (:class:`_MergeTables`), and a block
     of V_k is a matrix over W's rows whose columns are keys ``column << 32
     | word id``.  The live source columns of Δ0, its exact rows, are
-    grouped by lattice site; each group runs through every order before
-    the next group starts, one block per group and order.  A block is
-    only ever held as its nonzeros (:class:`_Order`), from the order step
-    that makes it to the last read.
+    grouped by lattice site, one block per group and order.  ``shift`` is
+    a slot permutation that maps the series onto itself (the translation
+    x → x + 1, or the identity), and it sorts the groups into orbits:
+    only the first group of each orbit is built, running through every
+    order before the next one starts.  Every other group is that group's
+    n-th translate, and :meth:`_order` maps its blocks where they are
+    read.  With the identity every group is its own orbit and is built.
+    A block is only ever held as its nonzeros (:class:`_Order`), from the
+    order step that makes it to the last read.
 
     One order step, V_{k+1} = W∘Δ_k, is one pass of whole-array numpy
     calls, whatever W's monomial count: it takes Δ_k on W's columns
@@ -386,16 +429,16 @@ class InteractingKernel:
     :mod:`~fermifields.linalg`; their dtype is the only difference.
 
     :attr:`corrections` is the one place Δ_k is built, as an
-    :class:`~fermifields.kernels.ElementKernel`: it builds the orders not
-    built yet, the first time it is read.  :meth:`per_order_norms` reads
-    no Δ_k: with the Gram matrix G = Δ0ᴴΔ0 on W's rows, ‖Δ_k‖_F² is
-    Σ_p x_pᴴ·G·x_p over the key columns x_p of the blocks of V_k, summed
-    over the pairs of stored nonzeros that share a key, exactly in
-    rational mode.
+    :class:`~fermifields.kernels.ElementKernel`, from every group's
+    blocks: it builds the orders not built yet, the first time it is
+    read.  :meth:`per_order_norms` reads no Δ_k: with the Gram matrix
+    G = Δ0ᴴΔ0 on W's rows, ‖Δ_k‖_F² is Σ_p x_pᴴ·G·x_p over the key
+    columns x_p of the blocks of V_k, summed over the pairs of stored
+    nonzeros that share a key, exactly in rational mode, once per orbit.
     """
 
     def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
-                 W: ElementKernel):
+                 W: ElementKernel, shift: np.ndarray):
         self.fl = fl
         self.max_grade = max_grade
         self.free = free
@@ -409,8 +452,28 @@ class InteractingKernel:
         for j in np.flatnonzero(free.exact_rows).tolist():
             groups.setdefault(sites[j], []).append(j)
         self._groups = [np.array(g, dtype=np.int64) for g in groups.values()]
-        # per group: the _Order of V_1, V_2, … up to its last nonzero order
-        self._blocks = [self._build(g) for g in range(len(self._groups))]
+        # per group: (its orbit, n), the group being the shift's n-th
+        # translate of the orbit's first group
+        index = {s: g for g, s in enumerate(groups)}
+        step = [index[sites[shift[j[0]]]] for j in self._groups]
+        self._orbit: list = [None] * len(self._groups)
+        first = []
+        for g in range(len(self._groups)):
+            h, n = g, 0
+            while self._orbit[h] is None:
+                self._orbit[h], h, n = (len(first), n), step[h], n + 1
+            if n:
+                first.append(g)
+        # the shift's n-th power on slots and on the positions of W's rows
+        powers = [np.arange(fl.n_slots)]
+        while len(powers) <= max((n for _, n in self._orbit), default=0):
+            powers.append(shift[powers[-1]])
+        self._shifts = [(p, np.searchsorted(self._W.rows, p[self._W.rows]))
+                        for p in powers]
+        self._moves: dict = {}    # (n, k) -> ±(id + 1) of each moved word
+        # per orbit: the _Order of V_1, V_2, … of its first group, up to
+        # its last nonzero order
+        self._blocks = [self._build(g) for g in first]
 
     @property
     def corrections(self) -> list:
@@ -428,8 +491,9 @@ class InteractingKernel:
         """(k, grade, ‖Δ_k‖_F) rows, the k >= 1 norms by the Gram identity.
 
         Each square is summed from the exact parts of the stored values
-        (:func:`_parts`) into a ``Fraction`` over the site groups and
-        rooted once (:func:`_root`).  In rational mode it is exact, so
+        (:func:`_parts`) into a ``Fraction``, once per orbit and counted
+        once for each of its site groups, whose squares are all equal,
+        and rooted once (:func:`_root`).  In rational mode it is exact, so
         every norm is the exact norm rounded once; in either mode a norm
         whose square is below the float range still reads."""
         rows = self._W.rows
@@ -437,11 +501,58 @@ class InteractingKernel:
         out = [(0, 0, _root(Fraction(np.sum(re * re + im * im)) / (s * s)))]
         a = self.free.mat[:, rows]
         gram = _parts(matmul(np.conjugate(a.T), a))
+        size = [0] * len(self._blocks)
+        for o, _ in self._orbit:
+            size[o] += 1
         for k in range(1, self.order_count):
             out.append((k, 2 * k, _root(sum(
-                _square(stored[k - 1], gram, len(rows))
-                for stored in self._blocks if len(stored) >= k))))
+                size[o] * _square(stored[k - 1], gram, len(rows))
+                for o, stored in enumerate(self._blocks) if len(stored) >= k))))
         return out
+
+    def _depth(self, g: int) -> int:
+        """The number of nonzero orders of group g."""
+        return len(self._blocks[self._orbit[g][0]])
+
+    def _order(self, g: int, k: int) -> _Order:
+        """The block of V_k of group g: stored for an orbit's first group,
+        else mapped from it by the shift's n-th power.  A nonzero moves to
+        its translated row and column, its word to the translated word,
+        re-sorted and numbered in order k's table, its value taking the
+        Koszul sign of the re-sort; the block is then sorted again."""
+        o, n = self._orbit[g]
+        x = self._blocks[o][k - 1]
+        if not n:
+            return x
+        slots, rows = self._shifts[n]
+        word = self._moved(n, k, x.keys & _WORD)
+        keys = slots[x.keys >> _SHIFT] << _SHIFT | (np.abs(word) - 1)
+        order = np.argsort(keys)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        p, r = np.divmod(x.at, len(rows))
+        vals = x.vals.copy()
+        np.negative(vals, out=vals, where=word[p] < 0)
+        # every position is distinct, so the sums are the values re-sorted
+        return _Order(keys[order], *_summed(rank[p] * len(rows) + rows[r], vals,
+                                            len(keys) * len(rows)))
+
+    def _moved(self, n: int, k: int, u: np.ndarray) -> np.ndarray:
+        """±(id + 1) of each order-k word u under the shift's n-th power,
+        the sign its Koszul sign; kept per (n, k) as the words are met."""
+        words = self._tables.words[k]
+        table = self._moves.get((n, k), np.zeros(0, dtype=np.int64))
+        if len(table) < len(words):
+            table = np.concatenate(
+                [table, np.full(len(words) - len(table), _UNFILLED)])
+            self._moves[n, k] = table
+        todo = np.zeros(len(table), dtype=bool)
+        todo[u] = True
+        todo = np.flatnonzero(todo & (table == _UNFILLED))
+        if len(todo):
+            moved, odd = _translated(words[todo], self._shifts[n][0])
+            table[todo] = (self._tables._intern(k, moved) + 1) * (1 - 2 * odd)
+        return table[u]
 
     def __repr__(self):
         return (f"InteractingKernel(orders={self.order_count}, "
@@ -514,27 +625,28 @@ class InteractingKernel:
         # one sort by (column rank, new word id, row) sums the products and
         # gives the new keys in order
         col = y.keys >> _SHIFT
-        cols = col[np.flatnonzero(np.diff(col, prepend=-1))]
+        cols = col[_starts(col)]
         n, nrows = len(self._tables.words[k + 1]), len(W.rows)
         code, vals = _summed(
             (np.searchsorted(cols, col)[p] * n + np.abs(merged) - 1) * nrows + W.row[e],
             value, len(cols) * n * nrows)
         key, row = np.divmod(code, nrows)
-        new = np.diff(key, prepend=-1) != 0
+        new = _starts(key)
         key = key[new]
         return _nonzero((cols[key // n] << _SHIFT) | (key % n),
                         (np.cumsum(new) - 1) * nrows + row, vals)
 
     def _correction(self, k: int) -> ElementKernel:
-        """Δ_k = −Δ0[:, rows]·X_k from the stored nonzeros, unpacked into
-        term dicts column by column, each column's rows ascending."""
+        """Δ_k = −Δ0[:, rows]·X_k from every group's nonzeros, stored or
+        mapped, unpacked into term dicts column by column, each column's
+        rows ascending."""
+        blocks = [self._order(g, k) for g in range(len(self._groups))
+                  if k <= self._depth(g)]
         words = list(map(tuple, self._tables.words[k].tolist()))
         to_slots = _columns(self._neg_free[:, self._W.rows])
         acc: dict = {}
-        for stored in self._blocks:
-            if k > len(stored):
-                continue
-            d = _product(to_slots, stored[k - 1])
+        for x in blocks:
+            d = _product(to_slots, x)
             p, slot = np.divmod(d.at, to_slots.n)
             col = (d.keys >> _SHIFT)[p]
             order = np.lexsort((slot, col))   # stable: word ids stay ascending
@@ -546,28 +658,29 @@ class InteractingKernel:
 
     def _defect(self, k0: np.ndarray, W: ElementKernel) -> float:
         """max |K0·Δ_k + W∘Δ_{k−1}| over every order k and column, with
-        ``k0`` and ``W`` restricted to the exact rows, from the stored
-        nonzeros: K0·Δ_k is K0·(−Δ0[:, rows]), formed once, times X_k;
-        W∘Δ_{k−1} is the order step, on the exact rows' entries of W, from
-        the stored order k − 1; the two are summed on their (slot, key)
-        nonzeros.  No Δ_k term dict is built."""
+        ``k0`` and ``W`` restricted to the exact rows, from every group's
+        nonzeros as :meth:`_order` reads them: K0·Δ_k is K0·(−Δ0[:, rows]),
+        formed once, times X_k; W∘Δ_{k−1} is the order step, on the exact
+        rows' entries of W, from the group's order k − 1; the two are
+        summed on their (slot, key) nonzeros.  No Δ_k term dict is
+        built."""
         upper = _columns(matmul(k0, self._neg_free[:, self._W.rows]))
         W = self._entries(W)
         back = _columns(self._neg_free[np.ix_(W.cols, self._W.rows)])
         n = upper.n
         parts = []
-        for g, stored in enumerate(self._blocks):
+        for g in range(len(self._groups)):
             y = self._first(g, W.cols)
             for k in range(1, self.order_count):
                 lower = self._step(k - 1, y, W)
-                if k > len(stored):   # V_k is 0 on this group
+                if k > self._depth(g):   # V_k is 0 on this group
                     parts.append(max_abs(lower.vals))
                     break
-                x = stored[k - 1]
+                x = self._order(g, k)
                 at, vals = _expanded(upper, x)
                 # both blocks' keys, each once, ascending
                 keys = np.sort(np.concatenate([x.keys, lower.keys]), kind="stable")
-                keys = keys[np.diff(keys, prepend=-1) != 0]
+                keys = keys[_starts(keys)]
                 p, i = np.divmod(at, n)
                 q, r = np.divmod(lower.at, len(W.rows))
                 code = np.concatenate([np.searchsorted(keys, x.keys)[p] * n + i,
@@ -600,25 +713,59 @@ def interacting_propagator(S: ActionFunctional,
     dropped first.  Δ_0 has full column rank on its other columns,
     so Δ_k = 0 exactly when V_k = 0, and a zero V_k ends the series.
     The advanced series is not built: see :func:`interacting_causal`.
+
+    The lattice is periodic in x.  When the translation τ: x → x + 1 is
+    a symmetry of the series' inputs (:func:`_translation`), one site per
+    time slice is built and the others are mapped from it where they are
+    read; else every site is built, by the same code.
     """
     if max_grade % 2 != 0:
         raise ValueError("max_grade must be even (entries are Grassmann-even)")
     fl = S.fl
     free = dirac_green(fl, S.meta["m"], "retarded")
-    _, W = S.second_kernel()
+    K0, W = S.second_kernel()
     W = W.restrict_rows(free.exact_rows)
-    return InteractingKernel(fl, max_grade, free, W)
+    return InteractingKernel(fl, max_grade, free, W,
+                             _translation(fl, K0.mat, W, free.exact_rows))
+
+
+def _translation(fl: FieldLattice, k0: np.ndarray, W: ElementKernel,
+                 live: np.ndarray) -> np.ndarray:
+    """The slot permutation τ of the translation x → x + 1 when it is a
+    symmetry of the series, else the identity.  It is one when K0[τ, τ] =
+    K0 exactly, W[τi, τa] is W[i, a] with τ on each word, re-sorted and
+    given its Koszul sign, and the live columns ``live`` of Δ0 are
+    τ-invariant.  Δ0 itself is not compared: in float mode it is the
+    translate of itself only to rounding."""
+    lat = fl.lattice
+    tau = np.array([fl.slot(g.species, g.color,
+                            lat.site(g.site // lat.nx, g.site % lat.nx + 1),
+                            g.component) for g in fl.algebra.generators])
+    terms = {(i, a, w): c for (i, a), e in W.entries.items() for w, c in e.items()}
+    image: dict = {}
+    if terms:
+        rows, cols, words = map(list, zip(*terms))
+        moved, odd = _translated(np.array(words, dtype=np.int64), tau)
+        image = {key: -c if o else c for key, o, c in zip(
+            zip(tau[rows].tolist(), tau[cols].tolist(), map(tuple, moved.tolist())),
+            odd.tolist(), terms.values())}
+    if (np.array_equal(live[tau], live) and np.array_equal(k0[np.ix_(tau, tau)], k0)
+            and image == terms):
+        return tau
+    return np.arange(fl.n_slots)
 
 
 def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise.
 
     The grade-0 block is K0·Δ0 − Id.  The grade-2k block is the residual
-    K0·Δ_k + W∘Δ_{k−1}, summed from the stored nonzeros of the series:
-    K0·(−Δ0) is formed once and multiplies X_k, and W∘Δ_{k−1} is
-    recomputed by the order step from the stored order k − 1, on the
-    exact rows' entries of W.  So each order is checked against the one
-    before it, the last order too, and no block is made dense and no Δ_k
+    K0·Δ_k + W∘Δ_{k−1}, summed from the nonzeros of every site group's
+    blocks, stored or mapped by the translation: K0·(−Δ0) is formed once
+    and multiplies X_k, and W∘Δ_{k−1} is recomputed by the order step
+    from the group's order k − 1, on the exact rows' entries of W.  So
+    each order is checked against the one before it, the last order too,
+    and on a mapped group the step runs on mapped words: a step that is
+    not translation-covariant fails.  No block is made dense and no Δ_k
     term dict is built.  In rational mode every residual is exact.
     """
     K0, W = S.second_kernel()

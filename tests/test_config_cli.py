@@ -505,12 +505,14 @@ def test_cli_float_car_table_shadows_rational_at_3x3(tmp_path):
     assert max(abs(approx[k] - v) / (abs(v) or 1.0) for k, v in exact.items()) < 1e-12
 
 
-# sha256 of each rational output at 4x3 of the propagators, car-table and
-# grade-4 gn-series runs, the same values as the CI's EXPECTED_CLI_SHA256
-# list; each norm in the two per-order norm tables is the exact norm
-# rounded once
+# sha256 of each rational output at 4x3 of the propagators, car-table,
+# gn-series and grade-4 gn-series runs, all 16 of the CI's
+# EXPECTED_CLI_SHA256 list, with the same values; each norm in the three
+# per-order norm tables is the exact norm rounded once
 RATIONAL_4X3_SHA256 = {
     "car-table/car_table.csv": "a23ccc32151474fe1c63e90340e1b8be1399a4740336780257192758295285cf",
+    "gn-series/gn_moller_series.csv": "952ad4b1bfd7ee75409a6d5a8b18e9863f347bda756be564e4504e9a2237a92b",
+    "gn-series/gn_propagator_orders.csv": "d28835e23be9c173200311b5e994a1d56d553bebba266932017a1a7b1af7584e",
     "propagators/defects.csv": "69f273395e5d210bcd2fbe1fc1a95777432c78c0b86de667eef49324ef413ec1",
     "propagators/free_advanced.csv": "fbd8e65d12b8c361244b5ad17c6332968421b74700c2bc749f0087b9f65cb130",
     "propagators/free_advanced.json": "f5050701105199b681cd15b57c00d7e83df1dbe61ea99dd939fdff34d29e9d97",
@@ -528,14 +530,16 @@ RATIONAL_4X3_SHA256 = {
 
 
 def test_cli_rational_4x3_outputs_keep_their_hashes(tmp_path):
-    """propagators, car-table and gn-series (max_grade 4) at the rational
-    4x3 config write the bytes whose hashes the CI lists."""
+    """propagators, car-table and gn-series (at the default grade and at
+    max_grade 4) at the rational 4x3 config write the bytes whose hashes
+    the CI lists."""
     text = ("lattice.nt = 4\nlattice.nx = 3\nlattice.dt = 1/2\n"
             "mass = 3/4\nlambda = 1/8\narithmetic = rational\n")
     p = write(tmp_path, text)
     grade4 = write(tmp_path, text + "truncation.max_grade = 4\n", "grade4.cfg")
     for out, cmd, cfg in (("propagators", "propagators", p),
                           ("car-table", "car-table", p),
+                          ("gn-series", "gn-series", p),
                           ("gn-series-grade4", "gn-series", grade4)):
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

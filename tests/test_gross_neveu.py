@@ -1,5 +1,6 @@
 """Gross-Neveu actions, interacting kernels and brackets."""
 
+import csv
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
@@ -470,9 +471,9 @@ def test_suite_gn_quartic_canonical_identity_is_exact(monkeypatch):
 
 
 def _perturbed_block(ik, k, eps):
-    """``ik`` with ``eps`` added to one coefficient of the block of V_{k+1}:
-    the last nonzero one on an exact row of the last group that reaches
-    that order."""
+    """``ik`` with ``eps`` added to one coefficient of the stored block of
+    V_{k+1}: the last nonzero one on an exact row of the last orbit that
+    reaches that order, so every group of that orbit reads it moved."""
     order = [b for b in ik._blocks if len(b) > k][-1][k]
     exact = ik.free.exact_rows[ik._W.rows]
     i = np.flatnonzero(exact[order.at % len(ik._W.rows)])[-1]
@@ -596,7 +597,7 @@ def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
     assert want > 1e-6
     monkeypatch.setattr(Kernel, "identity_defect", lambda self, op: 0.0)
     assert abs(propagator_defect(S, ik) - want) <= 1e-15 * max(want, 1.0)
-    stored = {(k, key) for b in ik._blocks for k, order in enumerate(b, 1)
+    stored = {(k, key) for b in _group_orders(ik) for k, order in enumerate(b, 1)
               for key in order.keys.tolist()}
     if g is None:
         assert set(stepped) < stored
@@ -904,6 +905,20 @@ def _dense(order, nrows):
     return x.reshape(len(order.keys), nrows).T
 
 
+def _group_orders(ik):
+    """Per site group of ``ik``, its blocks of V_1, V_2, … as the accessor
+    returns them: stored for an orbit's first group, mapped for the rest."""
+    return [[ik._order(g, k) for k in range(1, ik._depth(g) + 1)]
+            for g in range(len(ik._groups))]
+
+
+def _by_word(keys, x, words):
+    """A dense (rows × keys) block as {(column, word): its column of X},
+    each word id read in the table ``words``."""
+    return {(key >> gross_neveu._SHIFT, words[key & gross_neveu._WORD]): x[:, i]
+            for i, key in enumerate(keys.tolist())}
+
+
 def _float_gn(nt, nx, ncolors, lam=0.125, g=None):
     fl = FieldLattice(Lattice(nt, nx, 1, 1), ncolors, "float")
     return build_gn_action(fl, GrossNeveuParams(lam=lam, m=0.75, g=g))
@@ -916,29 +931,130 @@ def _float_gn(nt, nx, ncolors, lam=0.125, g=None):
          "4x3-lambda0"])
 def test_stored_orders_match_the_per_monomial_oracle(nt, nx, ncolors, lam, g,
                                                       max_grade):
-    """Per group and order, the stored nonzeros against the oracle's dense
-    block: the same keys over the same word tables (words numbered in the
-    same order of first appearance), every coefficient within
-    1e-15·max|c| of the order, and one stored entry per nonzero of the
-    oracle's block, so no zero is stored.  At λ = 0, W is empty and so is
-    every block."""
+    """Per group and order, the block that the accessor returns against the
+    oracle's dense block of that group, both read by (column, word): every
+    coefficient within 1e-15·max|c| of the order, and no zero stored.  The
+    first group of an orbit, whose block is stored, has the oracle's keys
+    and one stored entry per nonzero of the oracle's block.  The block of
+    another group is mapped from it, and its keys may differ from the
+    oracle's by keys whose every coefficient is below that bound: sums
+    whose exact value is 0, rounding noise on one side.  At λ = 0, W is
+    empty and so is every block."""
     S = _float_gn(nt, nx, ncolors, lam, g)
     ik = interacting_propagator(S, max_grade)
     tables, want = _oracle_blocks(S, ik)
-    assert [len(b) for b in ik._blocks] == [len(b) for b in want]
+    got = _group_orders(ik)
+    assert [len(b) for b in got] == [len(b) for b in want]
     assert any(want) == (lam != 0)
     for k in range(1, ik.order_count):
-        assert list(map(tuple, ik._tables.words[k].tolist())) == tables[k][0]
+        words = list(map(tuple, ik._tables.words[k].tolist()))
         bound = 1e-15 * max(np.abs(x).max() for b in want if len(b) >= k
                             for _, x in [b[k - 1]])
-        for stored, blocks in zip(ik._blocks, want):
+        for (_, n), orders, blocks in zip(ik._orbit, got, want):
             if len(blocks) < k:
                 continue
-            order, (keys, x) = stored[k - 1], blocks[k - 1]
-            assert np.array_equal(order.keys, keys)
-            assert len(order.vals) == np.count_nonzero(x)
+            order, (keys, x) = orders[k - 1], blocks[k - 1]
             assert np.all(order.vals != 0)
-            assert np.abs(_dense(order, len(x)) - x).max() <= bound
+            have = _by_word(order.keys, _dense(order, len(x)), words)
+            oracle = _by_word(keys, x, tables[k][0])
+            if not n:
+                assert have.keys() == oracle.keys()
+                assert len(order.vals) == np.count_nonzero(x)
+            zero = np.zeros(len(x))
+            for key in have.keys() | oracle.keys():
+                assert np.abs(have.get(key, zero) - oracle.get(key, zero)).max() <= bound
+
+
+# -- translation covariance -----------------------------------------------------
+
+def _gn43(mode):
+    """The 4x3 action at the CI's config: dt = 1/2, m = 3/4, λ = 1/8."""
+    fl = FieldLattice(Lattice(4, 3, Fraction(1, 2), 1), 1, mode)
+    ring = fl.ring
+    return build_gn_action(fl, GrossNeveuParams(lam=ring.number(Fraction(1, 8)),
+                                                m=ring.number(Fraction(3, 4))))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_mapped_orders_equal_a_direct_build_of_their_group(mode):
+    """At 4x3, grade 6, x → x + 1 is a symmetry: one group per time slice
+    is built, and the other two of its slice are its first and second
+    translates.  Each of them, as the accessor maps it, against a direct
+    build of that group by the same per-group builder, over the same word
+    tables: equal key for key and value for value in rational mode; in
+    float mode every coefficient, a key on one side only included, within
+    1e-15 of the norm of the group's block."""
+    ik = interacting_propagator(_gn43(mode), 6)
+    assert ik._orbit == [(t, n) for t in range(4) for n in range(3)]
+    assert len(ik._blocks) == 4 and ik.order_count == 4
+    rows = len(ik._W.rows)
+    checked = 0
+    for g, (_, n) in enumerate(ik._orbit):
+        if not n:
+            continue
+        direct = ik._build(g)
+        assert len(direct) == ik._depth(g)
+        for k, want in enumerate(direct, 1):
+            got = ik._order(g, k)
+            if mode == "rational":
+                assert np.array_equal(got.keys, want.keys)
+                assert np.array_equal(got.at, want.at)
+                assert np.array_equal(got.vals, want.vals)
+            else:
+                words = list(map(tuple, ik._tables.words[k].tolist()))
+                have, built = (_by_word(o.keys, _dense(o, rows), words)
+                               for o in (got, want))
+                bound = 1e-15 * np.sqrt(np.sum(np.abs(want.vals) ** 2))
+                zero = np.zeros(rows)
+                for key in have.keys() | built.keys():
+                    assert np.abs(have.get(key, zero) - built.get(key, zero)).max() <= bound
+            checked += 1
+    assert checked == 18
+
+
+def test_a_cutoff_that_breaks_the_translation_builds_every_group():
+    """With a cutoff that depends on x, x → x + 1 is no symmetry of W, so
+    every site group is its own orbit and is built.  The rational 3x3
+    grade-4 series equals the sparse eager chain term for term, and its
+    defect is exactly 0."""
+    fl = FieldLattice(Lattice(3, 3, 1, 1), 1, "rational")
+    S = build_gn_action(fl, GrossNeveuParams(
+        lam=Fraction(1, 3), m=Fraction(3, 4), g=[0, 0, 0, 1, 2, 0, 0, 0, 0]))
+    ik = interacting_propagator(S, 4)
+    assert all(n == 0 for _, n in ik._orbit)
+    assert len(ik._blocks) == len(ik._groups) == 9
+    assert ik.order_count == 3
+    _assert_same_entries(ik.corrections, _eager_orders(S, "retarded", 4))
+    assert propagator_defect(S, ik) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_propagators_fail_under_the_vertex_mutant(tmp_path, monkeypatch, mode):
+    """The vertex mutant flips the sign of the order 1 → 2 merges of the
+    monomials with an even id.  Its order step is not translation-covariant,
+    and the defect runs it on the groups that are mapped, not built: so
+    ``propagators`` at the CI's 4x3 config exits 1, its interacting defect
+    at least ``TOL_NUM`` in either mode, while its rational free defects
+    still read 0."""
+    from fermifields.cli import main
+
+    real = gross_neveu._MergeTables.lookup
+
+    def mutant(self, k, m, u):
+        merged = real(self, k, m, u)
+        return np.where(m % 2 == 0, -merged, merged) if k == 1 else merged
+
+    monkeypatch.setattr(gross_neveu._MergeTables, "lookup", mutant)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lattice.nt = 4\nlattice.nx = 3\nlattice.dt = 1/2\n"
+                   f"mass = 3/4\nlambda = 1/8\narithmetic = {mode}\n")
+    out = tmp_path / "out"
+    assert main(["propagators", "--config", str(cfg), "--out", str(out)]) == 1
+    with open(out / "defects.csv", newline="") as fh:
+        got = {r["check"]: float(r["max_defect"]) for r in csv.DictReader(fh)}
+    assert got["interacting_defect"] >= TOL_NUM
+    if mode == "rational":
+        assert got["factorization"] == got["green_identity_interior_rows"] == 0.0
 
 
 @pytest.mark.parametrize("nt, nx, ncolors, max_grade", [
@@ -1028,11 +1144,15 @@ def test_per_order_norms_read_an_order_whose_square_underflows(mode):
     assert tiny[1][2] == pytest.approx(1e-300 * one[1][2], rel=1e-12, abs=0)
 
 
-def test_series_build_holds_no_dense_top_order_block():
-    """The 4x3 float grade-8 build's tracemalloc peak, less what the built
-    series keeps, stays below one dense (W rows × keys) block of its top
-    order, 24 × 17 874 complex slots (6.9 MB): no order is ever held
-    dense."""
+def test_series_build_holds_no_dense_top_order_block(monkeypatch):
+    """No block is ever held dense, built or mapped.  At 4x3, float, grade
+    8, the top order of the largest group, read through the accessor, has
+    17 874 keys on W's 24 rows, so one dense block of it is 24 × 17 874
+    complex slots (6.9 MB).  A fresh build's tracemalloc peak, less what
+    the built series keeps, stays below that; so does, in another fresh
+    build, the peak of each built group, less what its build keeps, the
+    first group's merge-table fills included, and the peak of mapping the
+    top order of each group not built."""
     import gc
     import tracemalloc
 
@@ -1044,9 +1164,37 @@ def test_series_build_holds_no_dense_top_order_block():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    top = max(len(b[-1].keys) for b in ik._blocks if b)
+    transient = [peak - kept]
+    del ik
+    build = gross_neveu.InteractingKernel._build
+
+    def measured(self, g):
+        tracemalloc.reset_peak()
+        kept = build(self, g)
+        now, peak = tracemalloc.get_traced_memory()
+        transient.append(peak - now)
+        return kept
+
+    monkeypatch.setattr(gross_neveu.InteractingKernel, "_build", measured)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ik = interacting_propagator(S, 8)
+        for g, (_, n) in enumerate(ik._orbit):
+            if n and ik._depth(g):
+                tracemalloc.reset_peak()
+                kept = ik._order(g, ik._depth(g))
+                now, peak = tracemalloc.get_traced_memory()
+                transient.append(peak - now)
+                del kept
+    finally:
+        tracemalloc.stop()
+    top = max(len(b[-1].keys) for b in _group_orders(ik) if b)
     assert (len(ik._W.rows), top, ik.order_count) == (24, 17874, 5)
-    assert peak - kept < 24 * 17874 * 16
+    # the whole build, 4 built groups, one per time slice, and 6 mapped
+    # ones with an order
+    assert len(transient) == 11
+    assert max(transient) < 24 * 17874 * 16
 
 
 def test_summed_takes_a_stable_order_either_way():
