@@ -126,8 +126,11 @@ def cmd_propagators(cfg, out: Path) -> int:
 def cmd_verify(cfg, out: Path, suites_arg: str | None) -> int:
     from .verify import SUITES, run_suites
 
-    names = list(SUITES) if not suites_arg else [
-        s.strip() for s in suites_arg.split(",") if s.strip()]
+    names = list(SUITES)
+    if suites_arg is not None:
+        names = [s.strip() for s in suites_arg.split(",") if s.strip()]
+        if not names:
+            raise ConfigError(f"--suite {suites_arg!r} names no suite")
     records, ok = run_suites(cfg, names)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / "verify_report.json", records, cfg.to_dict(), names)

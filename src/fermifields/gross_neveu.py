@@ -216,19 +216,16 @@ def _nonzero(keys: np.ndarray, at: np.ndarray, vals: np.ndarray) -> _Order:
     return _Order(keys, at, vals) if keep.all() else _Order(keys, at[keep], vals[keep])
 
 
-def _expanded(a: _Columns, x: _Order):
-    """The products of a·X, one per pair of nonzeros a[i, r], X[r, p], as
-    the flat positions p · a.n + i and their values, not yet summed."""
+def _product(a: _Columns, x: _Order) -> _Order:
+    """a·X on X's keys, from the nonzeros of both: one product per pair of
+    nonzeros a[i, r], X[r, p], summed on the flat position p · a.n + i."""
     p, r = np.divmod(x.at, len(a.start) - 1)
     lo = a.start[r]
     count = a.start[r + 1] - lo
     e = _runs(lo, count)
-    return np.repeat(p, count) * a.n + a.rows[e], a.vals[e] * np.repeat(x.vals, count)
-
-
-def _product(a: _Columns, x: _Order) -> _Order:
-    """a·X on X's keys, from the nonzeros of both."""
-    return _nonzero(x.keys, *_summed(*_expanded(a, x), len(x.keys) * a.n))
+    return _nonzero(x.keys, *_summed(np.repeat(p, count) * a.n + a.rows[e],
+                                     a.vals[e] * np.repeat(x.vals, count),
+                                     len(x.keys) * a.n))
 
 
 def _parts(a: np.ndarray):
@@ -656,18 +653,18 @@ class InteractingKernel:
                 acc.setdefault((a, j), {})[words[u]] = c
         return ElementKernel(self.fl.algebra, self.fl.n_slots)._from_terms(acc)
 
-    def _defect(self, k0: np.ndarray, W: ElementKernel) -> float:
-        """max |K0·Δ_k + W∘Δ_{k−1}| over every order k and column, with
-        ``k0`` and ``W`` restricted to the exact rows, from every group's
-        nonzeros as :meth:`_order` reads them: K0·Δ_k is K0·(−Δ0[:, rows]),
-        formed once, times X_k; W∘Δ_{k−1} is the order step, on the exact
-        rows' entries of W, from the group's order k − 1; the two are
-        summed on their (slot, key) nonzeros.  No Δ_k term dict is
-        built."""
-        upper = _columns(matmul(k0, self._neg_free[:, self._W.rows]))
-        W = self._entries(W)
-        back = _columns(self._neg_free[np.ix_(W.cols, self._W.rows)])
-        n = upper.n
+    def _defect(self, rows: np.ndarray, W: ElementKernel) -> float:
+        """max |W∘Δ_{k−1} − X_k| over every order k and column, from every
+        group's nonzeros as :meth:`_order` reads them: the order step on
+        ``W``'s entries from the group's order k − 1, less X_k on the rows
+        of the series' W in the slot mask ``rows``, summed on (slot, key).
+        With E = K0·Δ0 − Id on those rows, K0·Δ_k + W∘Δ_{k−1} = (W∘Δ_{k−1}
+        − X_k) − E[:, W rows]·X_k.  It sees a stored order changed after
+        its step and, on a mapped group, a step that is not
+        translation-covariant, nothing else; no Δ_k term dict is built."""
+        W, own = self._entries(W), self._W.rows
+        back = _columns(self._neg_free[np.ix_(W.cols, own)])
+        checked, n = rows[own], self.fl.n_slots
         parts = []
         for g in range(len(self._groups)):
             y = self._first(g, W.cols)
@@ -677,17 +674,16 @@ class InteractingKernel:
                     parts.append(max_abs(lower.vals))
                     break
                 x = self._order(g, k)
-                at, vals = _expanded(upper, x)
                 # both blocks' keys, each once, ascending
                 keys = np.sort(np.concatenate([x.keys, lower.keys]), kind="stable")
                 keys = keys[_starts(keys)]
-                p, i = np.divmod(at, n)
-                q, r = np.divmod(lower.at, len(W.rows))
-                code = np.concatenate([np.searchsorted(keys, x.keys)[p] * n + i,
-                                       np.searchsorted(keys, lower.keys)[q] * n
-                                       + W.rows[r]])
-                _, sums = _summed(code, np.concatenate([vals, lower.vals]),
-                                  len(keys) * n)
+                p, r = np.divmod(x.at, len(own))
+                q, i = np.divmod(lower.at, len(W.rows))
+                on = checked[r]
+                a = np.searchsorted(keys, x.keys)[p[on]] * n + own[r[on]]
+                b = np.searchsorted(keys, lower.keys)[q] * n + W.rows[i]
+                _, sums = _summed(np.concatenate([a, b]),
+                                  np.concatenate([-x.vals[on], lower.vals]), len(keys) * n)
                 parts.append(max_abs(sums))
                 if k + 1 < self.order_count:
                     y = _product(back, x)
@@ -758,27 +754,21 @@ def _translation(fl: FieldLattice, k0: np.ndarray, W: ElementKernel,
 def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise.
 
-    The grade-0 block is K0·Δ0 − Id.  The grade-2k block is the residual
-    K0·Δ_k + W∘Δ_{k−1}, summed from the nonzeros of every site group's
-    blocks, stored or mapped by the translation: K0·(−Δ0) is formed once
-    and multiplies X_k, and W∘Δ_{k−1} is recomputed by the order step
-    from the group's order k − 1, on the exact rows' entries of W.  So
-    each order is checked against the one before it, the last order too,
-    and on a mapped group the step runs on mapped words: a step that is
-    not translation-covariant fails.  No block is made dense and no Δ_k
-    term dict is built.  In rational mode every residual is exact.
+    The grade-0 block is E = K0·Δ0 − Id.  The grade-2k block is the order
+    step's own residual W∘Δ_{k−1} − X_k at every site group: the step on
+    the exact rows' entries of W from the group's order k − 1, less its
+    stored or mapped order k.  As Δ_k = −Δ0[:, W rows]·X_k, K0·Δ_k +
+    W∘Δ_{k−1} = (W∘Δ_{k−1} − X_k) − E[:, W rows]·X_k: both blocks are 0
+    exactly when S^(2)·Δ_I = δ holds at every grade, and in float mode
+    they differ from it by E·X_k, about 1e-16.  The step residual sees
+    only a stored order changed after its step and, on a mapped group, a
+    step that is not translation-covariant.  No block is made dense and
+    no Δ_k term dict is built; in rational mode every residual is exact.
     """
     K0, W = S.second_kernel()
     rows = ik.free.exact_rows
-    # grade-0 block: K0 @ Δ0 − Id
-    worst = ik.free.identity_defect(K0.mat)
-    k0 = K0.mat
-    if rows is not None:
-        k0 = k0.copy()
-        k0[~rows] = 0
-        W = W.restrict_rows(rows)
-    # grade-2k blocks: K0 @ Δ_k + W∘Δ_{k−1}
-    return max_abs(np.array([worst, ik._defect(k0, W)]))
+    return max_abs(np.array([ik.free.identity_defect(K0.mat),
+                             ik._defect(rows, W.restrict_rows(rows))]))
 
 
 def interacting_causal(ik: InteractingKernel) -> list:

@@ -256,6 +256,19 @@ def test_cli_suite_listed_twice_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suites", [",", " ", ""], ids=["comma", "space", "empty"])
+def test_cli_suite_naming_no_suite_exits_2(tmp_path, capsys, monkeypatch, suites):
+    """A --suite that names no suite is a configuration error, not a run of
+    every suite under a report that lists none."""
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda cfg, name=name: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out"
+    assert main(["verify", "--suite", suites, "--out", str(out)]) == 2
+    assert f"--suite {suites!r} names no suite" in _one_config_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, arithmetic, line", [
     # a spacing that rounds to 0.0, read as a float by every command
     *[(cmd, "float", "lattice.dt = 1e-400")

@@ -197,7 +197,7 @@ def test_interacting_propagator_inverse_identity(gn32):
                           corrections=[c.transpose().scale(-1)
                                        for c in ik.corrections])
     assert ika.free.identity_defect(S.second_kernel()[0].mat) == 0.0
-    assert _sparse_defect(S, ika) == 0.0
+    assert _sparse_defect(S, ika, full=True) == 0.0
 
 
 def test_interacting_first_order_dense_oracle(gn32):
@@ -499,22 +499,34 @@ def test_propagator_defect_sees_a_perturbed_correction(mode):
     assert max(len(b) for b in ik._blocks) == 2
     clean = propagator_defect(S, ik)
     assert clean == 0.0 if ring.exact else clean < TOL_NUM
+    if ring.exact:
+        assert clean == _sparse_defect(S, ik, full=True)
     for eps in epsilons:
         for k in (0, 1):
             ik = _perturbed_block(interacting_propagator(S, 4), k, eps)
-            assert propagator_defect(S, ik) > bound
+            got = propagator_defect(S, ik)
+            assert got > bound
+            if ring.exact:
+                # K0·Δ0 = Id on the exact rows, so the order step's residual
+                # loses nothing of the full one
+                assert got == _sparse_defect(S, ik, full=True)
 
 
-def _sparse_defect(S, ik):
+def _sparse_defect(S, ik, full=False):
     """Oracle for the grade-2k part of ``propagator_defect``: the sparse
     residual K0·Δ_k + W∘Δ_{k−1} on exact rows, K0·Δ_k formed by
     ``compose_scalar_left`` and the two added entry by entry, and its
-    largest |coefficient|."""
+    largest |coefficient|.  K0 is kept on the exact rows that are rows of
+    the series' W, where K0·Δ_k is −X_k up to the grade-0 residual, so
+    this is the order step's residual; with ``full``, on every exact row,
+    so this is the full residual."""
     K0, W = S.second_kernel()
     rows = ik.free.exact_rows
+    if not full:
+        rows = rows & np.isin(np.arange(len(rows)), ik._W.rows)
     k0 = K0.mat.copy()
     k0[~rows] = 0
-    W = W.restrict_rows(rows)
+    W = W.restrict_rows(ik.free.exact_rows)
     worst, prev = 0.0, None
     for corr in ik.corrections:
         lower = (W.compose_scalar_right(ik.free.mat) if prev is None
@@ -567,8 +579,9 @@ def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
     every row checked and the cutoff on every site, W keeps entries on
     dead columns of Δ0 that the series dropped, and they reach keys the
     series lacks.  Either way the float residual agrees with the sparse
-    oracle within 1e-15·max(1, residual); on the dead rows alone, with
-    K0 = 0, it is the largest coefficient of W∘Δ_{k−1}."""
+    oracle within 1e-15·max(1, residual); on the dead rows alone, with no
+    row of the series' W checked, it is the largest coefficient of
+    W∘Δ_{k−1}."""
     g = [1] * 12 if case == "every-row-checked" else None
     fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
     S = build_gn_action(fl, GrossNeveuParams(lam=0.125, m=0.75, g=g))
@@ -604,13 +617,13 @@ def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
         return
     assert set(stepped) - stored
     # on the entries of W on dead rows alone every key is one the series
-    # lacks, and with K0 = 0 the residual is W∘Δ_{k−1} itself
+    # lacks, and with no checked row the residual is W∘Δ_{k−1} itself
     _, W = S.second_kernel()
     W = W.restrict_rows([not any(col) for col in ik.free.mat.T])
     lowers = [W.compose_scalar_right(ik.free.mat),
               *(W.compose(c) for c in ik.corrections[:-1])]
     want = max(e.max_abs() for lower in lowers for e in lower.entries.values())
-    got = ik._defect(np.zeros((fl.n_slots,) * 2), W)
+    got = ik._defect(np.zeros(fl.n_slots, dtype=bool), W)
     assert want > 0.1 and abs(got - want) <= 1e-15 * want
 
 
