@@ -276,6 +276,23 @@ def _translated(words: np.ndarray, perm: np.ndarray):
     return moved, odd
 
 
+def _filled(table: np.ndarray, at: np.ndarray, fill) -> np.ndarray:
+    """``table[at]``, its ``_UNFILLED`` entries filled first: each such
+    position once, ascending, as ``table[batch] = fill(batch)`` in batches
+    of at most ``_FILL_BATCH``, so that a fill's arrays stay small."""
+    got = table[at]
+    missing = got == _UNFILLED
+    if not missing.any():
+        return got
+    todo = np.zeros(len(table), dtype=bool)
+    todo[at[missing]] = True
+    todo = np.flatnonzero(todo)
+    for lo in range(0, len(todo), _FILL_BATCH):
+        batch = todo[lo:lo + _FILL_BATCH]
+        table[batch] = fill(batch)
+    return table[at]
+
+
 def _root(square: Fraction) -> float:
     """√square rounded once to a float, 0.0 for a square <= 0: an integer
     square root takes it exactly to 64 bits or more first."""
@@ -287,16 +304,18 @@ def _root(square: Fraction) -> float:
 
 
 class _MergeTables:
-    """Words of every order, numbered in order of first appearance, and
-    the merge tables of W's monomials against them.
+    """Words of every order, numbered in order of first appearance, the
+    merge tables of W's monomials against them, and their moves under a
+    slot permutation.
 
     ``words[k]`` holds the grade-2k words met so far, one row of
     increasing generator ordinals per id.  ``merge[k][m, u]`` is ±(id + 1)
     of monomial m ∧ word u in order k+1's table, the sign its Koszul
-    sign, or 0 where the two share a generator, and ``_UNFILLED`` until it
-    is filled.  Entries are filled by array arithmetic, in batches of at
-    most ``_FILL_BATCH`` (monomial, word) pairs, so that a fill's arrays
-    stay small however many pairs an order step meets.
+    sign, or 0 where the two share a generator.  A move table holds
+    ±(id + 1) of each order-k word under one permutation, re-sorted, the
+    sign its Koszul sign.  Every table entry is ``_UNFILLED`` until it is
+    first read, and is then filled by :func:`_filled` by ascending
+    position, which numbers new words in that order.
     """
 
     def __init__(self):
@@ -305,6 +324,7 @@ class _MergeTables:
         self.words = [np.zeros((1, 0), dtype=np.int64)]
         self._ids = [{b"": 0}]                        # per order: bytes -> id
         self.merge: list = []
+        self._moves: dict = {}                # (k, permutation bytes) -> table
 
     def monomial_ids(self, words: list) -> np.ndarray:
         """The id of each monomial word, numbering new ones in order."""
@@ -317,13 +337,21 @@ class _MergeTables:
 
     def lookup(self, k: int, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """±(id + 1) of monomial m ∧ order-k word u per pair, 0 where they
-        share a generator; fills the pairs still ``_UNFILLED`` first."""
+        share a generator."""
         self._fit(k)
-        at = m * self.merge[k].shape[1] + u
-        todo = at[self.merge[k].ravel()[at] == _UNFILLED]
-        if len(todo):
-            self._fill(k, todo)
-        return self.merge[k].ravel()[at]
+        n = self.merge[k].shape[1]
+        return _filled(self.merge[k].ravel(), m * n + u,
+                       lambda at: self._merged(k, *np.divmod(at, n)))
+
+    def moved(self, k: int, u: np.ndarray, perm: np.ndarray) -> np.ndarray:
+        """±(id + 1) of each order-k word u under the slot permutation
+        ``perm``, the sign its Koszul sign."""
+        key, words = (k, perm.tobytes()), self.words[k]
+        table = self._moves.get(key, np.zeros(0, dtype=np.int64))
+        if len(table) < len(words):
+            table = self._moves[key] = np.concatenate(
+                [table, np.full(len(words) - len(table), _UNFILLED)])
+        return _filled(table, u, lambda at: self._intern(k, *_translated(words[at], perm)))
 
     def _fit(self, k: int):
         """Grow order k's merge table to every monomial and word so far."""
@@ -337,20 +365,6 @@ class _MergeTables:
         grown = np.full(shape, _UNFILLED, dtype=np.int64)
         grown[:have[0], :have[1]] = self.merge[k]
         self.merge[k] = grown
-
-    def _fill(self, k: int, at: np.ndarray):
-        """Fill order k's merge table at the flat positions ``at``."""
-        merge = self.merge[k].ravel()
-        # each pair once, sorted by (monomial, word): new words are numbered
-        # in the order a per-monomial loop over sorted word ids meets them
-        todo = np.zeros(len(merge), dtype=bool)
-        todo[at] = True
-        at = np.flatnonzero(todo)
-        del todo
-        # in batches, so the pairs' arrays stay small whatever their count
-        for lo in range(0, len(at), _FILL_BATCH):
-            batch = at[lo:lo + _FILL_BATCH]
-            merge[batch] = self._merged(k, *np.divmod(batch, self.merge[k].shape[1]))
 
     def _merged(self, k: int, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """±(id + 1) of monomial m ∧ order-k word u per pair, 0 where they
@@ -367,12 +381,13 @@ class _MergeTables:
         apart = ~shared
         a, b, odd = a[apart], b[apart], odd[apart]
         out = np.zeros(len(m), dtype=np.int64)
-        ids = self._intern(k + 1, np.sort(np.concatenate([a, b], axis=1), axis=1))
-        out[apart] = np.where(odd, -1 - ids, 1 + ids)
+        merged = np.sort(np.concatenate([a, b], axis=1), axis=1)
+        out[apart] = self._intern(k + 1, merged, odd)
         return out
 
-    def _intern(self, k: int, words: np.ndarray) -> np.ndarray:
-        """Order k's id of each word, numbering new ones by first appearance."""
+    def _intern(self, k: int, words: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """±(id + 1) of each word in order k, negative where ``odd``,
+        numbering new words by first appearance."""
         if len(self.words) == k:
             self.words.append(np.zeros((0, words.shape[1]), dtype=np.int64))
             self._ids.append({})
@@ -388,7 +403,7 @@ class _MergeTables:
             fresh = np.frombuffer(b"".join(islice(ids, start, None)), dtype=np.int64)
             self.words[k] = np.concatenate(
                 [self.words[k], fresh.reshape(len(ids) - start, -1)])
-        return got
+        return np.where(odd, -1 - got, 1 + got)
 
 
 class InteractingKernel:
@@ -404,13 +419,13 @@ class InteractingKernel:
     numbered in a table of their own (:class:`_MergeTables`), and a block
     of V_k is a matrix over W's rows whose columns are keys ``column << 32
     | word id``.  The live source columns of Δ0, its exact rows, are
-    grouped by lattice site, one block per group and order.  ``shift`` is
-    a slot permutation that maps the series onto itself (the translation
-    x → x + 1, or the identity), and it sorts the groups into orbits:
-    only the first group of each orbit is built, running through every
-    order before the next one starts.  Every other group is that group's
-    n-th translate, and :meth:`_order` maps its blocks where they are
-    read.  With the identity every group is its own orbit and is built.
+    grouped by lattice site, one block per group and order.  ``shift``,
+    the translation x → x + 1 when it maps W onto itself, else the
+    identity, maps the series onto itself and sorts the groups into
+    orbits: only the first group of each orbit is built, running through
+    every order before the next one starts.  Every other group is that
+    group's n-th translate, and :meth:`_order` maps its blocks where they
+    are read.  With the identity every group is its own orbit and is built.
     A block is only ever held as its nonzeros (:class:`_Order`), from the
     order step that makes it to the last read.
 
@@ -440,10 +455,10 @@ class InteractingKernel:
         self.max_grade = max_grade
         self.free = free
         self._corrections: list = []      # the Δ_k built so far, k = 1..
-        self._free = free.mat
         self._neg_free = -free.mat
         self._tables = _MergeTables()
         self._W = self._entries(W)
+        self._back = _columns(self._neg_free[np.ix_(self._W.cols, self._W.rows)])
         sites = [g.site for g in fl.algebra.generators]
         groups: dict = {}
         for j in np.flatnonzero(free.exact_rows).tolist():
@@ -467,7 +482,6 @@ class InteractingKernel:
             powers.append(shift[powers[-1]])
         self._shifts = [(p, np.searchsorted(self._W.rows, p[self._W.rows]))
                         for p in powers]
-        self._moves: dict = {}    # (n, k) -> ±(id + 1) of each moved word
         # per orbit: the _Order of V_1, V_2, … of its first group, up to
         # its last nonzero order
         self._blocks = [self._build(g) for g in first]
@@ -522,7 +536,7 @@ class InteractingKernel:
         if not n:
             return x
         slots, rows = self._shifts[n]
-        word = self._moved(n, k, x.keys & _WORD)
+        word = self._tables.moved(k, x.keys & _WORD, slots)
         keys = slots[x.keys >> _SHIFT] << _SHIFT | (np.abs(word) - 1)
         order = np.argsort(keys)
         rank = np.empty_like(order)
@@ -533,23 +547,6 @@ class InteractingKernel:
         # every position is distinct, so the sums are the values re-sorted
         return _Order(keys[order], *_summed(rank[p] * len(rows) + rows[r], vals,
                                             len(keys) * len(rows)))
-
-    def _moved(self, n: int, k: int, u: np.ndarray) -> np.ndarray:
-        """±(id + 1) of each order-k word u under the shift's n-th power,
-        the sign its Koszul sign; kept per (n, k) as the words are met."""
-        words = self._tables.words[k]
-        table = self._moves.get((n, k), np.zeros(0, dtype=np.int64))
-        if len(table) < len(words):
-            table = np.concatenate(
-                [table, np.full(len(words) - len(table), _UNFILLED)])
-            self._moves[n, k] = table
-        todo = np.zeros(len(table), dtype=bool)
-        todo[u] = True
-        todo = np.flatnonzero(todo & (table == _UNFILLED))
-        if len(todo):
-            moved, odd = _translated(words[todo], self._shifts[n][0])
-            table[todo] = (self._tables._intern(k, moved) + 1) * (1 - 2 * odd)
-        return table[u]
 
     def __repr__(self):
         return (f"InteractingKernel(orders={self.order_count}, "
@@ -580,7 +577,6 @@ class InteractingKernel:
         """Run group g through every order; its orders up to its last
         nonzero one."""
         W = self._W
-        back = _columns(self._neg_free[np.ix_(W.cols, W.rows)])
         last = self.max_grade // 2
         stored: list = []
         y = self._first(g, W.cols)
@@ -590,14 +586,14 @@ class InteractingKernel:
                 break
             stored.append(x)
             if k < last:
-                y = _product(back, x)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
+                y = _product(self._back, x)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
         return stored
 
     def _first(self, g: int, cols: np.ndarray) -> _Order:
         """Rows ``cols`` of Δ0 in group g: Δ0's own columns as keys, under
         word id 0, the empty word."""
         group = self._groups[g]
-        y = self._free[np.ix_(cols, group)]
+        y = self.free.mat[np.ix_(cols, group)]
         p, c = np.nonzero(y.T.astype(bool))
         return _Order(group << _SHIFT, p * len(cols) + c, y[c, p])
 
@@ -711,28 +707,25 @@ def interacting_propagator(S: ActionFunctional,
     The advanced series is not built: see :func:`interacting_causal`.
 
     The lattice is periodic in x.  When the translation τ: x → x + 1 is
-    a symmetry of the series' inputs (:func:`_translation`), one site per
-    time slice is built and the others are mapped from it where they are
-    read; else every site is built, by the same code.
+    a symmetry of W (:func:`_translation`), one site per time slice is
+    built and the others are mapped from it where they are read; else
+    every site is built, by the same code.
     """
     if max_grade % 2 != 0:
         raise ValueError("max_grade must be even (entries are Grassmann-even)")
     fl = S.fl
     free = dirac_green(fl, S.meta["m"], "retarded")
-    K0, W = S.second_kernel()
-    W = W.restrict_rows(free.exact_rows)
-    return InteractingKernel(fl, max_grade, free, W,
-                             _translation(fl, K0.mat, W, free.exact_rows))
+    W = S.second_kernel()[1].restrict_rows(free.exact_rows)
+    return InteractingKernel(fl, max_grade, free, W, _translation(fl, W))
 
 
-def _translation(fl: FieldLattice, k0: np.ndarray, W: ElementKernel,
-                 live: np.ndarray) -> np.ndarray:
+def _translation(fl: FieldLattice, W: ElementKernel) -> np.ndarray:
     """The slot permutation τ of the translation x → x + 1 when it is a
-    symmetry of the series, else the identity.  It is one when K0[τ, τ] =
-    K0 exactly, W[τi, τa] is W[i, a] with τ on each word, re-sorted and
-    given its Koszul sign, and the live columns ``live`` of Δ0 are
-    τ-invariant.  Δ0 itself is not compared: in float mode it is the
-    translate of itself only to rounding."""
+    symmetry of W, else the identity: when W[τi, τa] is W[i, a] with τ on
+    each word, re-sorted and given its Koszul sign.  Δ0, the series' other
+    input, is the periodic free solve, τ-covariant by construction (in
+    float mode to rounding), on exact rows that depend only on species and
+    time; K0 enters only the defect's grade-0 block, which maps nothing."""
     lat = fl.lattice
     tau = np.array([fl.slot(g.species, g.color,
                             lat.site(g.site // lat.nx, g.site % lat.nx + 1),
@@ -745,10 +738,7 @@ def _translation(fl: FieldLattice, k0: np.ndarray, W: ElementKernel,
         image = {key: -c if o else c for key, o, c in zip(
             zip(tau[rows].tolist(), tau[cols].tolist(), map(tuple, moved.tolist())),
             odd.tolist(), terms.values())}
-    if (np.array_equal(live[tau], live) and np.array_equal(k0[np.ix_(tau, tau)], k0)
-            and image == terms):
-        return tau
-    return np.arange(fl.n_slots)
+    return tau if image == terms else np.arange(fl.n_slots)
 
 
 def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:

@@ -12,15 +12,15 @@ from fermifields import gross_neveu, verify
 from fermifields._core import merge_words
 from fermifields.algebra import CONJUGATE, FIELD, evaluate, random_element
 from fermifields.config import RunConfig
-from fermifields.dynamics import SubstitutionMap, peierls_bracket
-from fermifields.gross_neveu import (GrossNeveuParams, build_free_action,
-                                     build_gn_action, gn_interaction_term,
-                                     interacting_bracket, interacting_causal,
-                                     interacting_propagator, permute_colors,
-                                     propagator_defect)
+from fermifields.dynamics import ActionFunctional, SubstitutionMap, peierls_bracket
+from fermifields.gross_neveu import (GrossNeveuParams, bilinear_element,
+                                     build_free_action, build_gn_action,
+                                     gn_interaction_term, interacting_bracket,
+                                     interacting_causal, interacting_propagator,
+                                     permute_colors, propagator_defect)
 from fermifields.kernels import ElementKernel, Kernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
-                                 dirac_green)
+                                 dirac_green, dirac_matrix)
 from fermifields.reports import TOL_NUM
 from fermifields.series import TruncatedSeries
 
@@ -890,7 +890,7 @@ def _oracle_blocks(S, ik):
     steps = _PerMonomialSteps()
     out = []
     for group in ik._groups:
-        keys, y = group << gross_neveu._SHIFT, ik._free[np.ix_(cols, group)]
+        keys, y = group << gross_neveu._SHIFT, ik.free.mat[np.ix_(cols, group)]
         blocks = []
         for k in range(1, ik.max_grade // 2 + 1):
             keys, x = steps.step(k - 1, keys, y, parts, len(rows))
@@ -988,16 +988,71 @@ def _gn43(mode):
                                                 m=ring.number(Fraction(3, 4))))
 
 
+def _tau(fl):
+    """The slot permutation of the translation x → x + 1."""
+    lat = fl.lattice
+    return np.array([fl.slot(g.species, g.color,
+                             lat.site(g.site // lat.nx, g.site % lat.nx + 1),
+                             g.component) for g in fl.algebra.generators])
+
+
+def _gn43_weighted_free_term(mode):
+    """The action of :func:`_gn43` with its free Dirac term weighted by
+    1 + x at site (t, x): K0 is not τ-invariant, W is."""
+    fl = FieldLattice(Lattice(4, 3, Fraction(1, 2), 1), 1, mode)
+    ring = fl.ring
+    m = ring.number(Fraction(3, 4))
+    params = GrossNeveuParams(lam=ring.number(Fraction(1, 8)), m=m)
+    nx = fl.lattice.nx
+    weight = [ring.number(1 + site % nx) for site in range(fl.lattice.n_sites)]
+
+    def build(weights):
+        free = dirac_matrix(fl, m, [a * b for a, b in zip(weights, weight)])
+        quartic = gross_neveu._quartic(fl, params, weights)
+        return bilinear_element(fl, free) + quartic.scale(params.lam)
+
+    S = ActionFunctional(fl, build, name="weighted_free_term")
+    S.meta = {"m": m}
+    K0 = S.second_kernel()[0].mat
+    tau = _tau(fl)
+    assert not np.array_equal(K0[np.ix_(tau, tau)], K0)
+    return S
+
+
+@pytest.mark.parametrize("nt, nx, ncolors", [(4, 3, 1), (3, 3, 2), (5, 4, 1),
+                                             (3, 2, 1)])
 @pytest.mark.parametrize("mode", ["rational", "float"])
-def test_mapped_orders_equal_a_direct_build_of_their_group(mode):
-    """At 4x3, grade 6, x → x + 1 is a symmetry: one group per time slice
-    is built, and the other two of its slice are its first and second
-    translates.  Each of them, as the accessor maps it, against a direct
-    build of that group by the same per-group builder, over the same word
-    tables: equal key for key and value for value in rational mode; in
-    float mode every coefficient, a key on one side only included, within
-    1e-15 of the norm of the group's block."""
-    ik = interacting_propagator(_gn43(mode), 6)
+def test_free_retarded_green_is_translation_covariant(mode, nt, nx, ncolors):
+    """The series' translation test reads W alone.  Its other input, Δ0,
+    is the periodic free solve: Δ0[τi, τj] = Δ0[i, j] exactly in rational
+    mode, within 1e-15 of its largest entry in float mode, and its exact
+    rows are τ-invariant."""
+    fl = FieldLattice(Lattice(nt, nx, Fraction(1, 2), 1), ncolors, mode)
+    free = dirac_green(fl, fl.ring.number(Fraction(3, 4)), "retarded")
+    tau = _tau(fl)
+    moved = free.mat[np.ix_(tau, tau)]
+    if mode == "rational":
+        assert np.array_equal(moved, free.mat)
+    else:
+        assert np.abs(moved - free.mat).max() <= 1e-15 * np.abs(free.mat).max()
+    assert np.array_equal(free.exact_rows[tau], free.exact_rows)
+
+
+@pytest.mark.parametrize("mode, action", [
+    ("rational", _gn43), ("float", _gn43),
+    ("rational", _gn43_weighted_free_term)],
+    ids=["rational", "float", "rational-weighted-free-term"])
+def test_mapped_orders_equal_a_direct_build_of_their_group(mode, action):
+    """At 4x3, grade 6, x → x + 1 is a symmetry of W: one group per time
+    slice is built, and the other two of its slice are its first and
+    second translates; so too when the free term, and with it K0, carries
+    a weight that depends on x, since the series reads W and Δ0 alone.
+    Each mapped group, as the accessor maps it, against a direct build of
+    that group by the same per-group builder, over the same word tables:
+    equal key for key and value for value in rational mode; in float mode
+    every coefficient, a key on one side only included, within 1e-15 of
+    the norm of the group's block."""
+    ik = interacting_propagator(action(mode), 6)
     assert ik._orbit == [(t, n) for t in range(4) for n in range(3)]
     assert len(ik._blocks) == 4 and ik.order_count == 4
     rows = len(ik._W.rows)
