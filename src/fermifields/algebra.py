@@ -109,6 +109,16 @@ class Algebra:
         if not self.same_as(other):
             raise ConfigurationError("operands live in different algebras")
 
+    def sum(self, elements: Iterable["GrassmannElement"]) -> "GrassmannElement":
+        """``zero() + e1 + e2 + …`` with the checks, keys, key order and bits
+        of ``+``, each element added in order into one term dict: no copy
+        per element."""
+        out: dict = {}
+        for e in elements:
+            self.check_compatible(e.algebra)
+            _add_terms(out, e._terms)
+        return GrassmannElement(self, out)
+
     def __repr__(self):
         return f"Algebra(n={self.n}, mode={self.mode!r})"
 
@@ -321,10 +331,7 @@ def left_derivative(h, t: GrassmannElement) -> GrassmannElement:
         coeffs = {w[0]: c for w, c in h.items()}
     else:
         coeffs = {i: alg.ring.coerce(c) for i, c in dict(h).items()}
-    out = alg.zero()
-    for i, c in coeffs.items():
-        out = out + t.d(i).scale(c)
-    return out
+    return alg.sum(t.d(i).scale(c) for i, c in coeffs.items())
 
 
 def evaluate(t: GrassmannElement, u: GrassmannElement):

@@ -113,37 +113,31 @@ def pair_contract(F: GrassmannElement, kernel, G: GrassmannElement,
     """Σ_{ij} (d_i F) ∧ kernel[i, j] ∧ (d_j G), in this fixed order.
 
     ``kernel`` may be a scalar matrix, an :class:`ElementKernel`, a
-    :class:`Kernel` or a list of such parts (summed).
+    :class:`Kernel` or a list of such parts (summed).  The terms come
+    part by part, an element kernel's in entry order and a scalar one's
+    row by row, each cut at ``max_grade``; :meth:`Algebra.sum` adds
+    them.
     """
-    alg = F.algebra
-    out = alg.zero()
     dF = F.derivatives()
-    dG = G.derivatives()
-    if not dF or not dG:
-        return out
-    for part in _kernel_parts(kernel):
-        if isinstance(part, ElementKernel):
-            for (i, j), entry in part.entries.items():
-                fi = dF.get(i)
-                gj = dG.get(j)
-                if fi is None or gj is None:
-                    continue
-                term = fi.wedge(entry).wedge(gj)
-                if max_grade is not None:
-                    term = term.truncate(max_grade)
-                out = out + term
-        else:
-            for i, fi in dF.items():
-                row = part[i]
-                for j, gj in dG.items():
-                    c = row[j]
-                    if not c:
-                        continue
-                    term = fi.wedge(gj).scale(c)
-                    if max_grade is not None:
-                        term = term.truncate(max_grade)
-                    out = out + term
-    return out
+    dG = G.derivatives() if dF else {}
+    if not dG:
+        return F.algebra.zero()
+
+    def terms():
+        for part in _kernel_parts(kernel):
+            if isinstance(part, ElementKernel):
+                for (i, j), entry in part.entries.items():
+                    if i in dF and j in dG:
+                        yield dF[i].wedge(entry).wedge(dG[j])
+            else:
+                for i, fi in dF.items():
+                    row = part[i]
+                    for j, gj in dG.items():
+                        if c := row[j]:
+                            yield fi.wedge(gj).scale(c)
+
+    return F.algebra.sum(t if max_grade is None else t.truncate(max_grade)
+                         for t in terms())
 
 
 def peierls_bracket(S: ActionFunctional, kernel, F: GrassmannElement,
@@ -157,12 +151,8 @@ def peierls_bracket(S: ActionFunctional, kernel, F: GrassmannElement,
     reads only the kernel.
     """
     even, odd = F.parity_parts()
-    out = F.algebra.zero()
-    if not even.is_zero():
-        out = out - pair_contract(even, kernel, G, max_grade)
-    if not odd.is_zero():
-        out = out + pair_contract(odd, kernel, G, max_grade)
-    return out
+    return F.algebra.sum([-pair_contract(even, kernel, G, max_grade),
+                          pair_contract(odd, kernel, G, max_grade)])
 
 
 # -- intertwining maps as substitution series -------------------------------
@@ -320,15 +310,10 @@ class MollerMap(SubstitutionMap):
         """(Σ_j Δ^R[i, j] · src[j] over the interaction's derivative slots,
         cut at ``max_grade``; whether that or a src[j] with j in ``cut``
         that enters the sum lost a grade)."""
-        v = self.algebra.zero()
-        lost = False
-        for j in self._supp:
-            c = self._mat[i, j]
-            if c:
-                v = v + src[j].scale(c)
-                lost = lost or j in cut
-        v, dropped = self._clip(v)
-        return v, lost or dropped
+        row = self._mat[i]
+        used = [j for j in self._supp if row[j]]
+        v, dropped = self._clip(self.algebra.sum(src[j].scale(row[j]) for j in used))
+        return v, any(j in cut for j in used) or dropped
 
     def image(self, i: int) -> FormalSeries:
         """W_i through the orders whose sources are built so far: all of
@@ -431,12 +416,11 @@ def poisson_ideal_residual(S: ActionFunctional, F: GrassmannElement, h,
     """
     E = S.eom_element(h)
     FE = F.wedge(E)
-    out = F.algebra.zero()
-    for p, Gp in G.homogeneous_parts().items():
+
+    def defect(p, Gp):
         lhs = peierls_bracket(S, delta, FE, Gp)
         rhs = peierls_bracket(S, delta, F, Gp).wedge(E)
-        if p % 2 == 1:
-            rhs = -rhs
-        out = out + (lhs - rhs)
-    return out
+        return lhs + rhs if p % 2 == 1 else lhs - rhs
+
+    return F.algebra.sum(defect(p, Gp) for p, Gp in G.homogeneous_parts().items())
 

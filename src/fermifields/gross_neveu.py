@@ -101,10 +101,7 @@ def _quartic(fl: FieldLattice, params: GrossNeveuParams,
         for r in range(site * NCOMP, (site + 1) * NCOMP):
             P[r, r] = ring.one
         rho = bilinear_element(fl, P)
-        quartic = rho.wedge(rho)
-        if quartic.is_zero():
-            continue
-        out = out + quartic.scale(vol * w * half * invN)
+        out = out + rho.wedge(rho).scale(vol * w * half * invN)
     return out
 
 

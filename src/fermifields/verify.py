@@ -739,7 +739,9 @@ SUITES = {
 
 
 def run_suites(cfg: RunConfig, names=None) -> tuple[list, bool]:
-    names = list(SUITES) if not names else list(names)
+    names = list(SUITES) if names is None else list(names)
+    if not names:
+        raise ConfigError("no suite selected")
     for i, name in enumerate(names):
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}")

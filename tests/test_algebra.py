@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermifields._core import merge_words
-from fermifields.algebra import (Algebra, Configuration, GeneratorId,
-                                 evaluate, kth_derivative, left_derivative,
-                                 random_element)
+from fermifields.algebra import (Algebra, Configuration, ConfigurationError,
+                                 GeneratorId, evaluate, kth_derivative,
+                                 left_derivative, random_element)
 from fermifields.scalars import QC
 from fermifields.verify import (multilinear_evaluation_oracle,
                                 wedge_permutation_oracle)
@@ -170,6 +170,54 @@ def test_no_stored_zero_coefficients(alg6):
     b = alg6.monomial((0, 1), QC(-1))
     assert len(a + b) == 0
     assert (a + b).is_zero()
+
+
+
+def _fold(alg, elements):
+    out = alg.zero()
+    for e in elements:
+        out = out + e
+    return out
+
+
+def _bits(e):
+    return [(w, repr(c)) for w, c in e.items()]
+
+
+def test_sum_matches_the_add_fold_in_float(alg6f):
+    """Same words, word order and coefficient reprs as zero() + e1 + …:
+    0 + (−0.0) makes a part +0.0, and a word that cancels is dropped and
+    comes back at the end."""
+    elems = [alg6f.element({(0, 1): complex(-0.0, 1.5), (2,): complex(0.25, -0.0),
+                            (3, 4): 1 + 2j}),
+             alg6f.element({(3, 4): -1 - 2j, (0, 1): complex(-0.0, -1.5)}),
+             alg6f.element({(3, 4): 0.5j, (2,): complex(0.5, -0.0), (5,): 1.0})]
+    got = alg6f.sum(elems)
+    assert _bits(got) == _bits(_fold(alg6f, elems))
+    assert _bits(got) == [((2,), "(0.75+0j)"), ((3, 4), "0.5j"), ((5,), "(1+0j)")]
+    assert _bits(alg6f.sum(iter(elems[:1]))) == _bits(_fold(alg6f, elems[:1]))
+    assert repr(alg6f.sum(elems[:1]).coefficient((0, 1))) == "1.5j"
+    assert len(alg6f.sum([])) == 0
+
+
+def test_sum_matches_the_add_fold_exactly(alg6):
+    ring = alg6.ring
+    third = ring.number(Fraction(1, 3), Fraction(-2, 5))
+    elems = [alg6.element({(0,): third, (1, 2): 2}),
+             alg6.element({(0,): -third, (1, 2): ring.number(Fraction(1, 2), 1)}),
+             alg6.element({(0,): 5, (1, 2): ring.number(Fraction(-5, 2), -1)}),
+             alg6.element({(3,): third})]
+    got = alg6.sum(elems)
+    assert _bits(got) == _bits(_fold(alg6, elems))
+    assert got.terms() == {(0,): QC(5), (3,): third}
+    assert list(got.terms()) == [(0,), (3,)]
+
+
+def test_sum_rejects_another_algebra(alg6, alg6f):
+    with pytest.raises(ConfigurationError):
+        alg6.sum([alg6.one(), alg6f.one()])
+    with pytest.raises(ConfigurationError):
+        alg6.one() + alg6f.one()
 
 
 def test_json_terms_deterministic(alg6f):

@@ -269,6 +269,30 @@ def test_cli_suite_naming_no_suite_exits_2(tmp_path, capsys, monkeypatch, suites
     assert not out.exists()
 
 
+def test_run_suites_runs_all_only_for_none(monkeypatch):
+    """``run_suites(cfg)`` and ``run_suites(cfg, None)`` run all six
+    suites; an empty selection is a configuration error that runs none."""
+    ran = []
+
+    def suite(cfg, name):
+        ran.append(name)
+        return [{"check": name, "passed": True}]
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda cfg, name=name: suite(cfg, name))
+    cfg = RunConfig().validate()
+    for args in ((), (None,)):
+        ran.clear()
+        records, ok = verify.run_suites(cfg, *args)
+        assert ok and len(ran) == 6
+        assert ran == [r["check"] for r in records] == list(verify.SUITES)
+    ran.clear()
+    for empty in ([], ()):
+        with pytest.raises(ConfigError, match="no suite selected"):
+            verify.run_suites(cfg, empty)
+    assert ran == []
+
+
 @pytest.mark.parametrize("command, arithmetic, line", [
     # a spacing that rounds to 0.0, read as a float by every command
     *[(cmd, "float", "lattice.dt = 1e-400")

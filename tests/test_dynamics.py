@@ -1,6 +1,7 @@
 """Actions, response products, brackets, intertwining maps."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,15 @@ from fermifields.algebra import (CONJUGATE, FIELD, evaluate, left_derivative,
                                  random_element)
 from fermifields.config import RunConfig
 from fermifields.dynamics import (ActionFunctional, MollerMap, ParityError,
-                                  SubstitutionMap, bracket_kernel_derivative,
+                                  SubstitutionMap, _kernel_parts,
+                                  bracket_kernel_derivative,
                                   canonical_residual, higher_retarded,
-                                  moller_substitution, peierls_bracket,
-                                  poisson_ideal_residual)
+                                  moller_substitution, pair_contract,
+                                  peierls_bracket, poisson_ideal_residual)
 from fermifields.gross_neveu import (GrossNeveuParams, bilinear_element,
                                      build_free_action, build_gn_action,
                                      gn_interaction_term)
-from fermifields.kernels import Kernel
+from fermifields.kernels import ElementKernel, Kernel
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green, dirac_matrix)
 from fermifields.linalg import matmul
@@ -236,6 +238,86 @@ def test_poisson_ideal_identity(fl_rat, mass, rng):
         h = {i: ring.number(rng.randint(-2, 2))
              for i in rng.sample(interior, 3)}
         assert poisson_ideal_residual(S, F, h, G, delta.mat).is_zero()
+
+
+
+def _fold_pair_contract(F, kernel, G, max_grade=None):
+    """Reference: the pairing as a running ``out = out + term`` fold."""
+    out = F.algebra.zero()
+    dF = F.derivatives()
+    dG = G.derivatives()
+    if not dF or not dG:
+        return out
+    for part in _kernel_parts(kernel):
+        if isinstance(part, ElementKernel):
+            for (i, j), entry in part.entries.items():
+                fi = dF.get(i)
+                gj = dG.get(j)
+                if fi is None or gj is None:
+                    continue
+                term = fi.wedge(entry).wedge(gj)
+                if max_grade is not None:
+                    term = term.truncate(max_grade)
+                out = out + term
+        else:
+            for i, fi in dF.items():
+                row = part[i]
+                for j, gj in dG.items():
+                    c = row[j]
+                    if not c:
+                        continue
+                    term = fi.wedge(gj).scale(c)
+                    if max_grade is not None:
+                        term = term.truncate(max_grade)
+                    out = out + term
+    return out
+
+
+def _fold_peierls_bracket(kernel, F, G, max_grade=None):
+    """Reference: −pairing(even part) + pairing(odd part) as a fold."""
+    even, odd = F.parity_parts()
+    out = F.algebra.zero()
+    if not even.is_zero():
+        out = out - _fold_pair_contract(even, kernel, G, max_grade)
+    if not odd.is_zero():
+        out = out + _fold_pair_contract(odd, kernel, G, max_grade)
+    return out
+
+
+def _bits(e):
+    return [(w, repr(c)) for w, c in e.items()]
+
+
+@pytest.mark.parametrize("max_grade", [None, 3], ids=["uncut", "grade3"])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_pairing_and_bracket_match_the_fold(mode, max_grade):
+    """pair_contract and peierls_bracket give the words, word order and
+    coefficient reprs of the running-sum fold, for a scalar matrix, a
+    Kernel, an ElementKernel and lists of parts, F of mixed parity."""
+    m = Fraction(3, 4) if mode == "rational" else 0.75
+    fl = FieldLattice(Lattice(4, 2, 1, 1), 1, mode)
+    S = build_gn_action(fl, GrossNeveuParams(lam=1, m=m))
+    _, KH = S.second_kernel()
+    dR = dirac_green(fl, m, "retarded")
+    kernels = [dR.mat, dR, KH, bracket_kernel_derivative(dR, KH), [dR, KH]]
+    rng = random.Random(7)
+    alg = fl.algebra
+    grades = set()
+    for _ in range(4):
+        F = alg.sum(random_element(alg, rng, p, 3) for p in (1, 2, 3))
+        G = alg.sum(random_element(alg, rng, q, 3) for q in (1, 2))
+        for kernel in kernels:
+            got = pair_contract(F, kernel, G, max_grade)
+            assert _bits(got) == _bits(_fold_pair_contract(F, kernel, G, max_grade))
+            got = peierls_bracket(S, kernel, F, G, max_grade)
+            want = _fold_peierls_bracket(kernel, F, G, max_grade)
+            assert _bits(got) == _bits(want)
+            grades |= _fold_pair_contract(F, kernel, G).grades()
+    # the pairings are nonzero, and a grade-3 cut drops terms
+    assert max(grades) > 3
+    # no derivative on one side: the zero element
+    assert pair_contract(alg.one(), KH, F).is_zero()
+    assert peierls_bracket(S, KH, F, alg.one()).is_zero()
 
 
 # -- intertwining maps ----------------------------------------------------------
