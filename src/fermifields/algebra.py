@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._core import BACKEND, contract, wedge_terms
 from .linalg import max_abs
-from .scalars import Ring
+from .scalars import Ring, _qc
 
 __all__ = [
     "BACKEND", "FIELD", "CONJUGATE", "GeneratorId", "Algebra",
@@ -379,7 +378,7 @@ def _random_coeff(alg: Algebra, rng: random.Random):
         num = rng.randint(-4, 4) or 1
         den = rng.randint(1, 3)
         num_i = rng.randint(-4, 4)
-        return alg.ring.number(Fraction(num, den), Fraction(num_i, den))
+        return _qc(num, num_i, den)
     return complex(round(rng.uniform(-2, 2), 6), round(rng.uniform(-2, 2), 6))
 
 

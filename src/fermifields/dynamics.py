@@ -12,7 +12,9 @@ Sign conventions (fixed throughout):
   solution of the perturbed equations of motion into functionals
   (fixed point W = e + λ Δ^R ∂F[W]).  This makes the homomorphism
   property, the ideal intertwining and the order-lowering recursion
-  exact identities order by order.
+  exact identities order by order.  The substitution runs Horner's rule
+  on an element's words, img(g) ∧ (sum of the tails after g), each
+  order summed in place into one term dict.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GrassmannElement, left_derivative
+from ._core import wedge_terms
+from .algebra import Algebra, GrassmannElement, _add_terms, left_derivative
 from .kernels import ElementKernel, Kernel
 from .lattice import FieldLattice
 from .linalg import matmul, zeros
@@ -210,24 +213,51 @@ class SubstitutionMap:
     def _substitute(self, elem: GrassmannElement, order: int) -> tuple:
         """(:meth:`apply` through ``order``, whether a grade was cut).
 
-        The bool counts grade cuts only, in a product here or in an image
-        used; the series' own flag also counts the orders above ``order``.
+        Horner's rule on the words: grouped by their first generator g,
+        which is their smallest, so splitting it off takes no sign, the
+        element is c_() + Σ_g img(g) ∧ apply(tails of g), the tails
+        summed before the wedge.  Each order is one term dict summed in
+        place; each product is cut at ``order`` and at ``max_grade``.
+        The bool is true when an image used was truncated or a cut at
+        ``max_grade`` dropped a term; the series' own flag also counts
+        the orders above ``order``.
         """
-        alg = self.algebra
-        out = TruncatedSeries(alg, {}, order)
-        one = TruncatedSeries(alg, {0: alg.one()}, order)
-        cut = False
-        for w, c in elem.items():
-            prod = one
-            for g in w:
+        max_grade = self.max_grade
+        cut = truncated = False
+
+        def horner(words: dict) -> dict[int, dict]:
+            nonlocal cut, truncated
+            out: dict[int, dict] = {}
+            groups: dict[int, dict] = {}
+            for w, c in words.items():
+                if w:
+                    groups.setdefault(w[0], {})[w[1:]] = c
+                else:
+                    out[0] = {(): c}
+            for g, tails in groups.items():
                 img = self.image(g)
-                prod = prod.wedge(img)
-                clipped = {k: self._clip(e) for k, e in prod.coeffs.items()}
-                cut = cut or img.truncated or any(d for _, d in clipped.values())
-                prod = TruncatedSeries(alg, {k: e for k, (e, _) in clipped.items()},
-                                       order, prod.truncated)
-            out = out + prod.scale(c)
-        return out, cut
+                cut = cut or img.truncated
+                truncated = truncated or img.truncated
+                rest = horner(tails)
+                for ka, ea in img.coeffs.items():
+                    for kb, tb in rest.items():
+                        if ka + kb > order:
+                            truncated = True
+                            continue
+                        prod = wedge_terms(ea._terms, tb)
+                        if max_grade is not None:
+                            kept = {w: c for w, c in prod.items()
+                                    if len(w) <= max_grade}
+                            if len(kept) < len(prod):
+                                cut = cut or any(c for w, c in prod.items()
+                                                 if len(w) > max_grade)
+                                prod = kept
+                        _add_terms(out.setdefault(ka + kb, {}), prod)
+            return {k: t for k, t in out.items() if t}
+
+        alg = self.algebra
+        coeffs = {k: GrassmannElement(alg, t) for k, t in horner(elem._terms).items()}
+        return TruncatedSeries(alg, coeffs, order, truncated), cut
 
     def apply_series(self, series: FormalSeries) -> FormalSeries:
         """Σ_k λ^k · apply(c_k), through the map's order.

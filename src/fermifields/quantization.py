@@ -2,7 +2,11 @@
 
 All exponential series exploit nilpotency: iteration stops as soon as a
 contraction application returns zero, so hbar series are exactly finite
-at fixed functional grade.
+at fixed functional grade.  One loop, :func:`_hbar_exp`, forms every such
+series as {order: term dict}.  The star commutator and the products and
+maps of series sum their parts per order into one term dict, with the
+keys, key order and bits of the series folds ``out + …`` they replace;
+the factors 1/2 and 1/n! are formed once per ring mode.
 
 Operator conventions (fixed here and asserted by tests); d_i is the left
 derivative of :meth:`GrassmannElement.derivatives`:
@@ -22,14 +26,16 @@ derivative of :meth:`GrassmannElement.derivatives`:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from ._core import merge_words
-from .algebra import Algebra, GrassmannElement
+from .algebra import Algebra, GrassmannElement, _add_terms
 from .dynamics import peierls_bracket
 from .kernels import Kernel
 from .reports import TOL_FACTOR, check_record
+from .scalars import Ring
 from .series import FormalSeries, HbarSeries
 
 __all__ = [
@@ -44,12 +50,18 @@ def _mat(kernel):
     return kernel.mat if isinstance(kernel, Kernel) else kernel
 
 
+@functools.cache
+def _reciprocal(mode: str, den: int):
+    """1/den in the ring of ``mode``, formed once per mode and den."""
+    return Ring(mode).number(Fraction(1, den))
+
+
 def _half(ring):
-    return ring.number(Fraction(1, 2))
+    return _reciprocal(ring.mode, 2)
 
 
 def _inv_factorial(ring, n: int):
-    return ring.number(Fraction(1, math.factorial(n)))
+    return _reciprocal(ring.mode, math.factorial(n))
 
 
 class SymmetricKernel(Kernel):
@@ -98,8 +110,11 @@ def _gamma_pair_apply(state: dict, mat, factor) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _merge_state(alg: Algebra, state: dict) -> GrassmannElement:
-    ring = alg.ring
+def _merge_state(ring, state: dict) -> dict:
+    """Term dict of the wedge of a tensor state: each (word_F, word_G)
+    merged with its Koszul sign, zero sums dropped.  The merged words are
+    increasing by construction, so only the coefficients are coerced (a
+    float kernel's entries are numpy scalars)."""
     terms: dict = {}
     for (wa, wb), c in state.items():
         m = merge_words(wa, wb)
@@ -107,8 +122,8 @@ def _merge_state(alg: Algebra, state: dict) -> GrassmannElement:
             continue
         sign, w = m
         cc = -c if sign < 0 else c
-        terms[w] = terms.get(w, ring.zero) + cc
-    return alg.element(terms)
+        terms[w] = terms.get(w, 0) + cc
+    return {w: ring.coerce(c) for w, c in terms.items() if c}
 
 
 def _check_kernel(mat, F: GrassmannElement, G: GrassmannElement) -> None:
@@ -120,34 +135,60 @@ def _check_kernel(mat, F: GrassmannElement, G: GrassmannElement) -> None:
         raise ValueError("kernel does not match the generator set")
 
 
-def _hbar_exp(alg: Algebra, x, step, value, unit) -> FormalSeries:
-    """Σ_n (unitⁿ/n!) hbarⁿ value(stepⁿ x), stopping at the first empty
-    step (an empty tensor state or a zero element)."""
-    ring = alg.ring
-    coeffs = {}
+def _hbar_exp(ring, x, step, terms, unit) -> dict[int, dict]:
+    """{n: term dict} of Σ_n (unitⁿ/n!) hbarⁿ terms(stepⁿ x), stopping at
+    the first empty step (an empty tensor state or a zero element).  An
+    order whose terms are all zero is left out."""
+    out = {}
     scale = ring.one
     n = 0
     while x:
-        coeffs[n] = value(x).scale(scale * _inv_factorial(ring, n))
+        s = scale * _inv_factorial(ring, n)
+        t = {w: c * s for w, c in terms(x).items()}
+        if any(t.values()):
+            out[n] = t
         x = step(x)
         n += 1
         scale = scale * unit
-    return HbarSeries(alg, coeffs)
+    return out
 
 
-def _star_with(mat, unit, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
-    """Deformed product whose per-contraction kernel is ``unit · mat``.
+def _add_order(acc: dict, n: int, terms: dict, sub: bool = False) -> None:
+    """Add (``sub``: subtract) one order's term dict into the {n: term
+    dict} sum ``acc``, as a series ``+`` (``−``) adds a coefficient.
+
+    An order that first appears takes the terms as they are (negated
+    for ``sub``), not as ``0 + c``; it owns ``terms`` from then on.  An
+    order left with no nonzero term is dropped, so a later one starts
+    afresh.
+    """
+    t = acc.get(n)
+    if t is None:
+        acc[n] = {w: -c for w, c in terms.items()} if sub else terms
+        return
+    _add_terms(t, terms, sub)
+    if not any(t.values()):
+        del acc[n]
+
+
+def _series(alg: Algebra, orders: dict) -> FormalSeries:
+    return HbarSeries(alg, {n: GrassmannElement(alg, t) for n, t in orders.items()})
+
+
+def _star_terms(mat, unit, F: GrassmannElement, G: GrassmannElement) -> dict[int, dict]:
+    """{n: term dict} of the deformed product whose per-contraction
+    kernel is ``unit · mat``.
 
     The scalar ``unit`` rides on the factor 1/2 of each contraction, so
     the kernel matrix itself is never rescaled.
     """
     _check_kernel(mat, F, G)
-    alg = F.algebra
-    factor = _half(alg.ring) * unit
+    ring = F.algebra.ring
+    factor = _half(ring) * unit
     # (word_F, word_G) keys are unique: one product per pair of terms
     state = {(wa, wb): ca * cb for wa, ca in F.items() for wb, cb in G.items()}
-    return _hbar_exp(alg, state, lambda s: _gamma_pair_apply(s, mat, factor),
-                     lambda s: _merge_state(alg, s), alg.ring.one)
+    return _hbar_exp(ring, state, lambda s: _gamma_pair_apply(s, mat, factor),
+                     lambda s: _merge_state(ring, s), ring.one)
 
 
 def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
@@ -156,7 +197,7 @@ def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalS
     Coefficient of hbar^n is (1/n!) · m(Γ_κ^n (F ⊗ G)); the plain star
     product is recovered with κ = i·Δ.
     """
-    return _star_with(_mat(kappa), F.algebra.ring.one, F, G)
+    return _series(F.algebra, _star_terms(_mat(kappa), F.algebra.ring.one, F, G))
 
 
 def gamma_delta(delta, F: GrassmannElement, G: GrassmannElement) -> GrassmannElement:
@@ -172,28 +213,42 @@ def star_product(delta, F: GrassmannElement, G: GrassmannElement) -> FormalSerie
 
     ``.at(h)`` collapses it at a numeric hbar.
     """
-    return _star_with(_mat(delta), F.algebra.ring.i, F, G)
+    return _series(F.algebra, _star_terms(_mat(delta), F.algebra.ring.i, F, G))
 
 
 def _star_series(delta, sF: FormalSeries, sG: FormalSeries) -> FormalSeries:
-    out = HbarSeries(sF.algebra, {})
+    """Σ hbar^(ka+kb) · (sF_ka * sG_kb), summed per order in place."""
+    mat = _mat(delta)
+    i = sF.algebra.ring.i
+    acc: dict[int, dict] = {}
     for ka, ea in sF.coeffs.items():
         for kb, eb in sG.coeffs.items():
-            out = out + star_product(delta, ea, eb).shift(ka + kb)
-    return out
+            for n, t in _star_terms(mat, i, ea, eb).items():
+                _add_order(acc, n + ka + kb, t)
+    return _series(sF.algebra, acc)
 
 
 def star_commutator(delta, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
-    """Graded commutator [F,G]_* = F*G − (−1)^{|F||G|} G*F."""
-    alg = F.algebra
-    out = HbarSeries(alg, {})
+    """Graded commutator [F,G]_* = F*G − (−1)^{|F||G|} G*F.
+
+    Summed per hbar order in one term dict: for each pair of homogeneous
+    parts, F_p*G_q is added and then (−1)^{pq}·G_q*F_p subtracted, with
+    the keys, key order and bits of the series fold
+    ``out + F_p*G_q − (−1)^{pq}·G_q*F_p``.
+    """
+    mat = _mat(delta)
+    ring = F.algebra.ring
+    minus_one = ring.coerce(-1)
+    acc: dict[int, dict] = {}
     for p, Fp in F.homogeneous_parts().items():
         for q, Gq in G.homogeneous_parts().items():
-            rev = star_product(delta, Gq, Fp)
-            if (p * q) % 2 == 1:
-                rev = rev.scale(-1)
-            out = out + star_product(delta, Fp, Gq) - rev
-    return out
+            for n, t in _star_terms(mat, ring.i, Fp, Gq).items():
+                _add_order(acc, n, t)
+            for n, t in _star_terms(mat, ring.i, Gq, Fp).items():
+                if (p * q) % 2 == 1:
+                    t = {w: c * minus_one for w, c in t.items()}
+                _add_order(acc, n, t, sub=True)
+    return _series(F.algebra, acc)
 
 
 # -- single-argument contraction (time ordering, product equivalence) -------
@@ -234,15 +289,16 @@ def _exp_map(kernel, F, direction: str, unit) -> FormalSeries:
     alg = F.algebra
 
     def exp(e):
-        return _hbar_exp(alg, e, lambda x: contraction_operator(kernel, x),
-                         lambda x: x, unit)
+        return _hbar_exp(alg.ring, e, lambda x: contraction_operator(kernel, x),
+                         lambda x: x._terms, unit)
 
     if not isinstance(F, FormalSeries):
-        return exp(F)
-    out = HbarSeries(alg, {})
+        return _series(alg, exp(F))
+    acc: dict[int, dict] = {}
     for k, e in F.coeffs.items():
-        out = out + exp(e).shift(k)
-    return out
+        for n, t in exp(e).items():
+            _add_order(acc, n + k, t)
+    return _series(alg, acc)
 
 
 def time_ordering(dirac_kernel, F, direction: str = "forward") -> FormalSeries:

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from fermifields._core import merge_words
 from fermifields.algebra import (Algebra, Configuration, ConfigurationError,
-                                 GeneratorId, evaluate, kth_derivative,
-                                 left_derivative, random_element)
-from fermifields.scalars import QC
+                                 GeneratorId, _random_coeff, evaluate,
+                                 kth_derivative, left_derivative,
+                                 random_element)
+from fermifields.scalars import QC, _qc
 from fermifields.verify import (multilinear_evaluation_oracle,
                                 wedge_permutation_oracle)
 
@@ -211,6 +212,24 @@ def test_sum_matches_the_add_fold_exactly(alg6):
     assert _bits(got) == _bits(_fold(alg6, elems))
     assert got.terms() == {(0,): QC(5), (3,): third}
     assert list(got.terms()) == [(0,), (3,)]
+
+
+def test_random_coeff_draws_the_fraction_triples(alg6):
+    """_qc(num, num_i, den) is the normalised triple of
+    number(num/den, num_i/den) for every draw, and a seeded stream of
+    draws is unchanged."""
+    ring = alg6.ring
+    for num in range(-4, 5):
+        for den in range(1, 4):
+            for num_i in range(-4, 5):
+                want = ring.number(Fraction(num, den), Fraction(num_i, den))
+                assert _qc(num, num_i, den)._abd == want._abd
+    rng, ref = random.Random(3), random.Random(3)
+    for _ in range(50):
+        num = ref.randint(-4, 4) or 1
+        den = ref.randint(1, 3)
+        want = ring.number(Fraction(num, den), Fraction(ref.randint(-4, 4), den))
+        assert _random_coeff(alg6, rng)._abd == want._abd
 
 
 def test_sum_rejects_another_algebra(alg6, alg6f):

@@ -334,6 +334,69 @@ def moller_setup(nt=5, nx=2, dt=1, m=Fraction(1)):
     return fl, S, F, dR
 
 
+def _word_by_word(sub, elem, order):
+    """Reference substitution: each word's product of images
+    ((1 ∧ img(g1)) ∧ img(g2)) ∧ …, every step cut at ``max_grade``, times
+    the word's coefficient, summed word by word as a series fold; the bool
+    is true when an image used was truncated or a cut dropped a term."""
+    alg = sub.algebra
+    out = TruncatedSeries(alg, {}, order)
+    one = TruncatedSeries(alg, {0: alg.one()}, order)
+    cut = False
+    for w, c in elem.items():
+        prod = one
+        for g in w:
+            img = sub.image(g)
+            prod = prod.wedge(img)
+            clipped = {k: sub._clip(e) for k, e in prod.coeffs.items()}
+            cut = cut or img.truncated or any(d for _, d in clipped.values())
+            prod = TruncatedSeries(alg, {k: e for k, (e, _) in clipped.items()},
+                                   order, prod.truncated)
+        out = out + prod.scale(c)
+    return out, cut
+
+
+def _terms(series):
+    return {k: e.terms() for k, e in series.coeffs.items()}
+
+
+@pytest.mark.parametrize("nx,max_grade", [(2, 4), (2, 10), (3, 10)],
+                         ids=["5x2-grade4", "5x2-grade10", "5x3-grade10"])
+def test_horner_substitution_matches_the_word_by_word_product(monkeypatch, nx,
+                                                              max_grade):
+    """Horner's rule gives the word-by-word product's coefficients exactly,
+    with its truncated flag and cut bool: for every generator image, for
+    each ∂_jF at every order at 5x2, and for random mixed-grade elements;
+    the map built through the reference has the same images."""
+    fl, S, F, dR = moller_setup(nx=nx)
+    alg = fl.algebra
+    sub = moller_substitution(S, F, dR, 3, max_grade)
+    with monkeypatch.context() as mp:
+        mp.setattr(SubstitutionMap, "_substitute", _word_by_word)
+        ref = moller_substitution(S, F, dR, 3, max_grade)
+    for i in range(fl.n_slots):
+        got, want = sub.image(i), ref.image(i)
+        assert (_terms(got), got.truncated) == (_terms(want), want.truncated)
+    rng = random.Random(11)
+    # grades 0-3 at 5x2; 0-2 at 5x3, where a grade-3 word costs a second
+    top, count = (4, 3) if nx == 2 else (3, 2)
+    elems = [alg.sum(random_element(alg, rng, p, 3) for p in range(top))
+             for _ in range(count)]
+    if nx == 2:
+        elems += list(F.derivatives().values())
+    flags = set()
+    for e in elems:
+        for order in range(4):
+            (got, cut), (want, want_cut) = (sub._substitute(e, order),
+                                            _word_by_word(sub, e, order))
+            assert (_terms(got), got.truncated, cut) == \
+                (_terms(want), want.truncated, want_cut)
+            flags.add((got.truncated, cut))
+    # the flags were exercised: the orders above the cap are dropped, and
+    # at grade 4 a cut drops terms
+    assert (True, True) in flags if max_grade == 4 else (True, False) in flags
+
+
 def test_moller_requires_even_interaction(fl_rat, mass):
     S, dR, _, _ = free_setup(fl_rat, mass)
     with pytest.raises(ParityError):

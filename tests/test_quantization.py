@@ -1,17 +1,22 @@
 """Star products, time ordering, S-matrix and product equivalence."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from fermifields.algebra import CONJUGATE, FIELD, random_element
+from fermifields._core import merge_words
+from fermifields.algebra import (CONJUGATE, FIELD, Algebra, GeneratorId,
+                                 GrassmannElement, random_element)
 from fermifields.dynamics import peierls_bracket
 from fermifields.gross_neveu import build_free_action
 from fermifields.lattice import (FieldLattice, Lattice, causal_propagator,
                                  dirac_green)
 from fermifields.linalg import zeros
-from fermifields.quantization import (SymmetricKernel, alpha_transform,
+from fermifields.quantization import (SymmetricKernel, _add_order,
+                                      _gamma_pair_apply, _series,
+                                      _star_series, alpha_transform,
                                       contraction_operator, formal_smatrix,
                                       gamma_delta, random_symmetric_kernel,
                                       star_commutator, star_h_direct,
@@ -386,3 +391,141 @@ def test_formal_smatrix_matches_the_per_power_sum(quant, rng):
             ring.number(Fraction(1, math.factorial(n))))
     assert not power.coefficient(0).is_zero()
     assert (formal_smatrix(dD, F, 3) - want).is_zero()
+
+
+# -- per-order sums against the series folds -----------------------------------
+
+def _fold_star_product(delta, F, G):
+    """Reference star product: i rides on the contraction factor, and each
+    order is an element re-checked through ``Algebra.element`` and scaled,
+    collected into a series."""
+    alg = F.algebra
+    ring = alg.ring
+    factor = ring.number(Fraction(1, 2)) * ring.i
+    state = {(wa, wb): ca * cb for wa, ca in F.items() for wb, cb in G.items()}
+    coeffs = {}
+    scale = ring.one
+    n = 0
+    while state:
+        terms = {}
+        for (wa, wb), c in state.items():
+            m = merge_words(wa, wb)
+            if m is not None:
+                terms[m[1]] = terms.get(m[1], ring.zero) + (-c if m[0] < 0 else c)
+        coeffs[n] = alg.element(terms).scale(
+            scale * ring.number(Fraction(1, math.factorial(n))))
+        state = _gamma_pair_apply(state, delta.mat, factor)
+        n += 1
+        scale = scale * ring.one
+    return HbarSeries(alg, coeffs)
+
+
+def _fold_star_commutator(delta, F, G):
+    """Reference: ``out + F_p*G_q − (−1)^{pq} G_q*F_p`` as a series fold."""
+    out = HbarSeries(F.algebra, {})
+    for p, Fp in F.homogeneous_parts().items():
+        for q, Gq in G.homogeneous_parts().items():
+            rev = _fold_star_product(delta, Gq, Fp)
+            if (p * q) % 2 == 1:
+                rev = rev.scale(-1)
+            out = out + _fold_star_product(delta, Fp, Gq) - rev
+    return out
+
+
+def _fold_star_series(delta, sF, sG):
+    out = HbarSeries(sF.algebra, {})
+    for ka, ea in sF.coeffs.items():
+        for kb, eb in sG.coeffs.items():
+            out = out + _fold_star_product(delta, ea, eb).shift(ka + kb)
+    return out
+
+
+def _fold_exp_map(kernel, series, unit):
+    """Reference exp(unit · hbar Γ_K) on a series: a fold over its orders."""
+    alg = series.algebra
+    ring = alg.ring
+    out = HbarSeries(alg, {})
+    for k, e in series.coeffs.items():
+        coeffs, x, scale, n = {}, e, ring.one, 0
+        while x:
+            coeffs[n] = x.scale(scale * ring.number(Fraction(1, math.factorial(n))))
+            x = contraction_operator(kernel, x)
+            n += 1
+            scale = scale * unit
+        out = out + HbarSeries(alg, coeffs).shift(k)
+    return out
+
+
+def _series_bits(s):
+    return [(n, [(w, repr(c)) for w, c in e.items()]) for n, e in s.coeffs.items()]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_star_sums_match_the_series_folds(mode):
+    """star_product, star_commutator, _star_series and the exp(Γ_K) maps on
+    series give the orders, order order, words, word order and coefficient
+    reprs of the series folds they replace, on mixed-grade inputs at 4x3;
+    [F, F]_* of an even F cancels every order."""
+    m = Fraction(3, 4) if mode == "rational" else 0.75
+    fl = FieldLattice(Lattice(4, 3, Fraction(1, 2), 1), 1, mode)
+    alg = fl.algebra
+    dR = dirac_green(fl, m, "retarded")
+    delta = causal_propagator(dR, dirac_green(fl, m, "advanced"))
+    sym = random_symmetric_kernel(fl.n_slots, random.Random(5), fl.ring)
+    rng = random.Random(13)
+    slots = rng.sample(range(fl.n_slots), 10)
+
+    def mixed(grades):
+        return alg.sum(random_element(alg, rng, p, 2, slots) for p in grades)
+
+    pairs = [(mixed(range(4)), mixed(range(4))) for _ in range(3)]
+    even = mixed((0, 2))
+    pairs.append((even, even))
+    for F, G in pairs:
+        want = _fold_star_product(delta, F, G)
+        assert _series_bits(star_product(delta, F, G)) == _series_bits(want)
+        want = _fold_star_commutator(delta, F, G)
+        assert _series_bits(star_commutator(delta, F, G)) == _series_bits(want)
+    assert star_commutator(delta, even, even).coeffs == {}
+    # Δᴿ is not symmetric: with F before G in time, G*F has orders that
+    # F*G lacks, and they first appear by subtraction, where real float
+    # coefficients carry a signed zero that (−1)·c and −c set apart
+    time = [fl.lattice.site_time(g.site) for g in alg.generators]
+    early = [i for i, t in enumerate(time) if t <= 1]
+    late = [i for i, t in enumerate(time) if t >= 2]
+    for _ in range(2):
+        F, G = (alg.element({w: c.real if mode == "float" else c
+                             for w, c in random_element(alg, rng, 3, 3, s).items()})
+                for s in (early, late))
+        got = star_commutator(dR, F, G)
+        assert max(got.coeffs) > max(star_product(dR, F, G).coeffs)
+        assert _series_bits(got) == _series_bits(_fold_star_commutator(dR, F, G))
+    sF = HbarSeries(alg, {0: pairs[0][0], 1: pairs[1][0], 2: pairs[2][1]})
+    sG = HbarSeries(alg, {0: pairs[1][1], 2: pairs[0][1]})
+    assert _series_bits(_star_series(delta, sF, sG)) == \
+        _series_bits(_fold_star_series(delta, sF, sG))
+    assert len(_star_series(delta, sF, sG).coeffs) > 3
+    for kernel, got, unit in ((sym, alpha_transform(sym, sF), fl.ring.one),
+                              (delta, time_ordering(delta, sF, "inverse"), -fl.ring.i)):
+        assert _series_bits(got) == _series_bits(_fold_exp_map(kernel, sF, unit))
+
+
+def test_add_order_matches_the_series_fold():
+    """An order that first appears keeps its terms' signed zeros, also when
+    it enters by subtraction; an order that cancels is dropped and comes
+    back at the end, as in a fold of series ``+`` and ``−``."""
+    alg = Algebra([GeneratorId(0, 1, i, 0) for i in range(4)], mode="float")
+    a = {(0,): complex(-0.0, 1.0), (1,): complex(2.0, -0.0)}
+    steps = [(0, a, False),
+             (1, {(2,): complex(0.5, -0.0)}, True),
+             (0, a, False),
+             (0, {(0,): complex(-0.0, 2.0), (1,): complex(4.0, -0.0)}, True),
+             (0, {(3,): complex(-1.0, -0.0)}, False)]
+    acc, want = {}, HbarSeries(alg, {})
+    for n, terms, sub in steps:
+        _add_order(acc, n, dict(terms), sub)
+        step = HbarSeries(alg, {n: GrassmannElement(alg, dict(terms))})
+        want = want - step if sub else want + step
+    assert _series_bits(_series(alg, acc)) == _series_bits(want)
+    assert _series_bits(want) == [(1, [((2,), "(-0.5+0j)")]),
+                                  (0, [((3,), "(-1-0j)")])]
