@@ -12,7 +12,7 @@ in rational arithmetic.
 
 from ._core import BACKEND
 from .algebra import (Algebra, Configuration, GeneratorId, GrassmannElement,
-                      evaluate, kth_derivative, left_derivative, wedge)
+                      evaluate, left_derivative)
 from .lattice import (DiracOperator, FieldLattice, Lattice, causal_propagator,
                       dirac_green, kg_green)
 from .series import FormalSeries, HbarSeries, TruncatedSeries
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "Algebra", "Configuration", "GeneratorId", "GrassmannElement",
-    "wedge", "left_derivative", "evaluate", "kth_derivative",
+    "left_derivative", "evaluate",
     "Lattice", "FieldLattice", "DiracOperator", "kg_green", "dirac_green",
     "causal_propagator", "FormalSeries", "TruncatedSeries", "HbarSeries",
     "__version__",

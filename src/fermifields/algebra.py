@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .scalars import Ring, _qc
 
 __all__ = [
     "BACKEND", "FIELD", "CONJUGATE", "GeneratorId", "Algebra",
-    "GrassmannElement", "Configuration", "wedge", "left_derivative",
-    "evaluate", "kth_derivative", "random_element",
+    "GrassmannElement", "Configuration", "left_derivative", "evaluate",
+    "random_element",
 ]
 
 FIELD = 0
@@ -171,18 +171,6 @@ class GrassmannElement:
     def grades(self) -> set:
         return {len(w) for w in self._terms}
 
-    def grade(self) -> int:
-        """Grade of a homogeneous element (zero element counts as grade 0)."""
-        gs = self.grades()
-        if not gs:
-            return 0
-        if len(gs) > 1:
-            raise ValueError("element is not grade-homogeneous")
-        return gs.pop()
-
-    def parity(self) -> int:
-        return self.grade() % 2
-
     def is_even(self) -> bool:
         return all(len(w) % 2 == 0 for w in self._terms)
 
@@ -202,13 +190,6 @@ class GrassmannElement:
 
     def max_grade(self) -> int:
         return max((len(w) for w in self._terms), default=0)
-
-    def support(self) -> set:
-        """Set of generator ordinals occurring in any stored word."""
-        s: set = set()
-        for w in self._terms:
-            s.update(w)
-        return s
 
     def max_abs(self) -> float:
         return max_abs(np.array(list(self._terms.values()), dtype=object))
@@ -245,21 +226,11 @@ class GrassmannElement:
             return self.algebra.zero()
         return GrassmannElement(self.algebra, {w: v * c for w, v in self._terms.items()})
 
-    def __mul__(self, c):
-        if isinstance(c, GrassmannElement):
-            return NotImplemented
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     # -- graded structure -----------------------------------------------
     def wedge(self, other: "GrassmannElement") -> "GrassmannElement":
         self.algebra.check_compatible(other.algebra)
         raw = wedge_terms(self._terms, other._terms)
         return GrassmannElement(self.algebra, {w: c for w, c in raw.items() if c})
-
-    def __xor__(self, other):
-        return self.wedge(other)
 
     def d(self, i: int) -> "GrassmannElement":
         """Left derivative by generator ordinal ``i`` (first-slot contraction)."""
@@ -281,7 +252,7 @@ class GrassmannElement:
                 out[g] = GrassmannElement(self.algebra, terms)
         return out
 
-    # -- comparisons / export --------------------------------------------
+    # -- comparisons ------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
             return NotImplemented
@@ -291,14 +262,6 @@ class GrassmannElement:
 
     def __hash__(self):
         raise TypeError("GrassmannElement is unhashable")
-
-    def to_json_terms(self) -> list:
-        """Report form: list of (word, re, im) with deterministic order."""
-        out = []
-        for w in sorted(self._terms, key=lambda w: (len(w), w)):
-            c = complex(self._terms[w])
-            out.append([list(w), c.real, c.imag])
-        return out
 
     def __repr__(self):
         n = len(self._terms)
@@ -311,10 +274,6 @@ class Configuration(GrassmannElement):
     Shares the sparse representation of :class:`GrassmannElement`; the
     grade decomposition u = ⊕_p u^(p) is finite by construction.
     """
-
-
-def wedge(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a.wedge(b)
 
 
 def left_derivative(h, t: GrassmannElement) -> GrassmannElement:
@@ -346,29 +305,6 @@ def evaluate(t: GrassmannElement, u: GrassmannElement):
         if cu is not None:
             acc = acc + c * cu
     return acc
-
-
-def kth_derivative(t: GrassmannElement, k: int) -> Callable[[tuple], GrassmannElement]:
-    """Iterated left derivative as a map from k-tuples of ordinals.
-
-    ``kth_derivative(t, k)((g1, ..., gk))`` applies d_{gk} first and
-    d_{g1} last, so for k = 2 it matches the kernel convention
-    ``K[j, i] = d_j d_i t``.  The map is alternating in its arguments,
-    and evaluation unrolls to ``t(e_{gk} ∧ ... ∧ e_{g1} ∧ u)`` with the
-    innermost derivative contributing the innermost wedge factor.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-    def apply(gens: tuple) -> GrassmannElement:
-        if len(gens) != k:
-            raise ValueError(f"expected a {k}-tuple")
-        out = t
-        for g in reversed(gens):
-            out = out.d(g)
-        return out
-
-    return apply
 
 
 # -- seeded random inputs for property suites ---------------------------

@@ -14,7 +14,8 @@ derivative of :meth:`GrassmannElement.derivatives`:
 * the single-argument contraction is  Γ_K = (1/2) Σ K[i,j] d_j d_i,  d_i
   applied first, which makes the time-ordered product agree with the
   star product on temporally ordered supports;
-* the single pair contraction Γ_Δ(F, G) is half the signed pairing of
+* the single pair contraction Γ_Δ(F, G), the hbar^1 coefficient of
+  ``star_with_kernel(Δ, F, G)``, is half the signed pairing of
   :func:`~fermifields.dynamics.peierls_bracket`,
   (1/2) (−1)^{|F|+1} ⟨F^(1), Δ G^(1)⟩;
 * the pair contraction on a tensor state F ⊗ G, iterated by the star
@@ -32,14 +33,13 @@ from fractions import Fraction
 
 from ._core import merge_words
 from .algebra import Algebra, GrassmannElement, _add_terms
-from .dynamics import peierls_bracket
 from .kernels import Kernel
 from .reports import TOL_FACTOR, check_record
 from .scalars import Ring
 from .series import FormalSeries, HbarSeries
 
 __all__ = [
-    "SymmetricKernel", "gamma_delta", "star_product", "star_with_kernel",
+    "SymmetricKernel", "star_product", "star_with_kernel",
     "star_commutator", "contraction_operator", "time_ordering",
     "time_ordered_product", "formal_smatrix", "alpha_transform",
     "star_h_sandwich", "star_h_direct", "random_symmetric_kernel",
@@ -200,19 +200,8 @@ def star_with_kernel(kappa, F: GrassmannElement, G: GrassmannElement) -> FormalS
     return _series(F.algebra, _star_terms(_mat(kappa), F.algebra.ring.one, F, G))
 
 
-def gamma_delta(delta, F: GrassmannElement, G: GrassmannElement) -> GrassmannElement:
-    """Single pair contraction, half the signed pairing:
-    (1/2) (−1)^{|F|+1} Σ Δ[i,j] F^(1)_i ∧ G^(1)_j."""
-    mat = _mat(delta)
-    _check_kernel(mat, F, G)
-    return peierls_bracket(None, mat, F, G).scale(_half(F.algebra.ring))
-
-
 def star_product(delta, F: GrassmannElement, G: GrassmannElement) -> FormalSeries:
-    """Star product exp-of-contractions series; κ = i·Δ per hbar order.
-
-    ``.at(h)`` collapses it at a numeric hbar.
-    """
+    """Star product exp-of-contractions series; κ = i·Δ per hbar order."""
     return _series(F.algebra, _star_terms(_mat(delta), F.algebra.ring.i, F, G))
 
 

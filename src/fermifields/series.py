@@ -130,27 +130,6 @@ class FormalSeries:
                             {k: e for k, e in self.coeffs.items() if k <= order},
                             order, self.truncated or tr)
 
-    def at(self, value) -> GrassmannElement:
-        """Collapse the series at a numeric symbol value."""
-        ring = self.algebra.ring
-        acc = self.algebra.zero()
-        power = ring.one
-        for k in range(max(self.coeffs, default=0) + 1):
-            e = self.coeffs.get(k)
-            if e is not None:
-                acc = acc + e.scale(power)
-            power = power * ring.coerce(value)
-        return acc
-
-    def to_json(self) -> dict:
-        return {
-            "symbol": self.symbol,
-            "max_order": self.max_order,
-            "truncated": self.truncated,
-            "coefficients": {str(k): self.coefficient(k).to_json_terms()
-                             for k in self.orders()},
-        }
-
     def __repr__(self):
         return (f"FormalSeries({self.symbol}, orders={self.orders()}, "
                 f"max_order={self.max_order})")

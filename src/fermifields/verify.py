@@ -408,11 +408,12 @@ def suite_moller(cfg: RunConfig) -> list:
     rng = _rng(cfg, "moller")
     # nt = 5 leaves three interior time slices, so coupling corrections
     # survive through third order and the k <= 3 checks are non-vacuous
+    # (run_suites admits lambda_order 1..3)
     fl, S, dR, _, _ = _free_theory(Lattice(5, 2, cfg.dt, cfg.dx), "rational",
                                    cfg.mass)
     alg, ring = fl.algebra, fl.ring
     F = gn_interaction_term(fl, GrossNeveuParams(lam=cfg.lam, m=cfg.mass))
-    order = min(cfg.lambda_order, 3)
+    order = cfg.lambda_order
     slots = range(fl.n_slots)
     interior = fl.interior_slots()
     sub = moller_substitution(S, F, dR, order, cfg.max_grade)
@@ -750,6 +751,12 @@ def run_suites(cfg: RunConfig, names=None) -> tuple[list, bool]:
     # bracket samples its directions from the interior times 1..nt-2
     if "bracket" in names and cfg.nt < 3:
         raise ConfigError(f"suite 'bracket' needs lattice.nt >= 3, got {cfg.nt}")
+    # moller's own nt = 5 lattice has coupling corrections through order 3
+    # only (see suite_moller), and at order 0 three of its records check
+    # nothing
+    if "moller" in names and not 1 <= cfg.lambda_order <= 3:
+        raise ConfigError("suite 'moller' needs truncation.lambda_order in "
+                          f"1..3, got {cfg.lambda_order}")
     records = []
     for name in names:
         for rec in SUITES[name](cfg):

@@ -361,6 +361,30 @@ def test_cli_verify_bracket_needs_three_times(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "green")]) == 0
 
 
+@pytest.mark.parametrize("order", ["0", "4"])
+def test_cli_verify_moller_order_outside_1_to_3_exits_2(tmp_path, capsys, order):
+    """moller runs on its own nt = 5 lattice, whose corrections end at
+    order 3: any other truncation.lambda_order exits 2, naming the suite
+    and the bound, and creates no --out."""
+    out = tmp_path / "out"
+    assert main(["verify", "--suite", "moller", "--order", order,
+                 "--out", str(out)]) == 2
+    assert (f"suite 'moller' needs truncation.lambda_order in 1..3, got {order}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_verify_moller_runs_the_order_it_reports(tmp_path):
+    out = tmp_path / "out"
+    assert main(["verify", "--suite", "moller", "--order", "2",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["config"]["lambda_order"] == 2
+    orders = [rec["order"] for rec in report["checks"]
+              if rec["order"] is not None]
+    assert len(orders) == 6 and set(orders) == {2}
+
+
 def test_cli_verify_lets_an_internal_error_through(tmp_path, monkeypatch):
     """Only configuration errors exit 2: a ValueError raised inside a suite
     is a fault of the program and propagates."""

@@ -710,7 +710,7 @@ def test_every_image_solves_the_image_equation(max_grade):
            for k in range(1, 4)}
     src_full = {k: {j: full.apply(d, k - 1).coefficient(k - 1)
                     for j, d in dF.items()} for k in range(1, 4)}
-    inside = set(F.support())
+    inside = {g for w, _ in F.items() for g in w}
     assert inside and len(inside) < fl.n_slots
     flagged = set()
     for i in range(fl.n_slots):

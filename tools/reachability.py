@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Which functions of ``fermifields`` the CI's runs never call.
+
+    python3 tools/reachability.py
+
+Run from the root of a source checkout; the package is imported from
+its ``src/`` directory.  The script runs, in this process and under
+``sys.setprofile``, every ``verify`` and CLI configuration that the
+tier-1 workflow runs: ``verify`` at the default and at the non-default
+config, and ``propagators``, ``gn-series`` and ``car-table`` at the
+rational and the float 4x3 configs (with ``gn-series`` at
+``truncation.max_grade = 4`` and ``propagators`` at ``cutoff = ones``
+as well) and at the float two-colour 3x3 config.
+
+Every function defined in ``src/fermifields`` (methods and nested
+functions included) must be called by one of those runs, be a dunder,
+or be on ``ALLOWED`` with its reason.  Exit status 1 when a function is
+neither, when an ``ALLOWED`` entry is called or no longer exists, or
+when a run does not exit 0; otherwise 0.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermifields"
+
+# "module.qualname" -> why it stays although no run calls it.  The unread
+# S of dynamics.peierls_bracket is kept too: perfbench/layers.py passes it
+# positionally.
+ALLOWED = {
+    "config._parse_bool": "reads debug.corrupt_kernel, a key no CI config sets",
+    "config.RunConfig._window": "reads a window:LO:HI cutoff, which no CI "
+                                "config sets",
+    "kernels.ElementKernel.compose": "test oracle of compose_scalar_left and "
+                                     "_right; perfbench/spans.py traces it",
+    "dynamics.SubstitutionMap.inverse": "test oracle of MollerMap.inverse; "
+                                        "perfbench/spans.py traces it",
+    "quantization.formal_smatrix": "the paper's formal S-matrix; a verify "
+                                   "record for it would move both report hashes",
+    "series.FormalSeries.shift": "builds the fold oracles of "
+                                 "tests/test_quantization.py and "
+                                 "tests/test_dynamics.py",
+    "algebra.Algebra.one": "accessor the tests read",
+    "algebra.Algebra.mode": "accessor the tests read",
+    "algebra.GrassmannElement.terms": "accessor the tests read",
+    "kernels.Kernel.shape": "accessor the tests read",
+    "kernels.Kernel.max_abs": "accessor the tests read",
+    "kernels.ElementKernel.get": "accessor the tests read",
+    "kernels.ElementKernel.is_zero": "accessor the tests read",
+    "kernels.ElementKernel.grades": "accessor the tests read",
+    "series.FormalSeries.orders": "accessor the tests read",
+    "series.FormalSeries.is_zero": "accessor the tests read",
+    "scalars.QC.re": "accessor the tests read",
+    "scalars.QC.im": "accessor the tests read",
+}
+
+_4X3 = ("lattice.nt = 4", "lattice.nx = 3", "lattice.dt = 1/2", "mass = 3/4",
+        "lambda = 1/8")
+RATIONAL = _4X3 + ("arithmetic = rational",)
+FLOAT = _4X3 + ("arithmetic = float",)
+# (config lines, or None for the defaults; commands), as tier1.yml runs them
+RUNS = [
+    (None, ["verify"]),
+    (("lattice.nt = 5", "lattice.dt = 1/3", "lattice.dx = 1/2", "mass = 3/4",
+      "lambda = 1/8", "seed = 77"), ["verify"]),
+    (RATIONAL, ["propagators", "gn-series", "car-table"]),
+    (RATIONAL + ("truncation.max_grade = 4",), ["gn-series"]),
+    (RATIONAL + ("cutoff = ones",), ["propagators"]),
+    (FLOAT, ["propagators", "gn-series", "car-table"]),
+    (FLOAT + ("cutoff = ones",), ["propagators"]),
+    (("lattice.nt = 3", "lattice.nx = 3", "colors = 2", "mass = 3/4",
+      "lambda = 1/8", "arithmetic = float"), ["propagators", "gn-series"]),
+]
+
+
+def defined_functions() -> dict:
+    """{(file, first line): "module.qualname"} of every def in the package.
+
+    The first line is the one a code object reports: the first
+    decorator's, if any.
+    """
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem if path.stem != "__init__" else "fermifields"
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = prefix + child.name
+                    first = min([child.lineno]
+                                + [d.lineno for d in child.decorator_list])
+                    out[(str(path), first)] = f"{module}.{name}"
+                    walk(child, name + ".")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".")
+                else:
+                    walk(child, prefix)
+
+        walk(ast.parse(path.read_text(), str(path)), "")
+    return out
+
+
+def called(runs) -> tuple[set, list]:
+    """{(file, first line)} of every code object called while ``cli.main``
+    runs each command of ``runs``, and the (command, config, exit status)
+    of each failed run."""
+    seen: set = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.path.insert(0, str(PACKAGE.parent))
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.setprofile(profile)
+        try:
+            from fermifields.cli import main
+            for n, (lines, commands) in enumerate(runs):
+                argv = []
+                if lines is not None:
+                    cfg = Path(tmp) / f"run{n}.cfg"
+                    cfg.write_text("\n".join(lines) + "\n")
+                    argv = ["--config", str(cfg)]
+                for cmd in commands:
+                    out = Path(tmp) / f"run{n}-{cmd}"
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        rc = main([cmd, *argv, "--out", str(out)])
+                    if rc != 0:
+                        failed.append((cmd, lines, rc))
+        finally:
+            sys.setprofile(None)
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno)
+            for c in seen}, failed
+
+
+def main() -> int:
+    defined = defined_functions()
+    seen, failed = called(RUNS)
+    reached = {name for key, name in defined.items() if key in seen}
+    names = set(defined.values())
+    dunder = {n for n in names if re.fullmatch(r"__\w+__", n.rsplit(".", 1)[-1])}
+    problems = [f"run exited {rc}: {cmd} with {lines}"
+                for cmd, lines, rc in failed]
+    problems += [f"not reached and not allowed: {n}"
+                 for n in sorted(names - reached - dunder - set(ALLOWED))]
+    problems += [f"allowed but reached: {n}"
+                 for n in sorted(set(ALLOWED) & reached)]
+    problems += [f"allowed but not defined: {n}"
+                 for n in sorted(set(ALLOWED) - names)]
+    print(f"{len(names)} functions: {len(reached)} reached, {len(dunder)} "
+          f"dunders, {len(ALLOWED)} allowed")
+    for line in problems:
+        print(line)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
