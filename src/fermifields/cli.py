@@ -228,21 +228,20 @@ def cmd_car_table(cfg, out: Path) -> int:
     return 0
 
 
+# each subcommand's function, called with the config, --out and, for
+# verify alone, --suite; argparse rejects any other command
+COMMANDS = {"propagators": cmd_propagators, "verify": cmd_verify,
+            "gn-series": cmd_gn_series, "car-table": cmd_car_table}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
         cfg = _load(args)
-        if args.command == "propagators":
-            return cmd_propagators(cfg, args.out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.suite)
-        if args.command == "gn-series":
-            return cmd_gn_series(cfg, args.out)
-        if args.command == "car-table":
-            return cmd_car_table(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        suite = [args.suite] if "suite" in args else []
+        return COMMANDS[args.command](cfg, args.out, *suite)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -152,11 +152,11 @@ class RunConfig:
         if self.cutoff == "ones":
             return fl.ones_weights()
         if self.cutoff == "window":
-            if self.nt < 3:
-                raise ConfigError("cutoff = window needs lattice.nt >= 3: its "
-                                  "times 1..nt-2 are empty, which would "
-                                  "switch the interaction off")
-            return fl.window_weights(1, self.nt - 2)
+            # the library's default window, which refuses an empty one
+            try:
+                return GrossNeveuParams().cutoff(fl)
+            except ValueError as exc:
+                raise ConfigError(f"cutoff = window: {exc}") from None
         return fl.window_weights(*self._window())
 
     def gn_params(self, fl: FieldLattice) -> GrossNeveuParams:

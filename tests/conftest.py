@@ -1,10 +1,26 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fermifields.algebra import Algebra, GeneratorId
 from fermifields.lattice import FieldLattice, Lattice
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="session")
+def ci_runs():
+    """``tools/ci_runs.py``, the table of the CI's runs, loaded by path as
+    the module ``ci_runs``, the name ``tools/reachability.py`` imports."""
+    spec = importlib.util.spec_from_file_location("ci_runs", TOOLS / "ci_runs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["ci_runs"] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -9,11 +9,10 @@ same battery backs ``fermifields verify``.
 
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
-from fermifields.config import RunConfig
+from fermifields.config import RunConfig, load_config
 from fermifields.reports import write_report
 from fermifields.verify import SUITES, run_suites
 
@@ -27,10 +26,6 @@ FLOAT_TOLERANCE_CHECKS = {
     "canonical_identity_symbolic", "canonical_identity_fd_oracle",
     "gn_kernel_derivative_fd_oracle", "gn_color_symmetry",
 }
-# The non-default config of the CI's second verify step: dt*dx != 1, so
-# every exact residual carries denominators other than 1.
-NON_DEFAULT = dict(nt=5, dt=Fraction(1, 3), dx=Fraction(1, 2),
-                   mass=Fraction(3, 4), lam=Fraction(1, 8), seed=77)
 # sha256 of each report with those residuals set to null: the default
 # config's at commit ab1cbf3, the non-default one's at commit fb0de16
 BLAS_FREE_REPORT_SHA256 = {
@@ -161,14 +156,17 @@ def test_criterion_8_reproducibility(battery):
 
 @pytest.mark.parametrize("config", list(BLAS_FREE_REPORT_SHA256))
 def test_report_bytes_outside_float_residuals_are_fixed(battery, tmp_path,
-                                                        config):
+                                                        config, ci_runs):
     """The report, with the float-tolerance residuals blanked and
     serialised as ``write_report`` writes it, keeps its hash: every exact
-    residual, pass flag, digest and config value is pinned."""
+    residual, pass flag, digest and config value is pinned.  The
+    non-default config is the CI's: dt*dx != 1, so every exact residual
+    carries denominators other than 1."""
     _, out, _, _ = battery
     report = out / "report_a.json"
     if config == "non-default":
-        cfg = RunConfig(**NON_DEFAULT).validate()
+        run = ci_runs.BY_NAME["verify-non-default"]
+        cfg = load_config(run.write_config(tmp_path / run.name))
         names = list(SUITES)
         records, _ = run_suites(cfg, names)
         report = tmp_path / "report.json"

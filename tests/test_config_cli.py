@@ -532,16 +532,13 @@ def test_cli_car_table(tmp_path):
     assert len(lines) > 1
 
 
-def test_cli_float_two_colours_at_3x3(tmp_path):
-    """Float propagators and gn-series at 3x3 with two colours: 72
-    generators, more than a 64-bit word mask could hold.  Both exit 0, so
-    the interacting defect is below ``TOL_NUM``; gn-series reaches
-    grade 8."""
-    p = write(tmp_path, "lattice.nt = 3\nlattice.nx = 3\ncolors = 2\n"
-                        "mass = 3/4\nlambda = 1/8\narithmetic = float\n")
-    for cmd in ("propagators", "gn-series"):
-        out = tmp_path / cmd
-        assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
+def test_cli_float_two_colours_at_3x3(tmp_path, ci_runs):
+    """Float propagators and gn-series at the CI's 3x3 config with two
+    colours: 72 generators, more than a 64-bit word mask could hold.  Both
+    exit 0, so the interacting defect is below ``TOL_NUM``; gn-series
+    reaches grade 8."""
+    for argv in ci_runs.BY_NAME["float-3x3-2colors"].argvs(tmp_path):
+        assert main(argv) == 0
     rows = dict(r.split(",") for r in
                 (tmp_path / "propagators" / "defects.csv").read_text().splitlines()[1:])
     assert float(rows["interacting_defect"]) < TOL_NUM
@@ -566,43 +563,17 @@ def test_cli_float_car_table_shadows_rational_at_3x3(tmp_path):
     assert max(abs(approx[k] - v) / (abs(v) or 1.0) for k, v in exact.items()) < 1e-12
 
 
-# sha256 of each rational output at 4x3 of the propagators, car-table,
-# gn-series and grade-4 gn-series runs, all 16 of the CI's
-# EXPECTED_CLI_SHA256 list, with the same values; each norm in the three
-# per-order norm tables is the exact norm rounded once
-RATIONAL_4X3_SHA256 = {
-    "car-table/car_table.csv": "a23ccc32151474fe1c63e90340e1b8be1399a4740336780257192758295285cf",
-    "gn-series/gn_moller_series.csv": "952ad4b1bfd7ee75409a6d5a8b18e9863f347bda756be564e4504e9a2237a92b",
-    "gn-series/gn_propagator_orders.csv": "d28835e23be9c173200311b5e994a1d56d553bebba266932017a1a7b1af7584e",
-    "propagators/defects.csv": "69f273395e5d210bcd2fbe1fc1a95777432c78c0b86de667eef49324ef413ec1",
-    "propagators/free_advanced.csv": "fbd8e65d12b8c361244b5ad17c6332968421b74700c2bc749f0087b9f65cb130",
-    "propagators/free_advanced.json": "f5050701105199b681cd15b57c00d7e83df1dbe61ea99dd939fdff34d29e9d97",
-    "propagators/free_causal.csv": "6a79ff8dc15fc31d0003d809d5cfdf94beb9d924c2eb2a24bb690b0b3d8580bd",
-    "propagators/free_causal.json": "59c95da444b29e024f198d0532590c78f49e322c10a75af20ebe668b930f8a3c",
-    "propagators/free_retarded.csv": "b969df261e2dfefee3ca7a71a87dbd53caa1838de25c23fdd87e274def80b063",
-    "propagators/free_retarded.json": "8ca2246a8df8e067ddb5b08aeb2ab0a9a46f5522b3226aac5a1cc7e9eb7bd785",
-    "propagators/interacting_retarded_order0.csv": "b969df261e2dfefee3ca7a71a87dbd53caa1838de25c23fdd87e274def80b063",
-    "propagators/interacting_retarded_orders.csv": "23cd7dc2d90895e405e91cebf5c0688b9502086b48e292532d5827d92b91b816",
-    "propagators/kg_retarded.csv": "1ebbc5c0ca27b5965c3c85f33780e1cf101045ee181ad7fd4a15a51c88360947",
-    "propagators/kg_retarded.json": "284caa713dbea485b27eb9bc2cdb0260c396bdc5dc19ef8311325ccadd248f87",
-    "gn-series-grade4/gn_moller_series.csv": "a6b4d55c5597822db88230b7cf4971c02272657938a37cdb8cbac8b2fd932b19",
-    "gn-series-grade4/gn_propagator_orders.csv": "ddfbaa89b24139f4e98b199d358750d3501daa9011ab1b61fd3043bcdecd4305",
-}
-
-
-def test_cli_rational_4x3_outputs_keep_their_hashes(tmp_path):
+def test_cli_rational_4x3_outputs_keep_their_hashes(tmp_path, ci_runs):
     """propagators, car-table and gn-series (at the default grade and at
-    max_grade 4) at the rational 4x3 config write the bytes whose hashes
-    the CI lists."""
-    text = ("lattice.nt = 4\nlattice.nx = 3\nlattice.dt = 1/2\n"
-            "mass = 3/4\nlambda = 1/8\narithmetic = rational\n")
-    p = write(tmp_path, text)
-    grade4 = write(tmp_path, text + "truncation.max_grade = 4\n", "grade4.cfg")
-    for out, cmd, cfg in (("propagators", "propagators", p),
-                          ("car-table", "car-table", p),
-                          ("gn-series", "gn-series", p),
-                          ("gn-series-grade4", "gn-series", grade4)):
-        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in RATIONAL_4X3_SHA256}
-    assert got == RATIONAL_4X3_SHA256
+    max_grade 4) at the CI's rational 4x3 configs write the bytes whose
+    hashes the CI pins, all 16 of those two runs; each norm in the three
+    per-order norm tables is the exact norm rounded once."""
+    got, want = {}, {}
+    for name in ("rational-4x3", "rational-4x3-grade4"):
+        run = ci_runs.BY_NAME[name]
+        for argv in run.argvs(tmp_path / name):
+            assert main(argv) == 0
+        for rel, sha in run.sha256.items():
+            want[name, rel] = sha
+            got[name, rel] = hashlib.sha256((tmp_path / name / rel).read_bytes()).hexdigest()
+    assert len(want) == 16 and got == want

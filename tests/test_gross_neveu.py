@@ -1097,7 +1097,8 @@ def test_a_cutoff_that_breaks_the_translation_builds_every_group():
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
-def test_propagators_fail_under_the_vertex_mutant(tmp_path, monkeypatch, mode):
+def test_propagators_fail_under_the_vertex_mutant(tmp_path, monkeypatch, mode,
+                                                  ci_runs):
     """The vertex mutant flips the sign of the order 1 → 2 merges of the
     monomials with an even id.  Its order step is not translation-covariant,
     and the defect runs it on the groups that are mapped, not built: so
@@ -1113,9 +1114,7 @@ def test_propagators_fail_under_the_vertex_mutant(tmp_path, monkeypatch, mode):
         return np.where(m % 2 == 0, -merged, merged) if k == 1 else merged
 
     monkeypatch.setattr(gross_neveu._MergeTables, "lookup", mutant)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lattice.nt = 4\nlattice.nx = 3\nlattice.dt = 1/2\n"
-                   f"mass = 3/4\nlambda = 1/8\narithmetic = {mode}\n")
+    cfg = ci_runs.BY_NAME[f"{mode}-4x3"].write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["propagators", "--config", str(cfg), "--out", str(out)]) == 1
     with open(out / "defects.csv", newline="") as fh:

@@ -5,12 +5,8 @@
 
 Run from the root of a source checkout; the package is imported from
 its ``src/`` directory.  The script runs, in this process and under
-``sys.setprofile``, every ``verify`` and CLI configuration that the
-tier-1 workflow runs: ``verify`` at the default and at the non-default
-config, and ``propagators``, ``gn-series`` and ``car-table`` at the
-rational and the float 4x3 configs (with ``gn-series`` at
-``truncation.max_grade = 4`` and ``propagators`` at ``cutoff = ones``
-as well) and at the float two-colour 3x3 config.
+``sys.setprofile``, every ``verify`` and CLI run of ``RUNS`` in
+``tools/ci_runs.py``, the table the tier-1 workflow runs.
 
 Every function defined in ``src/fermifields`` (methods and nested
 functions included) must be called by one of those runs, be a dunder,
@@ -28,6 +24,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+from ci_runs import RUNS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermifields"
 
@@ -61,24 +59,6 @@ ALLOWED = {
     "scalars.QC.im": "accessor the tests read",
 }
 
-_4X3 = ("lattice.nt = 4", "lattice.nx = 3", "lattice.dt = 1/2", "mass = 3/4",
-        "lambda = 1/8")
-RATIONAL = _4X3 + ("arithmetic = rational",)
-FLOAT = _4X3 + ("arithmetic = float",)
-# (config lines, or None for the defaults; commands), as tier1.yml runs them
-RUNS = [
-    (None, ["verify"]),
-    (("lattice.nt = 5", "lattice.dt = 1/3", "lattice.dx = 1/2", "mass = 3/4",
-      "lambda = 1/8", "seed = 77"), ["verify"]),
-    (RATIONAL, ["propagators", "gn-series", "car-table"]),
-    (RATIONAL + ("truncation.max_grade = 4",), ["gn-series"]),
-    (RATIONAL + ("cutoff = ones",), ["propagators"]),
-    (FLOAT, ["propagators", "gn-series", "car-table"]),
-    (FLOAT + ("cutoff = ones",), ["propagators"]),
-    (("lattice.nt = 3", "lattice.nx = 3", "colors = 2", "mass = 3/4",
-      "lambda = 1/8", "arithmetic = float"), ["propagators", "gn-series"]),
-]
-
 
 def defined_functions() -> dict:
     """{(file, first line): "module.qualname"} of every def in the package.
@@ -109,8 +89,8 @@ def defined_functions() -> dict:
 
 def called(runs) -> tuple[set, list]:
     """{(file, first line)} of every code object called while ``cli.main``
-    runs each command of ``runs``, and the (command, config, exit status)
-    of each failed run."""
+    runs each command of ``runs``, and the (run, command, exit status) of
+    each failed command."""
     seen: set = set()
 
     def profile(frame, event, arg):
@@ -123,18 +103,12 @@ def called(runs) -> tuple[set, list]:
         sys.setprofile(profile)
         try:
             from fermifields.cli import main
-            for n, (lines, commands) in enumerate(runs):
-                argv = []
-                if lines is not None:
-                    cfg = Path(tmp) / f"run{n}.cfg"
-                    cfg.write_text("\n".join(lines) + "\n")
-                    argv = ["--config", str(cfg)]
-                for cmd in commands:
-                    out = Path(tmp) / f"run{n}-{cmd}"
+            for run in runs:
+                for argv in run.argvs(Path(tmp) / run.name):
                     with contextlib.redirect_stdout(io.StringIO()):
-                        rc = main([cmd, *argv, "--out", str(out)])
+                        rc = main(argv)
                     if rc != 0:
-                        failed.append((cmd, lines, rc))
+                        failed.append((run.name, argv[0], rc))
         finally:
             sys.setprofile(None)
     return {(str(Path(c.co_filename).resolve()), c.co_firstlineno)
@@ -147,8 +121,8 @@ def main() -> int:
     reached = {name for key, name in defined.items() if key in seen}
     names = set(defined.values())
     dunder = {n for n in names if re.fullmatch(r"__\w+__", n.rsplit(".", 1)[-1])}
-    problems = [f"run exited {rc}: {cmd} with {lines}"
-                for cmd, lines, rc in failed]
+    problems = [f"run exited {rc}: {cmd} of {name}"
+                for name, cmd, rc in failed]
     problems += [f"not reached and not allowed: {n}"
                  for n in sorted(names - reached - dunder - set(ALLOWED))]
     problems += [f"allowed but reached: {n}"
