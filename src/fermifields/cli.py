@@ -113,7 +113,7 @@ def cmd_propagators(cfg, out: Path) -> int:
          TOL_FACTOR),
         ("green_identity_interior_rows",
          dR.identity_defect(S.second_kernel()[0].mat), TOL_GREEN),
-        ("interacting_defect", propagator_defect(S, ik), TOL_NUM),
+        ("interacting_defect", propagator_defect(ik), TOL_NUM),
     ]
     write_csv(out / "defects.csv", ["check", "max_defect"],
               [[name, repr(v)] for name, v, _ in defects])

@@ -16,7 +16,7 @@ import numpy as np
 from ._core import merge_words
 from .algebra import CONJUGATE, FIELD, GrassmannElement
 from .dynamics import ActionFunctional, peierls_bracket
-from .kernels import ElementKernel, Kernel
+from .kernels import ElementKernel
 from .lattice import NCOMP, FieldLattice, dirac_green, dirac_matrix
 from .linalg import _ExactBlock, matmul, max_abs, ring_of, zeros
 
@@ -292,12 +292,15 @@ def _filled(table: np.ndarray, at: np.ndarray, fill) -> np.ndarray:
 
 def _root(square: Fraction) -> float:
     """√square rounded once to a float, 0.0 for a square <= 0: an integer
-    square root takes it exactly to 64 bits or more first."""
+    square root floors it to 64 bits or more first, its last bit set when
+    the floor is inexact, so that the one rounding of the division sees
+    a root above a halfway point as above it."""
     n, d = square.numerator, square.denominator
     if n <= 0:
         return 0.0
     m = max(0, 66 + (d.bit_length() - n.bit_length()) // 2)
-    return isqrt((n << 2 * m) // d) / (1 << m)
+    root = isqrt((n << 2 * m) // d)
+    return (root | (root * root * d != n << 2 * m)) / (1 << m)
 
 
 class _MergeTables:
@@ -404,25 +407,28 @@ class _MergeTables:
 
 
 class InteractingKernel:
-    """Terminating retarded propagator series with Grassmann-even entries.
+    """Terminating retarded propagator series with Grassmann-even entries,
+    a function of the action ``S`` (kept as ``action``) alone.
 
-    ``free`` is the scalar order Δ0.  Order k >= 1 is Δ_k = (−Δ0)·V_k
-    with the vertex product V_k = W∘Δ_{k−1} (V_1 = W·Δ0, W the even
-    element part of S^(2), its rows restricted to ``free.exact_rows``, the
-    nonzero columns of Δ0); its entries have grade exactly 2k, so
-    evaluation against a grade-n configuration uses only k <= n//2 orders.
+    ``free`` is the scalar order Δ0, S's free retarded solve.  Order k >= 1
+    is Δ_k = (−Δ0)·V_k with the vertex product V_k = W∘Δ_{k−1} (V_1 =
+    W·Δ0, W the even element part of S^(2), its rows restricted to
+    ``free.exact_rows``, the nonzero columns of Δ0); its entries have
+    grade exactly 2k, so evaluation against a grade-n configuration uses
+    only k <= n//2 orders.
 
     Each V_k is kept as column blocks.  Order k's words (grade 2k) are
     numbered in a table of their own (:class:`_MergeTables`), and a block
     of V_k is a matrix over W's rows whose columns are keys ``column << 32
     | word id``.  The live source columns of Δ0, its exact rows, are
-    grouped by lattice site, one block per group and order.  ``shift``,
-    the translation x → x + 1 when it maps W onto itself, else the
-    identity, maps the series onto itself and sorts the groups into
-    orbits: only the first group of each orbit is built, running through
-    every order before the next one starts.  Every other group is that
-    group's n-th translate, and :meth:`_order` maps its blocks where they
-    are read.  With the identity every group is its own orbit and is built.
+    grouped by lattice site, one block per group and order.  The shift
+    (:func:`_translation`), the translation x → x + 1 when it maps W onto
+    itself, else the identity, maps the series onto itself and sorts the
+    groups into orbits: only the first group of each orbit is built,
+    running through every order before the next one starts.  Every other
+    group is that group's n-th translate, and :meth:`_order` maps its
+    blocks where they are read.  With the identity every group is its own
+    orbit and is built.
     A block is only ever held as its nonzeros (:class:`_Order`), from the
     order step that makes it to the last read.
 
@@ -446,11 +452,15 @@ class InteractingKernel:
     nonzeros that share a key, exactly in rational mode, once per orbit.
     """
 
-    def __init__(self, fl: FieldLattice, max_grade: int, free: Kernel,
-                 W: ElementKernel, shift: np.ndarray):
-        self.fl = fl
+    def __init__(self, S: ActionFunctional, max_grade: int):
+        if max_grade % 2 != 0:
+            raise ValueError("max_grade must be even (entries are Grassmann-even)")
+        fl = self.fl = S.fl
+        self.action = S
         self.max_grade = max_grade
-        self.free = free
+        free = self.free = dirac_green(fl, S.meta["m"], "retarded")
+        W = S.second_kernel()[1].restrict_rows(free.exact_rows)
+        shift = _translation(fl, W)
         self._corrections: list = []      # the Δ_k built so far, k = 1..
         self._neg_free = -free.mat
         self._tables = _MergeTables()
@@ -573,12 +583,11 @@ class InteractingKernel:
     def _build(self, g: int) -> list:
         """Run group g through every order; its orders up to its last
         nonzero one."""
-        W = self._W
         last = self.max_grade // 2
         stored: list = []
-        y = self._first(g, W.cols)
+        y = self._first(g)
         for k in range(1, last + 1):
-            x = self._step(k - 1, y, W)
+            x = self._step(k - 1, y)
             if not len(x.vals):
                 break
             stored.append(x)
@@ -586,18 +595,19 @@ class InteractingKernel:
                 y = _product(self._back, x)   # Δ_k = −Δ0[:, rows]·X_k on W's columns
         return stored
 
-    def _first(self, g: int, cols: np.ndarray) -> _Order:
-        """Rows ``cols`` of Δ0 in group g: Δ0's own columns as keys, under
-        word id 0, the empty word."""
-        group = self._groups[g]
+    def _first(self, g: int) -> _Order:
+        """The rows of Δ0 on W's columns in group g: Δ0's own columns as
+        keys, under word id 0, the empty word."""
+        group, cols = self._groups[g], self._W.cols
         y = self.free.mat[np.ix_(cols, group)]
         p, c = np.nonzero(y.T.astype(bool))
         return _Order(group << _SHIFT, p * len(cols) + c, y[c, p])
 
-    def _step(self, k: int, y: _Order, W: _Entries) -> _Order:
+    def _step(self, k: int, y: _Order) -> _Order:
         """W∘Δ_k on W's rows, Δ_k given by its rows ``y`` on W's columns.
         Its keys are every (column, word) that a product reaches, sorted,
         the products that sum to 0 included; its nonzeros are the sums."""
+        W = self._W
         p, c = np.divmod(y.at, len(W.cols))
         # e runs over W's entries in column c, for each nonzero (c, p) of y
         lo = W.start[c]
@@ -646,40 +656,31 @@ class InteractingKernel:
                 acc.setdefault((a, j), {})[words[u]] = c
         return ElementKernel(self.fl.algebra, self.fl.n_slots)._from_terms(acc)
 
-    def _defect(self, rows: np.ndarray, W: ElementKernel) -> float:
+    def _defect(self) -> float:
         """max |W∘Δ_{k−1} − X_k| over every order k and column, from every
-        group's nonzeros as :meth:`_order` reads them: the order step on
-        ``W``'s entries from the group's order k − 1, less X_k on the rows
-        of the series' W in the slot mask ``rows``, summed on (slot, key).
-        With E = K0·Δ0 − Id on those rows, K0·Δ_k + W∘Δ_{k−1} = (W∘Δ_{k−1}
-        − X_k) − E[:, W rows]·X_k.  It sees a stored order changed after
-        its step and, on a mapped group, a step that is not
-        translation-covariant, nothing else; no Δ_k term dict is built."""
-        W, own = self._entries(W), self._W.rows
-        back = _columns(self._neg_free[np.ix_(W.cols, own)])
-        checked, n = rows[own], self.fl.n_slots
-        parts = []
+        group's nonzeros as :meth:`_order` reads them: the order step from
+        the group's order k − 1, less X_k, summed on (key, row).  With E =
+        K0·Δ0 − Id on W's rows, K0·Δ_k + W∘Δ_{k−1} = (W∘Δ_{k−1} − X_k) −
+        E[:, W rows]·X_k.  It sees a stored order changed after its step
+        and, on a mapped group, a step that is not translation-covariant,
+        nothing else; no Δ_k term dict is built."""
+        n, parts = len(self._W.rows), []
         for g in range(len(self._groups)):
-            y = self._first(g, W.cols)
+            y = self._first(g)
             for k in range(1, self.order_count):
-                lower = self._step(k - 1, y, W)
+                lower = self._step(k - 1, y)
                 if k > self._depth(g):   # V_k is 0 on this group
                     parts.append(max_abs(lower.vals))
                     break
                 x = self._order(g, k)
-                # both blocks' keys, each once, ascending
-                keys = np.sort(np.concatenate([x.keys, lower.keys]), kind="stable")
-                keys = keys[_starts(keys)]
-                p, r = np.divmod(x.at, len(own))
-                q, i = np.divmod(lower.at, len(W.rows))
-                on = checked[r]
-                a = np.searchsorted(keys, x.keys)[p[on]] * n + own[r[on]]
-                b = np.searchsorted(keys, lower.keys)[q] * n + W.rows[i]
-                _, sums = _summed(np.concatenate([a, b]),
-                                  np.concatenate([-x.vals[on], lower.vals]), len(keys) * n)
+                # key value · rows + row, −X_k's terms before the step's
+                code = np.concatenate([b.keys[b.at // n] * n + b.at % n
+                                       for b in (x, lower)])
+                _, sums = _summed(code, np.concatenate([-x.vals, lower.vals]),
+                                  int(code.max()) + 1)
                 parts.append(max_abs(sums))
                 if k + 1 < self.order_count:
-                    y = _product(back, x)
+                    y = _product(self._back, x)
         return max_abs(np.array(parts))
 
 
@@ -708,12 +709,7 @@ def interacting_propagator(S: ActionFunctional,
     built and the others are mapped from it where they are read; else
     every site is built, by the same code.
     """
-    if max_grade % 2 != 0:
-        raise ValueError("max_grade must be even (entries are Grassmann-even)")
-    fl = S.fl
-    free = dirac_green(fl, S.meta["m"], "retarded")
-    W = S.second_kernel()[1].restrict_rows(free.exact_rows)
-    return InteractingKernel(fl, max_grade, free, W, _translation(fl, W))
+    return InteractingKernel(S, max_grade)
 
 
 def _translation(fl: FieldLattice, W: ElementKernel) -> np.ndarray:
@@ -738,13 +734,14 @@ def _translation(fl: FieldLattice, W: ElementKernel) -> np.ndarray:
     return tau if image == terms else np.arange(fl.n_slots)
 
 
-def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
-    """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise.
+def propagator_defect(ik: InteractingKernel) -> float:
+    """max |S^(2) @ Δ_I − δ| over exact equation rows, graded entrywise,
+    S the series' own action ``ik.action``.
 
     The grade-0 block is E = K0·Δ0 − Id.  The grade-2k block is the order
-    step's own residual W∘Δ_{k−1} − X_k at every site group: the step on
-    the exact rows' entries of W from the group's order k − 1, less its
-    stored or mapped order k.  As Δ_k = −Δ0[:, W rows]·X_k, K0·Δ_k +
+    step's own residual W∘Δ_{k−1} − X_k at every site group: the series'
+    step on its W from the group's order k − 1, less its stored or mapped
+    order k.  As Δ_k = −Δ0[:, W rows]·X_k, K0·Δ_k +
     W∘Δ_{k−1} = (W∘Δ_{k−1} − X_k) − E[:, W rows]·X_k: both blocks are 0
     exactly when S^(2)·Δ_I = δ holds at every grade, and in float mode
     they differ from it by E·X_k, about 1e-16.  The step residual sees
@@ -752,10 +749,8 @@ def propagator_defect(S: ActionFunctional, ik: InteractingKernel) -> float:
     step that is not translation-covariant.  No block is made dense and
     no Δ_k term dict is built; in rational mode every residual is exact.
     """
-    K0, W = S.second_kernel()
-    rows = ik.free.exact_rows
-    return max_abs(np.array([ik.free.identity_defect(K0.mat),
-                             ik._defect(rows, W.restrict_rows(rows))]))
+    K0 = ik.action.second_kernel()[0]
+    return max_abs(np.array([ik.free.identity_defect(K0.mat), ik._defect()]))
 
 
 def interacting_causal(ik: InteractingKernel) -> list:

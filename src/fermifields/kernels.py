@@ -8,7 +8,6 @@ derivatives, interacting propagator corrections).
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from ._core import wedge_terms
 from .algebra import Algebra, GrassmannElement, _add_terms
 from .linalg import matmul, max_abs, ring_of
+from .reports import write_csv
 
 __all__ = ["Kernel", "ElementKernel"]
 
@@ -94,11 +94,8 @@ class Kernel:
                         v.imag.tolist()))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "re", "im"])
-            for i, j, re, im in self._nonzeros():
-                writer.writerow([i, j, repr(re), repr(im)])
+        write_csv(path, ["row", "col", "re", "im"],
+                  ([i, j, repr(re), repr(im)] for i, j, re, im in self._nonzeros()))
 
     def to_json(self, path) -> None:
         payload = {"kind": self.kind, "shape": list(self.mat.shape),

@@ -153,7 +153,7 @@ def test_cli_propagators_fails_on_interacting_defect(tmp_path, monkeypatch,
                         f"arithmetic = {arithmetic}\n")
     args = ["propagators", "--config", str(p), "--out", str(tmp_path / "out")]
     assert main(args) == 0
-    monkeypatch.setattr(gross_neveu, "propagator_defect", lambda S, ik: defect)
+    monkeypatch.setattr(gross_neveu, "propagator_defect", lambda ik: defect)
     assert main(args) == 1
     rows = (tmp_path / "out" / "defects.csv").read_text().splitlines()
     assert rows[-1] == f"interacting_defect,{defect!r}"

@@ -191,7 +191,7 @@ def test_interacting_propagator_inverse_identity(gn32):
     grade-2k residuals the sparse oracle forms from its orders."""
     fl, params, S = gn32
     ik = interacting_propagator(S, max_grade=4)
-    assert propagator_defect(S, ik) == 0.0
+    assert propagator_defect(ik) == 0.0
     assert _sparse_defect(S, ik) == 0.0
     ika = SimpleNamespace(free=dirac_green(fl, params.m, "advanced"),
                           corrections=[c.transpose().scale(-1)
@@ -497,14 +497,14 @@ def test_propagator_defect_sees_a_perturbed_correction(mode):
     ik = interacting_propagator(S, 4)
     assert ik.order_count == 3 and not ik._corrections
     assert max(len(b) for b in ik._blocks) == 2
-    clean = propagator_defect(S, ik)
+    clean = propagator_defect(ik)
     assert clean == 0.0 if ring.exact else clean < TOL_NUM
     if ring.exact:
         assert clean == _sparse_defect(S, ik, full=True)
     for eps in epsilons:
         for k in (0, 1):
             ik = _perturbed_block(interacting_propagator(S, 4), k, eps)
-            got = propagator_defect(S, ik)
+            got = propagator_defect(ik)
             assert got > bound
             if ring.exact:
                 # K0·Δ0 = Id on the exact rows, so the order step's residual
@@ -545,9 +545,21 @@ def float32_two_colors():
     return S, interacting_propagator(S, 4)
 
 
+@pytest.fixture(scope="module")
+def float43_ones():
+    """4x3 float action with the cutoff on every site, so that W has rows
+    on the first and the last time slice, and its grade-6 retarded
+    series."""
+    fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
+    S = build_gn_action(fl, GrossNeveuParams(lam=0.125, m=0.75, g=[1] * 12))
+    return S, interacting_propagator(S, 6)
+
+
 @pytest.mark.parametrize("series, orders", [("float43", 3),
+                                            ("float43_ones", 3),
                                             ("float32_two_colors", 2)],
-                         ids=["4x3-grade6", "3x2-2colors-grade4"])
+                         ids=["4x3-grade6", "4x3-ones-grade6",
+                              "3x2-2colors-grade4"])
 @pytest.mark.parametrize("scaled", [False, True], ids=["series", "scaled"])
 def test_float_propagator_defect_matches_the_sparse_oracle(
         request, monkeypatch, series, orders, scaled):
@@ -567,64 +579,7 @@ def test_float_propagator_defect_matches_the_sparse_oracle(
     want = _sparse_defect(S, ik)
     assert (want > 1e-6) if scaled else (want < TOL_NUM)
     monkeypatch.setattr(Kernel, "identity_defect", lambda self, op: 0.0)
-    assert abs(propagator_defect(S, ik) - want) <= 1e-15
-
-
-@pytest.mark.parametrize("case", ["one-site-unchecked", "every-row-checked"])
-def test_float_propagator_defect_on_keys_the_series_lacks(monkeypatch, case):
-    """The defect's order steps run on the entries of W on the checked
-    rows, not on the series' W.  With the rows of one interacting site
-    left unchecked they miss some stored keys (the stored orders are
-    scaled by 1 + k/1000 here, so that the residual is far from 0).  With
-    every row checked and the cutoff on every site, W keeps entries on
-    dead columns of Δ0 that the series dropped, and they reach keys the
-    series lacks.  Either way the float residual agrees with the sparse
-    oracle within 1e-15·max(1, residual); on the dead rows alone, with no
-    row of the series' W checked, it is the largest coefficient of
-    W∘Δ_{k−1}."""
-    g = [1] * 12 if case == "every-row-checked" else None
-    fl = FieldLattice(Lattice(4, 3, 1, 1), 1, "float")
-    S = build_gn_action(fl, GrossNeveuParams(lam=0.125, m=0.75, g=g))
-    ik = interacting_propagator(S, 6)
-    if g is None:
-        gens = fl.algebra.generators
-        site = gens[ik._W.rows[0]].site
-        rows = ik.free.exact_rows.copy()
-        rows[[i for i, gen in enumerate(gens) if gen.site == site]] = False
-        for stored in ik._blocks:
-            for k, order in enumerate(stored, 1):
-                order.vals[:] *= 1 + k / 1000
-    else:
-        rows = np.ones(fl.n_slots, dtype=bool)
-    ik.free = Kernel(ik.free.mat, ik.free.kind, ik.free.times, rows)
-    stepped = []
-    step = ik._step
-
-    def recorded(k, *args):
-        order = step(k, *args)
-        stepped.extend((k + 1, key) for key in order.keys.tolist())
-        return order
-
-    ik._step = recorded
-    want = _sparse_defect(S, ik)
-    assert want > 1e-6
-    monkeypatch.setattr(Kernel, "identity_defect", lambda self, op: 0.0)
-    assert abs(propagator_defect(S, ik) - want) <= 1e-15 * max(want, 1.0)
-    stored = {(k, key) for b in _group_orders(ik) for k, order in enumerate(b, 1)
-              for key in order.keys.tolist()}
-    if g is None:
-        assert set(stepped) < stored
-        return
-    assert set(stepped) - stored
-    # on the entries of W on dead rows alone every key is one the series
-    # lacks, and with no checked row the residual is W∘Δ_{k−1} itself
-    _, W = S.second_kernel()
-    W = W.restrict_rows([not any(col) for col in ik.free.mat.T])
-    lowers = [W.compose_scalar_right(ik.free.mat),
-              *(W.compose(c) for c in ik.corrections[:-1])]
-    want = max(e.max_abs() for lower in lowers for e in lower.entries.values())
-    got = ik._defect(np.zeros(fl.n_slots, dtype=bool), W)
-    assert want > 0.1 and abs(got - want) <= 1e-15 * want
+    assert abs(propagator_defect(ik) - want) <= 1e-15
 
 
 # -- per-order norms from the vertex products ------------------------------------
@@ -1093,7 +1048,7 @@ def test_a_cutoff_that_breaks_the_translation_builds_every_group():
     assert len(ik._blocks) == len(ik._groups) == 9
     assert ik.order_count == 3
     _assert_same_entries(ik.corrections, _eager_orders(S, "retarded", 4))
-    assert propagator_defect(S, ik) == 0.0
+    assert propagator_defect(ik) == 0.0
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -1209,6 +1164,27 @@ def test_per_order_norms_read_an_order_whose_square_underflows(mode):
     tiny, one = norms(Fraction(1, 10**300)), norms(1)
     assert tiny[1][:2] == (1, 2) and one[1][2] > 0.1
     assert tiny[1][2] == pytest.approx(1e-300 * one[1][2], rel=1e-12, abs=0)
+
+
+def test_root_rounds_once_near_a_halfway_point():
+    """A norm's root is the exact root rounded once, also when it lies 2⁻⁵
+    … 2⁻⁶⁰ ulp above or below a point halfway between two floats, where a
+    floored integer root rounded again would tie to even on the halfway
+    point: for s = 1 + 2⁻⁵³ + 2⁻⁷⁰, √(s²) reads 1 + 2⁻⁵², not 1.0.  The
+    reference is a 300-digit decimal root, rounded once by ``float``."""
+    rng = np.random.default_rng(40)
+    roots = [1 + Fraction(1, 2**53) + Fraction(1, 2**70)]
+    for _ in range(300):
+        # halfway between the floats a·2⁻⁵² and (a + 1)·2⁻⁵² in [1, 2)
+        a = int(rng.integers(2**52, 2**53))
+        off = Fraction(int(rng.choice([-1, 0, 1])), 2**(52 + int(rng.integers(5, 61))))
+        scale = Fraction(2) ** int(rng.integers(-40, 41))
+        roots.append((Fraction(2 * a + 1, 2**53) + off) * scale)
+    with localcontext(prec=300):
+        want = [float((Decimal(q.numerator) / q.denominator).sqrt())
+                for q in (s * s for s in roots)]
+    assert [gross_neveu._root(s * s) for s in roots] == want
+    assert want[0] == 1 + 2**-52
 
 
 def test_series_build_holds_no_dense_top_order_block(monkeypatch):

@@ -88,7 +88,8 @@ _PROPAGATORS_4X3 = {
 # commits: the rational 4x3 outputs at c2e72eb, the grade-4 Møller table
 # at 589fb49, the three per-order norm tables (each norm the exact norm,
 # summed in rational arithmetic and rounded once) at the commit after
-# 0c459e5, and the cutoff = ones outputs at 5f56f7d.
+# 0c459e5, and the cutoff = ones outputs at 5f56f7d; the non-default
+# verify report when kg_green_identity moved to Kernel.identity_defect.
 RUNS = [
     # float records may move with numpy's BLAS; the rest of each report is
     # a tier-1 gate, tests/test_acceptance.py::
@@ -100,7 +101,7 @@ RUNS = [
     Run("verify-non-default",
         ("lattice.nt = 5", "lattice.dt = 1/3", "lattice.dx = 1/2", "mass = 3/4",
          "lambda = 1/8", "seed = 77"), ("verify",), {
-        "verify/verify_report.json": "eaacaa39108e2f74b5225d0c403fcbc34a3d28d6ec05e627e39985b4349d54cd"}),
+        "verify/verify_report.json": "111be95c192323d5841fa97d6ea5f5defb0c076a26175ff02bd1438b889cf8df"}),
     Run("rational-4x3", RATIONAL_4X3, ("propagators", "gn-series", "car-table"), {
         **_PROPAGATORS_4X3,
         "car-table/car_table.csv": "a23ccc32151474fe1c63e90340e1b8be1399a4740336780257192758295285cf",
@@ -132,7 +133,10 @@ BY_NAME = {run.name: run for run in RUNS}
 BOUND = 1e-12
 # (table under a run's directory, compared columns: the value, or its real
 # and imaginary parts; columns not compared).  Every other column is a key:
-# the float table must have the rational table's keys, row by row.
+# the float table must have the rational table's keys, row by row.  The
+# rows of gn_moller_series.csv are formal λ-coefficients and do not depend
+# on ``lambda``, so of these tables only the two norm tables can catch a
+# float run that reads a wrong coupling.
 SHADOWED = (
     ("propagators/interacting_retarded_orders.csv", ("frobenius_norm",), ()),
     ("gn-series/gn_propagator_orders.csv", ("frobenius_norm",), ()),
