@@ -7,7 +7,6 @@ Grammar (one assignment per line)::
     lattice.dt = 1/2        # integers, fractions a/b, or decimals
     cutoff = window:1:4     # or "ones", or "window" (interior default)
     arithmetic = rational   # or float
-    debug.corrupt_kernel = true
 
 Unknown keys are rejected.  All keys have defaults; flags override file
 values.  Numeric couplings are stored exactly (fractions) so that the
@@ -44,15 +43,6 @@ def _parse_number(text: str) -> Fraction:
         raise ConfigError(f"bad numeric value {text!r}: {exc}") from None
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean value {text!r}")
-
-
 @dataclass
 class RunConfig:
     nt: int = 6
@@ -67,7 +57,6 @@ class RunConfig:
     max_grade: int = 10
     arithmetic: str = "float"
     seed: int = 1234
-    debug_corrupt_kernel: bool = False
 
     KEYS = {
         "lattice.nt": ("nt", int),
@@ -82,7 +71,6 @@ class RunConfig:
         "truncation.max_grade": ("max_grade", int),
         "arithmetic": ("arithmetic", str),
         "seed": ("seed", int),
-        "debug.corrupt_kernel": ("debug_corrupt_kernel", _parse_bool),
     }
 
     def set_key(self, key: str, raw: str) -> None:

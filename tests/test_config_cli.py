@@ -61,7 +61,9 @@ def test_validation_errors(tmp_path):
             load_config(write(tmp_path, text))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "cutoff = sometimes\n"))
-    with pytest.raises(ConfigError):
+    # the deleted fault hook's key is an unknown key like any other
+    with pytest.raises(ConfigError,
+                       match="unknown config key 'debug.corrupt_kernel'"):
         load_config(write(tmp_path, "debug.corrupt_kernel = maybe\n"))
 
 
@@ -192,7 +194,7 @@ def test_cli_propagators_lambda_zero_matches_free(tmp_path):
     assert len(orders) == 2  # header plus the free order only
 
 
-def test_cli_verify_report_and_negative_control(tmp_path):
+def test_cli_verify_report_is_reproducible(tmp_path):
     out1 = tmp_path / "r1"
     assert main(["verify", "--suite", "green", "--out", str(out1)]) == 0
     report = json.loads((out1 / "verify_report.json").read_text())
@@ -205,15 +207,6 @@ def test_cli_verify_report_and_negative_control(tmp_path):
     assert main(["verify", "--suite", "green", "--out", str(out2)]) == 0
     assert (out1 / "verify_report.json").read_bytes() == \
         (out2 / "verify_report.json").read_bytes()
-    # corrupted kernel must fail the bracket suite with exit code 1
-    bad = write(tmp_path, "debug.corrupt_kernel = true\n")
-    out3 = tmp_path / "r3"
-    code = main(["verify", "--suite", "bracket", "--config", str(bad),
-                 "--out", str(out3)])
-    assert code == 1
-    report = json.loads((out3 / "verify_report.json").read_text())
-    failed = [r["check"] for r in report["checks"] if not r["passed"]]
-    assert "bracket_graded_antisymmetry_exact" in failed
 
 
 def test_cli_unknown_suite_exits_2(tmp_path, capsys):

@@ -88,20 +88,20 @@ _PROPAGATORS_4X3 = {
 # commits: the rational 4x3 outputs at c2e72eb, the grade-4 Møller table
 # at 589fb49, the three per-order norm tables (each norm the exact norm,
 # summed in rational arithmetic and rounded once) at the commit after
-# 0c459e5, and the cutoff = ones outputs at 5f56f7d; the non-default
-# verify report when kg_green_identity moved to Kernel.identity_defect.
+# 0c459e5, and the cutoff = ones outputs at 5f56f7d; both verify reports
+# when the config lost its one debug key.
 RUNS = [
     # float records may move with numpy's BLAS; the rest of each report is
     # a tier-1 gate, tests/test_acceptance.py::
     # test_report_bytes_outside_float_residuals_are_fixed
     Run("verify-default", None, ("verify",), {
-        "verify/verify_report.json": "af56760c272acbfb8421ceededff2ce907f67dcf19f8d3f7e32fb132b7325c1f"}),
+        "verify/verify_report.json": "1968fa04434c3e42fb16668b86736f8434b361f82280b669886a3bb680a37975"}),
     # dt*dx != 1, so a reassociated float product moves the report where
     # the default config's unit volume would hide it
     Run("verify-non-default",
         ("lattice.nt = 5", "lattice.dt = 1/3", "lattice.dx = 1/2", "mass = 3/4",
          "lambda = 1/8", "seed = 77"), ("verify",), {
-        "verify/verify_report.json": "111be95c192323d5841fa97d6ea5f5defb0c076a26175ff02bd1438b889cf8df"}),
+        "verify/verify_report.json": "4355f4faf20c3a372a865af97674411b4a35d1d84f9217809ccde7dbaf12b583"}),
     Run("rational-4x3", RATIONAL_4X3, ("propagators", "gn-series", "car-table"), {
         **_PROPAGATORS_4X3,
         "car-table/car_table.csv": "a23ccc32151474fe1c63e90340e1b8be1399a4740336780257192758295285cf",

@@ -33,7 +33,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermifields"
 # S of dynamics.peierls_bracket is kept too: perfbench/layers.py passes it
 # positionally.
 ALLOWED = {
-    "config._parse_bool": "reads debug.corrupt_kernel, a key no CI config sets",
     "config.RunConfig._window": "reads a window:LO:HI cutoff, which no CI "
                                 "config sets",
     "kernels.ElementKernel.compose": "test oracle of compose_scalar_left and "
