@@ -77,8 +77,10 @@ def _load(args) -> "RunConfig":
 
 
 def _series_grade(cfg) -> int:
-    """Interacting series grade: ``truncation.max_grade`` made even, at most 6."""
-    return min(cfg.max_grade // 2 * 2, 6)
+    """Interacting series grade, cut where the Møller map is: at order
+    ``truncation.lambda_order``, 2 grades per order, or at
+    ``truncation.max_grade`` made even when that is lower."""
+    return 2 * min(cfg.lambda_order, cfg.max_grade // 2)
 
 
 def cmd_propagators(cfg, out: Path) -> int:

@@ -8,9 +8,9 @@ Grammar (one assignment per line)::
     cutoff = window:1:4     # or "ones", or "window" (interior default)
     arithmetic = rational   # or float
 
-Unknown keys are rejected.  All keys have defaults; flags override file
-values.  Numeric couplings are stored exactly (fractions) so that the
-same file drives both arithmetic modes.
+Unknown keys, and keys set twice, are rejected.  All keys have defaults;
+flags override file values.  Numeric couplings are stored exactly
+(fractions) so that the same file drives both arithmetic modes.
 """
 
 from __future__ import annotations
@@ -165,6 +165,7 @@ def parse_config_file(path, rejected: dict | None = None) -> RunConfig:
     if os.path.isdir(path):
         raise ConfigError(f"config {str(path)!r} is a directory, not a file")
     cfg = RunConfig()
+    seen: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -177,6 +178,10 @@ def parse_config_file(path, rejected: dict | None = None) -> RunConfig:
             if rejected and key in rejected:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} is not accepted "
                                   f"here: {rejected[key]}")
+            if key in seen:
+                raise ConfigError(f"{path}: key {key!r} is set twice, on lines "
+                                  f"{seen[key]} and {lineno}")
+            seen[key] = lineno
             cfg.set_key(key, raw.strip())
     return cfg
 

@@ -202,31 +202,28 @@ class SubstitutionMap:
 
         ``order`` defaults to the map's order.  Every series product is
         truncated at it, so coefficients above ``order`` are never formed;
-        the result is capped at ``order``, and flagged truncated when an
-        order above it or a grade above ``max_grade`` was dropped.
+        the result is capped at ``order``, and flagged truncated when a
+        grade above ``max_grade`` was dropped.
         """
         order = self.order if order is None else min(order, self.order)
-        out, cut = self._substitute(elem, order)
-        out.truncated = out.truncated or cut
-        return out
+        return self._substitute(elem, order)
 
-    def _substitute(self, elem: GrassmannElement, order: int) -> tuple:
-        """(:meth:`apply` through ``order``, whether a grade was cut).
+    def _substitute(self, elem: GrassmannElement, order: int) -> FormalSeries:
+        """:meth:`apply` through ``order``.
 
         Horner's rule on the words: grouped by their first generator g,
         which is their smallest, so splitting it off takes no sign, the
         element is c_() + Σ_g img(g) ∧ apply(tails of g), the tails
         summed before the wedge.  Each order is one term dict summed in
         place; each product is cut at ``order`` and at ``max_grade``.
-        The bool is true when an image used was truncated or a cut at
-        ``max_grade`` dropped a term; the series' own flag also counts
-        the orders above ``order``.
+        The series is flagged truncated when an image used was, or a cut
+        at ``max_grade`` dropped a term.
         """
         max_grade = self.max_grade
-        cut = truncated = False
+        cut = False
 
         def horner(words: dict) -> dict[int, dict]:
-            nonlocal cut, truncated
+            nonlocal cut
             out: dict[int, dict] = {}
             groups: dict[int, dict] = {}
             for w, c in words.items():
@@ -237,12 +234,10 @@ class SubstitutionMap:
             for g, tails in groups.items():
                 img = self.image(g)
                 cut = cut or img.truncated
-                truncated = truncated or img.truncated
                 rest = horner(tails)
                 for ka, ea in img.coeffs.items():
                     for kb, tb in rest.items():
                         if ka + kb > order:
-                            truncated = True
                             continue
                         prod = wedge_terms(ea._terms, tb)
                         if max_grade is not None:
@@ -257,20 +252,19 @@ class SubstitutionMap:
 
         alg = self.algebra
         coeffs = {k: GrassmannElement(alg, t) for k, t in horner(elem._terms).items()}
-        return TruncatedSeries(alg, coeffs, order, truncated), cut
+        return TruncatedSeries(alg, coeffs, order, cut)
 
     def apply_series(self, series: FormalSeries) -> FormalSeries:
         """Σ_k λ^k · apply(c_k), through the map's order.
 
         Coefficient k is substituted only through order ``self.order − k``
         and its image placed at orders k … ``self.order``; coefficients
-        above the map's order are dropped and flag the result truncated.
+        above the map's order are dropped.
         """
         coeffs: dict[int, GrassmannElement] = {}
         truncated = False
         for k, e in series.coeffs.items():
             if k > self.order:
-                truncated = True
                 continue
             img = self.apply(e, self.order - k)
             truncated = truncated or img.truncated
@@ -328,9 +322,9 @@ class MollerMap(SubstitutionMap):
             self._images.clear()
             src, cut = {}, set()
             for j in self._supp:
-                series, dropped = self._substitute(self._dF[j], k - 1)
+                series = self._substitute(self._dF[j], k - 1)
                 src[j] = series.coefficient(k - 1)
-                if dropped:
+                if series.truncated:
                     cut.add(j)
             self._src.append(src)
             self._cut.append(cut)
@@ -417,22 +411,22 @@ def bracket_kernel_derivative(dR: Kernel, KH):
     return [X + X.T]
 
 
-def canonical_residual(S: ActionFunctional, dR: Kernel, H, F, G,
-                       dDelta) -> GrassmannElement:
+def canonical_residual(dR: Kernel, H, F, G, dDelta) -> GrassmannElement:
     """Defect of the infinitesimal canonical-transformation identity.
 
     {R_S(H,F), G} + {F, R_S(H,G)} − R_S(H, {F,G}) − (−1)^{|F|+1}⟨F^(1), dΔ G^(1)⟩
     with dΔ the λ-derivative of the causal kernel (symbolic or finite
-    difference), supplied as ``dDelta``.  The causal kernel is
+    difference), supplied as ``dDelta``.  The action S enters only
+    through its retarded kernel ``dR``; the causal kernel is
     Δ = Δ^R − Δ^A = Δ^R + (Δ^R)^T.
     """
     delta = dR.mat + dR.mat.T
 
-    def br(X, Y):
-        return peierls_bracket(S, delta, X, Y)
+    def br(X, Y, kernel=delta):
+        return peierls_bracket(None, kernel, X, Y)
 
-    lhs = br(peierls_bracket(S, dR, H, F), G) + br(F, peierls_bracket(S, dR, H, G))
-    rhs = peierls_bracket(S, dR, H, br(F, G)) + peierls_bracket(S, dDelta, F, G)
+    lhs = br(br(H, F, dR), G) + br(F, br(H, G, dR))
+    rhs = br(H, br(F, G), dR) + br(F, G, dDelta)
     return lhs - rhs
 
 

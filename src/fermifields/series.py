@@ -3,7 +3,11 @@
 One class serves both the coupling expansion (symbol ``lambda``) and the
 deformation expansion (symbol ``hbar``).  Arithmetic truncates at
 ``max_order`` when one is set; ``None`` means "keep everything" (used for
-series that terminate by nilpotency).
+series that terminate by nilpotency).  Orders above ``max_order`` are
+dropped without a flag, since ``max_order`` records that cut; the
+``truncated`` flag is set by whoever cut a grade from a coefficient
+(:class:`~fermifields.dynamics.SubstitutionMap` at its ``max_grade``), and
+arithmetic carries it to every series built from a flagged one.
 """
 
 from __future__ import annotations
@@ -30,21 +34,14 @@ class FormalSeries:
         self.symbol = symbol
         self.max_order = max_order
         self.truncated = truncated
-        data = {}
-        if coeffs:
-            for k, e in coeffs.items():
-                if max_order is not None and k > max_order:
-                    truncated = True
-                    continue
-                if not e.is_zero():
-                    data[k] = e
-        self.coeffs = data
-        self.truncated = self.truncated or truncated
+        self.coeffs = {k: e for k, e in (coeffs or {}).items()
+                       if (max_order is None or k <= max_order)
+                       and not e.is_zero()}
 
     # -- helpers ----------------------------------------------------------
-    def _like(self, coeffs, truncated=False) -> "FormalSeries":
+    def _like(self, coeffs) -> "FormalSeries":
         return FormalSeries(self.algebra, self.symbol, coeffs,
-                            self.max_order, self.truncated or truncated)
+                            self.max_order, self.truncated)
 
     def _check(self, other: "FormalSeries"):
         if self.symbol != other.symbol:
@@ -99,36 +96,25 @@ class FormalSeries:
     def scale(self, c) -> "FormalSeries":
         return self._like({k: e.scale(c) for k, e in self.coeffs.items()})
 
-    def shift(self, n: int) -> "FormalSeries":
-        """Multiply by symbol^n."""
-        tr = self.max_order is not None and any(
-            k + n > self.max_order for k in self.coeffs)
-        return self._like({k + n: e for k, e in self.coeffs.items()
-                           if self.max_order is None or k + n <= self.max_order},
-                          truncated=tr)
-
     def wedge(self, other: "FormalSeries") -> "FormalSeries":
         self._check(other)
         cap = self.order_cap(other)
         out: dict[int, GrassmannElement] = {}
-        truncated = self.truncated or other.truncated
         for ka, ea in self.coeffs.items():
             for kb, eb in other.coeffs.items():
                 k = ka + kb
                 if cap is not None and k > cap:
-                    truncated = True
                     continue
                 prod = ea.wedge(eb)
                 if prod.is_zero():
                     continue
                 out[k] = out[k] + prod if k in out else prod
-        return FormalSeries(self.algebra, self.symbol, out, cap, truncated)
+        return FormalSeries(self.algebra, self.symbol, out, cap,
+                            self.truncated or other.truncated)
 
     def truncate_order(self, order: int) -> "FormalSeries":
-        tr = any(k > order for k in self.coeffs)
-        return FormalSeries(self.algebra, self.symbol,
-                            {k: e for k, e in self.coeffs.items() if k <= order},
-                            order, self.truncated or tr)
+        return FormalSeries(self.algebra, self.symbol, self.coeffs, order,
+                            self.truncated)
 
     def __repr__(self):
         return (f"FormalSeries({self.symbol}, orders={self.orders()}, "

@@ -339,7 +339,7 @@ def suite_bracket(cfg: RunConfig) -> list:
 
     # canonical transformation: quadratic local perturbation, symbolic
     # kernel derivative against the central finite difference oracle
-    records.extend(_canonical_quadratic_checks(cfg, flf, Sf, dRf))
+    records.extend(_canonical_quadratic_checks(cfg, flf, dRf))
     return records
 
 
@@ -364,7 +364,7 @@ def _second_matrix(fl: FieldLattice, H: GrassmannElement):
     return K0.mat
 
 
-def _canonical_quadratic_checks(cfg: RunConfig, fl, S, dR):
+def _canonical_quadratic_checks(cfg: RunConfig, fl, dR):
     rng = _rng(cfg, "canonical")
     Hm = _local_mass_bilinear(fl)
     H = bilinear_element(fl, Hm)
@@ -372,7 +372,7 @@ def _canonical_quadratic_checks(cfg: RunConfig, fl, S, dR):
 
     def scaled_gap():
         F, G = _elements(rng, fl.algebra, range(fl.n_slots), 6, (1, 2), (1, 2))
-        res = canonical_residual(S, dR, H, F, G, sym)
+        res = canonical_residual(dR, H, F, G, sym)
         return res.max_abs() / max(F.max_abs() * G.max_abs(), 1.0)
 
     rec_sym = check_record("canonical_identity_symbolic", {"seed": cfg.seed},
@@ -505,7 +505,7 @@ def _quadratic_moller_residuals(cfg, fl, S, dR, order):
 def suite_gn(cfg: RunConfig) -> list:
     rng = _rng(cfg, "gn")
     lat = Lattice(3, 2, cfg.dt, cfg.dx)
-    fl, Sfree, dR, _, delta = _free_theory(lat, "rational", cfg.mass)
+    fl, _, dR, _, delta = _free_theory(lat, "rational", cfg.mass)
     alg, ring = fl.algebra, fl.ring
     n = fl.n_slots
     params = GrossNeveuParams(lam=cfg.lam, m=cfg.mass)
@@ -576,7 +576,7 @@ def suite_gn(cfg: RunConfig) -> list:
 
     def quartic_gap():
         Fq, Gq = _elements(rng, alg, range(n), 6, (1, 2), (1, 2))
-        return canonical_residual(Sfree, dR, Hq, Fq, Gq, sym)
+        return canonical_residual(dR, Hq, Fq, Gq, sym)
 
     records.append(check_record(
         "gn_canonical_identity_quartic", {"seed": cfg.seed},

@@ -122,6 +122,18 @@ def test_cli_config_error_leaves_no_out_directory(tmp_path, command):
     assert not out.exists()
 
 
+def test_cli_key_set_twice_exits_2(tmp_path, capsys):
+    """A config file that sets one key twice is refused, naming the key and
+    both lines, where the last line used to win silently."""
+    p = write(tmp_path, "lattice.nt = 4\n# a comment\nmass = 1/2\n"
+                        "lattice.nt = 5\n")
+    out = tmp_path / "out"
+    assert main(["propagators", "--config", str(p), "--out", str(out)]) == 2
+    assert "key 'lattice.nt' is set twice, on lines 1 and 4" in \
+        _one_config_error_line(capsys)
+    assert not out.exists()
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     p = write(tmp_path, "lattice.dt = 2\nlattice.dx = 1\n")
     code = main(["propagators", "--config", str(p), "--out", str(tmp_path)])
@@ -425,10 +437,26 @@ def test_cli_gn_series(tmp_path):
     zero_rows = [r for r in rows if r[1] == "0"]
     assert zero_rows and all(float(r[2]) == 1.0 for r in zero_rows)
     assert all(float(r[3]) < 1e-10 for r in rows)
-    prop = (out / "gn_propagator_orders.csv").read_text().splitlines()
-    ks = [int(l.split(",")[0]) for l in prop[1:]]
-    grades = [int(l.split(",")[1]) for l in prop[1:]]
-    assert grades == [2 * k for k in ks]
+    prop = [l.split(",") for l in
+            (out / "gn_propagator_orders.csv").read_text().splitlines()[1:]]
+    # --order 2 cuts the series at grade 4; the grade-6 row lies beyond it
+    assert [(int(r[0]), int(r[1]), r[3]) for r in prop] == [
+        (0, 0, "True"), (1, 2, "True"), (2, 4, "True"), (3, 6, "False")]
+
+
+def test_cli_propagators_cuts_the_series_at_lambda_order(tmp_path, ci_runs):
+    """truncation.lambda_order = 2 cuts the interacting series at order 2,
+    and orders 0..2 read as in the default run, which is cut at order 3."""
+    tables = []
+    for extra in ((), ("truncation.lambda_order = 2",)):
+        out = tmp_path / str(len(extra))
+        p = write(tmp_path, "\n".join(ci_runs.FLOAT_4X3 + extra) + "\n")
+        assert main(["propagators", "--config", str(p), "--out", str(out)]) == 0
+        tables.append((out / "interacting_retarded_orders.csv")
+                      .read_text().splitlines()[1:])
+    full, cut = tables
+    assert [r.split(",")[0] for r in cut] == ["0", "1", "2"]
+    assert cut == full[:3] and len(full) == 4
 
 
 @pytest.mark.parametrize("arithmetic", ["rational", "float"])
@@ -560,8 +588,10 @@ def test_cli_rational_4x3_outputs_keep_their_hashes(tmp_path, ci_runs):
     """propagators, car-table and gn-series (at the default grade and at
     max_grade 4) at the CI's rational 4x3 configs write the bytes whose
     hashes the CI pins, all 16 of those two runs; each norm in the three
-    per-order norm tables is the exact norm rounded once."""
-    got, want = {}, {}
+    per-order norm tables is the exact norm rounded once.  The Møller
+    table's ``truncated`` column flags only a grade cut: no row at the
+    default grade 10, every row at max_grade 4."""
+    got, want, flags = {}, {}, {}
     for name in ("rational-4x3", "rational-4x3-grade4"):
         run = ci_runs.BY_NAME[name]
         for argv in run.argvs(tmp_path / name):
@@ -569,4 +599,9 @@ def test_cli_rational_4x3_outputs_keep_their_hashes(tmp_path, ci_runs):
         for rel, sha in run.sha256.items():
             want[name, rel] = sha
             got[name, rel] = hashlib.sha256((tmp_path / name / rel).read_bytes()).hexdigest()
+        with open(tmp_path / name / "gn-series" / "gn_moller_series.csv",
+                  newline="") as fh:
+            flags[name] = [r["truncated"] for r in csv.DictReader(fh)]
     assert len(want) == 16 and got == want
+    assert flags == {"rational-4x3": ["False"] * 8,
+                     "rational-4x3-grade4": ["True"] * 8}

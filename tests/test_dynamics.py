@@ -337,8 +337,8 @@ def moller_setup(nt=5, nx=2, dt=1, m=Fraction(1)):
 def _word_by_word(sub, elem, order):
     """Reference substitution: each word's product of images
     ((1 ∧ img(g1)) ∧ img(g2)) ∧ …, every step cut at ``max_grade``, times
-    the word's coefficient, summed word by word as a series fold; the bool
-    is true when an image used was truncated or a cut dropped a term."""
+    the word's coefficient, summed word by word as a series fold; flagged
+    truncated when an image used was, or a cut dropped a term."""
     alg = sub.algebra
     out = TruncatedSeries(alg, {}, order)
     one = TruncatedSeries(alg, {0: alg.one()}, order)
@@ -351,9 +351,9 @@ def _word_by_word(sub, elem, order):
             clipped = {k: sub._clip(e) for k, e in prod.coeffs.items()}
             cut = cut or img.truncated or any(d for _, d in clipped.values())
             prod = TruncatedSeries(alg, {k: e for k, (e, _) in clipped.items()},
-                                   order, prod.truncated)
+                                   order)
         out = out + prod.scale(c)
-    return out, cut
+    return TruncatedSeries(alg, out.coeffs, order, cut)
 
 
 def _terms(series):
@@ -365,7 +365,7 @@ def _terms(series):
 def test_horner_substitution_matches_the_word_by_word_product(monkeypatch, nx,
                                                               max_grade):
     """Horner's rule gives the word-by-word product's coefficients exactly,
-    with its truncated flag and cut bool: for every generator image, for
+    with its truncated flag: for every generator image, for
     each ∂_jF at every order at 5x2, and for random mixed-grade elements;
     the map built through the reference has the same images."""
     fl, S, F, dR = moller_setup(nx=nx)
@@ -387,14 +387,12 @@ def test_horner_substitution_matches_the_word_by_word_product(monkeypatch, nx,
     flags = set()
     for e in elems:
         for order in range(4):
-            (got, cut), (want, want_cut) = (sub._substitute(e, order),
-                                            _word_by_word(sub, e, order))
-            assert (_terms(got), got.truncated, cut) == \
-                (_terms(want), want.truncated, want_cut)
-            flags.add((got.truncated, cut))
-    # the flags were exercised: the orders above the cap are dropped, and
-    # at grade 4 a cut drops terms
-    assert (True, True) in flags if max_grade == 4 else (True, False) in flags
+            got, want = sub._substitute(e, order), _word_by_word(sub, e, order)
+            assert (_terms(got), got.truncated) == (_terms(want), want.truncated)
+            flags.add(got.truncated)
+    # the flag was exercised: at grade 4 a cut drops terms, and at grade 10,
+    # where only orders above the cap are dropped, nothing is flagged
+    assert (True in flags) == (max_grade == 4)
 
 
 def test_moller_requires_even_interaction(fl_rat, mass):
@@ -645,7 +643,8 @@ def test_moller_apply_order_cap(rng):
     series = TruncatedSeries(fl.algebra, dict(zip((0, 1, 2, 4), elems)))
     reference = TruncatedSeries(fl.algebra, {}, order)
     for k, e in series.coeffs.items():
-        reference = reference + sub.apply(e).shift(k)
+        reference = reference + TruncatedSeries(
+            fl.algebra, {j + k: c for j, c in sub.apply(e).coeffs.items()}, order)
     caps = []
     apply = sub.apply
 
@@ -656,10 +655,30 @@ def test_moller_apply_order_cap(rng):
     sub.apply = spy
     got = sub.apply_series(series)
     assert caps == [3, 2, 1]  # coefficient k is formed through order 3 - k only
-    assert got.max_order == order and got.truncated
+    # the dropped order 4 is no grade cut
+    assert got.max_order == order and not got.truncated
     assert got.orders() == reference.orders() == [0, 1, 2, 3]
     for k in range(order + 1):
         assert got.coefficient(k) == reference.coefficient(k)
+
+
+def test_apply_flags_a_grade_cut_only(alg6):
+    """``apply`` flags its series truncated when the grade cap dropped a
+    term, and not when only an order above the map's order was dropped."""
+    sub = SubstitutionMap(alg6, 1, max_grade=2)
+    for i, tail in ((0, alg6.monomial((1, 2))), (3, alg6.generator(4)),
+                    (5, alg6.generator(1))):
+        sub.set_image(i, TruncatedSeries(alg6, {0: alg6.generator(i), 1: tail}, 1))
+    e03 = alg6.monomial((0, 3))
+    # e0 e3 ↦ e0 e3 + λ (e0 e4 + e1 e2 e3) + λ² e1 e2 e4: grade 3 is cut
+    img = sub.apply(e03)
+    assert img.truncated and img.orders() == [0, 1]
+    assert img.coefficient(1) == alg6.monomial((0, 4))
+    assert not sub.apply(e03, 0).truncated
+    assert sub.apply_series(TruncatedSeries(alg6, {0: e03})).truncated
+    # e3 e5 ↦ e3 e5 + λ (e3 e1 + e4 e5) + λ² e4 e1: only λ² is dropped
+    img = sub.apply(alg6.monomial((3, 5)))
+    assert not img.truncated and img.orders() == [0, 1]
 
 
 def test_truncated_flag_is_carried_per_result():
@@ -782,7 +801,7 @@ def test_moller_map_series_api(rng):
 # -- canonical transformation check ---------------------------------------------
 
 def test_canonical_identity_quadratic_exact(fl_rat, mass, rng):
-    S, dR, _, delta = free_setup(fl_rat, mass)
+    _, dR, _, _ = free_setup(fl_rat, mass)
     Hm = _local_mass_bilinear(fl_rat)
     H = bilinear_element(fl_rat, Hm)
     KH = _second_matrix(fl_rat, H)
@@ -791,10 +810,10 @@ def test_canonical_identity_quadratic_exact(fl_rat, mass, rng):
         slots = rng.sample(range(fl_rat.n_slots), 6)
         F = random_element(fl_rat.algebra, rng, rng.randint(1, 2), 2, slots)
         G = random_element(fl_rat.algebra, rng, rng.randint(1, 2), 2, slots)
-        res = canonical_residual(S, dR, H, F, G, dDelta)
+        res = canonical_residual(dR, H, F, G, dDelta)
         assert res.is_zero()
     # constant arguments trivialize the identity
-    res = canonical_residual(S, dR, H, fl_rat.algebra.scalar(2),
+    res = canonical_residual(dR, H, fl_rat.algebra.scalar(2),
                              fl_rat.algebra.generator(0), dDelta)
     assert res.is_zero()
 
@@ -843,7 +862,7 @@ def test_fd_oracle_solves_twice(monkeypatch):
     import fermifields.lattice as lattice_mod
     cfg = RunConfig()
     fl = FieldLattice(Lattice(cfg.nt, cfg.nx, 1.0, 1.0), 1, "float")
-    S, dR, _, _ = free_setup(fl, 1.0)
+    _, dR, _, _ = free_setup(fl, 1.0)
     solve = lattice_mod._retarded_inverse_blocks
     calls = []
 
@@ -852,7 +871,7 @@ def test_fd_oracle_solves_twice(monkeypatch):
         return solve(fl_, M)
 
     monkeypatch.setattr(lattice_mod, "_retarded_inverse_blocks", counted)
-    rec_sym, rec_fd = verify._canonical_quadratic_checks(cfg, fl, S, dR)
+    rec_sym, rec_fd = verify._canonical_quadratic_checks(cfg, fl, dR)
     assert len(calls) == 2
     assert rec_sym["passed"] and rec_fd["passed"]
 
@@ -867,6 +886,6 @@ def test_check_reports(fl_rat, mass, rng):
     dDelta = bracket_kernel_derivative(dR, KH)
     F = random_element(fl_rat.algebra, rng, 2, 2)
     G = random_element(fl_rat.algebra, rng, 1, 2)
-    assert canonical_residual(S, dR, H, F, G, dDelta).max_abs() == 0.0
+    assert canonical_residual(dR, H, F, G, dDelta).max_abs() == 0.0
     h = {i: fl_rat.ring.number(1) for i in fl_rat.interior_slots()[:3]}
     assert poisson_ideal_residual(S, F, h, G, delta.mat).max_abs() == 0.0

@@ -88,8 +88,10 @@ _PROPAGATORS_4X3 = {
 # commits: the rational 4x3 outputs at c2e72eb, the grade-4 Møller table
 # at 589fb49, the three per-order norm tables (each norm the exact norm,
 # summed in rational arithmetic and rounded once) at the commit after
-# 0c459e5, and the cutoff = ones outputs at 5f56f7d; both verify reports
-# when the config lost its one debug key.
+# 0c459e5, the cutoff = ones outputs at 5f56f7d, and the default-grade
+# Møller table, whose truncated column came to flag only a grade cut, at
+# the commit after d7dea0a; both verify reports when the config lost its
+# one debug key, at d7dea0a.
 RUNS = [
     # float records may move with numpy's BLAS; the rest of each report is
     # a tier-1 gate, tests/test_acceptance.py::
@@ -105,7 +107,7 @@ RUNS = [
     Run("rational-4x3", RATIONAL_4X3, ("propagators", "gn-series", "car-table"), {
         **_PROPAGATORS_4X3,
         "car-table/car_table.csv": "a23ccc32151474fe1c63e90340e1b8be1399a4740336780257192758295285cf",
-        "gn-series/gn_moller_series.csv": "952ad4b1bfd7ee75409a6d5a8b18e9863f347bda756be564e4504e9a2237a92b",
+        "gn-series/gn_moller_series.csv": "69a967e1082bd5b893356764c6bd63ec4028742490c1838fe986a3749409d075",
         "gn-series/gn_propagator_orders.csv": "d28835e23be9c173200311b5e994a1d56d553bebba266932017a1a7b1af7584e"}),
     # the grade cap cuts the images: the homomorphism residual
     # r(G ∧ P) − r(G) ∧ r(P), compared through grade 4, must still be 0

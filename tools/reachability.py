@@ -41,9 +41,6 @@ ALLOWED = {
                                         "perfbench/spans.py traces it",
     "quantization.formal_smatrix": "the paper's formal S-matrix; a verify "
                                    "record for it would move both report hashes",
-    "series.FormalSeries.shift": "builds the fold oracles of "
-                                 "tests/test_quantization.py and "
-                                 "tests/test_dynamics.py",
     "algebra.Algebra.one": "accessor the tests read",
     "algebra.Algebra.mode": "accessor the tests read",
     "algebra.GrassmannElement.terms": "accessor the tests read",
