@@ -192,6 +192,8 @@ class GrassmannElement:
         return max((len(w) for w in self._terms), default=0)
 
     def max_abs(self) -> float:
+        if not self._terms:
+            return 0.0
         return max_abs(np.array(list(self._terms.values()), dtype=object))
 
     def truncate(self, max_grade: int) -> "GrassmannElement":
@@ -320,14 +322,26 @@ def _random_coeff(alg: Algebra, rng: random.Random):
 
 def random_element(alg: Algebra, rng: random.Random, grade: int,
                    n_terms: int = 3, slots: Sequence[int] | None = None) -> GrassmannElement:
-    """Seeded random homogeneous element of the given grade."""
-    pool = list(slots) if slots is not None else list(range(alg.n))
+    """Seeded random homogeneous element of the given grade: ``n_terms``
+    words of ``grade`` distinct ``slots`` (default: all generators), each
+    with a random coefficient; a word drawn twice gets the sum.
+
+    ``slots`` must be distinct generator ordinals; a repeated or
+    out-of-range slot raises ``ValueError`` before any draw."""
+    if slots is None:
+        pool = range(alg.n)
+    else:
+        pool = list(slots)
+        if len(set(pool)) != len(pool):
+            raise ValueError("slots must be distinct")
+        if any(not 0 <= s < alg.n for s in pool):
+            raise ValueError("slot outside generator range")
     if grade > len(pool):
         raise ValueError("grade exceeds available generators")
+    zero = alg.ring.zero
     terms: dict = {}
     for _ in range(n_terms):
+        # distinct in-range slots, sorted: a valid word by construction
         w = tuple(sorted(rng.sample(pool, grade)))
-        c = _random_coeff(alg, rng)
-        terms[w] = terms.get(w, alg.ring.zero) + c
-    return alg.element(terms)
-
+        terms[w] = terms.get(w, zero) + _random_coeff(alg, rng)
+    return GrassmannElement(alg, {w: c for w, c in terms.items() if c})

@@ -69,6 +69,8 @@ class FormalSeries:
         return all(e.is_zero() for e in self.coeffs.values())
 
     def max_abs(self) -> float:
+        if not self.coeffs:
+            return 0.0
         return max_abs(np.array([e.max_abs() for e in self.coeffs.values()]))
 
     # -- arithmetic ---------------------------------------------------------

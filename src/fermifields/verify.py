@@ -51,10 +51,6 @@ def _rng(cfg: RunConfig, salt: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{salt}")
 
 
-def _plain_algebra(n: int, mode: str) -> Algebra:
-    return Algebra([GeneratorId(0, 1, i, 0) for i in range(n)], mode=mode)
-
-
 def _free_theory(lat: Lattice, mode: str, m):
     """One-color free Dirac theory on ``lat``: (fl, S, Δᴿ, Δᴬ, Δ)."""
     fl = FieldLattice(lat, 1, mode)
@@ -78,38 +74,57 @@ def _direction(rng, ring: Ring, pool, k: int) -> dict:
 
 
 # -- independent oracles -----------------------------------------------------
+# The oracles read each operand's antisymmetric tensor, built once per call
+# from its words and the parities of their orderings; no library product
+# enters them, and nothing is kept between calls.
 
-def _tensor_value(e: GrassmannElement, idx: tuple):
-    """Antisymmetric tensor value at an arbitrary index tuple."""
-    ring = e.algebra.ring
-    if len(set(idx)) != len(idx):
-        return ring.zero
-    word = tuple(sorted(idx))
-    # parity of the sorting permutation = parity of inversions of idx
-    inv = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx))
-              if idx[a] > idx[b])
-    c = e.coefficient(word)
-    return -c if inv % 2 == 1 else c
+def _signed_permutations(k: int) -> list:
+    """Every permutation of ``range(k)`` in ``itertools`` order, with True
+    where it is odd (an odd number of inversions)."""
+    return [(perm, sum(1 for x in range(k) for y in range(x + 1, k)
+                       if perm[x] > perm[y]) % 2 == 1)
+            for perm in itertools.permutations(range(k))]
+
+
+def _tensor(e: GrassmannElement) -> dict:
+    """The antisymmetric tensor of ``e`` on its support: {index tuple:
+    coefficient}, each ordering of a word signed by its parity.  A tuple
+    not in it (a repeated index, or a word ``e`` lacks) has value 0."""
+    perms: dict = {}
+    out = {}
+    for w, c in e.items():
+        k = len(w)
+        if k not in perms:
+            perms[k] = _signed_permutations(k)
+        for perm, odd in perms[k]:
+            out[tuple(w[x] for x in perm)] = -c if odd else c
+    return out
 
 
 def wedge_permutation_oracle(a: GrassmannElement, p: int,
                              b: GrassmannElement, q: int) -> GrassmannElement:
-    """Wedge via the permutation-sum formula with 1/(p! q!) weights."""
+    """Wedge via the permutation-sum formula with 1/(p! q!) weights:
+    (a∧b)[w] = 1/(p! q!) Σ_σ sgn σ · a[σw₁…σw_p] · b[σw_{p+1}…σw_{p+q}],
+    summed per increasing word w in ``itertools.permutations`` order; a
+    term whose tensor value is 0 adds nothing and is skipped."""
     alg = a.algebra
     ring = alg.ring
-    n = alg.n
     norm_c = ring.number(Fraction(1, math.factorial(p) * math.factorial(q)))
+    ta, tb = _tensor(a), _tensor(b)
+    splits = [(odd, perm[:p], perm[p:])
+              for perm, odd in _signed_permutations(p + q)]
     terms = {}
-    for word in itertools.combinations(range(n), p + q):
+    for word in itertools.combinations(range(alg.n), p + q):
         acc = ring.zero
-        for perm in itertools.permutations(range(p + q)):
-            inv = sum(1 for x in range(p + q) for y in range(x + 1, p + q)
-                      if perm[x] > perm[y])
-            sgn = -1 if inv % 2 else 1
-            left = tuple(word[perm[k]] for k in range(p))
-            right = tuple(word[perm[k]] for k in range(p, p + q))
-            val = _tensor_value(a, left) * _tensor_value(b, right)
-            acc = acc + (-val if sgn < 0 else val)
+        for odd, left, right in splits:
+            ca = ta.get(tuple(word[k] for k in left))
+            if ca is None:
+                continue
+            cb = tb.get(tuple(word[k] for k in right))
+            if cb is None:
+                continue
+            val = ca * cb
+            acc = acc + (-val if odd else val)
         acc = acc * norm_c
         if acc:
             terms[word] = acc
@@ -117,15 +132,19 @@ def wedge_permutation_oracle(a: GrassmannElement, p: int,
 
 
 def multilinear_evaluation_oracle(t: GrassmannElement, u: GrassmannElement):
-    """Σ_p (1/p!) Σ_{all index tuples} T[idx] · u[idx]."""
+    """Σ_p (1/p!) Σ_{all index tuples} T[idx] · u[idx], the tuples of each
+    grade in ``itertools.product`` order; a tuple where either tensor is 0
+    adds nothing and is skipped."""
     alg = t.algebra
     ring = alg.ring
+    tt, tu = _tensor(t), _tensor(u)
     acc = ring.zero
     for p in sorted(t.grades() | u.grades()):
         norm_c = ring.number(Fraction(1, math.factorial(p)))
         for idx in itertools.product(range(alg.n), repeat=p):
-            val = _tensor_value(t, idx) * _tensor_value(u, idx)
-            acc = acc + val * norm_c
+            ct, cu = tt.get(idx), tu.get(idx)
+            if ct is not None and cu is not None:
+                acc = acc + ct * cu * norm_c
     return acc
 
 
@@ -134,23 +153,26 @@ def multilinear_evaluation_oracle(t: GrassmannElement, u: GrassmannElement):
 def suite_grassmann(cfg: RunConfig) -> list:
     rng = _rng(cfg, "grassmann")
     cases = 1000
+    # one plain rational algebra per size, for every case of the suite
+    algebras = {n: Algebra([GeneratorId(0, 1, i, 0) for i in range(n)],
+                           mode="rational") for n in (5, 6, 7, 8)}
 
     def law_defects():
         n = rng.randint(6, 8)
-        alg = _plain_algebra(n, "rational")
+        alg = algebras[n]
         pa, pb, pc = (rng.randint(0, 4) for _ in range(3))
         a = random_element(alg, rng, pa, 3)
         b = random_element(alg, rng, pb, 3)
         c = random_element(alg, rng, pc, 2)
+        ab = a.wedge(b)
         # graded commutativity
-        comm = a.wedge(b) - (b.wedge(a) if (pa * pb) % 2 == 0
-                             else -b.wedge(a))
+        comm = ab - (b.wedge(a) if (pa * pb) % 2 == 0 else -b.wedge(a))
         # associativity
-        assoc = a.wedge(b).wedge(c) - a.wedge(b.wedge(c))
+        assoc = ab.wedge(c) - a.wedge(b.wedge(c))
         # graded Leibniz for a random direction
         h = {rng.randrange(n): alg.ring.number(rng.randint(-3, 3))
              for _ in range(2)}
-        leib = (left_derivative(h, a.wedge(b))
+        leib = (left_derivative(h, ab)
                 - left_derivative(h, a).wedge(b)
                 - (a.wedge(left_derivative(h, b)) if pa % 2 == 0
                    else -a.wedge(left_derivative(h, b))))
@@ -163,7 +185,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
         (d for _ in range(cases) for d in law_defects()))]
 
     # permutation-sum oracle for all p+q <= 6 over 6 generators
-    alg = _plain_algebra(6, "rational")
+    alg = algebras[6]
 
     def oracle_gap(p, q):
         a = random_element(alg, rng, p, 3)
@@ -175,7 +197,7 @@ def suite_grassmann(cfg: RunConfig) -> list:
         (oracle_gap(p, q) for p in range(5) for q in range(7 - p))))
 
     # evaluation pairing against the multilinear reconstruction
-    alg5 = _plain_algebra(5, "rational")
+    alg5 = algebras[5]
 
     def pairing_gap():
         t, u = (random_element(alg5, rng, rng.randint(0, 3), 3) for _ in range(2))

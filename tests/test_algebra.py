@@ -1,5 +1,6 @@
 """Exterior-algebra kernel: wedge, derivatives, evaluation, oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -255,3 +256,42 @@ def test_wedge_associativity_hypothesis(p, q, s, seed):
     a, b, c = (random_element(alg, r, g, 2) for g in (p, q, s))
     assert (a.wedge(b).wedge(c) - a.wedge(b.wedge(c))).is_zero()
 
+
+
+def _draw_digest() -> str:
+    """sha256 of what one seeded stream of ``random_element`` calls draws in
+    each mode: every word and coefficient triple in insertion order (a
+    float as the hex of its parts, so signed zeros count), then one more
+    draw, which moves if a call makes more or fewer draws."""
+    calls = [(2, 3, None), (3, 4, [5, 1, 3, 0]), (0, 3, None),  # () sums
+             (2, 4, [4, 2]),                                     # (2, 4) sums
+             (6, 2, None), (1, 5, range(6)), (4, 3, [0, 2, 3, 4, 5])]
+    out = []
+    for mode in ("rational", "float"):
+        alg = Algebra([GeneratorId(0, 1, i, 0) for i in range(6)], mode=mode)
+        rng = random.Random(4242)
+        for grade, n_terms, slots in calls:
+            e = random_element(alg, rng, grade, n_terms, slots)
+            out.append([(w, c._abd if alg.ring.exact
+                         else (c.real.hex(), c.imag.hex())) for w, c in e.items()])
+        out.append(rng.random())
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def test_random_element_draws_are_pinned():
+    """Every exact verify record reads 0, so a report cannot see a changed
+    draw; this pin does."""
+    assert _draw_digest() == (
+        "c0111d1b2d7bd42612e4c4c05e84435baff29c8ca477a1f09824b175b0684ae9")
+
+
+@pytest.mark.parametrize("slots", [[0, 1, 2, 3, 9], [0, 1, 2, 2, 3], [-1, 0, 1, 2]],
+                         ids=["outside", "repeated", "negative"])
+def test_random_element_rejects_bad_slots_before_drawing(alg6, slots):
+    """The bad slot is one that this seed's draw would miss: the check
+    cannot rest on the draw."""
+    rng = random.Random(11)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_element(alg6, rng, 1, 1, slots)
+    assert rng.getstate() == state
