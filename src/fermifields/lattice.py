@@ -8,33 +8,24 @@ matrix identities.  Retarded kernels come from forward time-stepping and
 are block-lower-triangular in time (structural support); advanced
 kernels are argument-swapped sign-flipped transposes.
 
-The free operators are the same at every time step, so their kernels
-are block-Toeplitz in time: block (t, s) depends on t - s alone.  The
-solves step only the source-0 column forward and fill every other
-column as a shift of it.  A bilinear matrix whose time blocks differ
-(a time-varying cutoff) still runs the full substitution, one source
-time at a time.
-
-One solve loop serves both arithmetic modes.  Float mode steps complex
-blocks with numpy's ``@``.  Rational mode steps the same loop on
-Gaussian-integer numerators over one denominator per block
-(``linalg._ExactBlock``), with one ``gcd`` per block operation; each
-kernel block is turned back into ``QC`` entries once, and its empty
-and cancelled slots hold the int 0.
+One solve loop serves both arithmetic modes: it inverts each time
+slice's blocks with ``linalg.mat_inv``, forms the slice's transfer
+blocks once and steps with one block product per time, on complex
+blocks in float mode and on ``linalg._ExactBlock`` numerators in
+rational mode, whose kernel blocks become ``QC`` entries once (the int
+0 where empty or cancelled).  The free operators are the same at every
+time step, so their kernels are block-Toeplitz in time: only the
+source-0 column is stepped, and every other column is a shift of it.
+A time-varying bilinear matrix (a cutoff) runs the full substitution.
 
 On a finite time range the defining identity ``S2 @ kernel = Id`` can
 only hold on equation rows whose stencil stays inside the lattice; each
 kernel records that row set (``exact_rows``) and tests pin it.
 
-The free Dirac solve is memoised per :class:`FieldLattice` and mass:
-``dirac_green`` runs the forward substitution once for each (lattice,
-mass) pair and keeps one record of read-only retarded, advanced and
-causal matrices.  The advanced matrix is the signed transpose of the
-retarded one, and the causal matrix their difference; both are built
-on first request, in rational mode by tiling the solve's lag blocks.
-``causal_propagator`` hands out the record's causal matrix for that
-record's own retarded and advanced kernels, and subtracts any other
-pair.
+``dirac_green`` solves once per :class:`FieldLattice` and mass and keeps
+the read-only retarded, advanced and causal matrices in one record
+(:class:`_DiracSolve`); ``causal_propagator`` hands out that record's
+causal matrix for its own kernel pair.
 """
 
 from __future__ import annotations
@@ -255,7 +246,7 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
     inv_dt2 = ring.one / ring.coerce(lattice.dt ** 2)
     m_c = ring.coerce(m)
     A0 = eye(nx, ring) * (inv_dt2 + m_c * m_c) - matmul(Xs, Xs)
-    A0_inv = _block(mat_inv(A0))
+    A0_inv = mat_inv(_block(A0))
     inv_vol = ring.one / ring.coerce(lattice.volume_weight())
     # chain[d]: block (s + d, s) for every source time s
     chain = [A0_inv * inv_vol]
@@ -333,16 +324,19 @@ def dirac_matrix(fl: FieldLattice, m, weights=None) -> np.ndarray:
 
 def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     """Blocks of the fully retarded inverse pair (P, Q) of a
-    block-bidiagonal-in-time bilinear matrix M.
+    block-bidiagonal-in-time bilinear matrix M, with diagonal time
+    blocks D_t and sub-diagonal ones S_t.
 
     P = -M^{-1} (support t >= s); Q has strictly retarded support
     (t >= s+1) and solves M^T Q = Id on every row of time t <= nt-2.
+    Column s of P starts at -D_s^{-1} and steps by T_t = -D_t^{-1} S_t,
+    column s of Q starts at (S_{s+1}^T)^{-1} and steps by
+    U_t = -(S_t^T)^{-1} D_{t-1}^T: one block product per step.
 
-    If every diagonal time block of M equals the first and every
-    sub-diagonal block equals the first (any unweighted ``dirac_matrix``),
-    both are block-Toeplitz in time: one diagonal and one transposed
-    sub-diagonal block are inverted, only source column 0 is stepped
-    forward, and block (t, s) is block (t - s, 0).  Any other M, such as
+    If every D_t equals D_0 and every S_t equals S_1 (any unweighted
+    ``dirac_matrix``), P and Q are block-Toeplitz in time: two blocks
+    are inverted, one T and one U formed, only source column 0 is
+    stepped, and block (t, s) is block (t - s, 0).  Any other M, such as
     a time-varying cutoff, runs the substitution for every source time.
     """
     nt = fl.lattice.nt
@@ -351,36 +345,30 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     def blk(t, s):
         return M[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb]
 
-    toeplitz = all(np.array_equal(blk(t, t), blk(0, 0))
-                   and np.array_equal(blk(t, t - 1), blk(1, 0))
+    # list == tests identity first: entries ``_bidiagonal`` shares are free
+    d0, s1 = blk(0, 0).tolist(), blk(1, 0).tolist()
+    toeplitz = all(blk(t, t).tolist() == d0 and blk(t, t - 1).tolist() == s1
                    for t in range(1, nt))
 
     def per_time(f, first):
-        """[f(t) for t >= first], padded to nt; one f call if Toeplitz."""
-        if toeplitz:
+        """``first`` Nones, then f(t) for first <= t < nt; one call if Toeplitz."""
+        if toeplitz and first < nt:
             return [None] * first + [f(first)] * (nt - first)
         return [None] * first + [f(t) for t in range(first, nt)]
 
-    diag_inv = per_time(lambda t: _block(mat_inv(blk(t, t))), 0)
-    sub_t_inv = per_time(lambda t: _block(mat_inv(blk(t, t - 1).T.copy())), 1)
-    sub = per_time(lambda t: _block(blk(t, t - 1)), 1)
-    diag_t = per_time(lambda t: _block(blk(t, t).T), 0)
-    P = zeros((fl.block, fl.block), fl.ring)
-    Q = zeros((fl.block, fl.block), fl.ring)
+    neg_diag_inv = per_time(lambda t: -mat_inv(_block(blk(t, t))), 0)
+    # padded at time nt: Q has no block below the last source time
+    sub_t_inv = per_time(lambda t: mat_inv(_block(blk(t, t - 1).T)), 1) + [None]
+    step_p = per_time(lambda t: neg_diag_inv[t] @ _block(blk(t, t - 1)), 1)
+    step_q = per_time(lambda t: -(sub_t_inv[t] @ _block(blk(t - 1, t - 1).T)), 2)
+    P, Q = zeros((fl.block,) * 2, fl.ring), zeros((fl.block,) * 2, fl.ring)
     for s in range(1 if toeplitz else nt):
-        # P column block: M^{-1} by forward substitution, then negated
-        cur = diag_inv[s]
-        P[s * nb:(s + 1) * nb, s * nb:(s + 1) * nb] = _ring_array(-cur)
-        for t in range(s + 1, nt):
-            cur = -(diag_inv[t] @ (sub[t] @ cur))
-            P[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb] = _ring_array(-cur)
-        # Q column block: strictly retarded one-sided inverse of M^T
-        if s + 1 < nt:
-            qblk = sub_t_inv[s + 1]
-            Q[(s + 1) * nb:(s + 2) * nb, s * nb:(s + 1) * nb] = _ring_array(qblk)
-            for t in range(s + 1, nt - 1):
-                qblk = -(sub_t_inv[t + 1] @ (diag_t[t] @ qblk))
-                Q[(t + 1) * nb:(t + 2) * nb, s * nb:(s + 1) * nb] = _ring_array(qblk)
+        # column s: P's from time s on, Q's from time s + 1 on
+        for out, t0, cur, step in ((P, s, neg_diag_inv[s], step_p),
+                                   (Q, s + 1, sub_t_inv[s + 1], step_q)):
+            for t in range(t0, nt):
+                cur = cur if t == t0 else step[t] @ cur
+                out[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb] = _ring_array(cur)
     if toeplitz:
         for s in range(1, nt):
             P[s * nb:, s * nb:(s + 1) * nb] = P[:(nt - s) * nb, :nb]

@@ -13,22 +13,19 @@ without a Python call.  A sum that cancels is the normalised ``QC``
 zero.  An exact array is read as floats by ``astype(complex)``, which
 rounds each entry as ``complex(x)`` does.
 
-Rational mode runs its own loops that skip exact zeros: :func:`matmul`
-sums only products of nonzero entries, and :func:`mat_inv` eliminates
-only over the pivot row's nonzero columns.  The Dirac and Klein-Gordon
-blocks are mostly zero, so this is where the exact time goes.  Exact
-sums of the same nonzero products normalise to the same triples, so
-skipping zeros changes no result.  Matrices here are tiny (a few dozen
-rows), so generic Gauss-Jordan elimination is plenty.
+Rational :func:`matmul` sums only products of nonzero entries: the
+Dirac and Klein-Gordon blocks are mostly zero, and exact sums of the
+same nonzero products normalise to the same triples, so skipping zeros
+changes no result.
 
-The forward solves of the Green's kernels chain many block products.
-In rational mode they step :class:`_ExactBlock` values: one block's
+The Green's solves step :class:`_ExactBlock` values: one block's
 entries as Gaussian-integer numerators, two object arrays of Python
 ints, over one common denominator.  A product is four integer array
-products and one ``gcd`` over the whole block, where the same
-product of ``QC`` entries takes a ``gcd`` per multiply and per add.
-:func:`_block` lifts a ring array into the type the solves step (float
-arrays stay as they are, so float results keep every bit) and
+products and one ``gcd`` over the whole block, where the same product
+of ``QC`` entries takes a ``gcd`` per multiply and per add.  Exact
+:func:`mat_inv` is fraction-free Gauss-Jordan on those integer rows,
+one ``gcd`` per row update.  :func:`_block` lifts a ring array into the
+type the solves step (a float array stays as it is) and
 :func:`_ring_array` turns it back: a ``QC`` where a numerator is
 nonzero, the int 0 in every other slot, sums that cancel included.
 """
@@ -115,46 +112,58 @@ def max_abs(a: np.ndarray) -> float:
     return ulp(0.0) if worst == 0.0 and c.size else worst
 
 
-def mat_inv(a: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse with partial pivoting (exact in rational mode).
-
-    In rational mode a row update touches only the pivot row's nonzero
-    columns, counted separately for the eliminated matrix and the
-    inverse being built."""
-    n = a.shape[0]
-    if a.shape != (n, n):
+def mat_inv(a):
+    """Inverse of a square ring array or :class:`_ExactBlock`, as the
+    same kind of value.  Float mode calls ``np.linalg.inv`` (LU with
+    partial pivoting).  Exact mode is fraction-free Gauss-Jordan on the
+    Gaussian-integer rows of ``[N | I]``, N the block's numerators.  Its
+    pivot is a column's first nonzero, made a real c by its conjugate; a
+    row whose entry f there is nonzero becomes c·row − f·pivot row over
+    the gcd of its parts.  The diagonal is divided out once at the end."""
+    if a.shape != (a.shape[0],) * 2:
         raise ValueError("matrix must be square")
+    if isinstance(a, _ExactBlock):
+        return _exact_inv(a)
     if not ring_of(a).exact:
         return np.linalg.inv(np.asarray(a, dtype=complex))
-    work = [[a[i, j] for j in range(n)] for i in range(n)]
-    inv = [[QC(1) if i == j else 0 for j in range(n)] for i in range(n)]
+    return _exact_inv(_ExactBlock.of(a)).ring_array()
+
+
+def _exact_inv(b: "_ExactBlock") -> "_ExactBlock":
+    n = b.re.shape[0]
+    R = [row + [int(i == j) for j in range(n)]
+         for i, row in enumerate(b.re.tolist())]
+    I = [row + [0] * n for row in b.im.tolist()]
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
+        piv = next((r for r in range(col, n) if R[r][col] or I[r][col]), None)
         if piv is None:
-            raise np.linalg.LinAlgError("singular matrix in rational inverse")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        p = work[col][col]
-        w_row, i_row = work[col], inv[col]
-        w_nz = [j for j in range(n) if w_row[j]]
-        i_nz = [j for j in range(n) if i_row[j]]
-        for j in w_nz:
-            w_row[j] = w_row[j] / p
-        for j in i_nz:
-            i_row[j] = i_row[j] / p
+            raise np.linalg.LinAlgError("singular matrix in exact inverse")
+        R[col], R[piv], I[col], I[piv] = R[piv], R[col], I[piv], I[col]
+        pr, pi = R[col], I[col]
+        cr, ci = pr[col], pi[col]
+        if ci:  # times conj(c), so that the pivot c is the real |c|²
+            R[col], I[col] = pr, pi = ([cr * x + ci * y for x, y in zip(pr, pi)],
+                                       [cr * y - ci * x for x, y in zip(pr, pi)])
+        c = pr[col]
+        nz = [j for j in range(2 * n) if pr[j] or pi[j]]
         for r in range(n):
-            if r == col:
+            fr, fi = R[r][col], I[r][col]
+            if r == col or not (fr or fi):
                 continue
-            f = work[r][col]
-            if not f:
-                continue
-            w_r, i_r = work[r], inv[r]
-            for j in w_nz:
-                w_r[j] = w_r[j] - f * w_row[j]
-            for j in i_nz:
-                i_r[j] = i_r[j] - f * i_row[j]
-    return np.array(inv, dtype=object)
+            nr, ni = [c * x for x in R[r]], [c * y for y in I[r]]
+            for j in nz:
+                p, q = pr[j], pi[j]
+                nr[j] -= fr * p - fi * q
+                ni[j] -= fr * q + fi * p
+            # [N | I] keeps full rank, so no row becomes 0 and g > 0
+            g = gcd(*nr, *ni)
+            R[r], I[r] = [x // g for x in nr], [y // g for y in ni]
+    # row i of den·N⁻¹ is den·(its right half)/d_i, d_i real
+    R, I = np.array(R, dtype=object), np.array(I, dtype=object)
+    d = R.diagonal()[:, None]
+    den = lcm(*d.ravel().tolist())
+    s = b.den * (den // d)
+    return _normal(s * R[:, n:], s * I[:, n:], den)
 
 
 class _ExactBlock:
@@ -170,6 +179,8 @@ class _ExactBlock:
 
     def __init__(self, re: np.ndarray, im: np.ndarray, den: int):
         self.re, self.im, self.den = re, im, den
+
+    shape = property(lambda self: self.re.shape)
 
     @classmethod
     def of(cls, a: np.ndarray) -> "_ExactBlock":

@@ -521,6 +521,26 @@ def test_retarded_inverse_blocks_mat_inv_count(monkeypatch):
     assert len(calls) == 2 * nt - 1
 
 
+@pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(3, 4), Fraction(2)])
+def test_float_kernels_round_the_exact_ones_at_10x4(m):
+    """At the largest benchmark rung, 10x4 with dt = 1/2, the float
+    ``dirac_green`` (both kinds) and ``kg_green`` lie within 1e-13
+    relative of the exact kernels read as complex: the float solve may
+    associate its products differently, but only rounding may move it."""
+    kernels = {}
+    for mode, h, mass in (("rational", Fraction(1, 2), m),
+                          ("float", 0.5, float(m))):
+        lat = Lattice(10, 4, h, 1)
+        fl = FieldLattice(lat, 1, mode)
+        kernels[mode] = [dirac_green(fl, mass, kind).mat
+                         for kind in ("retarded", "advanced")]
+        kernels[mode].append(kg_green(lat, mass, "retarded", fl.ring).mat)
+    for exact, approx in zip(kernels["rational"], kernels["float"]):
+        want = exact.astype(complex)
+        assert approx.dtype == complex and approx.shape == want.shape
+        assert np.abs(approx - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # Oracles of the integer-numerator block step: the same forward
 # substitution on QC entries through linalg.matmul, every source time
 # stepped, and the same Klein-Gordon chain.

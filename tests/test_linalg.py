@@ -180,8 +180,60 @@ def test_mat_inv_singular_raises():
     dependent = sparse_qc(random.Random(5), (4, 4), 0.7)
     dependent[3, :] = dependent[0, :] * x + dependent[1, :] * y
     for a in (zero_col, dependent, zeros((2, 2), RAT)):
-        with pytest.raises(np.linalg.LinAlgError):
-            mat_inv(a)
+        for given in (a, _ExactBlock.of(a)):
+            with pytest.raises(np.linalg.LinAlgError):
+                mat_inv(given)
+
+
+def test_mat_inv_rejects_non_square():
+    a = sparse_qc(random.Random(6), (2, 3), 1.0)
+    for given in (a, _ExactBlock.of(a), a.astype(complex)):
+        with pytest.raises(ValueError):
+            mat_inv(given)
+
+
+def complex_pivots_mixed_denominators(rng, n):
+    """A dense invertible matrix whose diagonal entries all have nonzero
+    real and imaginary parts, each part over a denominator drawn from
+    eight."""
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                        rng.choice((1, 2, 3, 5, 7, 9, 16, 25)))
+    while True:
+        a = zeros((n, n), RAT)
+        for i in range(n):
+            for j in range(n):
+                if i == j or rng.random() < 0.7:
+                    a[i, j] = QC(part(), part())
+        try:
+            return a, dense_inverse(a)
+        except np.linalg.LinAlgError:
+            continue
+
+
+def block_parts(blk):
+    return blk.den, blk.re.tolist(), blk.im.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_mat_inv_of_a_block_is_the_block_of_the_dense_inverse(n):
+    """Given an ``_ExactBlock``, ``mat_inv`` returns one whose ``den``,
+    ``re`` and ``im`` are those of the block of :func:`dense_inverse`:
+    sparse matrices that need a row swap, and dense ones with complex
+    pivots over mixed denominators."""
+    rng = random.Random(f"mat_inv_block:{n}")
+    cases = [invertible_needing_swaps(rng, n, density)
+             for density in (0.3, 0.6) for _ in range(3)]
+    mixed = [complex_pivots_mixed_denominators(rng, n) for _ in range(3)]
+    for a, _ in mixed:
+        assert a[0, 0].re and a[0, 0].im
+        assert len({x._abd[2] for x in a.ravel() if x}) >= 2
+    for a, ref in cases + mixed:
+        got = mat_inv(_ExactBlock.of(a))
+        assert type(got) is _ExactBlock
+        want = _ExactBlock.of(np.array(ref, dtype=object))
+        assert block_parts(got) == block_parts(want)
+        assert values(mat_inv(a)) == values(np.array(ref, dtype=object))
 
 
 # -- the integer-numerator block of the exact solves --------------------------
