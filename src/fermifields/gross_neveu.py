@@ -466,7 +466,7 @@ class InteractingKernel:
         self._tables = _MergeTables()
         self._W = self._entries(W)
         self._back = _columns(self._neg_free[np.ix_(self._W.cols, self._W.rows)])
-        sites = [g.site for g in fl.algebra.generators]
+        sites = fl.slot_sites.tolist()
         groups: dict = {}
         for j in np.flatnonzero(free.exact_rows).tolist():
             groups.setdefault(sites[j], []).append(j)
@@ -720,9 +720,9 @@ def _translation(fl: FieldLattice, W: ElementKernel) -> np.ndarray:
     float mode to rounding), on exact rows that depend only on species and
     time; K0 enters only the defect's grade-0 block, which maps nothing."""
     lat = fl.lattice
-    tau = np.array([fl.slot(g.species, g.color,
-                            lat.site(g.site // lat.nx, g.site % lat.nx + 1),
-                            g.component) for g in fl.algebra.generators])
+    # slot axes (species and color, time, x, component); τ rolls x
+    tau = np.roll(np.arange(fl.n_slots).reshape(-1, lat.nt, lat.nx, NCOMP),
+                  -1, axis=2).ravel()
     terms = {(i, a, w): c for (i, a), e in W.entries.items() for w, c in e.items()}
     image: dict = {}
     if terms:

@@ -15,8 +15,11 @@ blocks in float mode and on ``linalg._ExactBlock`` numerators in
 rational mode, whose kernel blocks become ``QC`` entries once (the int
 0 where empty or cancelled).  The free operators are the same at every
 time step, so their kernels are block-Toeplitz in time: only the
-source-0 column is stepped, and every other column is a shift of it.
-A time-varying bilinear matrix (a cutoff) runs the full substitution.
+source-0 column is stepped, and ``_toeplitz`` tiles every block-lower-
+Toeplitz matrix from its first block column.  A time-varying bilinear
+matrix (a cutoff) runs the full substitution.  A :class:`FieldLattice`
+reads its slot tables off ``slot``'s arithmetic and builds its
+generator algebra on first use, so a Green's solve builds none.
 
 On a finite time range the defining identity ``S2 @ kernel = Id`` can
 only hold on equation rows whose stencil stays inside the lattice; each
@@ -74,9 +77,6 @@ class Lattice:
     def n_sites(self) -> int:
         return self.nt * self.nx
 
-    def site(self, t: int, x: int) -> int:
-        return t * self.nx + (x % self.nx)
-
     def site_time(self, s: int) -> int:
         return s // self.nx
 
@@ -98,6 +98,8 @@ class FieldLattice:
 
     Slot order is the lexicographic generator order (species, color,
     site, component): the field block precedes the conjugate block.
+    The tables ``slot_species``, ``slot_sites`` and ``slot_times`` are
+    read off :meth:`slot`'s arithmetic; ``algebra`` is built on first read.
     """
 
     def __init__(self, lattice: Lattice, ncolors: int = 1, mode: str = "float"):
@@ -105,24 +107,25 @@ class FieldLattice:
             raise ValueError("ncolors must be >= 1")
         self.lattice = lattice
         self.ncolors = ncolors
-        gens = [GeneratorId(species, color, site, comp)
-                for species in (FIELD, CONJUGATE)
-                for color in range(1, ncolors + 1)
-                for site in range(lattice.n_sites)
-                for comp in range(NCOMP)]
-        self.algebra = Algebra(gens, mode=mode)
+        self.ring = Ring(mode)
         ns = lattice.n_sites
         self.block = ns * NCOMP            # one (species, color) block
         self.n_slots = 2 * ncolors * self.block
-        self.slot_times = np.array(
-            [lattice.site_time(g.site) for g in self.algebra.generators])
-        self.slot_species = np.array([g.species for g in self.algebra.generators])
+        # slot // NCOMP = (species * ncolors + color - 1) * ns + site
+        sites = np.arange(self.n_slots) // NCOMP
+        self.slot_species = sites // (ncolors * ns)
+        self.slot_sites = sites % ns
+        self.slot_times = self.slot_sites // lattice.nx
         # coerced mass -> _DiracSolve (read-only species-block matrices)
         self._dirac_solves: dict = {}
 
-    @property
-    def ring(self) -> Ring:
-        return self.algebra.ring
+    @cached_property
+    def algebra(self) -> Algebra:
+        return Algebra([GeneratorId(species, color, site, comp)
+                        for species in (FIELD, CONJUGATE)
+                        for color in range(1, self.ncolors + 1)
+                        for site in range(self.lattice.n_sites)
+                        for comp in range(NCOMP)], mode=self.ring.mode)
 
     def slot(self, species: int, color: int, site: int, comp: int) -> int:
         return (((species * self.ncolors) + (color - 1)) * self.lattice.n_sites
@@ -132,8 +135,7 @@ class FieldLattice:
         if color is not None:
             start = self.slot(species, color, 0, 0)
             return range(start, start + self.block)
-        return [i for c in range(1, self.ncolors + 1)
-                for i in self.species_slots(species, c)]
+        return np.flatnonzero(self.slot_species == species).tolist()
 
     def interior_slots(self) -> list:
         """Slots whose time keeps clear of both temporal boundaries.
@@ -141,9 +143,8 @@ class FieldLattice:
         Test configurations supported here play the role of compactly
         supported test sections: every kernel identity is exact on them.
         """
-        nt = self.lattice.nt
-        return [i for i in range(self.n_slots)
-                if 1 <= self.slot_times[i] <= nt - 2]
+        t = self.slot_times
+        return np.flatnonzero((t >= 1) & (t <= self.lattice.nt - 2)).tolist()
 
     def window_weights(self, lo: int, hi: int):
         """Site weight vector: 1 on times lo..hi inclusive, else 0."""
@@ -255,15 +256,21 @@ def kg_green(lattice: Lattice, m, kind: str, ring: Ring) -> Kernel:
         if d >= 2:
             rhs = rhs + chain[d - 2] * inv_dt2
         chain.append(-(A0_inv @ rhs))
-    chain = [_ring_array(c) for c in chain]
-    G = zeros((ns, ns), ring)
-    for t in range(nt):
-        for s in range(t + 1):
-            G[t * nx:(t + 1) * nx, s * nx:(s + 1) * nx] = chain[t - s]
+    G = _toeplitz(np.concatenate([_ring_array(c) for c in chain]), nx)
     times = lattice.site_times()
     if kind == "advanced":
         return Kernel(G.T.copy(), "advanced", times)
     return Kernel(G, "retarded", times, exact_rows=np.ones(ns, dtype=bool))
+
+
+def _toeplitz(strip: np.ndarray, nb: int) -> np.ndarray:
+    """Block-lower-Toeplitz matrix of first block column ``strip``, entries
+    copied with no arithmetic: block (t, s) is strip block t - s, or 0."""
+    n = strip.shape[0]
+    out = zeros((n, n), ring_of(strip))
+    for s in range(0, n, nb):
+        out[s:, s:s + nb] = strip[:n - s]
+    return out
 
 
 def _space_block(lattice: Lattice, ring: Ring) -> np.ndarray:
@@ -297,12 +304,9 @@ def _dirac_blocks(lattice: Lattice, m, ring: Ring):
 def _bidiagonal(diag: np.ndarray, sub: np.ndarray, nt: int) -> np.ndarray:
     """Block matrix with ``diag`` at every (t, t) and ``sub`` at (t, t-1)."""
     nb = diag.shape[0]
-    out = zeros((nt * nb, nt * nb), ring_of(diag))
-    for t in range(nt):
-        out[t * nb:(t + 1) * nb, t * nb:(t + 1) * nb] = diag
-        if t >= 1:
-            out[t * nb:(t + 1) * nb, (t - 1) * nb:t * nb] = sub
-    return out
+    strip = zeros((nt * nb, nb), ring_of(diag))
+    strip[:nb], strip[nb:2 * nb] = diag, sub
+    return _toeplitz(strip, nb)
 
 
 def dirac_matrix(fl: FieldLattice, m, weights=None) -> np.ndarray:
@@ -336,8 +340,8 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     If every D_t equals D_0 and every S_t equals S_1 (any unweighted
     ``dirac_matrix``), P and Q are block-Toeplitz in time: two blocks
     are inverted, one T and one U formed, only source column 0 is
-    stepped, and block (t, s) is block (t - s, 0).  Any other M, such as
-    a time-varying cutoff, runs the substitution for every source time.
+    stepped, and :func:`_toeplitz` tiles it.  Any other M, such as a
+    time-varying cutoff, runs the substitution for every source time.
     """
     nt = fl.lattice.nt
     nb = fl.lattice.nx * NCOMP
@@ -361,8 +365,9 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
     sub_t_inv = per_time(lambda t: mat_inv(_block(blk(t, t - 1).T)), 1) + [None]
     step_p = per_time(lambda t: neg_diag_inv[t] @ _block(blk(t, t - 1)), 1)
     step_q = per_time(lambda t: -(sub_t_inv[t] @ _block(blk(t - 1, t - 1).T)), 2)
-    P, Q = zeros((fl.block,) * 2, fl.ring), zeros((fl.block,) * 2, fl.ring)
-    for s in range(1 if toeplitz else nt):
+    sources = 1 if toeplitz else nt
+    P, Q = zeros((2, fl.block, sources * nb), fl.ring)
+    for s in range(sources):
         # column s: P's from time s on, Q's from time s + 1 on
         for out, t0, cur, step in ((P, s, neg_diag_inv[s], step_p),
                                    (Q, s + 1, sub_t_inv[s + 1], step_q)):
@@ -370,9 +375,7 @@ def _retarded_inverse_blocks(fl: FieldLattice, M: np.ndarray):
                 cur = cur if t == t0 else step[t] @ cur
                 out[t * nb:(t + 1) * nb, s * nb:(s + 1) * nb] = _ring_array(cur)
     if toeplitz:
-        for s in range(1, nt):
-            P[s * nb:, s * nb:(s + 1) * nb] = P[:(nt - s) * nb, :nb]
-            Q[s * nb:, s * nb:(s + 1) * nb] = Q[:(nt - s) * nb, :nb]
+        return _toeplitz(P, nb), _toeplitz(Q, nb)
     return P, Q
 
 
@@ -447,15 +450,12 @@ class _DiracSolve:
         if not ring_of(R).exact:
             return _read_only(-R.T.copy())
         fl = self.fl
-        nt, nb, b = fl.lattice.nt, fl.lattice.nx * NCOMP, fl.block
+        nb, b = fl.lattice.nx * NCOMP, fl.block
         psb = fl.slot(CONJUGATE, 1, 0, 0)
         # source-0 column strips: every lag block of -P, then of -Q
         neg_p, neg_q = -R[:b, psb:psb + nb], -R[psb:psb + b, :nb]
-        upper, lower = zeros((b, b), fl.ring), zeros((b, b), fl.ring)
-        for s in range(nt):
-            upper[s * nb:(s + 1) * nb, s * nb:] = neg_q[:(nt - s) * nb].T
-            lower[s * nb:(s + 1) * nb, s * nb:] = neg_p[:(nt - s) * nb].T
-        return _read_only(_species_blocks(fl, upper, lower))
+        return _read_only(_species_blocks(fl, _toeplitz(neg_q, nb).T,
+                                          _toeplitz(neg_p, nb).T))
 
     @cached_property
     def causal(self) -> np.ndarray:

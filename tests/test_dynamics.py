@@ -99,7 +99,7 @@ def test_eom_generators_gross_neveu_cubic(fl_rat, mass):
     lat = fl_rat.lattice
     ring = fl_rat.ring
     vol = ring.coerce(Fraction(lat.dt) * Fraction(lat.dx))
-    site = lat.site(1, 0)              # interior site, g = 1 there
+    site = 1 * lat.nx + 0              # interior site (t, x) = (1, 0), g = 1 there
     slot_psb = fl_rat.slot(CONJUGATE, 1, site, 0)
     h = {slot_psb: ring.one}
     cubic = S.eom_element(h) - S0.eom_element(h)
@@ -114,7 +114,7 @@ def test_eom_generators_gross_neveu_cubic(fl_rat, mass):
     want = want.scale(vol * ring.coerce(lam) * ring.coerce(g[site]))
     assert (cubic - want).is_zero()
     # cutoff support: no cubic term at sites where g vanishes
-    site0 = lat.site(0, 0)
+    site0 = 0 * lat.nx + 0
     h0 = {fl_rat.slot(CONJUGATE, 1, site0, 0): ring.one}
     assert (S.eom_element(h0) - S0.eom_element(h0)).is_zero()
 

@@ -945,9 +945,9 @@ def _gn43(mode):
 
 def _tau(fl):
     """The slot permutation of the translation x → x + 1."""
-    lat = fl.lattice
+    nx = fl.lattice.nx
     return np.array([fl.slot(g.species, g.color,
-                             lat.site(g.site // lat.nx, g.site % lat.nx + 1),
+                             g.site // nx * nx + (g.site % nx + 1) % nx,
                              g.component) for g in fl.algebra.generators])
 
 

@@ -635,3 +635,46 @@ def test_kg_green_equals_the_qc_chain(nt, nx):
     want = _qc_kg_chain(lat, Fraction(5, 7), ring)
     assert np.all(G == want)
     assert _written_zeros(G) == 0
+
+
+# -- slot layout and the algebra built on first use ----------------------------
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("solve", ["retarded", "advanced", "causal", "kg",
+                                   "bilinear"])
+def test_green_solves_build_no_algebra(mode, solve):
+    """A Green's solve reads the slot tables alone: the lattice's algebra
+    is built on first read of ``algebra``, and only then."""
+    exact = mode == "rational"
+    fl = FieldLattice(Lattice(4, 3, Fraction(1, 2) if exact else 0.5, 1), 1, mode)
+    m = fl.ring.coerce(Fraction(3, 4) if exact else 0.75)
+    if solve in ("retarded", "advanced"):
+        dirac_green(fl, m, solve)
+    elif solve == "causal":
+        causal_propagator(dirac_green(fl, m, "retarded"),
+                          dirac_green(fl, m, "advanced"))
+    elif solve == "kg":
+        kg_green(fl.lattice, m, "retarded", fl.ring)
+    else:
+        green_from_bilinear(fl, dirac_matrix(fl, m))
+    assert "algebra" not in fl.__dict__
+    alg = fl.algebra
+    assert fl.__dict__["algebra"] is alg
+    assert alg.n == fl.n_slots and alg.mode == mode
+
+
+@pytest.mark.parametrize("nt,nx,ncolors", [(2, 1, 1), (3, 2, 1), (4, 3, 1),
+                                           (2, 1, 2), (3, 2, 2), (3, 3, 2)])
+def test_slot_tables_equal_the_generator_layout(nt, nx, ncolors):
+    """``slot_species``, ``slot_sites`` and ``slot_times``, read off
+    ``slot``'s arithmetic, equal the tables walked from the sorted
+    generators, and ``slot`` numbers the generators in order."""
+    fl = FieldLattice(Lattice(nt, nx), ncolors, "rational")
+    lat, gens = fl.lattice, fl.algebra.generators
+    assert [fl.slot(g.species, g.color, g.site, g.component)
+            for g in gens] == list(range(fl.n_slots))
+    for have, want in ((fl.slot_species, [g.species for g in gens]),
+                       (fl.slot_sites, [g.site for g in gens]),
+                       (fl.slot_times, [lat.site_time(g.site) for g in gens])):
+        assert have.dtype == np.array(want).dtype
+        assert np.array_equal(have, np.array(want))

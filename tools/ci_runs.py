@@ -104,7 +104,10 @@ RUNS = [
         ("lattice.nt = 5", "lattice.dt = 1/3", "lattice.dx = 1/2", "mass = 3/4",
          "lambda = 1/8", "seed = 77"), ("verify",), {
         "verify/verify_report.json": "4355f4faf20c3a372a865af97674411b4a35d1d84f9217809ccde7dbaf12b583"}),
-    Run("rational-4x3", RATIONAL_4X3, ("propagators", "gn-series", "car-table"), {
+    # window:1:2 is the default cutoff at nt = 4; naming it here and in the
+    # float twin runs the window parser
+    Run("rational-4x3", RATIONAL_4X3 + ("cutoff = window:1:2",),
+        ("propagators", "gn-series", "car-table"), {
         **_PROPAGATORS_4X3,
         "car-table/car_table.csv": "a23ccc32151474fe1c63e90340e1b8be1399a4740336780257192758295285cf",
         "gn-series/gn_moller_series.csv": "69a967e1082bd5b893356764c6bd63ec4028742490c1838fe986a3749409d075",
@@ -122,8 +125,8 @@ RUNS = [
         "propagators/interacting_retarded_orders.csv": "24f0ff7b2967cc46cc4cc62a5662d873d71b42ad9de7489433da0c120630a71e"}),
     # float outputs go through numpy's BLAS, so none is hashed; propagators
     # exits 1 when a defect reaches reports.TOL_NUM
-    Run("float-4x3", FLOAT_4X3, ("propagators", "gn-series", "car-table"),
-        shadows="rational-4x3"),
+    Run("float-4x3", FLOAT_4X3 + ("cutoff = window:1:2",),
+        ("propagators", "gn-series", "car-table"), shadows="rational-4x3"),
     Run("float-4x3-ones", FLOAT_4X3 + ("cutoff = ones",), ("propagators",)),
     # 72 generators, more than a 64-bit word mask could hold
     Run("float-3x3-2colors",

@@ -33,8 +33,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermifields"
 # S of dynamics.peierls_bracket is kept too: perfbench/layers.py passes it
 # positionally.
 ALLOWED = {
-    "config.RunConfig._window": "reads a window:LO:HI cutoff, which no CI "
-                                "config sets",
     "kernels.ElementKernel.compose": "test oracle of compose_scalar_left and "
                                      "_right; perfbench/spans.py traces it",
     "dynamics.SubstitutionMap.inverse": "test oracle of MollerMap.inverse; "
